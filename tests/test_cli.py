@@ -178,9 +178,14 @@ class TestKTheoryAndReport:
 
     def test_cross_process_byte_identity(self, tmp_path):
         # reports must not depend on interpreter hash randomization
+        import os
         import subprocess
         import sys
 
+        import sullivan
+
+        # the directory holding the package, so the child imports this copy
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sullivan.__file__)))
         outputs = []
         for seed in ("0", "424242"):
             result = subprocess.run(
@@ -195,7 +200,7 @@ class TestKTheoryAndReport:
                     "structured",
                 ],
                 capture_output=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": src},
             )
             assert result.returncode == 0, result.stderr.decode()
             outputs.append(result.stdout)
