@@ -5,12 +5,11 @@ K-theory dimension counts."""
 
 from .cdga import AlgebraElement, CdgaMorphism, Generator, SullivanAlgebra
 from .cohomology import CohomologyTable
-from .linalg import BACKEND, RationalMatrix, SubspaceBasis
+from .linalg import RationalMatrix, SubspaceBasis
 from .models import GroupData, GroupDiagram, RestrictionMap
 
 __all__ = [
     "AlgebraElement",
-    "BACKEND",
     "CdgaMorphism",
     "CohomologyTable",
     "Generator",

@@ -5,33 +5,16 @@ arithmetic: matrices are reduced by fraction-free (Bareiss) elimination
 over arbitrary-precision integers after clearing denominators row-wise.
 Pivoting is first-nonzero in column order, so every basis this module
 produces is deterministic.
-
-The elimination kernel is provided by the compiled module
-``sullivan._elim_cy`` when it is built, with the pure-Python twin
-``sullivan._elim_py`` as fallback; set ``SULLIVAN_PURE=1`` to force the
-fallback.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotASubspace
-
-if os.environ.get("SULLIVAN_PURE"):
-    from . import _elim_py as _elim
-else:
-    try:
-        from . import _elim_cy as _elim  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _elim_py as _elim
-
-BACKEND = _elim.BACKEND
-ff_row_echelon = _elim.ff_row_echelon
 
 Vector = tuple[Fraction, ...]
 
@@ -40,17 +23,77 @@ def _as_fraction_vector(entries: Iterable) -> Vector:
     return tuple(Fraction(x) for x in entries)
 
 
-def _clear_denominators(row: Sequence[Fraction]) -> list[int]:
-    scale = lcm(*(x.denominator for x in row)) if row else 1
-    return [int(x * scale) for x in row]
-
-
-def _int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
+def _int_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
+    """Integer rows spanning the same lines as the given int or Fraction
+    rows: rows of ints pass through, any other row is scaled by the lcm of
+    its denominators."""
     out = []
     for row in rows:
-        frac = [Fraction(x) for x in row]
-        out.append(_clear_denominators(frac))
+        if all(type(x) is int for x in row):
+            out.append(row)
+        else:
+            scale = lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
+
+
+def ff_row_echelon(rows):
+    """Fraction-free row echelon form of an integer matrix.
+
+    Bareiss single-step elimination with first-nonzero-in-column-order
+    pivoting, so the output is deterministic.  Every intermediate entry
+    is a minor of the input, hence all divisions are exact.
+
+    Returns ``(echelon, pivots)`` where ``echelon`` holds the nonzero
+    rows, each reduced by its content with a positive pivot entry, and
+    ``pivots`` lists their pivot column indices.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = -1
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        row_r = m[r]
+        piv = row_r[c]
+        for i in range(r + 1, nrows):
+            row_i = m[i]
+            mic = row_i[c]
+            if mic:
+                for j in range(c, ncols):
+                    row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
+            elif prev != 1:
+                for j in range(c, ncols):
+                    row_i[j] = (row_i[j] * piv) // prev
+            elif piv != 1:
+                for j in range(c, ncols):
+                    row_i[j] = row_i[j] * piv
+        pivots.append(c)
+        prev = piv
+        r += 1
+    echelon = []
+    for r, c in enumerate(pivots):
+        row = m[r]
+        g = 0
+        for x in row:
+            if x:
+                g = gcd(g, x)
+        if row[c] < 0:
+            g = -g
+        echelon.append([x // g for x in row])
+    return echelon, pivots
 
 
 @dataclass(frozen=True)
@@ -169,11 +212,7 @@ def solve(columns: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
         if len(col) != n:
             raise DimensionMismatch("column length does not match right-hand side")
     k = len(columns)
-    augmented = [
-        [Fraction(columns[i][j]) for i in range(k)] + [Fraction(rhs[j])]
-        for j in range(n)
-    ]
-    echelon, pivots = _echelon(augmented)
+    echelon, pivots = _echelon(zip(*columns, rhs))
     if k in pivots:
         return None
     c = [Fraction(0)] * (k + 1)

@@ -1,11 +1,13 @@
-"""Exact linear algebra: frozen examples plus backend equivalence."""
+"""Exact linear algebra: frozen examples, plus the elimination kernel
+checked against the independent Fraction-based reducer."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from sullivan import _elim_py, linalg
+from sullivan import linalg
 from sullivan.errors import DimensionMismatch, NotASubspace
 from sullivan.linalg import (
     RationalMatrix,
@@ -16,13 +18,6 @@ from sullivan.linalg import (
     rank,
     solve,
 )
-
-try:
-    from sullivan import _elim_cy
-except ImportError:  # extension not built; the pure twin is the backend
-    _elim_cy = None
-
-BACKENDS = [_elim_py] + ([_elim_cy] if _elim_cy is not None else [])
 
 
 def M(rows):
@@ -153,23 +148,27 @@ class TestExactness:
         assert solve(cols, (2, 1)) == [Fraction(3, 2), Fraction(1, 2)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-class TestBackends:
-    def test_known_echelon(self, backend):
-        echelon, pivots = backend.ff_row_echelon([[2, 4], [1, 2]])
+class TestEchelon:
+    def test_known_echelon(self):
+        echelon, pivots = linalg.ff_row_echelon([[2, 4], [1, 2]])
         assert pivots == [0]
         assert echelon == [[1, 2]]
 
-    def test_backends_agree(self, backend):
+    def test_random_against_reducer(self):
         rng = random.Random(31)
         for _ in range(40):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            assert backend.ff_row_echelon(matrix) == _elim_py.ff_row_echelon(matrix)
-
-    def test_linalg_runs_on_backend(self, backend, monkeypatch):
-        monkeypatch.setattr(linalg, "ff_row_echelon", backend.ff_row_echelon)
-        m = M([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert rank(m) == 2
-        assert kernel_basis(m).dim == 1
+            echelon, pivots = linalg.ff_row_echelon(matrix)
+            reducer = linalg._Reducer(cols)
+            assert len(pivots) == sum(reducer.add(row) for row in matrix)
+            assert len(echelon) == len(pivots)
+            assert all(a < b for a, b in zip(pivots, pivots[1:]))
+            for row, p in zip(echelon, pivots):
+                assert gcd(*row) == 1
+                assert row[p] > 0 and not any(row[:p])
+            span = linalg._Reducer(cols)
+            for row in echelon:
+                span.add(row)
+            assert not any(span.add(row) for row in matrix)
