@@ -25,15 +25,11 @@ def _as_fraction_vector(entries: Iterable) -> Vector:
 
 def _int_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
     """Integer rows spanning the same lines as the given int or Fraction
-    rows: rows of ints pass through, any other row is scaled by the lcm of
-    its denominators."""
+    rows: each row is scaled by the lcm of its denominators."""
     out = []
     for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(row)
-        else:
-            scale = lcm(*(x.denominator for x in row))
-            out.append([x.numerator * (scale // x.denominator) for x in row])
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
@@ -205,6 +201,7 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
 def solve(columns: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """Exact solution c of sum_i c_i * columns[i] = rhs, or None.
 
+    Entries of ``columns`` and ``rhs`` must be ``int`` or ``Fraction``.
     Free coefficients are set to zero, so the answer is deterministic.
     """
     n = len(rhs)
