@@ -37,7 +37,7 @@ class Generator:
     degree: int
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 1:
+        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 1:
             raise InvalidDegrees(f"generator {self.name!r} must have positive degree")
 
     @property
@@ -215,9 +215,17 @@ class SullivanAlgebra:
         return AlgebraElement(self, {unit: Fraction(c)})
 
     def gen(self, name: str) -> AlgebraElement:
+        return self._gen_power(name, 1)
+
+    def _gen_power(self, name: str, k: int) -> AlgebraElement:
+        """The k-th power of a generator, built as one monomial rather than
+        by k products: an odd generator squares to zero."""
         if name not in self._index:
             raise UnknownGenerator(f"no generator named {name!r}")
-        mono = tuple(1 if i == self._index[name] else 0 for i in range(len(self.generators)))
+        index = self._index[name]
+        if k >= 2 and self.generators[index].is_odd:
+            return self.zero()
+        mono = tuple(k if i == index else 0 for i in range(len(self.generators)))
         return AlgebraElement(self, {mono: Fraction(1)})
 
     def monomial_element(self, mono: Monomial, coeff=1) -> AlgebraElement:
@@ -458,7 +466,8 @@ class SullivanAlgebra:
                 coeff *= Fraction(value)
                 pos += 1
             elif kind == "name":
-                base = self.gen(value)
+                if value not in self._index:
+                    raise UnknownGenerator(f"no generator named {value!r}")
                 pos += 1
                 exp = 1
                 if pos + 1 < len(tokens) and tokens[pos] == ("op", "^"):
@@ -467,7 +476,7 @@ class SullivanAlgebra:
                         raise ValueError("exponent must be a non-negative integer")
                     exp = int(nv)
                     pos += 2
-                mono = mono * base**exp
+                mono = mono * self._gen_power(value, exp)
             else:
                 break
             saw_factor = True

@@ -44,6 +44,24 @@ def _full_basis(dim: int) -> SubspaceBasis:
     return SubspaceBasis(dim, vectors)
 
 
+def _classes(dim: int, rows: list, below: list) -> tuple[SubspaceBasis, SubspaceBasis]:
+    """Coboundaries and chosen class representatives of a cochain space.
+
+    ``rows`` are the d-images of the space's ``dim`` basis vectors (may be
+    empty when d maps into a zero space), ``below`` the d-images landing
+    in it, written over its basis; all entries are ``Fraction``.  The
+    coboundaries are the echelon rows of ``below``; the representatives
+    are picked greedily from the kernel basis of d, in order.
+    """
+    if any(any(r) for r in rows):
+        kernel = linalg.kernel_basis(RationalMatrix(tuple(zip(*rows))))
+    else:
+        kernel = _full_basis(dim)
+    echelon, _ = linalg._echelon([r for r in below if any(r)])
+    image = SubspaceBasis.from_vectors(dim, echelon)
+    return image, linalg.quotient_basis(image, kernel)
+
+
 def betti_numbers(a: SullivanAlgebra, cutoff: int | None = None) -> tuple[int, ...]:
     """Betti numbers (dim H^n) for n = 0..cutoff, by rank counting only."""
     cutoff = a.cutoff if cutoff is None else cutoff
@@ -65,19 +83,10 @@ class _DegreeSpace:
 
     def __init__(self, algebra: SullivanAlgebra, degree: int):
         self.degree = degree
-        basis = algebra._basis(degree)
-        self.dim = len(basis)
-        if self.dim == 0:
-            self.kernel = SubspaceBasis(0, ())
-        elif len(algebra._basis(degree + 1)) == 0:
-            self.kernel = _full_basis(self.dim)
-        else:
-            rows = _action_rows(algebra, degree)
-            self.kernel = linalg.kernel_basis(RationalMatrix.from_rows(zip(*rows)))
+        self.dim = len(algebra._basis(degree))
+        rows = _action_rows(algebra, degree) if self.dim and algebra._basis(degree + 1) else []
         below = _action_rows(algebra, degree - 1) if degree else []
-        echelon, _ = linalg._echelon([r for r in below if any(r)])
-        self.image = SubspaceBasis.from_vectors(self.dim, echelon)
-        self.reps = linalg.quotient_basis(self.image, self.kernel)
+        self.image, self.reps = _classes(self.dim, rows, below)
         self.elements = tuple(
             algebra.element_from_coordinates(v, degree) for v in self.reps.vectors
         )
@@ -222,20 +231,10 @@ class LowerGradedTable:
             for i in sorted(indices):
                 monos = splits[n].get(i, [])
                 target = splits[n + 1].get(i - 1, []) if i else []
-                rows = _strand_rows(algebra, monos, target) if monos else []
-                if monos:
-                    if target:
-                        matrix = RationalMatrix.from_rows(zip(*rows))
-                        kernel = linalg.kernel_basis(matrix)
-                    else:
-                        kernel = _full_basis(len(monos))
-                else:
-                    kernel = SubspaceBasis(0, ())
+                rows = _strand_rows(algebra, monos, target) if monos and target else []
                 below = splits[n - 1].get(i + 1, []) if n else []
                 below_rows = _strand_rows(algebra, below, monos) if below else []
-                echelon, _ = linalg._echelon([r for r in below_rows if any(r)])
-                image = SubspaceBasis.from_vectors(len(monos), echelon)
-                reps = linalg.quotient_basis(image, kernel)
+                _, reps = _classes(len(monos), rows, below_rows)
                 elements = tuple(
                     AlgebraElement(
                         algebra,

@@ -33,17 +33,22 @@ from .models import (
     RestrictionMap,
     biquotient_model,
     borel_model_cohomogeneity_one,
-    cohomogeneity_one_model,
+    cohomogeneity_one_model,  # noqa: F401  (perfbench/tracer.py patches it here)
 )
 
 SCHEMA_KINDS = ("model", "homogeneous", "biquotient", "diagram", "betti")
+
+
+def _is_int(value) -> bool:
+    """An integer, not a bool (JSON ``true`` loads as a Python int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise SchemaError(f"{path}: missing key {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise SchemaError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -58,6 +63,8 @@ def load_group(obj, path: str) -> GroupData:
     rank = _require(obj, "rank", int, path)
     dim = _require(obj, "dim", int, path)
     degrees = _require(obj, "degrees", list, path)
+    if not all(_is_int(d) for d in degrees):
+        raise SchemaError(f"{path}.degrees: expected integers")
     flags = obj.get("flags", {})
     if not isinstance(flags, dict):
         raise SchemaError(f"{path}.flags: expected an object")
@@ -131,7 +138,7 @@ def load_diagram(doc: dict, path: str = "$") -> GroupDiagram:
     k_minus = load_group(_require(doc, "Kminus", None, path), f"{path}.Kminus")
     k_plus = load_group(_require(doc, "Kplus", None, path), f"{path}.Kplus")
     sphere_dims = _require(doc, "sphere_dims", list, path)
-    if len(sphere_dims) != 2 or not all(isinstance(x, int) for x in sphere_dims):
+    if len(sphere_dims) != 2 or not all(_is_int(x) for x in sphere_dims):
         raise SchemaError(f"{path}.sphere_dims: expected two integers [l-, l+]")
     embeddings = _require(doc, "embeddings", dict, path)
     minus = _load_polynomial_map(
@@ -154,7 +161,7 @@ def load_model(doc: dict, path: str = "$") -> SullivanAlgebra:
             not isinstance(spec, list)
             or len(spec) != 2
             or not isinstance(spec[0], str)
-            or not isinstance(spec[1], int)
+            or not _is_int(spec[1])
         ):
             raise SchemaError(f"{path}.generators[{i}]: expected [name, degree]")
         gens.append((spec[0], spec[1]))
@@ -192,7 +199,7 @@ def load_document(doc: dict, path: str = "$"):
     if kind == "diagram":
         return kind, load_diagram(doc, path)
     betti = _require(doc, "betti", list, path)
-    if not all(isinstance(b, int) and b >= 0 for b in betti):
+    if not all(_is_int(b) and b >= 0 for b in betti):
         raise SchemaError(f"{path}.betti: expected non-negative integers")
     return kind, tuple(betti)
 
@@ -265,7 +272,8 @@ def run_analysis(doc: dict, cutoff: int | None = None) -> dict:
     """Run the full analysis for a document and return the structured
     report (a JSON-serializable, deterministically ordered dict)."""
     kind, payload = load_document(doc)
-    cutoff = cutoff if cutoff is not None else doc.get("cutoff")
+    if cutoff is None and doc.get("cutoff") is not None:
+        cutoff = _require(doc, "cutoff", int, "$")
     if kind == "betti":
         k0, k1, ko = ktheory.rational_k_dimensions(payload)
         return {
@@ -356,8 +364,8 @@ def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
 
 def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) -> dict:
     verdict = criteria.cohomogeneity_one_surjectivity(diagram, cutoff, allow_disconnected)
-    space = cohomogeneity_one_model(diagram, cutoff, allow_disconnected)
     package = borel_model_cohomogeneity_one(diagram, cutoff, allow_disconnected)
+    space = package.space
     betti = ch.betti_numbers(space)
     borel_betti = ch.betti_numbers(package.borel)
     euler = criteria.euler_characteristic_relations(diagram, allow_disconnected)

@@ -231,7 +231,12 @@ def image_membership(basis: SubspaceBasis, v: Sequence) -> tuple[bool, list[Frac
 
 
 class _Reducer:
-    """Incremental row reduction for span-membership against a growing basis."""
+    """Incremental row reduction for span-membership against a growing basis.
+
+    Independent ``Fraction`` arithmetic, no library caller: the tests use it
+    as the reference for the echelon-based routines (the greedy choice of
+    ``quotient_basis``, the span of ``ff_row_echelon``).
+    """
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
@@ -262,22 +267,21 @@ class _Reducer:
 def quotient_basis(sub: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBasis:
     """Representatives of a complement of sub inside ambient.
 
-    The representatives are chosen greedily from ambient's own vectors in
-    order, so the output is deterministic; their count is
-    dim(ambient) - dim(sub).  Raises NotASubspace when sub is not
-    contained in the span of ambient.
+    One echelon of the matrix whose columns are sub's vectors followed by
+    ambient's: its pivot columns are the greedy left-to-right maximal
+    independent set of those columns.  Sub's columns are all pivots (its
+    vectors are independent), and the representatives are ambient's
+    vectors at the remaining pivot columns, i.e. each ambient vector in
+    order that is independent of sub and of the representatives before
+    it; their count is dim(ambient) - dim(sub).  Since ambient's vectors
+    are independent too, sub lies in their span exactly when the rank is
+    dim(ambient); otherwise NotASubspace is raised.
     """
     if sub.ambient_dim != ambient.ambient_dim:
         raise DimensionMismatch("sub and ambient live in different ambient spaces")
-    for v in sub.vectors:
-        inside, _ = image_membership(ambient, v)
-        if not inside:
-            raise NotASubspace("sub basis vector outside the ambient span")
-    reducer = _Reducer(ambient.ambient_dim)
-    for v in sub.vectors:
-        reducer.add(v)
-    reps = []
-    for v in ambient.vectors:
-        if reducer.add(v):
-            reps.append(v)
-    return SubspaceBasis(ambient.ambient_dim, tuple(reps))
+    _, pivots = _echelon(r for r in zip(*sub.vectors, *ambient.vectors) if any(r))
+    if len(pivots) != ambient.dim:
+        raise NotASubspace("sub basis vector outside the ambient span")
+    s = sub.dim
+    reps = tuple(ambient.vectors[c - s] for c in pivots[s:])
+    return SubspaceBasis(ambient.ambient_dim, reps)

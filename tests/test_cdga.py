@@ -1,10 +1,12 @@
 """Graded algebra core: bases, Koszul signs, differentials, purity."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from sullivan.cdga import Generator, SullivanAlgebra
+from sullivan.cli import main
 from sullivan.errors import (
     CutoffExceeded,
     DegreeMismatch,
@@ -134,6 +136,49 @@ class TestProducts:
         u = s2.gen("u")
         assert 3 * u == u + u + u
         assert u**2 == u * u
+
+
+class TestParsePowers:
+    def test_power_equals_repeated_product(self, cp2sum):
+        y = cp2sum.gen("y")
+        for name in ("x", "n"):
+            g = cp2sum.gen(name)
+            product = cp2sum.one()
+            for k in range(5):
+                assert cp2sum.parse(f"{name}^{k}") == product
+                assert cp2sum.parse(f"3*{name}^{k}*y") == 3 * product * y
+                product = product * g
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            {"kind": "model", "generators": [["u", 2], ["q", 3]], "cutoff": 8},
+            {"kind": "homogeneous", "G": "SU(2)", "H": "T1"},
+        ],
+    )
+    def test_exponent_bomb_rejected_without_expanding(self, template, tmp_path, monkeypatch):
+        calls = 0
+        multiply = SullivanAlgebra.multiply
+
+        def counting(self, e1, e2):
+            nonlocal calls
+            calls += 1
+            return multiply(self, e1, e2)
+
+        monkeypatch.setattr(SullivanAlgebra, "multiply", counting)
+        counts = {}
+        for exponent in (3, 200000):
+            doc = dict(template)
+            if doc["kind"] == "model":
+                doc["differential"] = {"q": f"u^{exponent}"}
+            else:
+                doc["embedding"] = {"u1": f"u1^{exponent}"}
+            path = tmp_path / "bomb.json"
+            path.write_text(json.dumps(doc))
+            calls = 0
+            assert main(["report", "--file", str(path)]) == 1
+            counts[exponent] = calls
+        assert counts[200000] == counts[3]
 
 
 class TestDifferential:

@@ -1,8 +1,12 @@
 """Document schema, round-trips, report determinism."""
 
+import json
+
 import pytest
 
 from sullivan.catalog import DIAGRAM_PRESETS
+from sullivan.cdga import Generator
+from sullivan.cli import main
 from sullivan.documents import (
     diagram_document,
     load_diagram,
@@ -12,7 +16,7 @@ from sullivan.documents import (
     run_analysis,
     to_json,
 )
-from sullivan.errors import EvenSphere, SchemaError, UnknownCatalogName
+from sullivan.errors import EvenSphere, InvalidDegrees, SchemaError, UnknownCatalogName
 
 CP2_MODEL_DOC = {
     "kind": "model",
@@ -60,6 +64,61 @@ class TestSchema:
         assert kind == "betti" and betti == (1, 0, 1)
         with pytest.raises(SchemaError):
             load_document({"kind": "betti", "betti": [1, -1]})
+
+
+class TestIntegerFields:
+    """JSON ``true`` loads as a Python int; integer fields must reject it."""
+
+    INLINE_GROUP = {"name": "X", "rank": 1, "dim": 3, "degrees": [3]}
+
+    def _homogeneous(self, **group):
+        return {
+            "kind": "homogeneous",
+            "G": {**self.INLINE_GROUP, **group},
+            "H": "T1",
+            "embedding": {"u1": "0"},
+        }
+
+    def test_bool_rank(self):
+        with pytest.raises(SchemaError, match=r"\$\.G\.rank"):
+            load_document(self._homogeneous(rank=True))
+
+    def test_bool_cutoff(self):
+        doc = dict(CP2_MODEL_DOC, cutoff=True)
+        with pytest.raises(SchemaError, match=r"\$\.cutoff"):
+            load_document(doc)
+        with pytest.raises(SchemaError, match=r"\$\.cutoff"):
+            run_analysis({"kind": "homogeneous", "G": "SU(2)", "H": "T1", "cutoff": True})
+
+    def test_bool_sphere_dims(self):
+        doc = dict(DIAGRAM_PRESETS["cp2-sum"])
+        doc["sphere_dims"] = [True, 1]
+        with pytest.raises(SchemaError, match="sphere_dims"):
+            load_diagram(doc)
+
+    def test_bool_generator_degree(self):
+        doc = dict(CP2_MODEL_DOC, generators=[["x", True]], differential={})
+        with pytest.raises(SchemaError, match=r"generators\[0\]"):
+            load_model(doc)
+
+    @pytest.mark.parametrize("degree", [True, "3", 3.0])
+    def test_non_integer_group_degree(self, degree):
+        with pytest.raises(SchemaError, match="degrees"):
+            load_document(self._homogeneous(degrees=[degree]))
+
+    def test_bool_betti(self):
+        with pytest.raises(SchemaError):
+            load_document({"kind": "betti", "betti": [1, True]})
+
+    def test_bool_generator_object(self):
+        with pytest.raises(InvalidDegrees):
+            Generator("x", True)
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(self._homogeneous(rank=True)))
+        assert main(["report", "--file", str(path)]) == 1
+        assert "expected int, got bool" in capsys.readouterr().err
 
 
 class TestRoundTrip:

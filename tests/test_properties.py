@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from instance_generators import random_pure_elliptic, random_sheared, tensor_product
@@ -16,6 +17,7 @@ from sullivan.cohomology import (
     poincare_duality_holds,
 )
 from sullivan.criteria import even_subalgebra_inclusion
+from sullivan.errors import NotASubspace
 from sullivan.linalg import RationalMatrix, kernel_basis, rank
 
 
@@ -40,6 +42,23 @@ def random_homogeneous_element(rng, algebra, max_degree=8):
             terms[mono] = Fraction(rng.randint(-3, 3))
     element = AlgebraElement(algebra, terms)
     return None if element.is_zero else element
+
+
+def _combination(rng, vectors):
+    """A random rational combination of the given vectors."""
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vectors]
+    return tuple(sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(len(vectors[0])))
+
+
+def _draw_independent(dim, count, draw):
+    """count linearly independent vectors, each drawn by draw()."""
+    reducer = linalg._Reducer(dim)
+    vectors = []
+    while len(vectors) < count:
+        v = draw()
+        if reducer.add(v):
+            vectors.append(v)
+    return tuple(vectors)
 
 
 class TestSigns:
@@ -286,22 +305,52 @@ class TestLinalgProperties:
         assert kernel_basis(m).dim == kernel_basis(scaled).dim
 
     def test_quotient_complements_span(self):
+        """quotient_basis keeps exactly the ambient vectors that a Fraction
+        reduction accepts greedily after absorbing sub, and rejects any sub
+        with a vector outside the ambient span."""
         rng = random.Random(149)
-        for _ in range(40):
-            dim = rng.randint(2, 5)
-            ambient_vectors = []
-            reducer = linalg._Reducer(dim)
-            while len(ambient_vectors) < dim:
-                v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
-                if reducer.add(v):
-                    ambient_vectors.append(v)
-            ambient = linalg.SubspaceBasis(dim, tuple(ambient_vectors))
-            k = rng.randint(0, dim)
-            sub_vectors = ambient_vectors[:k]
-            sub = linalg.SubspaceBasis(dim, tuple(sub_vectors))
+        smaller_outside = 0
+        for _ in range(60):
+            dim = rng.randint(2, 6)
+            count = rng.randint(1, dim)
+            ambient_vectors = _draw_independent(
+                dim, count, lambda: tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
+            )
+            ambient = linalg.SubspaceBasis(dim, ambient_vectors)
+            sub_vectors = _draw_independent(
+                dim, rng.randint(0, count), lambda: _combination(rng, ambient_vectors)
+            )
+            sub = linalg.SubspaceBasis(dim, sub_vectors)
+            reference = linalg._Reducer(dim)
+            for v in sub_vectors:
+                reference.add(v)
+            expected = tuple(v for v in ambient_vectors if reference.add(v))
             reps = linalg.quotient_basis(sub, ambient)
-            assert reps.dim == dim - k
-            assert linalg.rank_rows(list(sub.vectors) + list(reps.vectors)) == dim
+            assert reps.vectors == expected
+            assert reps.dim == count - sub.dim
+            assert linalg.rank_rows(sub_vectors + reps.vectors) == count
+            if count == dim:
+                continue
+            span = linalg._Reducer(dim)
+            for v in ambient_vectors:
+                span.add(v)
+            while True:
+                w = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
+                if span.add(w):
+                    break
+            size = rng.randint(1, count + 1)
+            smaller_outside += size < count
+            outside = _draw_independent(
+                dim,
+                size,
+                lambda: tuple(
+                    x + rng.choice((-2, -1, 1, 2)) * y
+                    for x, y in zip(_combination(rng, ambient_vectors), w)
+                ),
+            )
+            with pytest.raises(NotASubspace):
+                linalg.quotient_basis(linalg.SubspaceBasis(dim, outside), ambient)
+        assert smaller_outside
 
 
 class TestParserRoundTrip:
