@@ -139,6 +139,7 @@ class SullivanAlgebra:
         self._degrees = tuple(g.degree for g in self.generators)
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.is_odd)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
+        self._index_cache: dict[int, dict[Monomial, int]] = {}
         self._d_mono_cache: dict[Monomial, AlgebraElement] = {}
         self.differential = self._validate_differential(differential or {})
 
@@ -273,6 +274,14 @@ class SullivanAlgebra:
         result = tuple(out)
         self._basis_cache[degree] = result
         return result
+
+    def _basis_index(self, degree: int) -> dict[Monomial, int]:
+        """Position of each monomial in the degree basis."""
+        cached = self._index_cache.get(degree)
+        if cached is None:
+            cached = {m: i for i, m in enumerate(self._basis(degree))}
+            self._index_cache[degree] = cached
+        return cached
 
     # -- products -----------------------------------------------------
 
@@ -463,7 +472,10 @@ class SullivanAlgebra:
                 break
             kind, value = tokens[pos]
             if kind == "num":
-                coeff *= Fraction(value)
+                try:
+                    coeff *= Fraction(value)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in coefficient {value!r}") from None
                 pos += 1
             elif kind == "name":
                 if value not in self._index:
@@ -519,9 +531,8 @@ class SullivanAlgebra:
 
     def coordinates(self, e: AlgebraElement, degree: int) -> list[Fraction]:
         """Coefficient vector of a homogeneous element over the degree basis."""
-        basis = self._basis(degree)
-        index = {m: i for i, m in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
+        index = self._basis_index(degree)
+        vec = [Fraction(0)] * len(index)
         for mono, coeff in e.terms.items():
             if mono not in index:
                 raise DegreeMismatch(

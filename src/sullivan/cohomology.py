@@ -28,20 +28,28 @@ from .errors import (
 from .linalg import RationalMatrix, SubspaceBasis
 
 
-def _action_rows(a: SullivanAlgebra, degree: int) -> list[list[Fraction]]:
-    """Rows are the differential images of the degree-basis monomials,
-    written over the (degree+1) basis."""
+def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[list]:
+    """Rows are the differential images of ``monos``, written over the
+    monomials of ``index`` (monomial -> position); zeros are ``0`` and
+    integral coefficients ``int``, the rest ``Fraction``."""
+    width = len(index)
     rows = []
-    for mono in a._basis(degree):
-        rows.append(a.coordinates(a._d_monomial(mono), degree + 1))
+    for mono in monos:
+        row = [0] * width
+        for m, c in a._d_monomial(mono).terms.items():
+            row[index[m]] = c.numerator if c.denominator == 1 else c
+        rows.append(row)
     return rows
 
 
-def _full_basis(dim: int) -> SubspaceBasis:
-    vectors = tuple(
-        tuple(Fraction(int(j == i)) for j in range(dim)) for i in range(dim)
-    )
-    return SubspaceBasis(dim, vectors)
+def _action_rows(a: SullivanAlgebra, degree: int) -> list[list]:
+    """Rows are the differential images of the degree-basis monomials,
+    written over the (degree+1) basis."""
+    return _d_rows(a, a._basis(degree), a._basis_index(degree + 1))
+
+
+def _identity_vectors(dim: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(int(j == i)) for j in range(dim)) for i in range(dim))
 
 
 def _classes(dim: int, rows: list, below: list) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -49,14 +57,14 @@ def _classes(dim: int, rows: list, below: list) -> tuple[SubspaceBasis, Subspace
 
     ``rows`` are the d-images of the space's ``dim`` basis vectors (may be
     empty when d maps into a zero space), ``below`` the d-images landing
-    in it, written over its basis; all entries are ``Fraction``.  The
+    in it, written over its basis; entries are ``int`` or ``Fraction``.  The
     coboundaries are the echelon rows of ``below``; the representatives
     are picked greedily from the kernel basis of d, in order.
     """
     if any(any(r) for r in rows):
         kernel = linalg.kernel_basis(RationalMatrix(tuple(zip(*rows))))
     else:
-        kernel = _full_basis(dim)
+        kernel = SubspaceBasis(dim, _identity_vectors(dim))
     echelon, _ = linalg._echelon([r for r in below if any(r)])
     image = SubspaceBasis.from_vectors(dim, echelon)
     return image, linalg.quotient_basis(image, kernel)
@@ -197,15 +205,8 @@ def _split_basis(a: SullivanAlgebra, degree: int) -> dict[int, list]:
     return split
 
 
-def _strand_rows(a: SullivanAlgebra, monos: list, target: list) -> list[list[Fraction]]:
-    index = {m: i for i, m in enumerate(target)}
-    rows = []
-    for mono in monos:
-        row = [Fraction(0)] * len(target)
-        for m, c in a._d_monomial(mono).terms.items():
-            row[index[m]] = c
-        rows.append(row)
-    return rows
+def _strand_rows(a: SullivanAlgebra, monos: list, target: list) -> list[list]:
+    return _d_rows(a, monos, {m: i for i, m in enumerate(target)})
 
 
 class LowerGradedTable:
@@ -339,10 +340,9 @@ def _source_cocycle_vectors(a: SullivanAlgebra, degree: int):
     if dim == 0:
         return []
     if all(img.is_zero for img in a.differential) or len(a._basis(degree + 1)) == 0:
-        return list(_full_basis(dim).vectors)
+        return list(_identity_vectors(dim))
     rows = _action_rows(a, degree)
-    matrix = RationalMatrix.from_rows(zip(*rows))
-    return list(linalg.kernel_basis(matrix).vectors)
+    return list(linalg.kernel_basis(RationalMatrix(tuple(zip(*rows)))).vectors)
 
 
 def surjectivity_by_parity(

@@ -25,7 +25,7 @@ from dataclasses import asdict
 
 from . import catalog, criteria, ktheory
 from . import cohomology as ch
-from .cdga import SullivanAlgebra
+from .cdga import Generator, SullivanAlgebra
 from .errors import SchemaError
 from .models import (
     GroupData,
@@ -164,11 +164,16 @@ def load_model(doc: dict, path: str = "$") -> SullivanAlgebra:
             or not _is_int(spec[1])
         ):
             raise SchemaError(f"{path}.generators[{i}]: expected [name, degree]")
-        gens.append((spec[0], spec[1]))
-    differential = doc.get("differential", {})
-    if not isinstance(differential, dict):
-        raise SchemaError(f"{path}.differential: expected an object")
-    return SullivanAlgebra.build(gens, differential, cutoff=cutoff)
+        gens.append(Generator(spec[0], spec[1]))
+    differential = _load_polynomial_map(doc.get("differential", {}), f"{path}.differential")
+    draft = SullivanAlgebra(gens, cutoff)
+    images = {}
+    for name, text in differential.items():
+        try:
+            images[name] = draft.parse(text)
+        except ValueError as exc:
+            raise SchemaError(f"{path}.differential.{name}: {exc}") from exc
+    return draft.with_differential(images)
 
 
 def model_document(a: SullivanAlgebra) -> dict:

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Ranks, kernels, membership tests and quotient bases, all in exact
-arithmetic: matrices are reduced by fraction-free (Bareiss) elimination
-over arbitrary-precision integers after clearing denominators row-wise.
-Pivoting is first-nonzero in column order, so every basis this module
+arithmetic: rows with int or Fraction entries are cleared of
+denominators row-wise and reduced by sparse fraction-free elimination
+over arbitrary-precision integers, which visits only nonzero entries
+and keeps every row primitive.  Pivoting is first-nonzero in column
+order, as in dense Bareiss elimination, so every basis this module
 produces is deterministic.
 """
 
@@ -33,62 +35,76 @@ def _int_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
     return out
 
 
+def _divide_content(row: dict[int, int]) -> None:
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
 def ff_row_echelon(rows):
     """Fraction-free row echelon form of an integer matrix.
 
-    Bareiss single-step elimination with first-nonzero-in-column-order
-    pivoting, so the output is deterministic.  Every intermediate entry
-    is a minor of the input, hence all divisions are exact.
+    Sparse elimination: each row is held as ``{column: entry}`` with its
+    nonzero entries only, and divided by its content, so it is always the
+    primitive part of the row Bareiss single-step elimination would hold
+    and its entries are never larger.  The pivot column is the smallest
+    leading column among the remaining rows and the pivot row the first
+    of them with that leading column, swapped into place: the pivoting of
+    dense first-nonzero-in-column-order Bareiss, so the output is the
+    same and deterministic.  A row with an entry ``mic`` in the pivot
+    column becomes ``row*(piv//g) - pivot_row*(mic//g)`` with
+    ``g = gcd(piv, mic)``; rows without one are not touched.
 
-    Returns ``(echelon, pivots)`` where ``echelon`` holds the nonzero
-    rows, each reduced by its content with a positive pivot entry, and
-    ``pivots`` lists their pivot column indices.
+    Takes dense integer rows of equal length.  Returns
+    ``(echelon, pivots)`` where ``echelon`` holds the nonzero rows as
+    dense lists, each reduced by its content with a positive pivot
+    entry, and ``pivots`` lists their pivot column indices.
     """
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    m = []
+    for row in rows:
+        entries = {j: x for j, x in enumerate(row) if x}
+        _divide_content(entries)
+        m.append(entries)
+    # Leading column of each row; ncols marks a zero row.
+    leads = [min(row) if row else ncols for row in m]
+    echelon = []
     pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for r in range(nrows):
+        c = min(leads[r:])
+        if c == ncols:
             break
-        pr = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
+        pr = leads.index(c, r)
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
+            leads[r], leads[pr] = leads[pr], leads[r]
         row_r = m[r]
         piv = row_r[c]
         for i in range(r + 1, nrows):
+            if leads[i] != c:
+                continue
             row_i = m[i]
-            mic = row_i[c]
-            if mic:
-                for j in range(c, ncols):
-                    row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
-            elif prev != 1:
-                for j in range(c, ncols):
-                    row_i[j] = (row_i[j] * piv) // prev
-            elif piv != 1:
-                for j in range(c, ncols):
-                    row_i[j] = row_i[j] * piv
+            g = gcd(piv, row_i[c])
+            a, b = piv // g, row_i[c] // g
+            if a != 1:
+                for j in row_i:
+                    row_i[j] *= a
+            for j, y in row_r.items():
+                x = row_i.get(j, 0) - b * y
+                if x:
+                    row_i[j] = x
+                else:
+                    del row_i[j]
+            _divide_content(row_i)
+            leads[i] = min(row_i) if row_i else ncols
+        dense = [0] * ncols
+        sign = -1 if piv < 0 else 1
+        for j, x in row_r.items():
+            dense[j] = sign * x
+        echelon.append(dense)
         pivots.append(c)
-        prev = piv
-        r += 1
-    echelon = []
-    for r, c in enumerate(pivots):
-        row = m[r]
-        g = 0
-        for x in row:
-            if x:
-                g = gcd(g, x)
-        if row[c] < 0:
-            g = -g
-        echelon.append([x // g for x in row])
     return echelon, pivots
 
 

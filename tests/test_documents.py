@@ -59,6 +59,16 @@ class TestSchema:
         with pytest.raises(SchemaError):
             load_document(doc)
 
+    @pytest.mark.parametrize("image", ["x^", "x y", "x+", "2/0*x*y", 3])
+    def test_malformed_model_polynomial(self, image, tmp_path, capsys):
+        doc = dict(CP2_MODEL_DOC, differential={"n": "x^2+y^2", "m": image})
+        with pytest.raises(SchemaError, match=r"\$\.differential\.m: "):
+            load_model(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--file", str(path)]) == 1
+        assert "error: $.differential.m: " in capsys.readouterr().err
+
     def test_betti_document(self):
         kind, betti = load_document({"kind": "betti", "betti": [1, 0, 1]})
         assert kind == "betti" and betti == (1, 0, 1)

@@ -1,5 +1,6 @@
-"""Exact linear algebra: frozen examples, plus the elimination kernel
-checked against the independent Fraction-based reducer."""
+"""Exact linear algebra: frozen examples, plus the sparse elimination
+kernel checked against dense Bareiss elimination and the independent
+Fraction-based reducer."""
 
 import random
 from fractions import Fraction
@@ -22,6 +23,53 @@ from sullivan.linalg import (
 
 def M(rows):
     return RationalMatrix.from_rows(rows)
+
+
+def _bareiss_echelon(rows):
+    """Dense Bareiss single-step elimination with first-nonzero-in-column
+    pivoting, each final row reduced by its content with a positive
+    pivot: the reference ``ff_row_echelon`` must reproduce exactly."""
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), -1)
+        if pr < 0:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, nrows):
+            mic = m[i][c]
+            for j in range(c, ncols):
+                m[i][j] = (m[i][j] * piv - mic * m[r][j]) // prev
+        pivots.append(c)
+        prev = piv
+        r += 1
+    echelon = []
+    for r, c in enumerate(pivots):
+        g = gcd(*m[r])
+        if m[r][c] < 0:
+            g = -g
+        echelon.append([x // g for x in m[r]])
+    return echelon, pivots
+
+
+def _random_int_matrix(rng, nrows, ncols, density):
+    """Entries in -9..9, each nonzero with the given probability, plus a
+    zero row, a duplicate row and a negated row at random places."""
+    rows = [
+        [rng.choice([-1, 1]) * rng.randint(1, 9) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+    rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    rows.insert(rng.randint(0, len(rows)), [-x for x in rng.choice(rows)])
+    return rows
 
 
 class TestRank:
@@ -172,3 +220,59 @@ class TestEchelon:
             for row in echelon:
                 span.add(row)
             assert not any(span.add(row) for row in matrix)
+
+    @pytest.mark.parametrize(
+        "density, shape",
+        [(0.1, "tall"), (0.1, "wide"), (0.04, "tall"), (0.6, "tall"), (0.6, "wide"), (1.0, "wide")],
+    )
+    def test_matches_dense_bareiss(self, density, shape):
+        rng = random.Random(f"{density}-{shape}")
+        negative_leads = 0
+        for _ in range(60):
+            short, long = rng.randint(1, 8), rng.randint(9, 30)
+            nrows, ncols = (long, short) if shape == "tall" else (short, long)
+            matrix = _random_int_matrix(rng, nrows, ncols, density)
+            negative_leads += any(next((x for x in row if x), 0) < 0 for row in matrix)
+            snapshot = [list(row) for row in matrix]
+            assert linalg.ff_row_echelon(matrix) == _bareiss_echelon(matrix)
+            assert matrix == snapshot
+        assert negative_leads >= 30
+
+    def test_empty_and_zero_matrices(self):
+        assert linalg.ff_row_echelon([]) == ([], [])
+        assert linalg.ff_row_echelon([[0, 0, 0], [0, 0, 0]]) == ([], [])
+
+
+class TestMixedEntries:
+    def test_int_and_fraction_rows_agree(self):
+        """Rows mixing int and Fraction entries, as the differential rows
+        do, give the same rank, kernel and quotient as all-Fraction rows."""
+        rng = random.Random(41)
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            mixed = [
+                tuple(
+                    rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(2, 4))])
+                    for _ in range(ncols)
+                )
+                for _ in range(nrows)
+            ]
+            fractions = [tuple(Fraction(x) for x in row) for row in mixed]
+            assert linalg.rank_rows(mixed) == linalg.rank_rows(fractions)
+            assert kernel_basis(RationalMatrix(tuple(mixed))) == kernel_basis(
+                RationalMatrix(tuple(fractions))
+            )
+            reducer = linalg._Reducer(ncols)
+            independent = [i for i, row in enumerate(fractions) if reducer.add(row)]
+            identity = [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
+            quotients = [
+                quotient_basis(
+                    SubspaceBasis(ncols, tuple(rows[i] for i in independent)),
+                    SubspaceBasis(ncols, tuple(ambient)),
+                )
+                for rows, ambient in (
+                    (mixed, identity),
+                    (fractions, [tuple(map(Fraction, v)) for v in identity]),
+                )
+            ]
+            assert quotients[0] == quotients[1]
