@@ -494,6 +494,8 @@ class SullivanAlgebra:
             saw_factor = True
             if pos < len(tokens) and tokens[pos] == ("op", "*"):
                 pos += 1
+                if pos >= len(tokens) or tokens[pos][0] == "op":
+                    raise ValueError("'*' must be followed by a factor")
                 continue
             break
         if not saw_factor:

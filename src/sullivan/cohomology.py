@@ -48,26 +48,27 @@ def _action_rows(a: SullivanAlgebra, degree: int) -> list[list]:
     return _d_rows(a, a._basis(degree), a._basis_index(degree + 1))
 
 
-def _identity_vectors(dim: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(int(j == i)) for j in range(dim)) for i in range(dim))
+def _cocycles(rows: list) -> tuple[list[int], tuple]:
+    """Pivot columns and kernel basis of d from the d-images ``rows`` of
+    a space's basis: one elimination with a column per basis vector, zero
+    rows dropped (with none left, the kernel is the identity basis)."""
+    echelon, pivots = linalg._echelon([r for r in zip(*rows) if any(r)])
+    return pivots, linalg._kernel_vectors(echelon, pivots, len(rows))
 
 
-def _classes(dim: int, rows: list, below: list) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """Coboundaries and chosen class representatives of a cochain space.
+def _classes(rows: list, image: tuple) -> tuple[tuple, tuple]:
+    """Class representatives of a cochain space and the coboundaries of
+    the next one.
 
-    ``rows`` are the d-images of the space's ``dim`` basis vectors (may be
-    empty when d maps into a zero space), ``below`` the d-images landing
-    in it, written over its basis; entries are ``int`` or ``Fraction``.  The
-    coboundaries are the echelon rows of ``below``; the representatives
-    are picked greedily from the kernel basis of d, in order.
+    ``rows`` are the d-images of the space's basis vectors over the next
+    space's basis, ``image`` a basis of this space's coboundaries.  The
+    one elimination of ``_cocycles`` serves both spaces: representatives
+    are picked greedily from its kernel basis as a complement of
+    ``image``, and the d-images of its pivot basis vectors are a basis
+    of the next space's coboundaries.
     """
-    if any(any(r) for r in rows):
-        kernel = linalg.kernel_basis(RationalMatrix(tuple(zip(*rows))))
-    else:
-        kernel = SubspaceBasis(dim, _identity_vectors(dim))
-    echelon, _ = linalg._echelon([r for r in below if any(r)])
-    image = SubspaceBasis.from_vectors(dim, echelon)
-    return image, linalg.quotient_basis(image, kernel)
+    pivots, cocycles = _cocycles(rows)
+    return linalg._complement(image, cocycles), tuple(rows[c] for c in pivots)
 
 
 def betti_numbers(a: SullivanAlgebra, cutoff: int | None = None) -> tuple[int, ...]:
@@ -87,29 +88,24 @@ def betti_numbers(a: SullivanAlgebra, cutoff: int | None = None) -> tuple[int, .
 
 
 class _DegreeSpace:
-    """Cocycles, coboundaries and chosen class representatives in one degree."""
+    """Class representatives ``reps`` and a coboundary basis ``image`` in
+    one degree, plain tuples of coordinate vectors over its basis."""
 
-    def __init__(self, algebra: SullivanAlgebra, degree: int):
-        self.degree = degree
-        self.dim = len(algebra._basis(degree))
-        rows = _action_rows(algebra, degree) if self.dim and algebra._basis(degree + 1) else []
-        below = _action_rows(algebra, degree - 1) if degree else []
-        self.image, self.reps = _classes(self.dim, rows, below)
-        self.elements = tuple(
-            algebra.element_from_coordinates(v, degree) for v in self.reps.vectors
-        )
+    def __init__(self, algebra: SullivanAlgebra, degree: int, reps: tuple, image: tuple):
+        self.reps = reps
+        self.image = image
+        self.elements = tuple(algebra.element_from_coordinates(v, degree) for v in reps)
 
     @property
     def betti(self) -> int:
-        return self.reps.dim
+        return len(self.reps)
 
     def class_coordinates(self, vector: Sequence[Fraction]) -> list[Fraction]:
         """Coordinates of a cocycle's class in the representative basis."""
-        columns = list(self.reps.vectors) + list(self.image.vectors)
-        coeffs = linalg.solve(columns, vector)
+        coeffs = linalg.solve(self.reps + self.image, vector)
         if coeffs is None:
             raise DegreeMismatch("vector is not a cocycle of this degree")
-        return coeffs[: self.reps.dim]
+        return coeffs[: len(self.reps)]
 
 
 class CohomologyTable:
@@ -123,7 +119,12 @@ class CohomologyTable:
             raise InvalidDifferential("differential does not square to zero")
         self.algebra = algebra
         self.cutoff = cutoff
-        self._spaces = [_DegreeSpace(algebra, n) for n in range(cutoff + 1)]
+        self._spaces = []
+        image: tuple = ()
+        for n in range(cutoff + 1):
+            reps, next_image = _classes(_action_rows(algebra, n), image)
+            self._spaces.append(_DegreeSpace(algebra, n, reps, image))
+            image = next_image
         self.betti = tuple(space.betti for space in self._spaces)
 
     def representatives(self, degree: int) -> tuple[AlgebraElement, ...]:
@@ -224,27 +225,18 @@ class LowerGradedTable:
         self.cutoff = cutoff
         splits = [_split_basis(algebra, n) for n in range(cutoff + 2)]
         self._reps: dict[int, dict[int, tuple[AlgebraElement, ...]]] = {}
+        # (degree, index) -> coboundary basis, handed up by the block below
+        images: dict[tuple[int, int], tuple] = {}
         for n in range(cutoff + 1):
             per_index: dict[int, tuple[AlgebraElement, ...]] = {}
-            indices = set(splits[n])
-            if n:
-                indices |= {i - 1 for i in splits[n - 1] if i}
-            for i in sorted(indices):
-                monos = splits[n].get(i, [])
-                target = splits[n + 1].get(i - 1, []) if i else []
-                rows = _strand_rows(algebra, monos, target) if monos and target else []
-                below = splits[n - 1].get(i + 1, []) if n else []
-                below_rows = _strand_rows(algebra, below, monos) if below else []
-                _, reps = _classes(len(monos), rows, below_rows)
-                elements = tuple(
-                    AlgebraElement(
-                        algebra,
-                        {m: c for m, c in zip(monos, vec) if c},
+            for i, monos in sorted(splits[n].items()):
+                rows = _strand_rows(algebra, monos, splits[n + 1].get(i - 1, []))
+                reps, images[n + 1, i - 1] = _classes(rows, images.pop((n, i), ()))
+                if reps:
+                    per_index[i] = tuple(
+                        AlgebraElement(algebra, {m: c for m, c in zip(monos, vec) if c})
+                        for vec in reps
                     )
-                    for vec in reps.vectors
-                )
-                if elements:
-                    per_index[i] = elements
             self._reps[n] = per_index
 
     def dim(self, degree: int, index: int) -> int:
@@ -334,17 +326,6 @@ def induced_map(
     return matrices
 
 
-def _source_cocycle_vectors(a: SullivanAlgebra, degree: int):
-    """Vectors spanning the cocycles of one degree (not reduced mod exact)."""
-    dim = len(a._basis(degree))
-    if dim == 0:
-        return []
-    if all(img.is_zero for img in a.differential) or len(a._basis(degree + 1)) == 0:
-        return list(_identity_vectors(dim))
-    rows = _action_rows(a, degree)
-    return list(linalg.kernel_basis(RationalMatrix(tuple(zip(*rows)))).vectors)
-
-
 def surjectivity_by_parity(
     f: CdgaMorphism, parity: int, cutoff: int | None = None
 ) -> tuple[bool, int | None]:
@@ -368,7 +349,8 @@ def surjectivity_by_parity(
         boundary_rank = linalg.rank_rows(rows)
         if kernel_dim == boundary_rank:
             continue  # H^n(target) = 0
-        for vec in _source_cocycle_vectors(f.source, n):
+        _, cocycles = _cocycles(_action_rows(f.source, n))
+        for vec in cocycles:
             element = f.source.element_from_coordinates(vec, n)
             image = f.apply(element)
             if not image.is_zero:

@@ -26,10 +26,10 @@ from .models import (
     GroupData,
     GroupDiagram,
     RestrictionMap,
-    biquotient_model,
+    biquotient_model,  # noqa: F401  (perfbench/tracer.py patches it here)
     borel_model_cohomogeneity_one,
     borel_model_homogeneous,
-    classifying_space_model,
+    classifying_space_model,  # noqa: F401  (perfbench/tracer.py patches it here)
     cohomogeneity_one_model,
     _kill_generator,
     EULER_MINUS,
@@ -148,10 +148,7 @@ def biquotient_surjectivity(
     the action is the caller's assertion."""
     if not (g.connected and h.connected):
         raise DisconnectedGroup("the biquotient criterion needs connected groups")
-    space = biquotient_model(g, h, restriction, cutoff)
-    borel = classifying_space_model(h, space.cutoff)
-    forgetful = CdgaMorphism(borel, space, {name: space.gen(name) for name in h.bg_names})
-    package = BorelPackage(space, borel, forgetful)
+    package = borel_model_homogeneous(g, h, restriction, cutoff)
     return _verdict_from_package(
         package, "biquotient", g.rank - h.rank, True, CITATION_BIQUOTIENT
     )
@@ -272,16 +269,12 @@ def pure_formality(a: SullivanAlgebra, check_elliptic: bool = True) -> Formality
             rows.append(coords(z, n))
         total_rank = _rank(rows)
         mu += total_rank - rank_decomposable
+        # Each candidate in order independent of those before it: the
+        # pivot columns of one echelon with a column per candidate.
         candidates = decomposable + images.get(n, [])
-        basis_elements = []
-        seen: list[list[Fraction]] = []
-        for e in candidates:
-            trial = seen + [coords(e, n)]
-            if _rank(trial) > len(seen):
-                seen = [row for row in trial]
-                basis_elements.append(e)
-        if basis_elements:
-            ideal_basis[n] = basis_elements
+        _, pivots = linalg._echelon([r for r in zip(*rows) if any(r)])
+        if pivots:
+            ideal_basis[n] = [candidates[c] for c in pivots]
     return FormalityVerdict(len(odd_gens) - mu, mu, mu == even_count)
 
 

@@ -246,7 +246,8 @@ def _k_report(verdict, flags, betti) -> dict:
     return asdict(ktheory.stabilization_report(verdict, flags, betti))
 
 
-def _space_summary(a: SullivanAlgebra, betti, table: ch.CohomologyTable | None = None) -> dict:
+def _space_summary(table: ch.CohomologyTable) -> dict:
+    a, betti = table.algebra, table.betti
     table_chi = ch.euler_characteristic(betti)
     fdim = None
     for n in range(len(betti) - 1, -1, -1):
@@ -263,8 +264,6 @@ def _space_summary(a: SullivanAlgebra, betti, table: ch.CohomologyTable | None =
     }
     if fdim is not None:
         summary["poincare_duality"] = ch.poincare_duality_holds(betti, fdim)
-    if table is None:
-        table = ch.cohomology(a)
     summary["representatives"] = {
         str(n): [a.format_element(rep) for rep in table.representatives(n)]
         for n in range(table.cutoff + 1)
@@ -311,11 +310,12 @@ def run_analysis(doc: dict, cutoff: int | None = None) -> dict:
 
 
 def _analyze_model(a: SullivanAlgebra) -> dict:
-    betti = ch.betti_numbers(a)
+    table = ch.cohomology(a)
+    betti = table.betti
     report = {
         "kind": "model",
         "input": model_document(a),
-        "space": _space_summary(a, betti),
+        "space": _space_summary(table),
         "ktheory": {},
         "citations": [],
     }
@@ -352,14 +352,14 @@ def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
     else:
         verdict = criteria.biquotient_surjectivity(g, h, restriction, cutoff)
     space = biquotient_model(g, h, restriction, cutoff)
-    betti = ch.betti_numbers(space)
+    table = ch.cohomology(space)
     flags = ktheory.StabilizationFlags.from_homogeneous(g, h)
     report = {
         "kind": kind,
         "input": _pair_input_document(kind, g, h, restriction, space.cutoff),
-        "space": _space_summary(space, betti),
+        "space": _space_summary(table),
         "verdict": asdict(verdict),
-        "ktheory": _k_report(verdict, flags, betti),
+        "ktheory": _k_report(verdict, flags, table.betti),
     }
     report["citations"] = sorted(
         {verdict.citation, *report["ktheory"]["citations"]}
@@ -371,7 +371,7 @@ def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) ->
     verdict = criteria.cohomogeneity_one_surjectivity(diagram, cutoff, allow_disconnected)
     package = borel_model_cohomogeneity_one(diagram, cutoff, allow_disconnected)
     space = package.space
-    betti = ch.betti_numbers(space)
+    table = ch.cohomology(space)
     borel_betti = ch.betti_numbers(package.borel)
     euler = criteria.euler_characteristic_relations(diagram, allow_disconnected)
     applicability = criteria.theorem_a_applicability(diagram)
@@ -383,7 +383,7 @@ def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) ->
     report = {
         "kind": "diagram",
         "input": input_doc,
-        "space": _space_summary(space, betti),
+        "space": _space_summary(table),
         "borel": {
             "model": model_document(package.borel),
             "betti": list(borel_betti),
@@ -391,7 +391,7 @@ def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) ->
         "verdict": asdict(verdict),
         "euler_relations": asdict(euler),
         "theorem_applicability": asdict(applicability),
-        "ktheory": _k_report(verdict, flags, betti),
+        "ktheory": _k_report(verdict, flags, table.betti),
     }
     report["citations"] = sorted(
         {verdict.citation, euler.citation, *report["ktheory"]["citations"]}

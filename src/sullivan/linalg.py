@@ -6,7 +6,9 @@ denominators row-wise and reduced by sparse fraction-free elimination
 over arbitrary-precision integers, which visits only nonzero entries
 and keeps every row primitive.  Pivoting is first-nonzero in column
 order, as in dense Bareiss elimination, so every basis this module
-produces is deterministic.
+produces is deterministic.  ``_kernel_vectors`` and ``_complement``
+take plain vectors, independent by construction; ``kernel_basis`` and
+``quotient_basis`` wrap them in checked ``SubspaceBasis`` values.
 """
 
 from __future__ import annotations
@@ -198,10 +200,10 @@ def _back_substitute(echelon: list[list[int]], pivots: list[int], v: list[Fracti
         v[pc] = -acc / row[pc]
 
 
-def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
-    """Basis of {v : m v = 0}; its dimension is cols(m) - rank(m)."""
-    ncols = m.cols
-    echelon, pivots = _echelon(m.entries)
+def _kernel_vectors(echelon: list[list[int]], pivots: list[int], ncols: int) -> tuple[Vector, ...]:
+    """Kernel basis of an ``ncols``-column matrix from its echelon form:
+    per non-pivot column f, 1 at f, 0 at the other non-pivot columns and
+    back-substituted pivot entries (no rows: the identity basis)."""
     pivot_set = set(pivots)
     vectors = []
     for f in range(ncols):
@@ -211,7 +213,13 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
         v[f] = Fraction(1)
         _back_substitute(echelon, pivots, v)
         vectors.append(tuple(v))
-    return SubspaceBasis(ncols, tuple(vectors))
+    return tuple(vectors)
+
+
+def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
+    """Basis of {v : m v = 0}; its dimension is cols(m) - rank(m)."""
+    echelon, pivots = _echelon(m.entries)
+    return SubspaceBasis(m.cols, _kernel_vectors(echelon, pivots, m.cols))
 
 
 def solve(columns: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
@@ -280,24 +288,31 @@ class _Reducer:
         return False
 
 
-def quotient_basis(sub: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBasis:
-    """Representatives of a complement of sub inside ambient.
+def _complement(sub: Sequence[Sequence], ambient: Sequence[Vector]) -> tuple[Vector, ...]:
+    """Ambient vectors completing the independent ``sub`` to a basis of
+    the span of the independent ``ambient`` (entries int or Fraction).
 
     One echelon of the matrix whose columns are sub's vectors followed by
     ambient's: its pivot columns are the greedy left-to-right maximal
-    independent set of those columns.  Sub's columns are all pivots (its
-    vectors are independent), and the representatives are ambient's
-    vectors at the remaining pivot columns, i.e. each ambient vector in
-    order that is independent of sub and of the representatives before
-    it; their count is dim(ambient) - dim(sub).  Since ambient's vectors
-    are independent too, sub lies in their span exactly when the rank is
-    dim(ambient); otherwise NotASubspace is raised.
+    independent set of those columns.  Sub's columns are all pivots, and
+    the result is ambient's vectors at the remaining pivot columns, i.e.
+    each ambient vector in order that is independent of sub and of those
+    picked before it, a choice that depends only on the span of sub.
+    Sub lies in ambient's span exactly when the rank is len(ambient);
+    otherwise NotASubspace is raised.
     """
+    if not sub:
+        return tuple(ambient)
+    _, pivots = _echelon([r for r in zip(*sub, *ambient) if any(r)])
+    if len(pivots) != len(ambient):
+        raise NotASubspace("sub basis vector outside the ambient span")
+    s = len(sub)
+    return tuple(ambient[c - s] for c in pivots[s:])
+
+
+def quotient_basis(sub: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBasis:
+    """Representatives of a complement of sub inside ambient, picked
+    greedily from ambient in order (see ``_complement``)."""
     if sub.ambient_dim != ambient.ambient_dim:
         raise DimensionMismatch("sub and ambient live in different ambient spaces")
-    _, pivots = _echelon(r for r in zip(*sub.vectors, *ambient.vectors) if any(r))
-    if len(pivots) != ambient.dim:
-        raise NotASubspace("sub basis vector outside the ambient span")
-    s = sub.dim
-    reps = tuple(ambient.vectors[c - s] for c in pivots[s:])
-    return SubspaceBasis(ambient.ambient_dim, reps)
+    return SubspaceBasis(ambient.ambient_dim, _complement(sub.vectors, ambient.vectors))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sullivan import linalg
 from sullivan.cdga import CdgaMorphism, SullivanAlgebra, identity_morphism
 from sullivan.cohomology import (
     betti_numbers,
@@ -127,6 +128,38 @@ class TestLowerGrading:
         )
         with pytest.raises(NotPure):
             lower_grading(a)
+
+
+class TestEliminationCount:
+    """One elimination per degree or strand block gives its cocycles and
+    the coboundaries of the next block; at most one more picks the
+    representatives."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        echelon = linalg.ff_row_echelon
+
+        def counting(rows):
+            calls.append(len(rows))
+            return echelon(rows)
+
+        monkeypatch.setattr(linalg, "ff_row_echelon", counting)
+        return calls
+
+    def test_table_at_most_two_per_degree(self, cp2sum, eliminations):
+        table = cohomology(cp2sum)
+        assert table.betti == (1, 0, 2, 0, 1, 0, 0)
+        assert 0 < len(eliminations) <= 2 * (table.cutoff + 1)
+
+    def test_lower_grading_at_most_two_per_strand(self, cp2sum, eliminations):
+        lg = lower_grading(cp2sum)
+        assert lg.total_dims() == (1, 0, 2, 0, 1, 0, 0)
+        blocks = sum(
+            len({cp2sum.odd_word_length(m) for m in cp2sum._basis(n)})
+            for n in range(cp2sum.cutoff + 1)
+        )
+        assert 0 < len(eliminations) <= 2 * blocks
 
 
 class TestEvenSubalgebraImage:

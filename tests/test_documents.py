@@ -59,7 +59,7 @@ class TestSchema:
         with pytest.raises(SchemaError):
             load_document(doc)
 
-    @pytest.mark.parametrize("image", ["x^", "x y", "x+", "2/0*x*y", 3])
+    @pytest.mark.parametrize("image", ["x^", "x y", "x+", "2/0*x*y", 3, "x^2*", "x*y*"])
     def test_malformed_model_polynomial(self, image, tmp_path, capsys):
         doc = dict(CP2_MODEL_DOC, differential={"n": "x^2+y^2", "m": image})
         with pytest.raises(SchemaError, match=r"\$\.differential\.m: "):

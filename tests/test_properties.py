@@ -11,12 +11,13 @@ from sullivan import linalg
 from sullivan.cdga import AlgebraElement, SullivanAlgebra
 from sullivan.cohomology import (
     betti_numbers,
+    cohomology,
     even_degree_surjectivity,
     h0_dims,
     lower_grading,
     poincare_duality_holds,
 )
-from sullivan.criteria import even_subalgebra_inclusion
+from sullivan.criteria import FormalityVerdict, even_subalgebra_inclusion, pure_formality
 from sullivan.errors import NotASubspace
 from sullivan.linalg import RationalMatrix, kernel_basis, rank
 
@@ -252,6 +253,104 @@ class TestFormalityOnPopulation:
             for n in range(algebra.cutoff + 1):
                 assert all(i == 0 for i in table.dims(n))
             checked += 1
+
+
+class TestRepresentativesAgainstReducer:
+    def test_representatives_are_greedy_kernel_complements(self):
+        """In each degree the representatives are the kernel vectors of d
+        that a Fraction reduction accepts in order after absorbing every
+        d-image from the degree below, on sheared and pure algebras."""
+        rng = random.Random(223)
+        algebras = []
+        while len(algebras) < 4:
+            pair = random_sheared(rng)
+            if pair is not None and not pair[0].is_pure():
+                algebras.append(pair[0])
+        while len(algebras) < 16:
+            algebra = random_pure_elliptic(rng, max_cutoff=16)
+            if algebra is not None:
+                algebras.append(algebra)
+        both = 0  # degrees with coboundaries and classes
+        for a in algebras:
+            table = cohomology(a)
+
+            def d_coordinates(degree):
+                return [
+                    a.coordinates(a._d_monomial(m), degree + 1) for m in a._basis(degree)
+                ]
+
+            for n in range(a.cutoff + 1):
+                dim = len(a._basis(n))
+                if a._basis(n + 1):
+                    matrix = RationalMatrix.from_rows(zip(*d_coordinates(n)))
+                    kernel = kernel_basis(matrix).vectors
+                else:
+                    kernel = tuple(
+                        tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)
+                    )
+                reducer = linalg._Reducer(dim)
+                for v in d_coordinates(n - 1) if n else []:
+                    reducer.add(v)
+                expected = [v for v in kernel if reducer.add(v)]
+                got = [tuple(a.coordinates(e, n)) for e in table.representatives(n)]
+                assert got == expected
+                both += bool(reducer.rows and expected)
+        assert both
+
+
+def _reference_formality(a):
+    """pure_formality with the ideal basis picked one candidate at a time
+    by a Fraction reduction."""
+    odd_count = sum(g.is_odd for g in a.generators)
+    even_count = len(a.generators) - odd_count
+    images = {}
+    for g, img in zip(a.generators, a.differential):
+        if g.is_odd and not img.is_zero:
+            images.setdefault(img.degree, []).append(img)
+
+    def even_basis(n):
+        return [m for m in a._basis(n) if a.odd_word_length(m) == 0]
+
+    def coords(e, n):
+        index = {m: i for i, m in enumerate(even_basis(n))}
+        vec = [Fraction(0)] * len(index)
+        for mono, c in e.terms.items():
+            vec[index[mono]] = c
+        return vec
+
+    ideal_basis = {}
+    mu = 0
+    for n in range(2, max(images, default=0) + 1, 2):
+        decomposable = [
+            a.multiply(a.monomial_element(mono), w)
+            for m, elements in ideal_basis.items()
+            if n - m >= 2
+            for mono in even_basis(n - m)
+            for w in elements
+        ]
+        reducer = linalg._Reducer(len(even_basis(n)))
+        picked = [e for e in decomposable if reducer.add(coords(e, n))]
+        rank_decomposable = len(picked)
+        picked += [z for z in images.get(n, []) if reducer.add(coords(z, n))]
+        mu += len(picked) - rank_decomposable
+        if picked:
+            ideal_basis[n] = picked
+    return FormalityVerdict(odd_count - mu, mu, mu == even_count)
+
+
+class TestFormalityAgainstReducer:
+    def test_pure_formality_matches_one_candidate_at_a_time(self):
+        rng = random.Random(227)
+        checked = formal = 0
+        while checked < 40:
+            algebra = random_pure_elliptic(rng)
+            if algebra is None:
+                continue
+            verdict = pure_formality(algebra, check_elliptic=False)
+            assert verdict == _reference_formality(algebra)
+            formal += verdict.formal
+            checked += 1
+        assert 0 < formal < checked
 
 
 class TestSufficientCondition:
