@@ -6,15 +6,20 @@ deterministically: kernel bases come from echelon back-substitution and
 quotient representatives are picked greedily from the kernel basis in
 order, so repeated runs give identical tables.
 
-For pure algebras the differential drops the odd word length of a
-monomial by exactly one, so the cochain complex splits by odd word
-length; homology of the strands is the lower grading, with H_0 the part
-of cohomology represented by the even subalgebra.
+``CohomologyTable`` eliminates each degree block by block, once.  For
+pure algebras the differential drops the odd word length of a monomial
+by exactly one, so the cochain complex splits into strands of odd word
+length, and these are the blocks; any other algebra has one block per
+degree.  The table's strands are the lower grading, with H_0 the part of
+cohomology represented by the even subalgebra, which
+``LowerGradedTable`` reads without eliminating again.  ``betti_numbers``
+and ``h0_dims`` count ranks independently of the table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from . import linalg
@@ -56,19 +61,32 @@ def _cocycles(rows: list) -> tuple[list[int], tuple]:
     return pivots, linalg._kernel_vectors(echelon, pivots, len(rows))
 
 
-def _classes(rows: list, image: tuple) -> tuple[tuple, tuple]:
-    """Class representatives of a cochain space and the coboundaries of
-    the next one.
+def _classes(rows: list, block: list[int], image: tuple) -> tuple[tuple, tuple]:
+    """Class representatives of one block of a cochain space and the
+    coboundaries that the block hands to the next space.
 
     ``rows`` are the d-images of the space's basis vectors over the next
-    space's basis, ``image`` a basis of this space's coboundaries.  The
-    one elimination of ``_cocycles`` serves both spaces: representatives
-    are picked greedily from its kernel basis as a complement of
-    ``image``, and the d-images of its pivot basis vectors are a basis
-    of the next space's coboundaries.
+    space's basis, ``block`` the positions of the block's basis vectors
+    and ``image`` a basis of the block's coboundaries.  The one
+    elimination of ``_cocycles`` on the block's rows serves both spaces:
+    representatives are picked greedily from its kernel basis, embedded
+    in the space's basis with zeros, as a complement of ``image``, and
+    the d-images of its pivot basis vectors are a basis of the next
+    space's coboundaries that the block hits.
     """
-    pivots, cocycles = _cocycles(rows)
-    return linalg._complement(image, cocycles), tuple(rows[c] for c in pivots)
+    pivots, cocycles = _cocycles([rows[p] for p in block])
+    embedded = []
+    for v in cocycles:
+        w = [0] * len(rows)
+        for p, x in zip(block, v):
+            w[p] = x
+        embedded.append(tuple(w))
+    return linalg._complement(image, embedded), tuple(rows[block[c]] for c in pivots)
+
+
+def _free_column(v) -> int:
+    """The non-pivot column of a kernel vector: its last nonzero entry."""
+    return max(j for j, x in enumerate(v) if x)
 
 
 def betti_numbers(a: SullivanAlgebra, cutoff: int | None = None) -> tuple[int, ...]:
@@ -89,12 +107,14 @@ def betti_numbers(a: SullivanAlgebra, cutoff: int | None = None) -> tuple[int, .
 
 class _DegreeSpace:
     """Class representatives ``reps`` and a coboundary basis ``image`` in
-    one degree, plain tuples of coordinate vectors over its basis."""
+    one degree, plain tuples of coordinate vectors over its basis, and
+    ``blocks``, the representatives of each block by block key."""
 
-    def __init__(self, algebra: SullivanAlgebra, degree: int, reps: tuple, image: tuple):
-        self.reps = reps
+    def __init__(self, algebra: SullivanAlgebra, degree: int, blocks: dict, image: tuple):
+        self.blocks = blocks
+        self.reps = tuple(sorted(chain.from_iterable(blocks.values()), key=_free_column))
         self.image = image
-        self.elements = tuple(algebra.element_from_coordinates(v, degree) for v in reps)
+        self.elements = tuple(algebra.element_from_coordinates(v, degree) for v in self.reps)
 
     @property
     def betti(self) -> int:
@@ -109,7 +129,16 @@ class _DegreeSpace:
 
 
 class CohomologyTable:
-    """Per-degree bases of cohomology classes with explicit representatives."""
+    """Per-degree bases of cohomology classes with explicit representatives.
+
+    Each degree is eliminated block by block.  The blocks of a pure
+    algebra are its strands of odd word length i, which d maps to strand
+    i - 1 of the next degree; any other algebra has one block, key 0, per
+    degree.  The strands' column spaces are independent, so a degree's
+    pivots, kernel vectors and greedy complements are those of its
+    blocks embedded with zeros, and its representatives are theirs in
+    the order of their free columns.
+    """
 
     def __init__(self, algebra: SullivanAlgebra, cutoff: int | None = None):
         cutoff = algebra.cutoff if cutoff is None else cutoff
@@ -119,12 +148,22 @@ class CohomologyTable:
             raise InvalidDifferential("differential does not square to zero")
         self.algebra = algebra
         self.cutoff = cutoff
+        pure = algebra.is_pure()
         self._spaces = []
-        image: tuple = ()
+        images: dict[int, tuple] = {}  # block key -> coboundaries handed up from below
         for n in range(cutoff + 1):
-            reps, next_image = _classes(_action_rows(algebra, n), image)
-            self._spaces.append(_DegreeSpace(algebra, n, reps, image))
-            image = next_image
+            rows = _action_rows(algebra, n)
+            blocks: dict[int, list[int]] = {}
+            for p, mono in enumerate(algebra._basis(n)):
+                blocks.setdefault(algebra.odd_word_length(mono) if pure else 0, []).append(p)
+            block_reps, next_images = {}, {}
+            for i, block in sorted(blocks.items()):
+                block_reps[i], next_images[i - 1 if pure else 0] = _classes(
+                    rows, block, images.get(i, ())
+                )
+            image = tuple(chain.from_iterable(images.values()))
+            self._spaces.append(_DegreeSpace(algebra, n, block_reps, image))
+            images = next_images
         self.betti = tuple(space.betti for space in self._spaces)
 
     def representatives(self, degree: int) -> tuple[AlgebraElement, ...]:
@@ -199,61 +238,41 @@ def poincare_duality_holds(betti: Sequence[int], fdim: int) -> bool:
 # -- lower grading ----------------------------------------------------
 
 
-def _split_basis(a: SullivanAlgebra, degree: int) -> dict[int, list]:
-    split: dict[int, list] = {}
-    for mono in a._basis(degree):
-        split.setdefault(a.odd_word_length(mono), []).append(mono)
-    return split
-
-
-def _strand_rows(a: SullivanAlgebra, monos: list, target: list) -> list[list]:
-    return _d_rows(a, monos, {m: i for i, m in enumerate(target)})
-
-
 class LowerGradedTable:
     """Splitting of the cohomology of a pure algebra by the odd word
     length of representatives; H_0 is the part hit by the even
-    subalgebra."""
+    subalgebra.  A read-only view of the strands of a ``CohomologyTable``."""
 
-    def __init__(self, algebra: SullivanAlgebra, cutoff: int | None = None):
-        if not algebra.is_pure():
+    def __init__(self, table: CohomologyTable):
+        if not table.algebra.is_pure():
             raise NotPure("lower grading is defined for pure algebras only")
-        cutoff = algebra.cutoff if cutoff is None else cutoff
-        if cutoff > algebra.cutoff:
-            raise CutoffExceeded(f"requested degree {cutoff} beyond cutoff {algebra.cutoff}")
-        self.algebra = algebra
-        self.cutoff = cutoff
-        splits = [_split_basis(algebra, n) for n in range(cutoff + 2)]
-        self._reps: dict[int, dict[int, tuple[AlgebraElement, ...]]] = {}
-        # (degree, index) -> coboundary basis, handed up by the block below
-        images: dict[tuple[int, int], tuple] = {}
-        for n in range(cutoff + 1):
-            per_index: dict[int, tuple[AlgebraElement, ...]] = {}
-            for i, monos in sorted(splits[n].items()):
-                rows = _strand_rows(algebra, monos, splits[n + 1].get(i - 1, []))
-                reps, images[n + 1, i - 1] = _classes(rows, images.pop((n, i), ()))
-                if reps:
-                    per_index[i] = tuple(
-                        AlgebraElement(algebra, {m: c for m, c in zip(monos, vec) if c})
-                        for vec in reps
-                    )
-            self._reps[n] = per_index
+        self.table = table
+        self.algebra = table.algebra
+        self.cutoff = table.cutoff
+
+    def _strands(self, degree: int) -> dict[int, tuple]:
+        return self.table._spaces[degree].blocks if 0 <= degree <= self.cutoff else {}
 
     def dim(self, degree: int, index: int) -> int:
-        return len(self._reps.get(degree, {}).get(index, ()))
+        return len(self._strands(degree).get(index, ()))
 
     def dims(self, degree: int) -> dict[int, int]:
-        return {i: len(reps) for i, reps in self._reps.get(degree, {}).items()}
+        return {i: len(reps) for i, reps in self._strands(degree).items() if reps}
 
     def representatives(self, degree: int, index: int) -> tuple[AlgebraElement, ...]:
-        return self._reps.get(degree, {}).get(index, ())
+        return tuple(
+            self.algebra.element_from_coordinates(v, degree)
+            for v in self._strands(degree).get(index, ())
+        )
 
     def total_dims(self) -> tuple[int, ...]:
-        return tuple(sum(self.dims(n).values()) for n in range(self.cutoff + 1))
+        return self.table.betti
 
 
 def lower_grading(a: SullivanAlgebra, cutoff: int | None = None) -> LowerGradedTable:
-    return LowerGradedTable(a, cutoff)
+    if not a.is_pure():
+        raise NotPure("lower grading is defined for pure algebras only")
+    return LowerGradedTable(cohomology(a, cutoff))
 
 
 def h0_dims(a: SullivanAlgebra, cutoff: int | None = None) -> dict[int, int]:
@@ -261,7 +280,8 @@ def h0_dims(a: SullivanAlgebra, cutoff: int | None = None) -> dict[int, int]:
 
     For a pure algebra every even-subalgebra element is closed and the
     image of d inside it is d of the odd-word-length-one strand, so only
-    ranks are needed.
+    ranks are needed.  This is the independent rank-only reference for
+    the index-0 strands of ``LowerGradedTable``; no report calls it.
     """
     if not a.is_pure():
         raise NotPure("even-subalgebra image is computed for pure algebras only")
@@ -270,7 +290,7 @@ def h0_dims(a: SullivanAlgebra, cutoff: int | None = None) -> dict[int, int]:
     for n in range(0, cutoff + 1, 2):
         strand0 = [m for m in a._basis(n) if a.odd_word_length(m) == 0]
         below = [m for m in a._basis(n - 1) if a.odd_word_length(m) == 1] if n else []
-        rows = _strand_rows(a, below, strand0) if below else []
+        rows = _d_rows(a, below, {m: i for i, m in enumerate(strand0)})
         dims[n] = len(strand0) - linalg.rank_rows(rows)
     return dims
 

@@ -184,19 +184,21 @@ class EvenCoverageReport:
     citation: str = CITATION_H0
 
 
-def pure_h0_equals_heven(a: SullivanAlgebra) -> EvenCoverageReport:
-    """Compare the even-subalgebra image with all of H^even, degree by
-    degree, and assert the equivalence with chi_pi <= 1."""
+def pure_h0_equals_heven(table: ch.CohomologyTable) -> EvenCoverageReport:
+    """Compare the even-subalgebra image, the index-0 strands of the
+    table's lower grading, with all of H^even, degree by degree, and
+    assert the equivalence with chi_pi <= 1."""
+    a, betti = table.algebra, table.betti
     if not a.is_pure():
         raise NotPure("the even-coverage criterion needs a pure algebra")
-    betti = ch.betti_numbers(a)
     if not ch.top_window_vanishes(a, betti):
         raise NotElliptic(
             "cohomology does not vanish in the top window below the cutoff; "
             "increase the cutoff or pass an elliptic algebra"
         )
-    h0 = ch.h0_dims(a)
-    even_betti = {n: betti[n] for n in range(0, a.cutoff + 1, 2)}
+    strands = ch.LowerGradedTable(table)
+    h0 = {n: strands.dim(n, 0) for n in range(0, table.cutoff + 1, 2)}
+    even_betti = {n: betti[n] for n in h0}
     first_uncovered = None
     for n in sorted(h0):
         if h0[n] != even_betti[n]:
@@ -212,23 +214,21 @@ def pure_h0_equals_heven(a: SullivanAlgebra) -> EvenCoverageReport:
     return EvenCoverageReport(equals, chi, first_uncovered, h0, even_betti)
 
 
-def pure_formality(a: SullivanAlgebra, check_elliptic: bool = True) -> FormalityVerdict:
+def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
     """Splitting invariants by graded Nakayama count.
 
     mu is the minimal number of generators of the ideal generated by the
     odd differentials inside the even subalgebra (dimension of the ideal
     modulo its decomposable part, degree by degree); k = dim V^odd - mu
     odd generators split off freely, and the algebra is formal iff
-    mu = dim V^even.
+    mu = dim V^even.  The table's Betti numbers must vanish in the top
+    window (ellipticity).
     """
+    a = table.algebra
     if not a.is_pure():
         raise NotPure("the formality criterion needs a pure algebra")
-    if check_elliptic:
-        betti = ch.betti_numbers(a)
-        if not ch.top_window_vanishes(a, betti):
-            raise NotElliptic(
-                "cohomology does not vanish in the top window below the cutoff"
-            )
+    if not ch.top_window_vanishes(a, table.betti):
+        raise NotElliptic("cohomology does not vanish in the top window below the cutoff")
     odd_gens = [g for g in a.generators if g.is_odd]
     even_count = len(a.generators) - len(odd_gens)
     images: dict[int, list[AlgebraElement]] = {}

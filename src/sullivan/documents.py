@@ -249,11 +249,7 @@ def _k_report(verdict, flags, betti) -> dict:
 def _space_summary(table: ch.CohomologyTable) -> dict:
     a, betti = table.algebra, table.betti
     table_chi = ch.euler_characteristic(betti)
-    fdim = None
-    for n in range(len(betti) - 1, -1, -1):
-        if betti[n]:
-            fdim = n
-            break
+    fdim = table.formal_dimension()
     summary = {
         "model": model_document(a),
         "betti": list(betti),
@@ -328,13 +324,13 @@ def _analyze_model(a: SullivanAlgebra) -> dict:
     }
     citations = [ktheory.CITATION_CHERN, ktheory.CITATION_KO]
     if a.is_pure():
-        lg = ch.lower_grading(a)
+        lg = ch.LowerGradedTable(table)
         report["space"]["lower_grading"] = [
             {str(i): d for i, d in sorted(lg.dims(n).items())} for n in range(a.cutoff + 1)
         ]
         if ch.top_window_vanishes(a, betti):
-            coverage = criteria.pure_h0_equals_heven(a)
-            formality = criteria.pure_formality(a, check_elliptic=False)
+            coverage = criteria.pure_h0_equals_heven(table)
+            formality = criteria.pure_formality(table)
             report["even_coverage"] = {
                 "h0_equals_heven": coverage.h0_equals_heven,
                 "chi_pi": coverage.chi_pi,

@@ -14,6 +14,7 @@ from sullivan.cdga import SullivanAlgebra
 from sullivan.cli import main as cli_main
 from sullivan.cohomology import (
     betti_numbers,
+    cohomology,
     even_degree_surjectivity,
     euler_characteristic,
     poincare_duality_holds,
@@ -165,7 +166,7 @@ def test_criterion_4_even_coverage_population():
         if algebra is None:
             continue
         kept += 1
-        report = pure_h0_equals_heven(algebra)  # raises on disagreement
+        report = pure_h0_equals_heven(cohomology(algebra))  # raises on disagreement
         holds += report.h0_equals_heven == (report.chi_pi <= 1)
     elapsed = time.perf_counter() - start
     ok = kept >= 200 and holds == kept and elapsed < 60.0

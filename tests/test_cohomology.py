@@ -122,6 +122,17 @@ class TestLowerGrading:
             for i in dims:
                 assert (n - i) % 2 == 0  # parity of class = parity of word length
 
+    def test_strands_merge_in_basis_order(self):
+        # degree 4 has the basis (s t, u): a class in strand 2 comes first
+        a = SullivanAlgebra.build(
+            [("u", 4), ("q", 7), ("s", 1), ("t", 3)], {"q": "u^2"}, cutoff=15
+        )
+        table = cohomology(a)
+        assert [a.format_element(e) for e in table.representatives(4)] == ["s*t", "u"]
+        lg = lower_grading(a)
+        assert lg.dims(4) == {0: 1, 2: 1}
+        assert [a.format_element(e) for e in lg.representatives(4, 2)] == ["s*t"]
+
     def test_not_pure_rejected(self):
         a = SullivanAlgebra.build(
             [("q", 3), ("p", 3), ("z", 5)], {"z": "q*p"}, cutoff=8
@@ -159,6 +170,37 @@ class TestEliminationCount:
             len({cp2sum.odd_word_length(m) for m in cp2sum._basis(n)})
             for n in range(cp2sum.cutoff + 1)
         )
+        assert 0 < len(eliminations) <= 2 * blocks
+
+    def test_pure_model_report_eliminates_each_strand_once(self, eliminations, monkeypatch):
+        """A pure model report reads Betti numbers, representatives, the
+        lower grading and H_0 from one table, with no rank-only pass."""
+        from sullivan import cohomology as ch
+        from sullivan.documents import load_model, run_analysis
+
+        rank_only = []
+        for name in ("betti_numbers", "h0_dims"):
+            original = getattr(ch, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                rank_only.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ch, name, counting)
+        doc = {
+            "kind": "model",
+            "generators": [["x", 2], ["y", 2], ["z", 2], ["a", 3], ["b", 3], ["c", 3]],
+            "differential": {"a": "x^2", "b": "y^2", "c": "z^2"},
+            "cutoff": 12,
+        }
+        report = run_analysis(doc)
+        assert report["even_coverage"]["h0_equals_heven"]  # chi_pi = 0
+        assert rank_only == []
+        a = load_model(doc)
+        blocks = sum(
+            len({a.odd_word_length(m) for m in a._basis(n)}) for n in range(a.cutoff + 1)
+        )
+        assert blocks == 18
         assert 0 < len(eliminations) <= 2 * blocks
 
 

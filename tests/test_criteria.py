@@ -5,6 +5,7 @@ import pytest
 
 from sullivan.catalog import lookup, standard_restriction
 from sullivan.cdga import SullivanAlgebra
+from sullivan.cohomology import cohomology
 from sullivan.criteria import (
     CriterionDisagreement,
     biquotient_surjectivity,
@@ -174,30 +175,30 @@ class TestCohomogeneityOne:
 class TestEvenCoverage:
     def test_two_free_spheres(self):
         a = SullivanAlgebra.build([("q1", 3), ("q2", 5)], cutoff=13)
-        report = pure_h0_equals_heven(a)
+        report = pure_h0_equals_heven(cohomology(a))
         assert not report.h0_equals_heven
         assert report.chi_pi == 2
         assert report.first_uncovered_degree == 8
 
     def test_two_sphere(self):
         a = SullivanAlgebra.build([("u", 2), ("q", 3)], {"q": "u^2"}, cutoff=6)
-        report = pure_h0_equals_heven(a)
+        report = pure_h0_equals_heven(cohomology(a))
         assert report.h0_equals_heven and report.chi_pi == 0
 
     def test_three_sphere(self):
         a = SullivanAlgebra.build([("q", 3)], cutoff=6)
-        report = pure_h0_equals_heven(a)
+        report = pure_h0_equals_heven(cohomology(a))
         assert report.h0_equals_heven and report.chi_pi == 1
 
     def test_not_pure(self):
         a = SullivanAlgebra.build([("q", 3), ("p", 3), ("z", 5)], {"z": "q*p"}, cutoff=8)
         with pytest.raises(NotPure):
-            pure_h0_equals_heven(a)
+            pure_h0_equals_heven(cohomology(a))
 
     def test_not_elliptic(self):
         a = SullivanAlgebra.build([("u", 2)], cutoff=6)
         with pytest.raises(NotElliptic):
-            pure_h0_equals_heven(a)
+            pure_h0_equals_heven(cohomology(a))
 
 
 class TestFormality:
@@ -207,14 +208,14 @@ class TestFormality:
             {"n": "x^2+y^2", "m": "x*y"},
             cutoff=7,
         )
-        verdict = pure_formality(a)
+        verdict = pure_formality(cohomology(a))
         assert verdict.minimal_generators_mu == 2
         assert verdict.split_k == 0
         assert verdict.formal
 
     def test_odd_sphere(self):
         a = SullivanAlgebra.build([("q", 3)], cutoff=6)
-        verdict = pure_formality(a)
+        verdict = pure_formality(cohomology(a))
         assert verdict.minimal_generators_mu == 0
         assert verdict.split_k == 1
         assert verdict.formal
@@ -225,11 +226,11 @@ class TestFormality:
             {"q1": "u^2", "q2": "u^2", "q3": "u^2"},
             cutoff=11,
         )
-        verdict = pure_formality(a)
+        verdict = pure_formality(cohomology(a))
         assert verdict.minimal_generators_mu == 1
         assert verdict.split_k == 2
         assert verdict.formal  # mu equals the number of even generators
-        report = pure_h0_equals_heven(a)
+        report = pure_h0_equals_heven(cohomology(a))
         assert report.chi_pi == 2 and not report.h0_equals_heven
 
     def test_nonformal_chi_one_instance(self):
@@ -241,11 +242,11 @@ class TestFormality:
             {"q1": "u^2", "q2": "u*v", "q3": "v^2"},
             cutoff=10,
         )
-        verdict = pure_formality(a)
+        verdict = pure_formality(cohomology(a))
         assert verdict.minimal_generators_mu == 3
         assert verdict.split_k == 0
         assert not verdict.formal
-        report = pure_h0_equals_heven(a)
+        report = pure_h0_equals_heven(cohomology(a))
         assert report.h0_equals_heven and report.chi_pi == 1
         from sullivan.cohomology import betti_numbers, lower_grading
 
@@ -261,7 +262,7 @@ class TestFormality:
             {"q1": "u^2", "q2": "u^3"},
             cutoff=12,
         )
-        verdict = pure_formality(a)
+        verdict = pure_formality(cohomology(a))
         assert verdict.minimal_generators_mu == 1
         assert verdict.split_k == 1
 

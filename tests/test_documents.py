@@ -175,6 +175,15 @@ class TestReports:
         assert report["space"]["poincare_duality"]
         assert report["ktheory"]["k0_dim"] == 4
 
+    def test_euler_relations_at_truncated_cutoff(self):
+        # The table stops at degree 2 and misses the top class, so its
+        # Euler characteristic (3) is not chi(M); the relations use the
+        # manifold's own model.
+        report = run_analysis(dict(DIAGRAM_PRESETS["cp2-sum"], cutoff=2))
+        assert report["space"]["betti"] == [1, 0, 2]
+        assert report["euler_relations"]["chi_m"] == 4
+        assert report["euler_relations"]["identity_holds"]
+
     def test_every_verdict_cites(self):
         for doc in (
             DIAGRAM_PRESETS["cp2-sum"],

@@ -246,7 +246,7 @@ class TestFormalityOnPopulation:
                 continue
             betti = betti_numbers(algebra)
             assert not any(b for n, b in enumerate(betti) if n % 2 == 1)
-            verdict = pure_formality(algebra, check_elliptic=False)
+            verdict = pure_formality(cohomology(algebra))
             assert verdict.formal and verdict.split_k == 0
             # the even subalgebra carries all of cohomology
             table = lower_grading(algebra)
@@ -297,6 +297,36 @@ class TestRepresentativesAgainstReducer:
                 both += bool(reducer.rows and expected)
         assert both
 
+    def test_class_coordinates_read_the_embedded_coboundaries(self):
+        """In each degree the k-th representative has the k-th unit vector
+        as class coordinates and every d-image from the degree below has
+        zero class coordinates, on sheared and pure algebras."""
+        rng = random.Random(229)
+        algebras = []
+        while len(algebras) < 3:
+            pair = random_sheared(rng)
+            if pair is not None and not pair[0].is_pure():
+                algebras.append(pair[0])
+        while len(algebras) < 11:
+            algebra = random_pure_elliptic(rng, max_cutoff=16)
+            if algebra is not None:
+                algebras.append(algebra)
+        strands = 0  # degrees with coboundaries in more than one strand
+        for a in algebras:
+            table = cohomology(a)
+            for n in range(a.cutoff + 1):
+                betti = table.betti[n]
+                for k, rep in enumerate(table.representatives(n)):
+                    unit = [Fraction(int(j == k)) for j in range(betti)]
+                    assert table.class_coordinates(rep) == (n, unit)
+                images = [a._d_monomial(m) for m in a._basis(n - 1)] if n else []
+                images = [e for e in images if not e.is_zero]
+                for e in images:
+                    assert table.class_coordinates(e) == (n, [Fraction(0)] * betti)
+                if a.is_pure():
+                    strands += len({a.odd_word_length(m) for e in images for m in e.terms}) > 1
+        assert strands
+
 
 def _reference_formality(a):
     """pure_formality with the ideal basis picked one candidate at a time
@@ -346,7 +376,7 @@ class TestFormalityAgainstReducer:
             algebra = random_pure_elliptic(rng)
             if algebra is None:
                 continue
-            verdict = pure_formality(algebra, check_elliptic=False)
+            verdict = pure_formality(cohomology(algebra))
             assert verdict == _reference_formality(algebra)
             formal += verdict.formal
             checked += 1
