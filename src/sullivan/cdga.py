@@ -4,7 +4,20 @@ An algebra is generated by named generators of positive degree; odd
 generators square to zero, even generators are polynomial.  Monomials
 are exponent tuples aligned with the generator declaration order, and
 products are normalized to that order while accumulating Koszul signs,
-so every element has one canonical form.
+so every element has one canonical form.  The odd generators of a
+monomial are also read as a bitmask (bit i for generator i): two
+monomials multiply to zero when their masks overlap, and otherwise the
+Koszul sign is the parity of the pairs of set bits out of order.
+
+The differential is stored as each generator's image, a tuple of
+``(monomial, odd mask, coefficient)`` terms with ``int`` coefficients
+where they are integral and ``Fraction`` otherwise.  The d of a monomial
+is the derivation that Leibniz's rule extends from those images, computed
+on exponent tuples in integers by ``_d_terms`` and cached as a
+``{monomial: coefficient}`` map; ``AlgebraElement`` values appear only at
+the API boundary (``differential``, ``apply_differential``).  The
+algebra holds no element of its own, so it is freed by reference
+counting.
 
 A degree cutoff is fixed at construction: basis enumeration and the
 public differential are guarded by it (internal callers may go one
@@ -16,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -29,6 +43,33 @@ from .errors import (
 )
 
 Monomial = tuple[int, ...]
+# One term of a stored image: monomial, odd-generator mask, coefficient.
+Term = tuple[Monomial, int, "int | Fraction"]
+
+
+def _koszul_sign(mask1: int, mask2: int) -> int:
+    """Sign of the normalized product of two monomials whose odd
+    generators are the set bits of ``mask1`` and ``mask2``: -1 to the
+    number of pairs j in mask1, i in mask2 with j > i.  Zero when the
+    masks overlap, since an odd generator squares to zero."""
+    if mask1 & mask2:
+        return 0
+    inversions = 0
+    while mask1 and mask2:
+        low = mask2 & -mask2
+        inversions += (mask1 & -(low << 1)).bit_count()
+        mask2 ^= low
+    return -1 if inversions & 1 else 1
+
+
+def _add_products(out: dict, m1: Monomial, mask1: int, c1, right: Iterable[Term]) -> None:
+    """Add ``c1*m1`` times each term of ``right`` into ``out``, Koszul
+    normalized."""
+    for m2, mask2, c2 in right:
+        sign = _koszul_sign(mask1, mask2)
+        if sign:
+            mono = tuple(map(add, m1, m2))
+            out[mono] = out.get(mono, 0) + sign * c1 * c2
 
 
 @dataclass(frozen=True)
@@ -140,8 +181,8 @@ class SullivanAlgebra:
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.is_odd)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._index_cache: dict[int, dict[Monomial, int]] = {}
-        self._d_mono_cache: dict[Monomial, AlgebraElement] = {}
-        self.differential = self._validate_differential(differential or {})
+        self._d_cache: dict[Monomial, dict[Monomial, int | Fraction]] = {}
+        self._images = self._validate_differential(differential or {})
 
     # -- construction -------------------------------------------------
 
@@ -174,7 +215,7 @@ class SullivanAlgebra:
         }
         return SullivanAlgebra(self.generators, self.cutoff, resolved)
 
-    def _validate_differential(self, diff: Mapping[str, AlgebraElement]):
+    def _validate_differential(self, diff: Mapping[str, AlgebraElement]) -> tuple[tuple[Term, ...], ...]:
         images = []
         for name in diff:
             if name not in self._index:
@@ -182,7 +223,7 @@ class SullivanAlgebra:
         for g in self.generators:
             value = diff.get(g.name)
             if value is None:
-                images.append(self.zero())
+                images.append(())
                 continue
             if value.algebra.signature != self.signature:
                 raise UnknownGenerator(
@@ -195,13 +236,28 @@ class SullivanAlgebra:
                 raise InvalidDifferential(
                     f"d({g.name}) has degree {value.degree}, expected {g.degree + 1}"
                 )
-            images.append(value)
-        result = tuple(images)
-        self.differential = result  # used by the d-squared check below
-        for g, image in zip(self.generators, result):
-            if not self._d_element(image).is_zero:
+            images.append(self._image_terms(value.terms))
+        self._images = tuple(images)  # used by the d-squared check below
+        for g, image in zip(self.generators, self._images):
+            if not self._closed(image):
                 raise InvalidDifferential(f"d(d({g.name})) != 0")
-        return result
+        return self._images
+
+    def _image_terms(self, terms: Mapping[Monomial, Fraction]) -> tuple[Term, ...]:
+        """Stored form of a generator's image: ``int`` coefficients where
+        they are integral."""
+        return tuple(
+            (m, self._mask(m), c.numerator if c.denominator == 1 else c)
+            for m, c in terms.items()
+        )
+
+    @property
+    def differential(self) -> tuple[AlgebraElement, ...]:
+        """Image of each generator, in declaration order, built from the
+        stored terms on each access."""
+        return tuple(
+            AlgebraElement(self, {m: Fraction(c) for m, _, c in image}) for image in self._images
+        )
 
     # -- basic elements -----------------------------------------------
 
@@ -252,26 +308,32 @@ class SullivanAlgebra:
         cached = self._basis_cache.get(degree)
         if cached is not None:
             return cached
-        out: list[Monomial] = []
         n = len(self.generators)
-        exponents = [0] * n
+        degrees = self._degrees
+        # Exponent suffixes of generators i.. with total degree r, in
+        # lexicographic order, each (i, r) built once per enumeration.
+        suffixes: dict[tuple[int, int], list[Monomial]] = {}
 
-        def descend(i: int, remaining: int) -> None:
-            if i == n:
-                if remaining == 0:
-                    out.append(tuple(exponents))
-                return
-            d = self._degrees[i]
-            top = remaining // d
-            if self.generators[i].is_odd:
-                top = min(top, 1)
-            for e in range(top + 1):
-                exponents[i] = e
-                descend(i + 1, remaining - e * d)
-            exponents[i] = 0
+        def build(i: int, remaining: int) -> list[Monomial]:
+            key = (i, remaining)
+            found = suffixes.get(key)
+            if found is None:
+                if i == n:
+                    found = [()] if remaining == 0 else []
+                else:
+                    d = degrees[i]
+                    top = remaining // d
+                    if d % 2:
+                        top = min(top, 1)
+                    found = [
+                        (e,) + tail
+                        for e in range(top + 1)
+                        for tail in build(i + 1, remaining - e * d)
+                    ]
+                suffixes[key] = found
+            return found
 
-        descend(0, degree)
-        result = tuple(out)
+        result = tuple(build(0, degree))
         self._basis_cache[degree] = result
         return result
 
@@ -285,31 +347,21 @@ class SullivanAlgebra:
 
     # -- products -----------------------------------------------------
 
-    def _mul_monomials(self, m1: Monomial, m2: Monomial):
-        """Koszul-normalized product; None when an odd generator squares."""
-        o1 = [i for i in self._odd if m1[i]]
-        inversions = 0
+    def _mask(self, mono: Monomial) -> int:
+        """Odd generators of a monomial as a bitmask, bit i for generator i."""
+        mask = 0
         for i in self._odd:
-            if m2[i]:
-                if m1[i]:
-                    return None
-                for j in o1:
-                    if j > i:
-                        inversions += 1
-        mono = tuple(a + b for a, b in zip(m1, m2))
-        return (-1 if inversions % 2 else 1), mono
+            if mono[i]:
+                mask |= 1 << i
+        return mask
 
     def multiply(self, e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
         if e1.algebra.signature != self.signature or e2.algebra.signature != self.signature:
             raise UnknownGenerator("elements belong to different algebras")
+        right = [(m, self._mask(m), c) for m, c in e2.terms.items()]
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in e1.terms.items():
-            for m2, c2 in e2.terms.items():
-                result = self._mul_monomials(m1, m2)
-                if result is None:
-                    continue
-                sign, mono = result
-                terms[mono] = terms.get(mono, Fraction(0)) + sign * c1 * c2
+            _add_products(terms, m1, self._mask(m1), c1, right)
         return AlgebraElement(self, terms)
 
     # -- differential -------------------------------------------------
@@ -324,40 +376,60 @@ class SullivanAlgebra:
         return self._d_element(e)
 
     def _d_element(self, e: AlgebraElement) -> AlgebraElement:
-        result = self.zero()
-        for mono, coeff in e.terms.items():
-            result = result + coeff * self._d_monomial(mono)
-        return result
+        return self._element(self._d_combination(e.terms.items()))
 
     def _d_monomial(self, mono: Monomial) -> AlgebraElement:
-        cached = self._d_mono_cache.get(mono)
+        return self._element(self._d_terms(mono))
+
+    def _element(self, terms: Mapping[Monomial, "int | Fraction"]) -> AlgebraElement:
+        return AlgebraElement(self, {m: Fraction(c) for m, c in terms.items()})
+
+    def _d_combination(self, terms: Iterable[tuple[Monomial, "int | Fraction"]]) -> dict:
+        """d of a linear combination of monomials, as ``{monomial: coeff}``
+        (coefficients may cancel to zero)."""
+        out: dict = {}
+        for mono, coeff in terms:
+            for m, c in self._d_terms(mono).items():
+                out[m] = out.get(m, 0) + coeff * c
+        return out
+
+    def _closed(self, image: tuple[Term, ...]) -> bool:
+        return not any(self._d_combination((m, c) for m, _, c in image).values())
+
+    def _d_terms(self, mono: Monomial) -> dict[Monomial, "int | Fraction"]:
+        """d of a monomial as ``{monomial: coefficient}`` with nonzero
+        coefficients, ``int`` where the generators' images are integral.
+
+        Leibniz's rule on exponent tuples: for each generator i of the
+        monomial, its exponent times the monomial with one factor i
+        removed, times d(i), with the sign of moving d past the odd
+        factors on one side: for an odd generator those before it, for
+        an even one (whose d is odd) those after it."""
+        cached = self._d_cache.get(mono)
         if cached is not None:
             return cached
-        result = self.zero()
-        odd_present = [i for i in self._odd if mono[i]]
-        for i, e in enumerate(mono):
-            if not e:
+        terms: dict = {}
+        mask = self._mask(mono)
+        for i, image in enumerate(self._images):
+            e = mono[i]
+            if not e or not image:
                 continue
-            d_i = self.differential[i]
-            if d_i.is_zero:
-                continue
-            # Leibniz: differentiate one factor in declaration order.  The
-            # sign moves d past the odd factors on one side: for an odd
-            # factor, past those before it; for an even factor (whose d is
-            # odd), past those after it.
-            if self.generators[i].is_odd:
-                parity = sum(1 for j in odd_present if j < i)
+            bit = 1 << i
+            if mask & bit:
+                rest = mask ^ bit
+                parity = (mask & (bit - 1)).bit_count()
             else:
-                parity = sum(1 for j in odd_present if j > i)
-            reduced = tuple(x - 1 if k == i else x for k, x in enumerate(mono))
-            sign = -1 if parity % 2 else 1
-            result = result + self.multiply(self.monomial_element(reduced, e * sign), d_i)
-        self._d_mono_cache[mono] = result
+                rest = mask
+                parity = (mask >> (i + 1)).bit_count()
+            reduced = mono[:i] + (e - 1,) + mono[i + 1 :]
+            _add_products(terms, reduced, rest, -e if parity & 1 else e, image)
+        result = {m: c for m, c in terms.items() if c}
+        self._d_cache[mono] = result
         return result
 
     def verify_d_squared(self) -> bool:
         """True iff d(d(g)) = 0 for every generator."""
-        return all(self._d_element(img).is_zero for img in self.differential)
+        return all(self._closed(image) for image in self._images)
 
     def substitute(
         self, e: AlgebraElement, assignment: Mapping[str, AlgebraElement]
@@ -390,10 +462,8 @@ class SullivanAlgebra:
     def is_pure(self) -> bool:
         """Even generators closed, odd differentials inside the even
         subalgebra."""
-        for g, image in zip(self.generators, self.differential):
-            if not g.is_odd and not image.is_zero:
-                return False
-            if g.is_odd and any(self.odd_word_length(m) for m in image.terms):
+        for g, image in zip(self.generators, self._images):
+            if image and (not g.is_odd or any(mask for _, mask, _ in image)):
                 return False
         return True
 

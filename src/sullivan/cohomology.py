@@ -35,14 +35,15 @@ from .linalg import RationalMatrix, SubspaceBasis
 
 def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[list]:
     """Rows are the differential images of ``monos``, written over the
-    monomials of ``index`` (monomial -> position); zeros are ``0`` and
-    integral coefficients ``int``, the rest ``Fraction``."""
+    monomials of ``index`` (monomial -> position); zeros are ``0`` and the
+    coefficients those of ``_d_terms``, all ``int`` when the generators'
+    images are integral."""
     width = len(index)
     rows = []
     for mono in monos:
         row = [0] * width
-        for m, c in a._d_monomial(mono).terms.items():
-            row[index[m]] = c.numerator if c.denominator == 1 else c
+        for m, c in a._d_terms(mono).items():
+            row[index[m]] = c
         rows.append(row)
     return rows
 

@@ -338,10 +338,10 @@ def _principal_orbit_model(diagram: GroupDiagram, cutoff: int | None = None) -> 
     gens += [Generator(n, d) for n, d in zip(g.g_names, g.exterior_degrees)]
     draft = SullivanAlgebra(gens, cutoff)
     full = _singular_orbit_model(diagram, "+", cutoff + 2)
+    images = {gen.name: image for gen, image in zip(full.generators, full.differential)}
     differential = {}
     for q_name in g.g_names:
-        image = full.differential[[gen.name for gen in full.generators].index(q_name)]
-        killed = _kill_generator(full, image, EULER_PLUS)
+        killed = _kill_generator(full, images[q_name], EULER_PLUS)
         differential[q_name] = AlgebraElement(
             draft,
             {_drop_index(full, m, EULER_PLUS): c for m, c in killed.terms.items()},

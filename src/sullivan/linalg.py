@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Ranks, kernels, membership tests and quotient bases, all in exact
-arithmetic: rows with int or Fraction entries are cleared of
-denominators row-wise and reduced by sparse fraction-free elimination
-over arbitrary-precision integers, which visits only nonzero entries
-and keeps every row primitive.  Pivoting is first-nonzero in column
+arithmetic: rows with int or Fraction entries are reduced by sparse
+fraction-free elimination over arbitrary-precision integers, which
+visits only nonzero entries and keeps every row primitive.  Rows of
+``int`` entries only, such as the differential rows of an algebra with
+integral images, enter the kernel as they are; any other row is first
+cleared of denominators.  Pivoting is first-nonzero in column
 order, as in dense Bareiss elimination, so every basis this module
 produces is deterministic.  ``_kernel_vectors`` and ``_complement``
 take plain vectors, independent by construction; ``kernel_basis`` and
@@ -29,9 +31,14 @@ def _as_fraction_vector(entries: Iterable) -> Vector:
 
 def _int_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
     """Integer rows spanning the same lines as the given int or Fraction
-    rows: each row is scaled by the lcm of its denominators."""
+    rows: a row of ``int`` entries only is passed through as it is (the
+    kernel does not modify its input), any other row is scaled by the
+    lcm of its denominators."""
     out = []
     for row in rows:
+        if set(map(type, row)) <= {int}:
+            out.append(row)
+            continue
         scale = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (scale // x.denominator) for x in row])
     return out

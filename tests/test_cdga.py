@@ -1,6 +1,8 @@
 """Graded algebra core: bases, Koszul signs, differentials, purity."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -78,6 +80,31 @@ class TestConstruction:
                 {"x": "y^2", "q": "y*x"},
                 cutoff=8,
             )
+
+    def test_algebra_is_freed_without_the_garbage_collector(self, cp2sum):
+        """The algebra holds no element of its own (no reference cycle), so
+        reference counting frees it even after its differential, products
+        and cohomology have been used."""
+        from sullivan.cohomology import betti_numbers, cohomology
+
+        gc.disable()
+        try:
+            a = SullivanAlgebra.build(
+                [("x", 2), ("y", 2), ("n", 3), ("m", 3)],
+                {"n": "x^2+y^2", "m": "x*y"},
+                cutoff=8,
+            )
+            assert a.verify_d_squared() and a.is_pure()
+            assert a.apply_differential(a.gen("n") * a.gen("m")) == a._d_element(
+                a.gen("n") * a.gen("m")
+            )
+            assert a.differential == cp2sum.differential
+            assert betti_numbers(a) == cohomology(a).betti
+            ref = weakref.ref(a)
+            del a
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_unit_algebra(self):
         unit = SullivanAlgebra([], cutoff=4)

@@ -61,11 +61,12 @@ class TestTables:
         # bypass construction-time validation to exercise the guard
         broken = object.__new__(SullivanAlgebra)
         broken.__dict__.update(s2.__dict__)
-        broken._d_mono_cache = {}
-        broken.differential = tuple(
-            s2.gen("q") if g.name == "u" else img
-            for g, img in zip(s2.generators, s2.differential)
+        broken._d_cache = {}
+        broken._images = tuple(
+            s2._image_terms(s2.gen("q").terms) if g.name == "u" else image
+            for g, image in zip(s2.generators, s2._images)
         )
+        assert str(broken.differential[0]) == "q"
         with pytest.raises(InvalidDifferential):
             betti_numbers(broken)
 

@@ -276,3 +276,18 @@ class TestMixedEntries:
                 )
             ]
             assert quotients[0] == quotients[1]
+
+    def test_integer_rows_pass_through_unmodified(self):
+        """All-``int`` rows reach the kernel as they are: the caller's rows
+        are left unmodified, and rank and echelon equal those of the same
+        rows written as ``Fraction`` values."""
+        rng = random.Random(43)
+        for _ in range(40):
+            rows = _random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.6)
+            before = [list(row) for row in rows]
+            fractions = [[Fraction(x) for x in row] for row in rows]
+            assert all(a is b for a, b in zip(linalg._int_rows(rows), rows))
+            assert linalg.rank_rows(rows) == linalg.rank_rows(fractions)
+            assert linalg._echelon(rows) == linalg._echelon(fractions)
+            assert rows == before
+            assert all(type(x) is int for row in rows for x in row)

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from instance_generators import random_pure_elliptic, random_sheared, tensor_product
+from instance_generators import (
+    random_mixed_two_stage,
+    random_pure_elliptic,
+    random_sheared,
+    tensor_product,
+)
 from sullivan import linalg
 from sullivan.cdga import AlgebraElement, SullivanAlgebra
 from sullivan.cohomology import (
@@ -134,6 +139,166 @@ class TestDifferentialLaws:
             )
             assert sheared.associated_pure().differential == core.differential
             checked += 1
+
+
+def _reference_product(algebra, m1, m2):
+    """Koszul-normalized product of two monomials, counting the inversions
+    between their odd generators one pair at a time; None when an odd
+    generator squares."""
+    o1 = [i for i in algebra._odd if m1[i]]
+    inversions = 0
+    for i in algebra._odd:
+        if m2[i]:
+            if m1[i]:
+                return None
+            inversions += sum(1 for j in o1 if j > i)
+    return (-1 if inversions % 2 else 1), tuple(a + b for a, b in zip(m1, m2))
+
+
+def _reference_d_monomial(algebra, mono):
+    """d of a monomial by Leibniz's rule on ``AlgebraElement`` values with
+    ``Fraction`` arithmetic: the reference ``SullivanAlgebra._d_terms``
+    must reproduce exactly."""
+    result = algebra.zero()
+    odd_present = [i for i in algebra._odd if mono[i]]
+    for i, (e, d_i) in enumerate(zip(mono, algebra.differential)):
+        if not e or d_i.is_zero:
+            continue
+        # d moves past the odd factors before an odd generator, or after
+        # an even one (whose d is odd)
+        if algebra.generators[i].is_odd:
+            parity = sum(1 for j in odd_present if j < i)
+        else:
+            parity = sum(1 for j in odd_present if j > i)
+        reduced = tuple(x - 1 if k == i else x for k, x in enumerate(mono))
+        scale = Fraction(-e if parity % 2 else e)
+        terms = {}
+        for m, c in d_i.terms.items():
+            product = _reference_product(algebra, reduced, m)
+            if product is not None:
+                sign, key = product
+                terms[key] = terms.get(key, Fraction(0)) + sign * scale * c
+        result = result + AlgebraElement(algebra, terms)
+    return result
+
+
+def _reference_basis(degrees, degree):
+    """Monomials of one degree by depth-first recursion over the
+    generators, exponents ascending: lexicographic order."""
+    out = []
+    exponents = [0] * len(degrees)
+
+    def descend(i, remaining):
+        if i == len(degrees):
+            if remaining == 0:
+                out.append(tuple(exponents))
+            return
+        d = degrees[i]
+        top = remaining // d if d % 2 == 0 else min(remaining // d, 1)
+        for e in range(top + 1):
+            exponents[i] = e
+            descend(i + 1, remaining - e * d)
+        exponents[i] = 0
+
+    descend(0, degree)
+    return tuple(out)
+
+
+def _population(rng, draw, count):
+    algebras = []
+    while len(algebras) < count:
+        drawn = draw(rng)
+        if drawn is not None:
+            algebras.append(drawn[0] if isinstance(drawn, tuple) else drawn)
+    return algebras
+
+
+class TestDerivationAgainstReference:
+    def _assert_matches_reference(self, algebra):
+        integral = all(c.denominator == 1 for img in algebra.differential for c in img.terms.values())
+        checked = 0
+        for n in range(algebra.cutoff + 1):
+            for mono in algebra._basis(n):
+                terms = algebra._d_terms(mono)
+                assert terms == _reference_d_monomial(algebra, mono).terms
+                assert all(c for c in terms.values())
+                if integral:
+                    assert all(type(c) is int for c in terms.values())
+                assert algebra._d_monomial(mono).terms == terms
+                checked += 1
+        return checked
+
+    @pytest.mark.parametrize(
+        "draw, seed, count",
+        [
+            (random_sheared, 233, 60),
+            (random_pure_elliptic, 239, 60),
+            (random_mixed_two_stage, 241, 60),
+        ],
+        ids=["sheared", "pure_elliptic", "mixed_two_stage"],
+    )
+    def test_d_terms_equal_the_leibniz_reference(self, draw, seed, count):
+        checked = sum(
+            self._assert_matches_reference(a) for a in _population(random.Random(seed), draw, count)
+        )
+        assert checked > 2000
+
+    def test_even_generator_with_nonzero_differential(self):
+        """d w = a*x on an even w, with odd generators declared before and
+        after it, so both Leibniz sign rules are taken (the populations
+        above close every even generator)."""
+        algebra = SullivanAlgebra.build(
+            [("a", 1), ("x", 2), ("w", 2), ("e", 1), ("b", 3), ("c", 3)],
+            {"w": "a*x", "b": "x^2", "c": "w*x + a*b"},
+            cutoff=10,
+        )
+        assert not algebra.is_pure()
+        assert self._assert_matches_reference(algebra) > 100
+        a, w, e = (algebra.gen(name) for name in "awe")
+        assert algebra.apply_differential(w * e) == a * algebra.gen("x") * e
+        rng = random.Random(257)
+        for _ in range(60):
+            e1 = random_homogeneous_element(rng, algebra, 4)
+            e2 = random_homogeneous_element(rng, algebra, 4)
+            if e1 is None or e2 is None:
+                continue
+            left = algebra._d_element(e1 * e2)
+            right = algebra._d_element(e1) * e2 + (-1) ** e1.degree * (e1 * algebra._d_element(e2))
+            assert left == right
+
+    def test_non_integral_images(self):
+        """Images with fractional coefficients: the derivation keeps them
+        as ``Fraction``, and the Betti numbers equal those of the model
+        with each image rescaled to integers (a -> 2a, b -> 3b)."""
+        gens = [("x", 2), ("y", 2), ("a", 3), ("b", 3), ("c", 5)]
+        fractional = SullivanAlgebra.build(
+            gens, {"a": "1/2*x^2", "b": "2/3*x*y + y^2", "c": "1/2*x^2*y - 3/4*y^3"}, cutoff=12
+        )
+        integral = SullivanAlgebra.build(
+            gens, {"a": "x^2", "b": "2*x*y + 3*y^2", "c": "2*x^2*y - 3*y^3"}, cutoff=12
+        )
+        self._assert_matches_reference(fractional)
+        x, y, a = (fractional.gen(name) for name in "xya")
+        assert fractional.apply_differential(x * a) == Fraction(1, 2) * x**3
+        assert any(
+            type(c) is Fraction
+            for n in range(13)
+            for mono in fractional._basis(n)
+            for c in fractional._d_terms(mono).values()
+        )
+        assert betti_numbers(fractional) == betti_numbers(integral)
+        assert cohomology(fractional).betti == cohomology(integral).betti
+
+    def test_basis_equals_recursive_reference(self):
+        rng = random.Random(251)
+        for _ in range(60):
+            degrees = [rng.randint(1, 7) for _ in range(rng.randint(0, 6))]
+            cutoff = rng.randint(0, 16)
+            algebra = SullivanAlgebra.build(
+                [(f"g{i + 1}", d) for i, d in enumerate(degrees)], cutoff=cutoff
+            )
+            for n in range(cutoff + 1):
+                assert algebra.monomial_basis(n) == _reference_basis(degrees, n)
 
 
 class TestCounting:
