@@ -40,7 +40,11 @@ from .errors import (
     InvalidDifferential,
     NotAChainMap,
     UnknownGenerator,
+    ValidationError,
 )
+
+# A generator name: the name token of the polynomial grammar.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 Monomial = tuple[int, ...]
 # One term of a stored image: monomial, odd-generator mask, coefficient.
@@ -78,6 +82,10 @@ class Generator:
     degree: int
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not re.fullmatch(_NAME, self.name):
+            raise ValidationError(
+                f"generator name {self.name!r} does not match the polynomial name token {_NAME}"
+            )
         if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 1:
             raise InvalidDegrees(f"generator {self.name!r} must have positive degree")
 
@@ -484,7 +492,7 @@ class SullivanAlgebra:
     # -- parsing and formatting ----------------------------------------
 
     _TOKEN = re.compile(
-        r"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*+-]))"
+        rf"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<name>{_NAME})|(?P<op>[\^*+-]))"
     )
 
     def parse(self, text: str) -> AlgebraElement:

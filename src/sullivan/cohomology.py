@@ -13,7 +13,10 @@ length, and these are the blocks; any other algebra has one block per
 degree.  The table's strands are the lower grading, with H_0 the part of
 cohomology represented by the even subalgebra, which
 ``LowerGradedTable`` reads without eliminating again.  ``betti_numbers``
-and ``h0_dims`` count ranks independently of the table.
+and ``h0_dims`` count ranks independently of the table.  Differential
+rows are sparse rows ``{position: coefficient}`` read off
+``SullivanAlgebra._d_terms`` and reach the elimination kernel as they
+are; class representatives are dense coordinate vectors.
 """
 
 from __future__ import annotations
@@ -33,22 +36,15 @@ from .errors import (
 from .linalg import RationalMatrix, SubspaceBasis
 
 
-def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[list]:
-    """Rows are the differential images of ``monos``, written over the
-    monomials of ``index`` (monomial -> position); zeros are ``0`` and the
-    coefficients those of ``_d_terms``, all ``int`` when the generators'
-    images are integral."""
-    width = len(index)
-    rows = []
-    for mono in monos:
-        row = [0] * width
-        for m, c in a._d_terms(mono).items():
-            row[index[m]] = c
-        rows.append(row)
-    return rows
+def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[dict]:
+    """Rows are the differential images of ``monos`` as sparse rows
+    ``{position: coefficient}`` over the monomials of ``index`` (monomial
+    -> position), with the nonzero coefficients of ``_d_terms``, all
+    ``int`` when the generators' images are integral."""
+    return [{index[m]: c for m, c in a._d_terms(mono).items()} for mono in monos]
 
 
-def _action_rows(a: SullivanAlgebra, degree: int) -> list[list]:
+def _action_rows(a: SullivanAlgebra, degree: int) -> list[dict]:
     """Rows are the differential images of the degree-basis monomials,
     written over the (degree+1) basis."""
     return _d_rows(a, a._basis(degree), a._basis_index(degree + 1))
@@ -58,7 +54,7 @@ def _cocycles(rows: list) -> tuple[list[int], tuple]:
     """Pivot columns and kernel basis of d from the d-images ``rows`` of
     a space's basis: one elimination with a column per basis vector, zero
     rows dropped (with none left, the kernel is the identity basis)."""
-    echelon, pivots = linalg._echelon([r for r in zip(*rows) if any(r)])
+    echelon, pivots = linalg._echelon(linalg._transpose(rows))
     return pivots, linalg._kernel_vectors(echelon, pivots, len(rows))
 
 
@@ -107,9 +103,9 @@ def betti_numbers(a: SullivanAlgebra, cutoff: int | None = None) -> tuple[int, .
 
 
 class _DegreeSpace:
-    """Class representatives ``reps`` and a coboundary basis ``image`` in
-    one degree, plain tuples of coordinate vectors over its basis, and
-    ``blocks``, the representatives of each block by block key."""
+    """Class representatives ``reps`` (dense coordinate vectors over its
+    basis) and a coboundary basis ``image`` (sparse rows) in one degree,
+    and ``blocks``, the representatives of each block by block key."""
 
     def __init__(self, algebra: SullivanAlgebra, degree: int, blocks: dict, image: tuple):
         self.blocks = blocks
@@ -123,7 +119,8 @@ class _DegreeSpace:
 
     def class_coordinates(self, vector: Sequence[Fraction]) -> list[Fraction]:
         """Coordinates of a cocycle's class in the representative basis."""
-        coeffs = linalg.solve(self.reps + self.image, vector)
+        image = tuple([row.get(j, 0) for j in range(len(vector))] for row in self.image)
+        coeffs = linalg.solve(self.reps + image, vector)
         if coeffs is None:
             raise DegreeMismatch("vector is not a cocycle of this degree")
         return coeffs[: len(self.reps)]
@@ -311,8 +308,10 @@ def h0_image(a: SullivanAlgebra, table: CohomologyTable | None = None) -> dict[i
                 continue
             vec = a.coordinates(a.monomial_element(mono), n)
             vectors.append(space.class_coordinates(vec))
-        echelon, _ = linalg._echelon([v for v in vectors if any(v)])
-        out[n] = SubspaceBasis.from_vectors(space.betti, echelon)
+        echelon, _ = linalg._echelon(vectors)
+        out[n] = SubspaceBasis.from_vectors(
+            space.betti, ([row.get(j, 0) for j in range(space.betti)] for row in echelon)
+        )
     return out
 
 
@@ -366,7 +365,7 @@ def surjectivity_by_parity(
         target_dim = len(target._basis(n))
         target_rank = linalg.rank_rows(_action_rows(target, n))
         kernel_dim = target_dim - target_rank
-        rows = [r for r in (_action_rows(target, n - 1) if n else []) if any(r)]
+        rows = _action_rows(target, n - 1) if n else []
         boundary_rank = linalg.rank_rows(rows)
         if kernel_dim == boundary_rank:
             continue  # H^n(target) = 0

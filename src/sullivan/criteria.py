@@ -4,7 +4,9 @@ cohomological computation.
 Every verdict carries both the rank-formula answer and the outcome of
 the honest linear-algebra check on the Borel morphism; when the
 governing hypotheses hold the two must agree, and a disagreement raises
-CriterionDisagreement rather than being reconciled.
+CriterionDisagreement rather than being reconciled, unless the direct
+check was cut off below the manifold's dimension or the input's maps
+define no compact quotient (see ``_verdict_from_package``).
 """
 
 from __future__ import annotations
@@ -99,26 +101,51 @@ def _verdict_from_package(
     rank_gap: int,
     hypotheses_hold: bool,
     citation: str,
-    cutoff: int | None = None,
+    dimension: int,
 ) -> SurjectivityVerdict:
-    cutoff = package.space.cutoff if cutoff is None else cutoff
+    """The verdict on ``package`` up to its space's cutoff.  It is not
+    reconciled when that cutoff is below the manifold's ``dimension``
+    and the direct check found no failing degree, which may lie above
+    the cutoff; a disagreement on a pure model that is not elliptic is
+    a validation error."""
+    cutoff = package.space.cutoff
     direct, failing = ch.even_degree_surjectivity(package.forgetful, cutoff)
     odd_direct, odd_failing = ch.surjectivity_by_parity(package.forgetful, 1, cutoff)
-    return _reconcile(
-        SurjectivityVerdict(
-            context=context,
-            rank_gap=rank_gap,
-            chi_pi=package.space.homotopy_euler_characteristic(),
-            rank_criterion=rank_gap <= 1,
-            direct_check=direct,
-            first_failing_degree=failing,
-            odd_direct_check=odd_direct,
-            odd_first_failing_degree=odd_failing,
-            hypotheses_hold=hypotheses_hold,
-            cutoff=cutoff,
-            citation=citation,
-        )
+    verdict = SurjectivityVerdict(
+        context=context,
+        rank_gap=rank_gap,
+        chi_pi=package.space.homotopy_euler_characteristic(),
+        rank_criterion=rank_gap <= 1,
+        direct_check=direct,
+        first_failing_degree=failing,
+        odd_direct_check=odd_direct,
+        odd_first_failing_degree=odd_failing,
+        hypotheses_hold=hypotheses_hold,
+        cutoff=cutoff,
+        citation=citation,
     )
+    if direct and cutoff < dimension:
+        return verdict
+    if direct != verdict.rank_criterion and package.space.is_pure() and not _elliptic(package.space):
+        raise NotElliptic(
+            f"{context}: the model's cohomology is infinite-dimensional, so the given "
+            "maps define no compact quotient"
+        )
+    return _reconcile(verdict)
+
+
+def _elliptic(a: SullivanAlgebra) -> bool:
+    """Whether a pure algebra has finite-dimensional cohomology: exactly
+    when it is zero above the formal dimension N = sum(odd degrees) -
+    sum(even degrees - 1) in a window as wide as the largest degree, as
+    otherwise all powers of some even generator survive."""
+    top = sum(g.degree if g.is_odd else 1 - g.degree for g in a.generators)
+    if top < 0:
+        return False
+    width = max((g.degree for g in a.generators), default=0)
+    images = {g.name: img for g, img in zip(a.generators, a.differential)}
+    wide = SullivanAlgebra(a.generators, top + width, images)
+    return ch.top_window_vanishes(wide, ch.betti_numbers(wide))
 
 
 def homogeneous_surjectivity(
@@ -134,7 +161,8 @@ def homogeneous_surjectivity(
         raise DisconnectedGroup("the homogeneous criterion needs connected groups")
     package = borel_model_homogeneous(g, h, restriction, cutoff)
     return _verdict_from_package(
-        package, "homogeneous", g.rank - h.rank, True, CITATION_HOMOGENEOUS
+        package, "homogeneous", g.rank - h.rank, True, CITATION_HOMOGENEOUS,
+        g.dimension - h.dimension,
     )
 
 
@@ -150,7 +178,8 @@ def biquotient_surjectivity(
         raise DisconnectedGroup("the biquotient criterion needs connected groups")
     package = borel_model_homogeneous(g, h, restriction, cutoff)
     return _verdict_from_package(
-        package, "biquotient", g.rank - h.rank, True, CITATION_BIQUOTIENT
+        package, "biquotient", g.rank - h.rank, True, CITATION_BIQUOTIENT,
+        g.dimension - h.dimension,
     )
 
 
@@ -164,7 +193,8 @@ def cohomogeneity_one_surjectivity(
     package = borel_model_cohomogeneity_one(diagram, cutoff, allow_disconnected)
     hypotheses = all(grp.connected for grp in diagram.groups())
     return _verdict_from_package(
-        package, "cohomogeneity_one", diagram.rank_gap, hypotheses, CITATION_COHO1
+        package, "cohomogeneity_one", diagram.rank_gap, hypotheses, CITATION_COHO1,
+        diagram.g.dimension - diagram.h.dimension + 1,
     )
 
 
@@ -242,12 +272,9 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
         n: [m for m in a._basis(n) if a.odd_word_length(m) == 0] for n in range(top + 1)
     }
 
-    def coords(element: AlgebraElement, degree: int) -> list[Fraction]:
+    def coords(element: AlgebraElement, degree: int) -> dict[int, Fraction]:
         index = {m: i for i, m in enumerate(even_basis[degree])}
-        vec = [Fraction(0)] * len(even_basis[degree])
-        for mono, c in element.terms.items():
-            vec[index[mono]] = c
-        return vec
+        return {index[mono]: c for mono, c in element.terms.items()}
 
     ideal_basis: dict[int, list[AlgebraElement]] = {}
     mu = 0
@@ -272,14 +299,14 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
         # Each candidate in order independent of those before it: the
         # pivot columns of one echelon with a column per candidate.
         candidates = decomposable + images.get(n, [])
-        _, pivots = linalg._echelon([r for r in zip(*rows) if any(r)])
+        _, pivots = linalg._echelon(linalg._transpose(rows))
         if pivots:
             ideal_basis[n] = [candidates[c] for c in pivots]
     return FormalityVerdict(len(odd_gens) - mu, mu, mu == even_count)
 
 
 def _rank(rows) -> int:
-    return linalg.rank_rows([r for r in rows if any(r)])
+    return linalg.rank_rows(rows)
 
 
 def even_subalgebra_inclusion(a: SullivanAlgebra, names: list[str]) -> CdgaMorphism:

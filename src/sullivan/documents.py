@@ -26,7 +26,7 @@ from dataclasses import asdict
 from . import catalog, criteria, ktheory
 from . import cohomology as ch
 from .cdga import Generator, SullivanAlgebra
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 from .models import (
     GroupData,
     GroupDiagram,
@@ -164,7 +164,10 @@ def load_model(doc: dict, path: str = "$") -> SullivanAlgebra:
             or not _is_int(spec[1])
         ):
             raise SchemaError(f"{path}.generators[{i}]: expected [name, degree]")
-        gens.append(Generator(spec[0], spec[1]))
+        try:
+            gens.append(Generator(spec[0], spec[1]))
+        except ValidationError as exc:
+            raise SchemaError(f"{path}.generators[{i}]: {exc}") from exc
     differential = _load_polynomial_map(doc.get("differential", {}), f"{path}.differential")
     draft = SullivanAlgebra(gens, cutoff)
     images = {}

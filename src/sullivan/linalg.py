@@ -3,21 +3,23 @@
 Ranks, kernels, membership tests and quotient bases, all in exact
 arithmetic: rows with int or Fraction entries are reduced by sparse
 fraction-free elimination over arbitrary-precision integers, which
-visits only nonzero entries and keeps every row primitive.  Rows of
-``int`` entries only, such as the differential rows of an algebra with
-integral images, enter the kernel as they are; any other row is first
-cleared of denominators.  Pivoting is first-nonzero in column
-order, as in dense Bareiss elimination, so every basis this module
-produces is deterministic.  ``_kernel_vectors`` and ``_complement``
-take plain vectors, independent by construction; ``kernel_basis`` and
-``quotient_basis`` wrap them in checked ``SubspaceBasis`` values.
+visits only nonzero entries and keeps every row primitive.  The kernel
+takes and returns sparse rows ``{column: int}``; ``_int_rows`` converts
+mapping or dense rows to them, passing ``int`` mappings such as the
+differential rows of an algebra with integral images through, and
+``_transpose`` turns vectors into the sparse rows of their columns.
+Pivoting is first-nonzero in column order, as in dense Bareiss
+elimination, so every basis this module produces is deterministic.
+Dense vectors appear only at the public functions and as the results of
+``_kernel_vectors`` and ``_complement``, which ``kernel_basis`` and
+``quotient_basis`` wrap in checked ``SubspaceBasis`` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotASubspace
@@ -29,18 +31,36 @@ def _as_fraction_vector(entries: Iterable) -> Vector:
     return tuple(Fraction(x) for x in entries)
 
 
-def _int_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
-    """Integer rows spanning the same lines as the given int or Fraction
-    rows: a row of ``int`` entries only is passed through as it is (the
-    kernel does not modify its input), any other row is scaled by the
-    lcm of its denominators."""
+def _transpose(vectors: Iterable) -> list[dict]:
+    """The nonzero columns, in column order, of the matrix whose rows are
+    ``vectors`` (mappings ``{column: entry}`` or dense sequences), each
+    as a sparse row ``{row index: entry}`` of its nonzero entries."""
+    columns: dict[int, dict] = {}
+    for i, v in enumerate(vectors):
+        for j, x in v.items() if isinstance(v, dict) else enumerate(v):
+            if x:
+                columns.setdefault(j, {})[i] = x
+    return [columns[j] for j in sorted(columns)]
+
+
+def _int_rows(rows: Iterable) -> list[dict[int, int]]:
+    """Kernel rows ``{column: int}`` spanning the same lines as the given
+    rows, which are mappings ``{column: entry}`` of nonzero entries or
+    dense sequences, with int or Fraction entries.  Zero rows are
+    dropped; a mapping row of ``int`` entries only is passed through as
+    it is (the kernel does not modify its input), any other row is
+    scaled by the lcm of its denominators."""
     out = []
     for row in rows:
-        if set(map(type, row)) <= {int}:
+        if not isinstance(row, dict):
+            row = {j: x for j, x in enumerate(row) if x}
+        if not row:
+            continue
+        if set(map(type, row.values())) <= {int}:
             out.append(row)
             continue
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
+        scale = lcm(*(x.denominator for x in row.values()))
+        out.append({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
     return out
 
 
@@ -54,36 +74,32 @@ def _divide_content(row: dict[int, int]) -> None:
 def ff_row_echelon(rows):
     """Fraction-free row echelon form of an integer matrix.
 
-    Sparse elimination: each row is held as ``{column: entry}`` with its
-    nonzero entries only, and divided by its content, so it is always the
-    primitive part of the row Bareiss single-step elimination would hold
-    and its entries are never larger.  The pivot column is the smallest
-    leading column among the remaining rows and the pivot row the first
-    of them with that leading column, swapped into place: the pivoting of
-    dense first-nonzero-in-column-order Bareiss, so the output is the
-    same and deterministic.  A row with an entry ``mic`` in the pivot
-    column becomes ``row*(piv//g) - pivot_row*(mic//g)`` with
-    ``g = gcd(piv, mic)``; rows without one are not touched.
+    Takes nonzero sparse rows ``{column: int}`` and works on copies, so
+    the caller's rows are not modified.  Each row is divided by its
+    content, so it is always the primitive part of the row Bareiss
+    single-step elimination would hold and its entries are never larger.
+    The pivot column is the smallest leading column among the remaining
+    rows and the pivot row the first of them with that leading column,
+    swapped into place: the pivoting of dense first-nonzero-in-column-
+    order Bareiss, so the output is the same and deterministic.  A row
+    with an entry ``mic`` in the pivot column becomes
+    ``row*(piv//g) - pivot_row*(mic//g)`` with ``g = gcd(piv, mic)``;
+    rows without one are not touched.
 
-    Takes dense integer rows of equal length.  Returns
-    ``(echelon, pivots)`` where ``echelon`` holds the nonzero rows as
-    dense lists, each reduced by its content with a positive pivot
-    entry, and ``pivots`` lists their pivot column indices.
+    Returns ``(echelon, pivots)`` where ``echelon`` holds the nonzero
+    rows as ``{column: int}``, each reduced by its content with a
+    positive pivot entry, and ``pivots`` lists their pivot columns.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = []
-    for row in rows:
-        entries = {j: x for j, x in enumerate(row) if x}
-        _divide_content(entries)
-        m.append(entries)
-    # Leading column of each row; ncols marks a zero row.
-    leads = [min(row) if row else ncols for row in m]
+    m = [dict(row) for row in rows]
+    for row in m:
+        _divide_content(row)
+    # Leading column of each row; inf marks a row eliminated to zero.
+    leads = [min(row) for row in m]
     echelon = []
     pivots = []
-    for r in range(nrows):
+    for r in range(len(m)):
         c = min(leads[r:])
-        if c == ncols:
+        if c == inf:
             break
         pr = leads.index(c, r)
         if pr != r:
@@ -91,7 +107,7 @@ def ff_row_echelon(rows):
             leads[r], leads[pr] = leads[pr], leads[r]
         row_r = m[r]
         piv = row_r[c]
-        for i in range(r + 1, nrows):
+        for i in range(r + 1, len(m)):
             if leads[i] != c:
                 continue
             row_i = m[i]
@@ -107,12 +123,11 @@ def ff_row_echelon(rows):
                 else:
                     del row_i[j]
             _divide_content(row_i)
-            leads[i] = min(row_i) if row_i else ncols
-        dense = [0] * ncols
-        sign = -1 if piv < 0 else 1
-        for j, x in row_r.items():
-            dense[j] = sign * x
-        echelon.append(dense)
+            leads[i] = min(row_i) if row_i else inf
+        if piv < 0:
+            for j in row_r:
+                row_r[j] = -row_r[j]
+        echelon.append(row_r)
         pivots.append(c)
     return echelon, pivots
 
@@ -172,13 +187,9 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def rank_rows(rows: Iterable[Sequence]) -> int:
+def rank_rows(rows: Iterable) -> int:
     """Rank of the span of the given rows (entries int or Fraction)."""
-    int_rows = [r for r in _int_rows(rows) if any(r)]
-    if not int_rows:
-        return 0
-    _, pivots = ff_row_echelon(int_rows)
-    return len(pivots)
+    return len(_echelon(rows)[1])
 
 
 def rank(m: RationalMatrix) -> int:
@@ -186,28 +197,27 @@ def rank(m: RationalMatrix) -> int:
     return rank_rows(m.entries)
 
 
-def _echelon(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
+def _echelon(rows: Iterable) -> tuple[list[dict[int, int]], list[int]]:
     int_rows = _int_rows(rows)
     if not int_rows:
         return [], []
     return ff_row_echelon(int_rows)
 
 
-def _back_substitute(echelon: list[list[int]], pivots: list[int], v: list[Fraction]) -> None:
-    # Fills pivot coordinates of v so that every echelon row pairs to zero
-    # with v; non-pivot coordinates of v are taken as given.
-    ncols = len(v)
+def _back_substitute(echelon: list[dict[int, int]], pivots: list[int], v: list[Fraction]) -> None:
+    # Fills the pivot coordinates of v, zero on entry, so that every
+    # echelon row pairs to zero with v; non-pivot coordinates of v are
+    # taken as given.
     for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
         row = echelon[r]
         acc = Fraction(0)
-        for j in range(pc + 1, ncols):
-            if row[j] and v[j]:
-                acc += row[j] * v[j]
-        v[pc] = -acc / row[pc]
+        for j, x in row.items():
+            if v[j]:
+                acc += x * v[j]
+        v[pivots[r]] = -acc / row[pivots[r]]
 
 
-def _kernel_vectors(echelon: list[list[int]], pivots: list[int], ncols: int) -> tuple[Vector, ...]:
+def _kernel_vectors(echelon: list[dict[int, int]], pivots: list[int], ncols: int) -> tuple[Vector, ...]:
     """Kernel basis of an ``ncols``-column matrix from its echelon form:
     per non-pivot column f, 1 at f, 0 at the other non-pivot columns and
     back-substituted pivot entries (no rows: the identity basis)."""
@@ -240,7 +250,7 @@ def solve(columns: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
         if len(col) != n:
             raise DimensionMismatch("column length does not match right-hand side")
     k = len(columns)
-    echelon, pivots = _echelon(zip(*columns, rhs))
+    echelon, pivots = _echelon(_transpose([*columns, rhs]))
     if k in pivots:
         return None
     c = [Fraction(0)] * (k + 1)
@@ -295,9 +305,10 @@ class _Reducer:
         return False
 
 
-def _complement(sub: Sequence[Sequence], ambient: Sequence[Vector]) -> tuple[Vector, ...]:
+def _complement(sub: Sequence, ambient: Sequence[Vector]) -> tuple[Vector, ...]:
     """Ambient vectors completing the independent ``sub`` to a basis of
-    the span of the independent ``ambient`` (entries int or Fraction).
+    the span of the independent ``ambient`` (entries int or Fraction;
+    sub's vectors may also be sparse mappings).
 
     One echelon of the matrix whose columns are sub's vectors followed by
     ambient's: its pivot columns are the greedy left-to-right maximal
@@ -310,7 +321,7 @@ def _complement(sub: Sequence[Sequence], ambient: Sequence[Vector]) -> tuple[Vec
     """
     if not sub:
         return tuple(ambient)
-    _, pivots = _echelon([r for r in zip(*sub, *ambient) if any(r)])
+    _, pivots = _echelon(_transpose([*sub, *ambient]))
     if len(pivots) != len(ambient):
         raise NotASubspace("sub basis vector outside the ambient span")
     s = len(sub)

@@ -16,6 +16,7 @@ from sullivan.errors import (
     InvalidDifferential,
     NotAChainMap,
     UnknownGenerator,
+    ValidationError,
 )
 
 
@@ -59,6 +60,15 @@ class TestConstruction:
     def test_degree_zero_generator_rejected(self):
         with pytest.raises(InvalidDegrees):
             Generator("x", 0)
+
+    @pytest.mark.parametrize("name", ["x-y", "2", "x y", "", "y'", "x^2", None])
+    def test_name_outside_polynomial_grammar_rejected(self, name):
+        # "x-y" would be reported as a representative x-y^2, which the
+        # grammar reads as x minus y^2
+        with pytest.raises(ValidationError):
+            Generator(name, 2)
+        with pytest.raises(ValidationError):
+            SullivanAlgebra.build([(name, 2), ("q", 3)], {}, cutoff=4)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(InvalidDegrees):

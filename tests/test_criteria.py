@@ -52,6 +52,37 @@ class TestHomogeneous:
         assert not verdict.rank_criterion and not verdict.direct_check
         assert verdict.first_failing_degree == 6
 
+    def test_truncated_check_without_failure_is_not_compared(self):
+        # SU(2)^2 fails first in degree 6 (above); cut off at 4 the direct
+        # check finds nothing, which does not contradict the rank criterion
+        g = lookup("SU(2)^2")
+        verdict = homogeneous_surjectivity(g, TRIVIAL, RestrictionMap(g, TRIVIAL, {}), cutoff=4)
+        assert not verdict.rank_criterion and verdict.direct_check
+        assert verdict.cutoff == 4
+        coho1 = cohomogeneity_one_surjectivity(diagram("gap-three-diagonal"), cutoff=2)
+        assert not coho1.rank_criterion and coho1.direct_check
+
+    def test_non_elliptic_model_is_a_validation_error(self):
+        # zero maps: H*(BH) is not finite over H*(BG), there is no quotient
+        t2 = lookup("T2")
+        for check in (homogeneous_surjectivity, biquotient_surjectivity):
+            with pytest.raises(NotElliptic):
+                check(t2, t2, RestrictionMap(t2, t2, {}), cutoff=2)
+
+    def test_elliptic_against_known_models(self):
+        from sullivan.criteria import _elliptic
+
+        cases = [
+            ([("u", 2), ("q", 3)], {"q": "u^2"}, True),
+            ([("u", 4), ("q", 7)], {"q": "u^2"}, True),
+            ([("q", 3), ("r", 5)], {}, True),
+            ([("u", 2), ("q", 3)], {}, False),
+            ([("u", 2), ("v", 2), ("q", 3)], {"q": "u^2"}, False),
+            ([("u", 2), ("v", 4), ("q", 3), ("r", 7)], {"q": "u^2", "r": "u^4"}, False),
+        ]
+        for gens, d, elliptic in cases:
+            assert _elliptic(SullivanAlgebra.build(gens, d, cutoff=2)) is elliptic
+
     def test_disconnected_rejected(self):
         z2 = lookup("Z2")
         with pytest.raises(DisconnectedGroup):

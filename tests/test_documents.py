@@ -69,6 +69,17 @@ class TestSchema:
         assert main(["report", "--file", str(path)]) == 1
         assert "error: $.differential.m: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["x-y", "2", "n m", ""])
+    def test_generator_name_outside_polynomial_grammar(self, name, tmp_path, capsys):
+        doc = dict(CP2_MODEL_DOC, generators=[["x", 2], ["y", 2], ["n", 3], [name, 3]])
+        doc["differential"] = {"n": "x^2+y^2"}
+        with pytest.raises(SchemaError, match=r"\$\.generators\[3\]: generator name"):
+            load_model(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--file", str(path)]) == 1
+        assert "error: $.generators[3]: generator name" in capsys.readouterr().err
+
     def test_betti_document(self):
         kind, betti = load_document({"kind": "betti", "betti": [1, 0, 1]})
         assert kind == "betti" and betti == (1, 0, 1)

@@ -4,7 +4,7 @@ Fraction-based reducer."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -196,11 +196,19 @@ class TestExactness:
         assert solve(cols, (2, 1)) == [Fraction(3, 2), Fraction(1, 2)]
 
 
+def _sparse(rows):
+    """The nonzero rows of a dense integer matrix as kernel rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows if any(row)]
+
+
+def _dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 class TestEchelon:
     def test_known_echelon(self):
-        echelon, pivots = linalg.ff_row_echelon([[2, 4], [1, 2]])
-        assert pivots == [0]
-        assert echelon == [[1, 2]]
+        assert linalg.ff_row_echelon([{0: 2, 1: 4}, {0: 1, 1: 2}]) == ([{0: 1, 1: 2}], [0])
+        assert linalg.ff_row_echelon([{1: -2, 3: 4}]) == ([{1: 1, 3: -2}], [1])
 
     def test_random_against_reducer(self):
         rng = random.Random(31)
@@ -208,16 +216,16 @@ class TestEchelon:
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            echelon, pivots = linalg.ff_row_echelon(matrix)
+            echelon, pivots = linalg.ff_row_echelon(_sparse(matrix))
             reducer = linalg._Reducer(cols)
             assert len(pivots) == sum(reducer.add(row) for row in matrix)
             assert len(echelon) == len(pivots)
             assert all(a < b for a, b in zip(pivots, pivots[1:]))
             for row, p in zip(echelon, pivots):
-                assert gcd(*row) == 1
-                assert row[p] > 0 and not any(row[:p])
+                assert gcd(*row.values()) == 1
+                assert row[p] > 0 and min(row) == p and all(row.values())
             span = linalg._Reducer(cols)
-            for row in echelon:
+            for row in _dense(echelon, cols):
                 span.add(row)
             assert not any(span.add(row) for row in matrix)
 
@@ -233,14 +241,80 @@ class TestEchelon:
             nrows, ncols = (long, short) if shape == "tall" else (short, long)
             matrix = _random_int_matrix(rng, nrows, ncols, density)
             negative_leads += any(next((x for x in row if x), 0) < 0 for row in matrix)
-            snapshot = [list(row) for row in matrix]
-            assert linalg.ff_row_echelon(matrix) == _bareiss_echelon(matrix)
-            assert matrix == snapshot
+            rows = _sparse(matrix)
+            snapshot = [dict(row) for row in rows]
+            echelon, pivots = linalg.ff_row_echelon(rows)
+            nonzero = [row for row in matrix if any(row)]
+            assert (_dense(echelon, ncols), pivots) == _bareiss_echelon(nonzero)
+            assert all(all(row.values()) for row in echelon)
+            assert rows == snapshot
         assert negative_leads >= 30
 
     def test_empty_and_zero_matrices(self):
         assert linalg.ff_row_echelon([]) == ([], [])
-        assert linalg.ff_row_echelon([[0, 0, 0], [0, 0, 0]]) == ([], [])
+        assert linalg._int_rows([[0, 0, 0], [0, 0, 0], {}]) == []
+        assert linalg._echelon([[0, 0, 0], [0, 0, 0]]) == ([], [])
+        # rows that cancel to zero during elimination leave the echelon
+        assert linalg.ff_row_echelon([{0: 1, 2: 1}, {0: 3, 2: 3}, {0: -1, 2: -1}]) == (
+            [{0: 1, 2: 1}],
+            [0],
+        )
+
+
+def _random_vectors(rng):
+    """Up to six vectors of a common width as a random mix of mappings
+    (nonzero entries only), lists and tuples, with int and Fraction
+    entries, zero vectors and zero columns; returned with their dense
+    forms."""
+    ncols = rng.randint(0, 6)
+    zero_columns = {j for j in range(ncols) if rng.random() < 0.3}
+    dense, given = [], []
+    for _ in range(rng.randint(0, 6)):
+        row = [
+            0
+            if j in zero_columns or rng.random() < 0.4
+            else rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+            for j in range(ncols)
+        ]
+        if rng.random() < 0.15:
+            row = [0] * ncols
+        dense.append(row)
+        kind = rng.choice(["mapping", "list", "tuple"])
+        if kind == "mapping":
+            given.append({j: x for j, x in enumerate(row) if x})
+        else:
+            given.append(row if kind == "list" else tuple(row))
+    return given, dense
+
+
+class TestRowFormat:
+    def test_transpose_matches_zip(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            given, dense = _random_vectors(rng)
+            reference = [
+                {i: x for i, x in enumerate(column) if x} for column in zip(*dense) if any(column)
+            ]
+            assert linalg._transpose(given) == reference
+        assert linalg._transpose([]) == []
+        assert linalg._transpose([{}, [0, 0], (0, 0)]) == []
+
+    def test_int_rows_match_dense_scaling(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            given, dense = _random_vectors(rng)
+            reference = []
+            for row in dense:
+                if any(row):
+                    scale = lcm(*(Fraction(x).denominator for x in row))
+                    reference.append({j: int(x * scale) for j, x in enumerate(row) if x})
+            out = linalg._int_rows(given)
+            assert out == reference
+            assert all(type(x) is int for row in out for x in row.values())
+            for row in given:
+                if isinstance(row, dict) and row and all(type(x) is int for x in row.values()):
+                    assert any(row is kept for kept in out)
+        assert linalg._int_rows([]) == []
 
 
 class TestMixedEntries:
@@ -278,16 +352,17 @@ class TestMixedEntries:
             assert quotients[0] == quotients[1]
 
     def test_integer_rows_pass_through_unmodified(self):
-        """All-``int`` rows reach the kernel as they are: the caller's rows
-        are left unmodified, and rank and echelon equal those of the same
-        rows written as ``Fraction`` values."""
+        """Sparse all-``int`` rows reach the kernel as they are: the
+        caller's rows are left unmodified, and rank and echelon equal
+        those of the same rows written densely as ``Fraction`` values."""
         rng = random.Random(43)
         for _ in range(40):
-            rows = _random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.6)
-            before = [list(row) for row in rows]
-            fractions = [[Fraction(x) for x in row] for row in rows]
-            assert all(a is b for a, b in zip(linalg._int_rows(rows), rows))
+            matrix = _random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.6)
+            rows = _sparse(matrix)
+            before = [dict(row) for row in rows]
+            fractions = [[Fraction(x) for x in row] for row in matrix]
+            assert all(a is b for a, b in zip(linalg._int_rows(rows), rows, strict=True))
             assert linalg.rank_rows(rows) == linalg.rank_rows(fractions)
             assert linalg._echelon(rows) == linalg._echelon(fractions)
             assert rows == before
-            assert all(type(x) is int for row in rows for x in row)
+            assert all(type(x) is int for row in rows for x in row.values())
