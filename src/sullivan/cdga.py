@@ -214,14 +214,10 @@ class SullivanAlgebra:
             resolved[name] = draft.parse(value) if isinstance(value, str) else value
         return cls(gens, cutoff, resolved)
 
-    def with_differential(
-        self, differential: Mapping[str, "AlgebraElement | str"]
-    ) -> "SullivanAlgebra":
-        resolved = {
-            name: self.parse(value) if isinstance(value, str) else value
-            for name, value in differential.items()
-        }
-        return SullivanAlgebra(self.generators, self.cutoff, resolved)
+    def with_cutoff(self, cutoff: int) -> "SullivanAlgebra":
+        """The same generators and differential up to another cutoff."""
+        images = {g.name: image for g, image in zip(self.generators, self.differential)}
+        return SullivanAlgebra(self.generators, cutoff, images)
 
     def _validate_differential(self, diff: Mapping[str, AlgebraElement]) -> tuple[tuple[Term, ...], ...]:
         images = []

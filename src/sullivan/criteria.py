@@ -4,9 +4,10 @@ cohomological computation.
 Every verdict carries both the rank-formula answer and the outcome of
 the honest linear-algebra check on the Borel morphism; when the
 governing hypotheses hold the two must agree, and a disagreement raises
-CriterionDisagreement rather than being reconciled, unless the direct
-check was cut off below the manifold's dimension or the input's maps
-define no compact quotient (see ``_verdict_from_package``).
+CriterionDisagreement rather than being reconciled.  A disagreement that
+the input explains is a validation error instead: a direct check cut off
+below the model's formal dimension, or maps whose model has
+infinite-dimensional cohomology (they define no compact quotient).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import linalg
 from .cdga import AlgebraElement, CdgaMorphism, Generator, SullivanAlgebra
 from .errors import (
     CriterionDisagreement,
+    CutoffExceeded,
     DisconnectedGroup,
     NotElliptic,
     NotPure,
@@ -101,50 +103,47 @@ def _verdict_from_package(
     rank_gap: int,
     hypotheses_hold: bool,
     citation: str,
-    dimension: int,
 ) -> SurjectivityVerdict:
-    """The verdict on ``package`` up to its space's cutoff.  It is not
-    reconciled when that cutoff is below the manifold's ``dimension``
-    and the direct check found no failing degree, which may lie above
-    the cutoff; a disagreement on a pure model that is not elliptic is
-    a validation error."""
     cutoff = package.space.cutoff
     direct, failing = ch.even_degree_surjectivity(package.forgetful, cutoff)
     odd_direct, odd_failing = ch.surjectivity_by_parity(package.forgetful, 1, cutoff)
-    verdict = SurjectivityVerdict(
-        context=context,
-        rank_gap=rank_gap,
-        chi_pi=package.space.homotopy_euler_characteristic(),
-        rank_criterion=rank_gap <= 1,
-        direct_check=direct,
-        first_failing_degree=failing,
-        odd_direct_check=odd_direct,
-        odd_first_failing_degree=odd_failing,
-        hypotheses_hold=hypotheses_hold,
-        cutoff=cutoff,
-        citation=citation,
-    )
-    if direct and cutoff < dimension:
-        return verdict
-    if direct != verdict.rank_criterion and package.space.is_pure() and not _elliptic(package.space):
-        raise NotElliptic(
-            f"{context}: the model's cohomology is infinite-dimensional, so the given "
-            "maps define no compact quotient"
+    if hypotheses_hold and direct != (rank_gap <= 1):
+        space = package.space
+        top = sum(g.degree if g.is_odd else 1 - g.degree for g in space.generators)
+        if direct and cutoff < top:
+            raise CutoffExceeded(
+                f"{context}: cutoff {cutoff} is below the formal dimension {top}, "
+                "so the direct check cannot confirm surjectivity"
+            )
+        if not _elliptic(space, top):
+            raise NotElliptic(
+                f"{context}: the model's cohomology is infinite-dimensional, so the given "
+                "maps define no compact quotient"
+            )
+    return _reconcile(
+        SurjectivityVerdict(
+            context=context,
+            rank_gap=rank_gap,
+            chi_pi=package.space.homotopy_euler_characteristic(),
+            rank_criterion=rank_gap <= 1,
+            direct_check=direct,
+            first_failing_degree=failing,
+            odd_direct_check=odd_direct,
+            odd_first_failing_degree=odd_failing,
+            hypotheses_hold=hypotheses_hold,
+            cutoff=cutoff,
+            citation=citation,
         )
-    return _reconcile(verdict)
+    )
 
 
-def _elliptic(a: SullivanAlgebra) -> bool:
-    """Whether a pure algebra has finite-dimensional cohomology: exactly
-    when it is zero above the formal dimension N = sum(odd degrees) -
-    sum(even degrees - 1) in a window as wide as the largest degree, as
-    otherwise all powers of some even generator survive."""
-    top = sum(g.degree if g.is_odd else 1 - g.degree for g in a.generators)
-    if top < 0:
-        return False
-    width = max((g.degree for g in a.generators), default=0)
-    images = {g.name: img for g, img in zip(a.generators, a.differential)}
-    wide = SullivanAlgebra(a.generators, top + width, images)
+def _elliptic(a: SullivanAlgebra, top: int) -> bool:
+    """Whether a pure algebra of formal dimension ``top`` (the sum of the
+    odd degrees minus the sum of the even degrees less one) has
+    finite-dimensional cohomology: exactly when it vanishes in the window
+    of the largest generator degree above ``top``, as otherwise the
+    even-subalgebra image has classes in every such window."""
+    wide = a.with_cutoff(max(top, 0) + max((g.degree for g in a.generators), default=0))
     return ch.top_window_vanishes(wide, ch.betti_numbers(wide))
 
 
@@ -161,8 +160,7 @@ def homogeneous_surjectivity(
         raise DisconnectedGroup("the homogeneous criterion needs connected groups")
     package = borel_model_homogeneous(g, h, restriction, cutoff)
     return _verdict_from_package(
-        package, "homogeneous", g.rank - h.rank, True, CITATION_HOMOGENEOUS,
-        g.dimension - h.dimension,
+        package, "homogeneous", g.rank - h.rank, True, CITATION_HOMOGENEOUS
     )
 
 
@@ -178,8 +176,7 @@ def biquotient_surjectivity(
         raise DisconnectedGroup("the biquotient criterion needs connected groups")
     package = borel_model_homogeneous(g, h, restriction, cutoff)
     return _verdict_from_package(
-        package, "biquotient", g.rank - h.rank, True, CITATION_BIQUOTIENT,
-        g.dimension - h.dimension,
+        package, "biquotient", g.rank - h.rank, True, CITATION_BIQUOTIENT
     )
 
 
@@ -193,8 +190,7 @@ def cohomogeneity_one_surjectivity(
     package = borel_model_cohomogeneity_one(diagram, cutoff, allow_disconnected)
     hypotheses = all(grp.connected for grp in diagram.groups())
     return _verdict_from_package(
-        package, "cohomogeneity_one", diagram.rank_gap, hypotheses, CITATION_COHO1,
-        diagram.g.dimension - diagram.h.dimension + 1,
+        package, "cohomogeneity_one", diagram.rank_gap, hypotheses, CITATION_COHO1
     )
 
 

@@ -176,7 +176,7 @@ def load_model(doc: dict, path: str = "$") -> SullivanAlgebra:
             images[name] = draft.parse(text)
         except ValueError as exc:
             raise SchemaError(f"{path}.differential.{name}: {exc}") from exc
-    return draft.with_differential(images)
+    return SullivanAlgebra(gens, cutoff, images)
 
 
 def model_document(a: SullivanAlgebra) -> dict:
@@ -292,15 +292,7 @@ def run_analysis(doc: dict, cutoff: int | None = None) -> dict:
         }
     if kind == "model":
         if cutoff is not None and cutoff != payload.cutoff:
-            payload = SullivanAlgebra(
-                payload.generators,
-                cutoff,
-                {
-                    g.name: img
-                    for g, img in zip(payload.generators, payload.differential)
-                    if not img.is_zero
-                },
-            )
+            payload = payload.with_cutoff(cutoff)
         return _analyze_model(payload)
     if kind in ("homogeneous", "biquotient"):
         g, h, restriction = payload

@@ -4,10 +4,9 @@ Ranks, kernels, membership tests and quotient bases, all in exact
 arithmetic: rows with int or Fraction entries are reduced by sparse
 fraction-free elimination over arbitrary-precision integers, which
 visits only nonzero entries and keeps every row primitive.  The kernel
-takes and returns sparse rows ``{column: int}``; ``_int_rows`` converts
-mapping or dense rows to them, passing ``int`` mappings such as the
-differential rows of an algebra with integral images through, and
-``_transpose`` turns vectors into the sparse rows of their columns.
+takes and returns sparse rows ``{column: int}``, which ``_int_rows``
+makes of mapping or dense rows (``int`` mappings, such as differential
+rows, pass through) and ``_transpose`` of the columns of vectors.
 Pivoting is first-nonzero in column order, as in dense Bareiss
 elimination, so every basis this module produces is deterministic.
 Dense vectors appear only at the public functions and as the results of
@@ -45,11 +44,10 @@ def _transpose(vectors: Iterable) -> list[dict]:
 
 def _int_rows(rows: Iterable) -> list[dict[int, int]]:
     """Kernel rows ``{column: int}`` spanning the same lines as the given
-    rows, which are mappings ``{column: entry}`` of nonzero entries or
-    dense sequences, with int or Fraction entries.  Zero rows are
-    dropped; a mapping row of ``int`` entries only is passed through as
-    it is (the kernel does not modify its input), any other row is
-    scaled by the lcm of its denominators."""
+    mappings ``{column: entry}`` of nonzero entries or dense sequences
+    (int or Fraction entries), zero rows dropped.  An all-``int`` mapping
+    passes through as it is; any other row is scaled by the lcm of its
+    denominators."""
     out = []
     for row in rows:
         if not isinstance(row, dict):

@@ -17,7 +17,7 @@ from sullivan.criteria import (
     pure_h0_equals_heven,
     theorem_a_applicability,
 )
-from sullivan.errors import DisconnectedGroup, NotElliptic, NotPure
+from sullivan.errors import CutoffExceeded, DisconnectedGroup, NotElliptic, NotPure
 from sullivan.models import GroupDiagram, RestrictionMap
 
 SU2 = lookup("SU(2)")
@@ -52,15 +52,19 @@ class TestHomogeneous:
         assert not verdict.rank_criterion and not verdict.direct_check
         assert verdict.first_failing_degree == 6
 
-    def test_truncated_check_without_failure_is_not_compared(self):
-        # SU(2)^2 fails first in degree 6 (above); cut off at 4 the direct
-        # check finds nothing, which does not contradict the rank criterion
+    def test_truncated_check_without_failure_is_a_validation_error(self):
+        # SU(2)^2 fails first in degree 6 (above); cut off at 4, below the
+        # formal dimension 6, the direct check cannot confirm surjectivity
         g = lookup("SU(2)^2")
-        verdict = homogeneous_surjectivity(g, TRIVIAL, RestrictionMap(g, TRIVIAL, {}), cutoff=4)
-        assert not verdict.rank_criterion and verdict.direct_check
-        assert verdict.cutoff == 4
-        coho1 = cohomogeneity_one_surjectivity(diagram("gap-three-diagonal"), cutoff=2)
-        assert not coho1.rank_criterion and coho1.direct_check
+        with pytest.raises(CutoffExceeded):
+            homogeneous_surjectivity(g, TRIVIAL, RestrictionMap(g, TRIVIAL, {}), cutoff=4)
+        with pytest.raises(CutoffExceeded):
+            cohomogeneity_one_surjectivity(diagram("gap-three-diagonal"), cutoff=2)
+        # agreeing checks at a truncated cutoff give a verdict
+        su3 = lookup("SU(3)")
+        t2 = lookup("T2")
+        verdict = homogeneous_surjectivity(su3, t2, standard_restriction("SU(3)", "T2"), cutoff=2)
+        assert verdict.rank_criterion and verdict.direct_check and verdict.cutoff == 2
 
     def test_non_elliptic_model_is_a_validation_error(self):
         # zero maps: H*(BH) is not finite over H*(BG), there is no quotient
@@ -81,7 +85,8 @@ class TestHomogeneous:
             ([("u", 2), ("v", 4), ("q", 3), ("r", 7)], {"q": "u^2", "r": "u^4"}, False),
         ]
         for gens, d, elliptic in cases:
-            assert _elliptic(SullivanAlgebra.build(gens, d, cutoff=2)) is elliptic
+            top = sum(deg if deg % 2 else 1 - deg for _, deg in gens)
+            assert _elliptic(SullivanAlgebra.build(gens, d, cutoff=2), top) is elliptic
 
     def test_disconnected_rejected(self):
         z2 = lookup("Z2")
