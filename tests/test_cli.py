@@ -96,6 +96,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", "coho1", "--preset", "nope")
         assert code == 1 and "unknown preset" in err
 
+    def test_cutoff_below_formal_dimension_is_validation_error(self, capsys):
+        # the direct check finds no failure up to 2, the rank criterion
+        # says it fails: no verdict and no stabilization conclusion
+        code, out, err = run(capsys, "report", "--preset", "gap-three-diagonal", "--cutoff", "2")
+        assert code == 1 and out == ""
+        assert "below the formal dimension 13" in err
+
 
 class TestMoreSurfaces:
     def test_circle_alias(self, capsys):
