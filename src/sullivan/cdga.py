@@ -617,15 +617,14 @@ class SullivanAlgebra:
             vec[index[mono]] = coeff
         return vec
 
-    def element_from_coordinates(self, vec: Sequence, degree: int) -> AlgebraElement:
+    def element_from_coordinates(self, coords: Mapping[int, Fraction], degree: int) -> AlgebraElement:
+        """The element with coefficient c at each basis position p of ``coords``."""
         basis = self._basis(degree)
-        if len(vec) != len(basis):
+        if coords and not 0 <= min(coords) <= max(coords) < len(basis):
             raise DimensionMismatch(
-                f"{len(vec)} coordinates for a degree-{degree} basis of size {len(basis)}"
+                f"coordinate position outside a degree-{degree} basis of size {len(basis)}"
             )
-        return AlgebraElement(
-            self, {m: Fraction(c) for m, c in zip(basis, vec) if c}
-        )
+        return AlgebraElement(self, {basis[p]: Fraction(c) for p, c in coords.items()})
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)

@@ -47,15 +47,17 @@ def _load_file(path: str) -> dict:
         raise SchemaError(f"document is not valid JSON: {exc}") from exc
 
 
-def _document_from_args(args, kind: str) -> dict:
-    if getattr(args, "file", None):
+def _document_from_args(args, kind: str | None = None) -> dict:
+    """The document of ``--file``, ``--preset`` or ``--g``/``--h``, of
+    the given kind (None: any file, or a preset)."""
+    if args.file:
         doc = _load_file(args.file)
-        got = doc.get("kind")
-        if got != kind:
+        got = doc.get("kind") if isinstance(doc, dict) else None
+        if kind is not None and got != kind:
             raise SchemaError(f"expected a {kind!r} document, got kind {got!r}")
         return doc
-    if kind == "diagram":
-        preset = getattr(args, "preset", None)
+    if kind in (None, "diagram"):
+        preset = args.preset
         if preset:
             if preset not in catalog.DIAGRAM_PRESETS:
                 raise SchemaError(
@@ -149,19 +151,14 @@ def cmd_model_build(args) -> None:
 
 def cmd_cohomology(args) -> None:
     doc = _load_file(args.file)
-    if doc.get("kind") != "model":
+    if not isinstance(doc, dict) or doc.get("kind") != "model":
         raise SchemaError("cohomology expects a model document")
     report = documents.run_analysis(doc, args.cutoff)
     _emit(args, report)
 
 
 def cmd_check(args) -> None:
-    if args.space == "homogeneous":
-        doc = _document_from_args(args, "homogeneous")
-    elif args.space == "biquotient":
-        doc = _document_from_args(args, "biquotient")
-    else:
-        doc = _document_from_args(args, "diagram")
+    doc = _document_from_args(args, "diagram" if args.space == "coho1" else args.space)
     report = documents.run_analysis(doc, args.cutoff)
     _emit(args, report)
     if not report["verdict"]["direct_check"]:
@@ -173,25 +170,14 @@ def cmd_check(args) -> None:
 
 def cmd_ktheory(args) -> None:
     doc = _load_file(args.file)
-    if doc.get("kind") not in ("model", "betti"):
+    if not isinstance(doc, dict) or doc.get("kind") not in ("model", "betti"):
         raise SchemaError("ktheory expects a model or betti document")
     report = documents.run_analysis(doc, args.cutoff)
     _emit(args, report)
 
 
 def cmd_report(args) -> None:
-    if getattr(args, "preset", None):
-        doc = dict(catalog.DIAGRAM_PRESETS.get(args.preset) or {})
-        if not doc:
-            raise SchemaError(
-                f"unknown preset {args.preset!r}; available: "
-                + ", ".join(sorted(catalog.DIAGRAM_PRESETS))
-            )
-    else:
-        if not args.file:
-            raise SchemaError("pass --file or --preset")
-        doc = _load_file(args.file)
-    report = documents.run_analysis(doc, args.cutoff)
+    report = documents.run_analysis(_document_from_args(args), args.cutoff)
     _emit(args, report)
 
 

@@ -16,7 +16,8 @@ cohomology represented by the even subalgebra, which
 and ``h0_dims`` count ranks independently of the table.  Differential
 rows are sparse rows ``{position: coefficient}`` read off
 ``SullivanAlgebra._d_terms`` and reach the elimination kernel as they
-are; class representatives are dense coordinate vectors.
+are; cocycles and class representatives are primitive ``{position: int}``
+vectors.
 """
 
 from __future__ import annotations
@@ -44,13 +45,18 @@ def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[dict]:
     return [{index[m]: c for m, c in a._d_terms(mono).items()} for mono in monos]
 
 
+def _element_row(e: AlgebraElement, index: dict) -> dict:
+    """The sparse row ``{index[monomial]: c}`` of ``e``, ``int`` where integral."""
+    return {index[m]: c.numerator if c.denominator == 1 else c for m, c in e.terms.items()}
+
+
 def _action_rows(a: SullivanAlgebra, degree: int) -> list[dict]:
     """Rows are the differential images of the degree-basis monomials,
     written over the (degree+1) basis."""
     return _d_rows(a, a._basis(degree), a._basis_index(degree + 1))
 
 
-def _cocycles(rows: list) -> tuple[list[int], tuple]:
+def _cocycles(rows: list) -> tuple[list[int], list[dict[int, int]]]:
     """Pivot columns and kernel basis of d from the d-images ``rows`` of
     a space's basis: one elimination with a column per basis vector, zero
     rows dropped (with none left, the kernel is the identity basis)."""
@@ -66,24 +72,19 @@ def _classes(rows: list, block: list[int], image: tuple) -> tuple[tuple, tuple]:
     space's basis, ``block`` the positions of the block's basis vectors
     and ``image`` a basis of the block's coboundaries.  The one
     elimination of ``_cocycles`` on the block's rows serves both spaces:
-    representatives are picked greedily from its kernel basis, embedded
-    in the space's basis with zeros, as a complement of ``image``, and
+    representatives are picked greedily from its kernel basis, written
+    over the space's basis positions, as a complement of ``image``, and
     the d-images of its pivot basis vectors are a basis of the next
     space's coboundaries that the block hits.
     """
     pivots, cocycles = _cocycles([rows[p] for p in block])
-    embedded = []
-    for v in cocycles:
-        w = [0] * len(rows)
-        for p, x in zip(block, v):
-            w[p] = x
-        embedded.append(tuple(w))
+    embedded = [{block[j]: x for j, x in v.items()} for v in cocycles]
     return linalg._complement(image, embedded), tuple(rows[block[c]] for c in pivots)
 
 
-def _free_column(v) -> int:
-    """The non-pivot column of a kernel vector: its last nonzero entry."""
-    return max(j for j, x in enumerate(v) if x)
+def _element(a: SullivanAlgebra, v: dict[int, int], degree: int) -> AlgebraElement:
+    """The element of a representative scaled to 1 at its free column."""
+    return a.element_from_coordinates(linalg._unit_scaled(v), degree)
 
 
 def betti_numbers(a: SullivanAlgebra, cutoff: int | None = None) -> tuple[int, ...]:
@@ -103,27 +104,26 @@ def betti_numbers(a: SullivanAlgebra, cutoff: int | None = None) -> tuple[int, .
 
 
 class _DegreeSpace:
-    """Class representatives ``reps`` (dense coordinate vectors over its
-    basis) and a coboundary basis ``image`` (sparse rows) in one degree,
-    and ``blocks``, the representatives of each block by block key."""
+    """Class representatives ``reps`` (kernel vectors, by free column)
+    and a coboundary basis ``image`` (sparse rows) in one degree, and
+    ``blocks``, the representatives of each block by block key."""
 
     def __init__(self, algebra: SullivanAlgebra, degree: int, blocks: dict, image: tuple):
         self.blocks = blocks
-        self.reps = tuple(sorted(chain.from_iterable(blocks.values()), key=_free_column))
+        self.reps = tuple(sorted(chain.from_iterable(blocks.values()), key=max))
         self.image = image
-        self.elements = tuple(algebra.element_from_coordinates(v, degree) for v in self.reps)
+        self.elements = tuple(_element(algebra, v, degree) for v in self.reps)
 
     @property
     def betti(self) -> int:
         return len(self.reps)
 
     def class_coordinates(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        """Coordinates of a cocycle's class in the representative basis."""
-        image = tuple([row.get(j, 0) for j in range(len(vector))] for row in self.image)
-        coeffs = linalg.solve(self.reps + image, vector)
+        """Coordinates of a cocycle's class over the scaled representatives."""
+        coeffs = linalg.solve(self.reps + self.image, vector)
         if coeffs is None:
             raise DegreeMismatch("vector is not a cocycle of this degree")
-        return coeffs[: len(self.reps)]
+        return [c * v[max(v)] for c, v in zip(coeffs, self.reps)]
 
 
 class CohomologyTable:
@@ -258,10 +258,7 @@ class LowerGradedTable:
         return {i: len(reps) for i, reps in self._strands(degree).items() if reps}
 
     def representatives(self, degree: int, index: int) -> tuple[AlgebraElement, ...]:
-        return tuple(
-            self.algebra.element_from_coordinates(v, degree)
-            for v in self._strands(degree).get(index, ())
-        )
+        return tuple(_element(self.algebra, v, degree) for v in self._strands(degree).get(index, ()))
 
     def total_dims(self) -> tuple[int, ...]:
         return self.table.betti
@@ -371,10 +368,9 @@ def surjectivity_by_parity(
             continue  # H^n(target) = 0
         _, cocycles = _cocycles(_action_rows(f.source, n))
         for vec in cocycles:
-            element = f.source.element_from_coordinates(vec, n)
-            image = f.apply(element)
+            image = f.apply(f.source.element_from_coordinates(vec, n))
             if not image.is_zero:
-                rows.append(target.coordinates(image, n))
+                rows.append(_element_row(image, target._basis_index(n)))
         if linalg.rank_rows(rows) != kernel_dim:
             return False, n
     return True, None

@@ -13,7 +13,6 @@ infinite-dimensional cohomology (they define no compact quotient).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import cohomology as ch
 from . import linalg
@@ -156,12 +155,7 @@ def homogeneous_surjectivity(
     """Even-degree surjectivity of the forgetful map for G acting on G/H:
     rank formula (gap at most one) against the direct check on the
     classifying-subalgebra inclusion."""
-    if not (g.connected and h.connected):
-        raise DisconnectedGroup("the homogeneous criterion needs connected groups")
-    package = borel_model_homogeneous(g, h, restriction, cutoff)
-    return _verdict_from_package(
-        package, "homogeneous", g.rank - h.rank, True, CITATION_HOMOGENEOUS
-    )
+    return _pair_surjectivity(g, h, restriction, cutoff, "homogeneous", CITATION_HOMOGENEOUS)
 
 
 def biquotient_surjectivity(
@@ -172,12 +166,14 @@ def biquotient_surjectivity(
 ) -> SurjectivityVerdict:
     """Same question for a two-sided quotient presentation; freeness of
     the action is the caller's assertion."""
+    return _pair_surjectivity(g, h, restriction, cutoff, "biquotient", CITATION_BIQUOTIENT)
+
+
+def _pair_surjectivity(g, h, restriction, cutoff, context: str, citation: str) -> SurjectivityVerdict:
     if not (g.connected and h.connected):
-        raise DisconnectedGroup("the biquotient criterion needs connected groups")
+        raise DisconnectedGroup(f"the {context} criterion needs connected groups")
     package = borel_model_homogeneous(g, h, restriction, cutoff)
-    return _verdict_from_package(
-        package, "biquotient", g.rank - h.rank, True, CITATION_BIQUOTIENT
-    )
+    return _verdict_from_package(package, context, g.rank - h.rank, True, citation)
 
 
 def cohomogeneity_one_surjectivity(
@@ -268,10 +264,6 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
         n: [m for m in a._basis(n) if a.odd_word_length(m) == 0] for n in range(top + 1)
     }
 
-    def coords(element: AlgebraElement, degree: int) -> dict[int, Fraction]:
-        index = {m: i for i, m in enumerate(even_basis[degree])}
-        return {index[mono]: c for mono, c in element.terms.items()}
-
     ideal_basis: dict[int, list[AlgebraElement]] = {}
     mu = 0
     for n in range(2, top + 1, 2):
@@ -286,10 +278,11 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
                 factor = a.monomial_element(mono)
                 for w in elements:
                     decomposable.append(a.multiply(factor, w))
-        rows = [coords(e, n) for e in decomposable]
+        index = {m: i for i, m in enumerate(even_basis[n])}
+        rows = [ch._element_row(e, index) for e in decomposable]
         rank_decomposable = _rank(rows)
         for z in images.get(n, []):
-            rows.append(coords(z, n))
+            rows.append(ch._element_row(z, index))
         total_rank = _rank(rows)
         mu += total_rank - rank_decomposable
         # Each candidate in order independent of those before it: the

@@ -36,7 +36,15 @@ from .models import (
     cohomogeneity_one_model,  # noqa: F401  (perfbench/tracer.py patches it here)
 )
 
-SCHEMA_KINDS = ("model", "homogeneous", "biquotient", "diagram", "betti")
+# The keys each kind of document reads; any other key is rejected.
+DOCUMENT_KEYS = {
+    "model": ("kind", "generators", "differential", "cutoff"),
+    "homogeneous": ("kind", "G", "H", "embedding", "cutoff"),
+    "biquotient": ("kind", "G", "H", "left", "right", "cutoff"),
+    "diagram": ("kind", "G", "H", "Kminus", "Kplus", "sphere_dims", "embeddings", "cutoff", "allow_disconnected"),
+    "betti": ("kind", "betti"),
+}
+SCHEMA_KINDS = tuple(DOCUMENT_KEYS)
 
 
 def _is_int(value) -> bool:
@@ -53,12 +61,19 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
+def _reject_unknown(obj: dict, keys, path: str) -> None:
+    unknown = next((key for key in obj if key not in keys), None)
+    if unknown is not None:
+        raise SchemaError(f"{path}: unknown key {unknown!r}")
+
+
 def load_group(obj, path: str) -> GroupData:
     """A group reference: a catalog name or an inline description."""
     if isinstance(obj, str):
         return catalog.lookup(obj)
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a catalog name or a group object")
+    _reject_unknown(obj, ("name", "rank", "dim", "degrees", "flags"), path)
     name = _require(obj, "name", str, path)
     rank = _require(obj, "rank", int, path)
     dim = _require(obj, "dim", int, path)
@@ -68,6 +83,7 @@ def load_group(obj, path: str) -> GroupData:
     flags = obj.get("flags", {})
     if not isinstance(flags, dict):
         raise SchemaError(f"{path}.flags: expected an object")
+    _reject_unknown(flags, ("connected", "pi1_torsion_free", "steinberg"), f"{path}.flags")
     return GroupData(
         name,
         rank,
@@ -141,6 +157,7 @@ def load_diagram(doc: dict, path: str = "$") -> GroupDiagram:
     if len(sphere_dims) != 2 or not all(_is_int(x) for x in sphere_dims):
         raise SchemaError(f"{path}.sphere_dims: expected two integers [l-, l+]")
     embeddings = _require(doc, "embeddings", dict, path)
+    _reject_unknown(embeddings, ("G->Kminus", "G->Kplus"), f"{path}.embeddings")
     minus = _load_polynomial_map(
         _require(embeddings, "G->Kminus", dict, f"{path}.embeddings"),
         f"{path}.embeddings.G->Kminus",
@@ -198,6 +215,7 @@ def load_document(doc: dict, path: str = "$"):
     kind = _require(doc, "kind", str, path)
     if kind not in SCHEMA_KINDS:
         raise SchemaError(f"{path}.kind: unknown kind {kind!r}; expected one of {SCHEMA_KINDS}")
+    _reject_unknown(doc, DOCUMENT_KEYS[kind], path)
     if kind == "model":
         return kind, load_model(doc, path)
     if kind == "homogeneous":
@@ -245,6 +263,12 @@ def diagram_document(d: GroupDiagram) -> dict:
     }
 
 
+def _k_dimensions(betti) -> dict:
+    k0, k1, ko = ktheory.rational_k_dimensions(betti)
+    infinite = ktheory.stable_class_infinitude(betti)
+    return {"k0_dim": k0, "k1_dim": k1, "ko_dim": ko, "infinite_stable_classes": infinite}
+
+
 def _k_report(verdict, flags, betti) -> dict:
     return asdict(ktheory.stabilization_report(verdict, flags, betti))
 
@@ -278,15 +302,11 @@ def run_analysis(doc: dict, cutoff: int | None = None) -> dict:
     if cutoff is None and doc.get("cutoff") is not None:
         cutoff = _require(doc, "cutoff", int, "$")
     if kind == "betti":
-        k0, k1, ko = ktheory.rational_k_dimensions(payload)
         return {
             "kind": kind,
             "input": {"kind": "betti", "betti": list(payload)},
             "ktheory": {
-                "k0_dim": k0,
-                "k1_dim": k1,
-                "ko_dim": ko,
-                "infinite_stable_classes": ktheory.stable_class_infinitude(payload),
+                **_k_dimensions(payload),
                 "citations": [ktheory.CITATION_CHERN, ktheory.CITATION_KO],
             },
         }
@@ -307,15 +327,7 @@ def _analyze_model(a: SullivanAlgebra) -> dict:
         "kind": "model",
         "input": model_document(a),
         "space": _space_summary(table),
-        "ktheory": {},
-        "citations": [],
-    }
-    k0, k1, ko = ktheory.rational_k_dimensions(betti)
-    report["ktheory"] = {
-        "k0_dim": k0,
-        "k1_dim": k1,
-        "ko_dim": ko,
-        "infinite_stable_classes": ktheory.stable_class_infinitude(betti),
+        "ktheory": _k_dimensions(betti),
     }
     citations = [ktheory.CITATION_CHERN, ktheory.CITATION_KO]
     if a.is_pure():

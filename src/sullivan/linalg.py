@@ -9,9 +9,9 @@ makes of mapping or dense rows (``int`` mappings, such as differential
 rows, pass through) and ``_transpose`` of the columns of vectors.
 Pivoting is first-nonzero in column order, as in dense Bareiss
 elimination, so every basis this module produces is deterministic.
-Dense vectors appear only at the public functions and as the results of
-``_kernel_vectors`` and ``_complement``, which ``kernel_basis`` and
-``quotient_basis`` wrap in checked ``SubspaceBasis`` values.
+Kernel vectors are back-substituted fraction-free in the same format and
+reach ``_complement`` as they are; ``Fraction`` values and dense vectors
+appear only at the public functions.
 """
 
 from __future__ import annotations
@@ -202,59 +202,71 @@ def _echelon(rows: Iterable) -> tuple[list[dict[int, int]], list[int]]:
     return ff_row_echelon(int_rows)
 
 
-def _back_substitute(echelon: list[dict[int, int]], pivots: list[int], v: list[Fraction]) -> None:
-    # Fills the pivot coordinates of v, zero on entry, so that every
-    # echelon row pairs to zero with v; non-pivot coordinates of v are
-    # taken as given.
+def _back_substitute(echelon: list[dict[int, int]], pivots: list[int], v: dict[int, int]) -> None:
+    # Fills the pivot entries of the integer vector v, absent on entry, so
+    # that every echelon row pairs to zero with v.  Where a pivot p does not
+    # divide the pairing acc, v is scaled by p // gcd(acc, p), which is prime
+    # to the new entry, so a primitive v stays primitive.
     for r in range(len(pivots) - 1, -1, -1):
         row = echelon[r]
-        acc = Fraction(0)
-        for j, x in row.items():
-            if v[j]:
-                acc += x * v[j]
-        v[pivots[r]] = -acc / row[pivots[r]]
+        acc = sum(x * v[j] for j, x in row.items() if j in v)
+        if not acc:
+            continue
+        p = row[pivots[r]]
+        g = gcd(acc, p)
+        if g != p:
+            scale = p // g
+            for j in v:
+                v[j] *= scale
+        v[pivots[r]] = -acc // g
 
 
-def _kernel_vectors(echelon: list[dict[int, int]], pivots: list[int], ncols: int) -> tuple[Vector, ...]:
+def _kernel_vectors(echelon: list[dict[int, int]], pivots: list[int], ncols: int) -> list[dict[int, int]]:
     """Kernel basis of an ``ncols``-column matrix from its echelon form:
-    per non-pivot column f, 1 at f, 0 at the other non-pivot columns and
-    back-substituted pivot entries (no rows: the identity basis)."""
+    per non-pivot column f, ``{f: 1}`` back-substituted, primitive and
+    positive at f, its largest key (no rows: the identity basis)."""
     pivot_set = set(pivots)
     vectors = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = {f: 1}
         _back_substitute(echelon, pivots, v)
-        vectors.append(tuple(v))
-    return tuple(vectors)
+        vectors.append(v)
+    return vectors
+
+
+def _unit_scaled(v: dict[int, int]) -> dict[int, Fraction]:
+    """A kernel vector scaled to 1 at its free column, its largest key."""
+    top = v[max(v)]
+    return {j: Fraction(x, top) for j, x in v.items()}
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
     """Basis of {v : m v = 0}; its dimension is cols(m) - rank(m)."""
     echelon, pivots = _echelon(m.entries)
-    return SubspaceBasis(m.cols, _kernel_vectors(echelon, pivots, m.cols))
+    vectors = map(_unit_scaled, _kernel_vectors(echelon, pivots, m.cols))
+    return SubspaceBasis.from_vectors(m.cols, ([v.get(j, 0) for j in range(m.cols)] for v in vectors))
 
 
-def solve(columns: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
+def solve(columns: Sequence, rhs: Sequence) -> list[Fraction] | None:
     """Exact solution c of sum_i c_i * columns[i] = rhs, or None.
 
-    Entries of ``columns`` and ``rhs`` must be ``int`` or ``Fraction``.
+    Each column is a dense sequence as long as ``rhs`` or a sparse
+    mapping ``{row: entry}``; entries must be ``int`` or ``Fraction``.
     Free coefficients are set to zero, so the answer is deterministic.
     """
     n = len(rhs)
     for col in columns:
-        if len(col) != n:
+        if not isinstance(col, dict) and len(col) != n:
             raise DimensionMismatch("column length does not match right-hand side")
     k = len(columns)
     echelon, pivots = _echelon(_transpose([*columns, rhs]))
     if k in pivots:
         return None
-    c = [Fraction(0)] * (k + 1)
-    c[k] = Fraction(-1)
+    c = {k: 1}  # then rhs = -sum_i c_i/c_k * columns[i]
     _back_substitute(echelon, pivots, c)
-    return c[:k]
+    return [Fraction(-c.get(i, 0), c[k]) for i in range(k)]
 
 
 def image_membership(basis: SubspaceBasis, v: Sequence) -> tuple[bool, list[Fraction] | None]:
@@ -303,10 +315,10 @@ class _Reducer:
         return False
 
 
-def _complement(sub: Sequence, ambient: Sequence[Vector]) -> tuple[Vector, ...]:
+def _complement(sub: Sequence, ambient: Sequence) -> tuple:
     """Ambient vectors completing the independent ``sub`` to a basis of
-    the span of the independent ``ambient`` (entries int or Fraction;
-    sub's vectors may also be sparse mappings).
+    the span of the independent ``ambient`` (dense sequences or sparse
+    mappings, entries int or Fraction).
 
     One echelon of the matrix whose columns are sub's vectors followed by
     ambient's: its pivot columns are the greedy left-to-right maximal

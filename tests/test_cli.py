@@ -141,6 +141,18 @@ class TestMoreSurfaces:
         code, _, err = run(capsys, "check", "biquotient", "--file", str(path))
         assert code == 1 and "expected a 'biquotient' document" in err
 
+    def test_non_object_file_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for argv, message in (
+            (["cohomology"], "cohomology expects a model document"),
+            (["ktheory"], "ktheory expects a model or betti document"),
+            (["check", "biquotient"], "expected a 'biquotient' document, got kind None"),
+            (["report"], "$: expected a non-empty document object"),
+        ):
+            code, out, err = run(capsys, *argv, "--file", str(path))
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestKTheoryAndReport:
     def test_betti_file(self, capsys, tmp_path):

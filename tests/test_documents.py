@@ -1,9 +1,11 @@
 """Document schema, round-trips, report determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from sullivan import linalg
 from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cdga import Generator
 from sullivan.cli import main
@@ -17,6 +19,9 @@ from sullivan.documents import (
     to_json,
 )
 from sullivan.errors import EvenSphere, InvalidDegrees, SchemaError, UnknownCatalogName
+
+GOLDEN = Path(__file__).parent / "golden"
+INLINE_GROUP = {"name": "X", "rank": 1, "dim": 3, "degrees": [3]}
 
 CP2_MODEL_DOC = {
     "kind": "model",
@@ -79,6 +84,50 @@ class TestSchema:
         path.write_text(json.dumps(doc))
         assert main(["report", "--file", str(path)]) == 1
         assert "error: $.generators[3]: generator name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"kind": "homogeneous", "G": "SU(3)", "H": "T2", "cutof": 2, "embeding": {"u1": "u1"}},
+                "$: unknown key 'cutof'",
+            ),
+            (
+                {"kind": "biquotient", "G": "SU(2)", "H": "T1", "embedding": "maximal-torus"},
+                "$: unknown key 'embedding'",
+            ),
+            ({**CP2_MODEL_DOC, "differentials": {}}, "$: unknown key 'differentials'"),
+            (
+                {**DIAGRAM_PRESETS["cp2-sum"], "allow_disconected": True},
+                "$: unknown key 'allow_disconected'",
+            ),
+            ({"kind": "betti", "betti": [1], "cutoff": 2}, "$: unknown key 'cutoff'"),
+            (
+                {"kind": "homogeneous", "G": {**INLINE_GROUP, "degree": [3]}, "H": "e"},
+                "$.G: unknown key 'degree'",
+            ),
+            (
+                {"kind": "homogeneous", "G": "SU(2)", "H": {**INLINE_GROUP, "flags": {"conected": True}}},
+                "$.H.flags: unknown key 'conected'",
+            ),
+            (
+                {**DIAGRAM_PRESETS["cp2-sum"], "embeddings": {"G->Kminus": {}, "G->Kplus": {}, "G->K": {}}},
+                "$.embeddings: unknown key 'G->K'",
+            ),
+        ],
+    )
+    def test_unknown_key_rejected(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_presets_and_golden_inputs_load(self):
+        inputs = [json.loads(f.read_text())["input"] for f in sorted(GOLDEN.glob("*.json"))]
+        assert len(inputs) >= 11
+        for doc in [*DIAGRAM_PRESETS.values(), *inputs]:
+            load_document(doc)
 
     def test_betti_document(self):
         kind, betti = load_document({"kind": "betti", "betti": [1, 0, 1]})
@@ -194,6 +243,32 @@ class TestReports:
         assert report["space"]["betti"] == [1, 0, 2]
         assert report["euler_relations"]["chi_m"] == 4
         assert report["euler_relations"]["identity_holds"]
+
+    def test_rows_reach_the_kernel_as_integer_mappings(self, monkeypatch):
+        """Kernel vectors, representatives and the surjectivity check's
+        images enter elimination as ``{position: int}`` rows, with no
+        conversion of ``Fraction`` or dense rows on a report's path."""
+        seen = []
+        convert = linalg._int_rows
+
+        def recording(rows):
+            rows = list(rows)
+            seen.extend(rows)
+            return convert(rows)
+
+        monkeypatch.setattr(linalg, "_int_rows", recording)
+        pure = {
+            "kind": "model",
+            "generators": [["x", 2], ["y", 2], ["z", 2], ["a", 3], ["b", 3], ["c", 3]],
+            "differential": {"a": "x^2", "b": "y^2", "c": "z^2"},
+            "cutoff": 10,
+        }
+        for doc in (pure, DIAGRAM_PRESETS["cp2-sum-times-sphere"]):
+            seen.clear()
+            run_analysis(doc)
+            assert len(seen) > 100
+            assert all(isinstance(row, dict) for row in seen)
+            assert {type(x) for row in seen for x in row.values()} == {int}
 
     def test_every_verdict_cites(self):
         for doc in (

@@ -59,6 +59,44 @@ def _bareiss_echelon(rows):
     return echelon, pivots
 
 
+def _fraction_back_substitute(echelon, pivots, v):
+    """``Fraction`` back-substitution, the reference for the integer one:
+    fills the pivot coordinates of the dense v, zero on entry, so that
+    every echelon row pairs to zero with v; the others are taken as given."""
+    for r in range(len(pivots) - 1, -1, -1):
+        row = echelon[r]
+        acc = Fraction(0)
+        for j, x in row.items():
+            if v[j]:
+                acc += x * v[j]
+        v[pivots[r]] = -acc / row[pivots[r]]
+
+
+def _reference_kernel(rows, ncols):
+    """Per non-pivot column f: 1 at f, 0 at the other non-pivot columns."""
+    echelon, pivots = linalg._echelon(rows)
+    vectors = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            _fraction_back_substitute(echelon, pivots, v)
+            vectors.append(tuple(v))
+    return tuple(vectors)
+
+
+def _reference_solve(columns, rhs):
+    """The solution with free coefficients zero, or None."""
+    k = len(columns)
+    echelon, pivots = linalg._echelon(linalg._transpose([*columns, rhs]))
+    if k in pivots:
+        return None
+    c = [Fraction(0)] * (k + 1)
+    c[k] = Fraction(-1)
+    _fraction_back_substitute(echelon, pivots, c)
+    return c[:k]
+
+
 def _random_int_matrix(rng, nrows, ncols, density):
     """Entries in -9..9, each nonzero with the given probability, plus a
     zero row, a duplicate row and a negated row at random places."""
@@ -366,3 +404,67 @@ class TestMixedEntries:
             assert linalg._echelon(rows) == linalg._echelon(fractions)
             assert rows == before
             assert all(type(x) is int for row in rows for x in row.values())
+
+
+def _seeded_matrices():
+    """The int matrices of ``TestEchelon`` (seed 31 and the dense-Bareiss
+    shapes) and Fraction matrices mixed as in ``TestMixedEntries``."""
+    rng = random.Random(31)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    for density, shape in [(0.1, "tall"), (0.04, "tall"), (0.6, "tall"), (0.6, "wide"), (1.0, "wide")]:
+        rng = random.Random(f"{density}-{shape}")
+        for _ in range(20):
+            short, long = rng.randint(1, 8), rng.randint(9, 30)
+            nrows, ncols = (long, short) if shape == "tall" else (short, long)
+            yield _random_int_matrix(rng, nrows, ncols, density)
+    rng = random.Random(41)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        yield [
+            [
+                rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(2, 4))])
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+
+
+class TestBackSubstitution:
+    def test_kernel_and_solve_match_fraction_reference(self):
+        rng = random.Random(59)
+        solvable = unsolvable = 0
+        for matrix in _seeded_matrices():
+            ncols = len(matrix[0])
+            basis = kernel_basis(M(matrix))
+            assert basis.vectors == _reference_kernel(matrix, ncols)
+            assert all(type(x) is Fraction for v in basis.vectors for x in v)
+            columns = [list(col) for col in zip(*matrix)]
+            weights = [rng.randint(-3, 3) for _ in columns]
+            inside = [sum(w * x for w, x in zip(weights, row)) for row in matrix]
+            outside = [rng.randint(-9, 9) for _ in matrix]
+            for rhs in (inside, outside):
+                got = solve(columns, rhs)
+                assert got == _reference_solve(columns, rhs)
+                if got is None:
+                    unsolvable += 1
+                else:
+                    solvable += 1
+                    assert all(type(x) is Fraction for x in got)
+                    assert [sum(c * x for c, x in zip(got, row)) for row in matrix] == rhs
+        assert solvable > 100 and unsolvable > 30
+
+    def test_kernel_vectors_are_primitive_and_positive_at_their_last_key(self):
+        for matrix in _seeded_matrices():
+            ncols = len(matrix[0])
+            echelon, pivots = linalg._echelon(matrix)
+            vectors = linalg._kernel_vectors(echelon, pivots, ncols)
+            free = [f for f in range(ncols) if f not in pivots]
+            assert [max(v) for v in vectors] == free
+            for v in vectors:
+                assert all(type(x) is int and x for x in v.values())
+                assert gcd(*v.values()) == 1 and v[max(v)] > 0
+                assert set(v) - set(pivots) == {max(v)}
+                for row in matrix:
+                    assert sum(row[j] * x for j, x in v.items()) == 0
