@@ -48,8 +48,11 @@ def _load_file(path: str) -> dict:
 
 
 def _document_from_args(args, kind: str | None = None) -> dict:
-    """The document of ``--file``, ``--preset`` or ``--g``/``--h``, of
-    the given kind (None: any file, or a preset)."""
+    """The document of ``--file``, ``--preset`` or ``--g``/``--h`` of the
+    given kind (None: any file, or a preset); two sources are an error."""
+    given = [flag for flag in ("file", "preset", "group", "g", "h") if getattr(args, flag, None)]
+    if len(given) > 1 and given != ["g", "h"]:
+        raise SchemaError("pass one document source, not " + " and ".join(f"--{f}" for f in given))
     if args.file:
         doc = _load_file(args.file)
         got = doc.get("kind") if isinstance(doc, dict) else None
@@ -139,7 +142,7 @@ def cmd_model_build(args) -> None:
     from .models import classifying_space_model, lie_group_model
 
     if args.file:
-        algebra = documents.load_model(_load_file(args.file))
+        _, algebra = documents.load_document(_document_from_args(args, "model"))
     else:
         if not args.group:
             raise SchemaError("pass --file or --group")

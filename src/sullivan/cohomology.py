@@ -292,7 +292,8 @@ def h0_dims(a: SullivanAlgebra, cutoff: int | None = None) -> dict[int, int]:
 
 def h0_image(a: SullivanAlgebra, table: CohomologyTable | None = None) -> dict[int, SubspaceBasis]:
     """Subspace of each even-degree cohomology spanned by classes of
-    even-subalgebra cocycles, in class coordinates."""
+    even-subalgebra cocycles, in class coordinates, given by an echelon
+    basis of that span (the rows of ``linalg.ff_row_echelon``)."""
     if not a.is_pure():
         raise NotPure("even-subalgebra image is computed for pure algebras only")
     table = table or cohomology(a)

@@ -7,8 +7,8 @@ visits only nonzero entries and keeps every row primitive.  The kernel
 takes and returns sparse rows ``{column: int}``, which ``_int_rows``
 makes of mapping or dense rows (``int`` mappings, such as differential
 rows, pass through) and ``_transpose`` of the columns of vectors.
-Pivoting is first-nonzero in column order, as in dense Bareiss
-elimination, so every basis this module produces is deterministic.
+Each column's pivot row is its shortest candidate; the pivot columns,
+and so every basis this module produces, do not depend on row order.
 Kernel vectors are back-substituted fraction-free in the same format and
 reach ``_complement`` as they are; ``Fraction`` values and dense vectors
 appear only at the public functions.
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotASubspace
@@ -73,59 +74,54 @@ def ff_row_echelon(rows):
     """Fraction-free row echelon form of an integer matrix.
 
     Takes nonzero sparse rows ``{column: int}`` and works on copies, so
-    the caller's rows are not modified.  Each row is divided by its
-    content, so it is always the primitive part of the row Bareiss
-    single-step elimination would hold and its entries are never larger.
-    The pivot column is the smallest leading column among the remaining
-    rows and the pivot row the first of them with that leading column,
-    swapped into place: the pivoting of dense first-nonzero-in-column-
-    order Bareiss, so the output is the same and deterministic.  A row
-    with an entry ``mic`` in the pivot column becomes
-    ``row*(piv//g) - pivot_row*(mic//g)`` with ``g = gcd(piv, mic)``;
-    rows without one are not touched.
+    the caller's rows are not modified.  Rows are filed by leading column
+    and the columns taken in increasing order.  Column c's pivot row is
+    the shortest row filed under c, the first on a tie, which keeps
+    fill-in low (the row half of Markowitz pivoting).  Each other row
+    there, with entry ``mic`` at c, becomes ``row*(piv//g) -
+    pivot_row*(mic//g)`` with ``g = gcd(piv, mic)``, is divided by its
+    content and filed again, or dropped if zero.  The pivot columns are
+    the first independent columns from left to right, in any row order.
 
-    Returns ``(echelon, pivots)`` where ``echelon`` holds the nonzero
-    rows as ``{column: int}``, each reduced by its content with a
-    positive pivot entry, and ``pivots`` lists their pivot columns.
+    Returns ``(echelon, pivots)``: the nonzero rows as ``{column: int}``,
+    each primitive with a positive pivot entry, and their pivot columns
+    in increasing order.
     """
-    m = [dict(row) for row in rows]
-    for row in m:
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in map(dict, rows):
         _divide_content(row)
-    # Leading column of each row; inf marks a row eliminated to zero.
-    leads = [min(row) for row in m]
-    echelon = []
-    pivots = []
-    for r in range(len(m)):
-        c = min(leads[r:])
-        if c == inf:
-            break
-        pr = leads.index(c, r)
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-            leads[r], leads[pr] = leads[pr], leads[r]
-        row_r = m[r]
-        piv = row_r[c]
-        for i in range(r + 1, len(m)):
-            if leads[i] != c:
+        buckets.setdefault(min(row), []).append(row)
+    leads = sorted(buckets)  # a sorted list is a heap
+    echelon, pivots = [], []
+    while leads:
+        c = heappop(leads)
+        bucket = buckets.pop(c)
+        pivot_row = min(bucket, key=len)
+        piv = pivot_row[c]
+        for row in bucket:
+            if row is pivot_row:
                 continue
-            row_i = m[i]
-            g = gcd(piv, row_i[c])
-            a, b = piv // g, row_i[c] // g
+            g = gcd(piv, row[c])
+            a, b = piv // g, row[c] // g
             if a != 1:
-                for j in row_i:
-                    row_i[j] *= a
-            for j, y in row_r.items():
-                x = row_i.get(j, 0) - b * y
+                for j in row:
+                    row[j] *= a
+            for j, y in pivot_row.items():
+                x = row.get(j, 0) - b * y
                 if x:
-                    row_i[j] = x
+                    row[j] = x
                 else:
-                    del row_i[j]
-            _divide_content(row_i)
-            leads[i] = min(row_i) if row_i else inf
+                    del row[j]
+            if row:
+                _divide_content(row)
+                lead = min(row)
+                if lead not in buckets:
+                    heappush(leads, lead)
+                buckets.setdefault(lead, []).append(row)
         if piv < 0:
-            for j in row_r:
-                row_r[j] = -row_r[j]
-        echelon.append(row_r)
+            for j in pivot_row:
+                pivot_row[j] = -pivot_row[j]
+        echelon.append(pivot_row)
         pivots.append(c)
     return echelon, pivots
 

@@ -153,6 +153,35 @@ class TestMoreSurfaces:
             code, out, err = run(capsys, *argv, "--file", str(path))
             assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_model_build_rejects_unknown_keys(self, capsys, tmp_path):
+        # a misspelled differential is refused, as by report --file
+        path = tmp_path / "m.json"
+        doc = {"kind": "model", "generators": [["u", 2], ["a", 3]], "differentials": {"a": "u^2"}, "cutoff": 6}
+        path.write_text(json.dumps(doc))
+        for argv in (["model", "build"], ["report"]):
+            code, out, err = run(capsys, *argv, "--file", str(path))
+            assert (code, out, err) == (1, "", "error: $: unknown key 'differentials'\n")
+        path.write_text(json.dumps({"kind": "betti", "betti": [1]}))
+        code, _, err = run(capsys, "model", "build", "--file", str(path))
+        assert code == 1 and "expected a 'model' document, got kind 'betti'" in err
+
+    def test_two_document_sources_are_validation_errors(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"kind": "model", "generators": [["u", 2]], "cutoff": 4}))
+        for argv, flags in (
+            (["report", "--file", str(path), "--preset", "cp2-sum"], "--file and --preset"),
+            (["check", "homogeneous", "--preset", "cp2-sum", "--g", "SU(2)", "--h", "T1"], "--preset and --g and --h"),
+            (["check", "coho1", "--preset", "cp2-sum", "--h", "T1"], "--preset and --h"),
+            (["check", "homogeneous", "--file", str(path), "--g", "SU(2)", "--h", "T1"], "--file and --g and --h"),
+            (["model", "build", "--file", str(path), "--group", "SU(2)"], "--file and --group"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: pass one document source, not {flags}\n")
+        # one source each still works
+        assert run(capsys, "report", "--file", str(path))[0] == 0
+        assert run(capsys, "report", "--preset", "cp2-sum")[0] == 0
+        assert run(capsys, "model", "build", "--file", str(path))[0] == 0
+
 
 class TestKTheoryAndReport:
     def test_betti_file(self, capsys, tmp_path):

@@ -1,6 +1,6 @@
 """Exact linear algebra: frozen examples, plus the sparse elimination
-kernel checked against dense Bareiss elimination and the independent
-Fraction-based reducer."""
+kernel checked against dense Bareiss elimination (same pivots, same
+reduced row echelon form) and the independent Fraction-based reducer."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,9 @@ from math import gcd, lcm
 
 import pytest
 
+from instance_generators import random_sheared
 from sullivan import linalg
+from sullivan.cohomology import _action_rows
 from sullivan.errors import DimensionMismatch, NotASubspace
 from sullivan.linalg import (
     RationalMatrix,
@@ -28,7 +30,9 @@ def M(rows):
 def _bareiss_echelon(rows):
     """Dense Bareiss single-step elimination with first-nonzero-in-column
     pivoting, each final row reduced by its content with a positive
-    pivot: the reference ``ff_row_echelon`` must reproduce exactly."""
+    pivot.  ``ff_row_echelon`` picks other pivot rows, so it must give
+    the same pivots and rows with the same reduced row echelon form, not
+    the same rows."""
     m = [list(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -57,6 +61,18 @@ def _bareiss_echelon(rows):
             g = -g
         echelon.append([x // g for x in m[r]])
     return echelon, pivots
+
+
+def _reduced(rows, pivots):
+    """Reduced row echelon form, in ``Fraction`` values, of dense echelon
+    rows with the given pivot columns."""
+    reduced = [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+    for r in range(len(reduced) - 1, -1, -1):
+        for above in reduced[:r]:
+            factor = above[pivots[r]]
+            if factor:
+                above[:] = [x - factor * y for x, y in zip(above, reduced[r])]
+    return reduced
 
 
 def _fraction_back_substitute(echelon, pivots, v):
@@ -282,11 +298,57 @@ class TestEchelon:
             rows = _sparse(matrix)
             snapshot = [dict(row) for row in rows]
             echelon, pivots = linalg.ff_row_echelon(rows)
-            nonzero = [row for row in matrix if any(row)]
-            assert (_dense(echelon, ncols), pivots) == _bareiss_echelon(nonzero)
-            assert all(all(row.values()) for row in echelon)
+            bareiss, bareiss_pivots = _bareiss_echelon([row for row in matrix if any(row)])
+            assert pivots == bareiss_pivots
+            assert _reduced(_dense(echelon, ncols), pivots) == _reduced(bareiss, pivots)
+            for row, p in zip(echelon, pivots, strict=True):
+                assert all(row.values()) and gcd(*row.values()) == 1
+                assert min(row) == p and row[p] > 0
             assert rows == snapshot
         assert negative_leads >= 30
+
+    def test_shortest_row_is_the_pivot(self):
+        # the two-entry row pivots on column 0, though dense Bareiss takes
+        # the first row; the other becomes 2*row - pivot_row
+        assert linalg.ff_row_echelon([{0: 1, 1: 1, 2: 1}, {0: 2, 2: 3}]) == (
+            [{0: 2, 2: 3}, {1: 2, 2: -1}],
+            [0, 1],
+        )
+        # ties go to the first row of the bucket; updated rows are filed
+        # under their new leading column and compete there by length
+        rows = [{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 3: 1}, {0: 1, 1: 1}]
+        assert linalg.ff_row_echelon(rows) == (
+            [{0: 1, 3: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}],
+            [0, 1, 2],
+        )
+        assert rows[0] == {0: 1, 1: 1, 2: 1, 3: 1}
+
+    def test_fill_in_on_a_large_sheared_algebra(self, monkeypatch):
+        """Content divisions (one per input row and per updated row) while
+        ranking every differential block of the ninth sheared algebra of
+        acceptance criterion 5's seed, the largest of the benchmark's 60
+        core draws.  The shortest-row pivot makes 2749 of them; the first
+        row of each leading column as pivot made 4951."""
+        rng = random.Random(1013)
+        draws = []
+        while len(draws) < 9:
+            pair = random_sheared(rng)
+            if pair is not None:
+                draws.append(pair[0])
+        algebra = draws[8]
+        assert sum(len(algebra._basis(n)) for n in range(algebra.cutoff + 1)) == 1008
+        calls = 0
+        divide_content = linalg._divide_content
+
+        def counting(row):
+            nonlocal calls
+            calls += 1
+            divide_content(row)
+
+        monkeypatch.setattr(linalg, "_divide_content", counting)
+        ranks = [linalg.rank_rows(_action_rows(algebra, n)) for n in range(algebra.cutoff + 1)]
+        assert sum(ranks) == 551
+        assert calls <= 3300
 
     def test_empty_and_zero_matrices(self):
         assert linalg.ff_row_echelon([]) == ([], [])
@@ -468,3 +530,36 @@ class TestBackSubstitution:
                 assert set(v) - set(pivots) == {max(v)}
                 for row in matrix:
                     assert sum(row[j] * x for j, x in v.items()) == 0
+
+    def test_outputs_do_not_depend_on_row_order(self):
+        """The echelon rows depend on the row order, but the pivots and
+        everything read off them (kernel vectors, ``kernel_basis``,
+        ``solve``, ``_complement``) do not."""
+        rng = random.Random(61)
+        for matrix in _seeded_matrices():
+            nrows, ncols = len(matrix), len(matrix[0])
+            order = list(range(nrows))
+            rng.shuffle(order)
+            shuffled = [matrix[i] for i in order]
+            echelon, pivots = linalg._echelon(matrix)
+            echelon_s, pivots_s = linalg._echelon(shuffled)
+            assert pivots_s == pivots
+            assert linalg._kernel_vectors(echelon_s, pivots_s, ncols) == linalg._kernel_vectors(
+                echelon, pivots, ncols
+            )
+            assert kernel_basis(M(shuffled)) == kernel_basis(M(matrix))
+            columns = [list(col) for col in zip(*matrix)]
+            columns_s = [list(col) for col in zip(*shuffled)]
+            for rhs in ([sum(row) for row in matrix], [rng.randint(-9, 9) for _ in matrix]):
+                assert solve(columns_s, [rhs[i] for i in order]) == solve(columns, rhs)
+            # sub: independent columns; ambient: the unit vectors in a random
+            # order.  Shuffling the rows permutes the coordinates of both.
+            sub = [columns[c] for c in pivots]
+            units = list(range(nrows))
+            rng.shuffle(units)
+            ambient = [[int(i == u) for i in range(nrows)] for u in units]
+            picked = linalg._complement(sub, ambient)
+            picked_s = linalg._complement(
+                [[v[i] for i in order] for v in sub], [[v[i] for i in order] for v in ambient]
+            )
+            assert picked_s == tuple([v[i] for i in order] for v in picked)
