@@ -53,6 +53,8 @@ def _document_from_args(args, kind: str | None = None) -> dict:
     given = [flag for flag in ("file", "preset", "group", "g", "h") if getattr(args, flag, None)]
     if len(given) > 1 and given != ["g", "h"]:
         raise SchemaError("pass one document source, not " + " and ".join(f"--{f}" for f in given))
+    if getattr(args, "embedding", None) and (args.file or args.preset):
+        raise SchemaError("--embedding goes with --g and --h; a --file or --preset document has its own maps")
     if args.file:
         doc = _load_file(args.file)
         got = doc.get("kind") if isinstance(doc, dict) else None
@@ -143,6 +145,8 @@ def cmd_model_build(args) -> None:
 
     if args.file:
         _, algebra = documents.load_document(_document_from_args(args, "model"))
+        if args.cutoff is not None:
+            algebra = algebra.with_cutoff(args.cutoff)
     else:
         if not args.group:
             raise SchemaError("pass --file or --group")

@@ -8,6 +8,11 @@ CriterionDisagreement rather than being reconciled.  A disagreement that
 the input explains is a validation error instead: a direct check cut off
 below the model's formal dimension, or maps whose model has
 infinite-dimensional cohomology (they define no compact quotient).
+
+``pair_analysis`` and ``cohomogeneity_one_analysis`` build a space's
+Borel package once and return it with its verdict, so a report reads the
+space's cohomology table from the same model; the Euler relations of a
+diagram take the manifold's table rather than rebuilding its model.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .models import (
     borel_model_cohomogeneity_one,
     borel_model_homogeneous,
     classifying_space_model,  # noqa: F401  (perfbench/tracer.py patches it here)
-    cohomogeneity_one_model,
+    cohomogeneity_one_model,  # noqa: F401  (perfbench/tracer.py patches it here)
     _kill_generator,
     EULER_MINUS,
     EULER_PLUS,
@@ -155,7 +160,7 @@ def homogeneous_surjectivity(
     """Even-degree surjectivity of the forgetful map for G acting on G/H:
     rank formula (gap at most one) against the direct check on the
     classifying-subalgebra inclusion."""
-    return _pair_surjectivity(g, h, restriction, cutoff, "homogeneous", CITATION_HOMOGENEOUS)
+    return pair_analysis("homogeneous", g, h, restriction, cutoff)[1]
 
 
 def biquotient_surjectivity(
@@ -166,14 +171,18 @@ def biquotient_surjectivity(
 ) -> SurjectivityVerdict:
     """Same question for a two-sided quotient presentation; freeness of
     the action is the caller's assertion."""
-    return _pair_surjectivity(g, h, restriction, cutoff, "biquotient", CITATION_BIQUOTIENT)
+    return pair_analysis("biquotient", g, h, restriction, cutoff)[1]
 
 
-def _pair_surjectivity(g, h, restriction, cutoff, context: str, citation: str) -> SurjectivityVerdict:
+def pair_analysis(kind: str, g, h, restriction, cutoff) -> tuple[BorelPackage, SurjectivityVerdict]:
+    """The Borel package of a ``homogeneous`` or ``biquotient`` pair,
+    built once, and the surjectivity verdict decided on it; a report
+    reads the space's cohomology from the same package."""
     if not (g.connected and h.connected):
-        raise DisconnectedGroup(f"the {context} criterion needs connected groups")
+        raise DisconnectedGroup(f"the {kind} criterion needs connected groups")
     package = borel_model_homogeneous(g, h, restriction, cutoff)
-    return _verdict_from_package(package, context, g.rank - h.rank, True, citation)
+    citation = CITATION_HOMOGENEOUS if kind == "homogeneous" else CITATION_BIQUOTIENT
+    return package, _verdict_from_package(package, kind, g.rank - h.rank, True, citation)
 
 
 def cohomogeneity_one_surjectivity(
@@ -183,9 +192,18 @@ def cohomogeneity_one_surjectivity(
 ) -> SurjectivityVerdict:
     """Even-degree surjectivity of the forgetful map for the
     cohomogeneity-one manifold of the diagram."""
+    return cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)[1]
+
+
+def cohomogeneity_one_analysis(
+    diagram: GroupDiagram, cutoff: int | None, allow_disconnected: bool
+) -> tuple[BorelPackage, SurjectivityVerdict]:
+    """The Borel package of the diagram's manifold, built once, and the
+    surjectivity verdict decided on it; a report reads the manifold's and
+    the Borel model's cohomology from the same package."""
     package = borel_model_cohomogeneity_one(diagram, cutoff, allow_disconnected)
     hypotheses = all(grp.connected for grp in diagram.groups())
-    return _verdict_from_package(
+    return package, _verdict_from_package(
         package, "cohomogeneity_one", diagram.rank_gap, hypotheses, CITATION_COHO1
     )
 
@@ -370,23 +388,28 @@ def _drop_index(algebra: SullivanAlgebra, mono, name: str):
     return tuple(e for i, e in enumerate(mono) if i != index)
 
 
+def _chi(a: SullivanAlgebra) -> int:
+    return ch.euler_characteristic(ch.betti_numbers(a))
+
+
 def euler_characteristic_relations(
-    diagram: GroupDiagram,
-    allow_disconnected: bool = False,
+    diagram: GroupDiagram, table: ch.CohomologyTable
 ) -> EulerReport:
-    """Compute the Euler characteristics of the manifold and of the three
-    orbit types independently from their own models and verify the
-    inclusion-exclusion identity; for circle fibres also check that the
-    manifold characteristic is positive exactly in the equal-rank case."""
-    m = cohomogeneity_one_model(diagram, allow_disconnected=allow_disconnected)
-    chi_m = ch.euler_characteristic(ch.betti_numbers(m))
-    chi_minus = ch.euler_characteristic(
-        ch.betti_numbers(_singular_orbit_model(diagram, "-"))
-    )
-    chi_plus = ch.euler_characteristic(
-        ch.betti_numbers(_singular_orbit_model(diagram, "+"))
-    )
-    chi_h = ch.euler_characteristic(ch.betti_numbers(_principal_orbit_model(diagram)))
+    """Check the inclusion-exclusion identity chi(M) = chi(G/K-) +
+    chi(G/K+) - chi(G/H); for circle fibres also check that the manifold
+    characteristic is positive exactly in the equal-rank case.
+
+    ``table`` is the manifold's cohomology table, so chi(M) is the
+    alternating sum of the Betti numbers a report prints, up to dim M;
+    a table cut off below dim M is extended by counting the ranks of its
+    algebra up to dim M.  The three orbit characteristics each come from
+    the orbit's own model."""
+    top = diagram.manifold_dimension
+    betti = table.betti if table.cutoff >= top else ch.betti_numbers(table.algebra.with_cutoff(top))
+    chi_m = ch.euler_characteristic(betti[: top + 1])
+    chi_minus = _chi(_singular_orbit_model(diagram, "-"))
+    chi_plus = _chi(_singular_orbit_model(diagram, "+"))
+    chi_h = _chi(_principal_orbit_model(diagram))
     identity = chi_m == chi_minus + chi_plus - chi_h
     if not identity:
         raise CriterionDisagreement(

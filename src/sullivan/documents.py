@@ -31,8 +31,8 @@ from .models import (
     GroupData,
     GroupDiagram,
     RestrictionMap,
-    biquotient_model,
-    borel_model_cohomogeneity_one,
+    biquotient_model,  # noqa: F401  (perfbench/tracer.py patches it here)
+    borel_model_cohomogeneity_one,  # noqa: F401  (perfbench/tracer.py patches it here)
     cohomogeneity_one_model,  # noqa: F401  (perfbench/tracer.py patches it here)
 )
 
@@ -350,16 +350,12 @@ def _analyze_model(a: SullivanAlgebra) -> dict:
 
 
 def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
-    if kind == "homogeneous":
-        verdict = criteria.homogeneous_surjectivity(g, h, restriction, cutoff)
-    else:
-        verdict = criteria.biquotient_surjectivity(g, h, restriction, cutoff)
-    space = biquotient_model(g, h, restriction, cutoff)
-    table = ch.cohomology(space)
+    package, verdict = criteria.pair_analysis(kind, g, h, restriction, cutoff)
+    table = ch.cohomology(package.space)
     flags = ktheory.StabilizationFlags.from_homogeneous(g, h)
     report = {
         "kind": kind,
-        "input": _pair_input_document(kind, g, h, restriction, space.cutoff),
+        "input": _pair_input_document(kind, g, h, restriction, table.cutoff),
         "space": _space_summary(table),
         "verdict": asdict(verdict),
         "ktheory": _k_report(verdict, flags, table.betti),
@@ -371,16 +367,14 @@ def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
 
 
 def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) -> dict:
-    verdict = criteria.cohomogeneity_one_surjectivity(diagram, cutoff, allow_disconnected)
-    package = borel_model_cohomogeneity_one(diagram, cutoff, allow_disconnected)
-    space = package.space
-    table = ch.cohomology(space)
+    package, verdict = criteria.cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)
+    table = ch.cohomology(package.space)
     borel_betti = ch.betti_numbers(package.borel)
-    euler = criteria.euler_characteristic_relations(diagram, allow_disconnected)
+    euler = criteria.euler_characteristic_relations(diagram, table)
     applicability = criteria.theorem_a_applicability(diagram)
     flags = ktheory.StabilizationFlags.from_diagram(diagram)
     input_doc = diagram_document(diagram)
-    input_doc["cutoff"] = space.cutoff
+    input_doc["cutoff"] = table.cutoff
     if allow_disconnected:
         input_doc["allow_disconnected"] = True
     report = {

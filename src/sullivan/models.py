@@ -143,6 +143,12 @@ class GroupDiagram:
     def rank_gap(self) -> int:
         return self.g.rank - self.k_plus.rank
 
+    @property
+    def manifold_dimension(self) -> int:
+        """Dimension of the cohomogeneity-one manifold: the principal
+        orbit G/H times the interval of the orbit space."""
+        return self.g.dimension - self.h.dimension + 1
+
     def groups(self) -> tuple[GroupData, ...]:
         return (self.g, self.h, self.k_minus, self.k_plus)
 
@@ -236,9 +242,8 @@ def borel_model_homogeneous(
     """Borel-construction model H*(BH) (zero differential) together with
     its inclusion into the orbit-space model, which induces the forgetful
     map in cohomology."""
-    cutoff = g.dimension - h.dimension if cutoff is None else cutoff
     space = biquotient_model(g, h, restriction, cutoff)
-    borel = classifying_space_model(h, cutoff)
+    borel = classifying_space_model(h, space.cutoff)
     assignment = {name: space.gen(name) for name in h.bg_names}
     return BorelPackage(space, borel, CdgaMorphism(borel, space, assignment))
 
@@ -329,8 +334,7 @@ def cohomogeneity_one_model(
     fibre-product of the two restrictions, and one generator n with
     dn = e+ e- encoding the single relation."""
     _check_diagram_flags(diagram, allow_disconnected)
-    if cutoff is None:
-        cutoff = diagram.g.dimension - diagram.h.dimension + 1
+    cutoff = diagram.manifold_dimension if cutoff is None else cutoff
     gens = _coho1_generators(diagram)
     draft = SullivanAlgebra(gens, cutoff)
     return SullivanAlgebra(gens, cutoff, _coho1_differential(diagram, draft))
@@ -342,15 +346,11 @@ def borel_model_cohomogeneity_one(
     allow_disconnected: bool = False,
 ) -> BorelPackage:
     """Model of the Borel construction, H*(BH)[e+,e-] with the single
-    relation e+ e- realized by the generator n, plus the morphism into
-    the manifold model (even generators and n go to themselves)."""
+    relation e+ e- realized by the generator n: the manifold model's
+    generators without the exterior generators of H*(G).  The morphism
+    into the manifold model sends each generator to itself."""
     space = cohomogeneity_one_model(diagram, cutoff, allow_disconnected)
-    h = diagram.h
-    l_minus, l_plus = diagram.sphere_dims
-    gens = [Generator(n, d) for n, d in zip(h.bg_names, h.bg_degrees)]
-    gens.append(Generator(EULER_PLUS, l_plus + 1))
-    gens.append(Generator(EULER_MINUS, l_minus + 1))
-    gens.append(Generator(RELATION_GENERATOR, l_plus + l_minus + 1))
+    gens = [gen for gen in space.generators if gen.name not in diagram.g.g_names]
     draft = SullivanAlgebra(gens, space.cutoff)
     borel = SullivanAlgebra(
         gens,

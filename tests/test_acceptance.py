@@ -205,7 +205,7 @@ def test_criterion_6_euler_identity():
     checked = []
     for name in sorted(DIAGRAM_PRESETS):
         diagram = load_diagram(DIAGRAM_PRESETS[name])
-        report = euler_characteristic_relations(diagram)  # raises on failure
+        report = euler_characteristic_relations(diagram, cohomology(cohomogeneity_one_model(diagram)))  # raises on failure
         assert report.identity_holds
         checked.append(f"{name}:{report.chi_m}")
     verdict_line(6, len(checked) == len(DIAGRAM_PRESETS), ", ".join(checked))

@@ -182,6 +182,29 @@ class TestMoreSurfaces:
         assert run(capsys, "report", "--preset", "cp2-sum")[0] == 0
         assert run(capsys, "model", "build", "--file", str(path))[0] == 0
 
+    def test_embedding_with_a_document_is_validation_error(self, capsys, tmp_path):
+        # a --file or --preset document names its own maps, so the flag
+        # would be ignored; with --g/--h it is still read
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"kind": "homogeneous", "G": "SU(2)", "H": "T1"}))
+        message = "error: --embedding goes with --g and --h; a --file or --preset document has its own maps\n"
+        for argv in (
+            ["check", "homogeneous", "--file", str(path), "--embedding", "nonsense"],
+            ["check", "coho1", "--preset", "cp2-sum", "--embedding", "nonsense"],
+        ):
+            assert run(capsys, *argv) == (1, "", message)
+        code, _, err = run(capsys, "check", "homogeneous", "--g", "SU(2)", "--h", "T1", "--embedding", "nonsense")
+        assert code == 1 and "unknown embedding kind 'nonsense'" in err
+        assert run(capsys, "check", "homogeneous", "--file", str(path))[0] == 0
+
+    def test_model_build_honours_cutoff_on_a_file(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"kind": "model", "generators": [["u", 2]], "cutoff": 4}))
+        code, out, _ = run(capsys, "model", "build", "--file", str(path), "--cutoff", "9", "--format", "structured")
+        assert code == 0 and json.loads(out)["cutoff"] == 9
+        code, out, err = run(capsys, "model", "build", "--file", str(path), "--cutoff", "-1")
+        assert (code, out) == (1, "") and "cutoff must be a non-negative integer" in err
+
 
 class TestKTheoryAndReport:
     def test_betti_file(self, capsys, tmp_path):

@@ -18,7 +18,7 @@ from sullivan.criteria import (
     theorem_a_applicability,
 )
 from sullivan.errors import CutoffExceeded, DisconnectedGroup, NotElliptic, NotPure
-from sullivan.models import GroupDiagram, RestrictionMap
+from sullivan.models import GroupDiagram, RestrictionMap, cohomogeneity_one_model
 
 SU2 = lookup("SU(2)")
 T1 = lookup("T1")
@@ -148,7 +148,7 @@ class TestCohomogeneityOne:
         )
         model = cohomogeneity_one_model(smallest)
         assert betti_numbers(model) == (1, 0, 1)
-        relations = euler_characteristic_relations(smallest)
+        relations = euler_characteristic_relations(smallest, cohomology(cohomogeneity_one_model(smallest)))
         assert (relations.chi_m, relations.chi_orbit_minus, relations.chi_principal) == (2, 1, 0)
         verdict = cohomogeneity_one_surjectivity(smallest)
         assert verdict.rank_criterion and verdict.direct_check
@@ -172,7 +172,7 @@ class TestCohomogeneityOne:
         betti = betti_numbers(model)
         assert betti == (1, 0, 2, 0, 2, 0, 1)
         assert euler_characteristic(betti) == 6
-        relations = euler_characteristic_relations(mixed)
+        relations = euler_characteristic_relations(mixed, cohomology(cohomogeneity_one_model(mixed)))
         assert (relations.chi_orbit_minus, relations.chi_orbit_plus, relations.chi_principal) == (4, 2, 0)
         verdict = cohomogeneity_one_surjectivity(mixed)
         assert verdict.rank_criterion and verdict.direct_check and verdict.chi_pi == 0
@@ -202,7 +202,7 @@ class TestCohomogeneityOne:
         assert euler_characteristic(betti) == 16
         verdict = cohomogeneity_one_surjectivity(family)
         assert verdict.rank_criterion and verdict.direct_check
-        relations = euler_characteristic_relations(family)
+        relations = euler_characteristic_relations(family, cohomology(cohomogeneity_one_model(family)))
         assert (relations.chi_orbit_minus, relations.chi_orbit_plus, relations.chi_principal) == (8, 8, 0)
         clauses = theorem_a_applicability(family)
         assert clauses.integral_clause and clauses.rational_clause
@@ -305,17 +305,20 @@ class TestFormality:
 
 class TestDiagramReports:
     def test_euler_identity_cp2sum(self):
-        report = euler_characteristic_relations(diagram("cp2-sum"))
+        d = diagram("cp2-sum")
+        report = euler_characteristic_relations(d, cohomology(cohomogeneity_one_model(d)))
         assert (report.chi_m, report.chi_orbit_minus, report.chi_orbit_plus, report.chi_principal) == (4, 2, 2, 0)
         assert report.identity_holds and report.positive_iff_equal_rank
 
     def test_euler_identity_product(self):
-        report = euler_characteristic_relations(diagram("cp2-sum-times-sphere"))
+        d = diagram("cp2-sum-times-sphere")
+        report = euler_characteristic_relations(d, cohomology(cohomogeneity_one_model(d)))
         assert report.chi_m == 8 and report.chi_orbit_minus == 4
         assert report.chi_principal == 0
 
     def test_euler_identity_gap_two(self):
-        report = euler_characteristic_relations(diagram("gap-two-diagonal"))
+        d = diagram("gap-two-diagonal")
+        report = euler_characteristic_relations(d, cohomology(cohomogeneity_one_model(d)))
         assert report.chi_m == 0
         assert report.identity_holds and report.positive_iff_equal_rank
 

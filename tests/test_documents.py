@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from sullivan import cohomology as ch
 from sullivan import linalg
 from sullivan.catalog import DIAGRAM_PRESETS
-from sullivan.cdga import Generator
+from sullivan.cdga import CdgaMorphism, Generator, SullivanAlgebra
 from sullivan.cli import main
 from sullivan.documents import (
     diagram_document,
@@ -19,6 +20,7 @@ from sullivan.documents import (
     to_json,
 )
 from sullivan.errors import EvenSphere, InvalidDegrees, SchemaError, UnknownCatalogName
+from sullivan.models import cohomogeneity_one_model
 
 GOLDEN = Path(__file__).parent / "golden"
 INLINE_GROUP = {"name": "X", "rank": 1, "dim": 3, "degrees": [3]}
@@ -215,6 +217,59 @@ class TestRoundTrip:
         assert g.rank == 1 and h.is_trivial
 
 
+class TestOneBorelPackagePerReport:
+    """A report builds its Borel package once: the verdict, the space's
+    table, the ``borel`` section and the Euler relations all read it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {"signatures": [], "morphisms": 0, "betti_numbers": 0}
+        init = SullivanAlgebra.__init__
+        post_init = CdgaMorphism.__post_init__
+        betti_numbers = ch.betti_numbers
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            counts["signatures"].append(self.signature)
+
+        def counting_post_init(self):
+            counts["morphisms"] += 1
+            post_init(self)
+
+        def counting_betti(*args, **kwargs):
+            counts["betti_numbers"] += 1
+            return betti_numbers(*args, **kwargs)
+
+        monkeypatch.setattr(SullivanAlgebra, "__init__", counting_init)
+        monkeypatch.setattr(CdgaMorphism, "__post_init__", counting_post_init)
+        monkeypatch.setattr(ch, "betti_numbers", counting_betti)
+        return counts
+
+    @pytest.mark.parametrize("name", sorted(DIAGRAM_PRESETS))
+    def test_diagram_report(self, name, builds):
+        manifold = cohomogeneity_one_model(load_diagram(DIAGRAM_PRESETS[name])).signature
+        builds["signatures"].clear()
+        run_analysis(DIAGRAM_PRESETS[name])
+        assert builds["morphisms"] == 1
+        # the manifold model's draft and final algebra, nothing more
+        assert builds["signatures"].count(manifold) <= 2
+        # the Borel model and the three orbit models; M is read from its table
+        assert builds["betti_numbers"] == 4
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "homogeneous", "G": "SU(2)", "H": "T1"},
+            {"kind": "biquotient", "G": "SU(2)", "H": "T1", "left": {"u1": "-u1^2"}, "right": {"u1": "-4*u1^2"}},
+        ],
+    )
+    def test_pair_report(self, doc, builds):
+        run_analysis(doc)
+        assert builds["morphisms"] == 1
+        # the space model's draft and final algebra and the Borel model
+        assert len(builds["signatures"]) <= 3
+
+
 class TestReports:
     def test_determinism(self):
         doc = DIAGRAM_PRESETS["cp2-sum"]
@@ -235,12 +290,18 @@ class TestReports:
         assert report["space"]["poincare_duality"]
         assert report["ktheory"]["k0_dim"] == 4
 
-    def test_euler_relations_at_truncated_cutoff(self):
-        # The table stops at degree 2 and misses the top class, so its
-        # Euler characteristic (3) is not chi(M); the relations use the
-        # manifold's own model.
-        report = run_analysis(dict(DIAGRAM_PRESETS["cp2-sum"], cutoff=2))
-        assert report["space"]["betti"] == [1, 0, 2]
+    @pytest.mark.parametrize(
+        "cutoff, betti",
+        [(2, [1, 0, 2]), (4, [1, 0, 2, 0, 1]), (7, [1, 0, 2, 0, 1, 0, 0, 0])],
+        ids=["below-dim-M", "at-dim-M", "above-dim-M"],
+    )
+    def test_euler_relations_at_truncated_cutoff(self, cutoff, betti):
+        # At cutoff 2 the table stops below dim M = 4 and misses the top
+        # class, so its Euler characteristic (3) is not chi(M); the
+        # relations count the ranks of the manifold's model up to dim M.
+        # At and above dim M they read the report's own Betti numbers.
+        report = run_analysis(dict(DIAGRAM_PRESETS["cp2-sum"], cutoff=cutoff))
+        assert report["space"]["betti"] == betti
         assert report["euler_relations"]["chi_m"] == 4
         assert report["euler_relations"]["identity_holds"]
 
