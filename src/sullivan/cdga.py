@@ -14,10 +14,20 @@ The differential is stored as each generator's image, a tuple of
 where they are integral and ``Fraction`` otherwise.  The d of a monomial
 is the derivation that Leibniz's rule extends from those images, computed
 on exponent tuples in integers by ``_d_terms`` and cached as a
-``{monomial: coefficient}`` map; ``AlgebraElement`` values appear only at
-the API boundary (``differential``, ``apply_differential``).  The
-algebra holds no element of its own, so it is freed by reference
-counting.
+``{monomial: coefficient}`` map.  Algebra maps work on the same terms: a
+``CdgaMorphism`` stores its generator images so, multiplies them out per
+monomial with ``_product_terms`` and caches the result, and
+``substitute`` does the same for an endomorphism; ``_combination``
+extends d or a map linearly.  The algebra holds no element of its own,
+so it is freed by reference counting.
+
+``AlgebraElement`` values appear only where elements are read or
+written: parsed polynomials and the model builders' differentials, the
+``differential`` property, the results of ``multiply``,
+``apply_differential``, ``substitute``, ``CdgaMorphism.apply`` (which
+``induced_map`` and ``compose`` call) and ``element_from_coordinates``
+(class representatives).  The chain-map check, the direct surjectivity
+check and the formality count build none.
 
 A degree cutoff is fixed at construction: basis enumeration and the
 public differential are guarded by it (internal callers may go one
@@ -64,6 +74,17 @@ def _koszul_sign(mask1: int, mask2: int) -> int:
         inversions += (mask1 & -(low << 1)).bit_count()
         mask2 ^= low
     return -1 if inversions & 1 else 1
+
+
+def _combination(terms: Iterable[tuple[Monomial, "int | Fraction"]], image_of) -> dict:
+    """The sum of ``c*image_of(m)`` over the pairs ``(m, c)`` of ``terms``,
+    as ``{monomial: coefficient}`` with the nonzero coefficients; each
+    ``image_of(m)`` is a ``{monomial: coefficient}`` map."""
+    out: dict = {}
+    for mono, coeff in terms:
+        for m, c in image_of(mono).items():
+            out[m] = out.get(m, 0) + coeff * c
+    return {m: c for m, c in out.items() if c}
 
 
 def _add_products(out: dict, m1: Monomial, mask1: int, c1, right: Iterable[Term]) -> None:
@@ -368,6 +389,19 @@ class SullivanAlgebra:
             _add_products(terms, m1, self._mask(m1), c1, right)
         return AlgebraElement(self, terms)
 
+    def _product_terms(self, mono: Monomial, images: Sequence[tuple[Term, ...]]) -> dict:
+        """The product over i, in order, of ``images[i]`` (stored terms of
+        this algebra) to the power ``mono[i]``, as ``{monomial:
+        coefficient}`` with the nonzero coefficients."""
+        product = {(0,) * len(self.generators): 1}
+        for e, image in zip(mono, images):
+            for _ in range(e):
+                out: dict = {}
+                for m, c in product.items():
+                    _add_products(out, m, self._mask(m), c, image)
+                product = {m: c for m, c in out.items() if c}
+        return product
+
     # -- differential -------------------------------------------------
 
     def apply_differential(self, e: AlgebraElement) -> AlgebraElement:
@@ -380,7 +414,7 @@ class SullivanAlgebra:
         return self._d_element(e)
 
     def _d_element(self, e: AlgebraElement) -> AlgebraElement:
-        return self._element(self._d_combination(e.terms.items()))
+        return self._element(_combination(e.terms.items(), self._d_terms))
 
     def _d_monomial(self, mono: Monomial) -> AlgebraElement:
         return self._element(self._d_terms(mono))
@@ -388,17 +422,8 @@ class SullivanAlgebra:
     def _element(self, terms: Mapping[Monomial, "int | Fraction"]) -> AlgebraElement:
         return AlgebraElement(self, {m: Fraction(c) for m, c in terms.items()})
 
-    def _d_combination(self, terms: Iterable[tuple[Monomial, "int | Fraction"]]) -> dict:
-        """d of a linear combination of monomials, as ``{monomial: coeff}``
-        (coefficients may cancel to zero)."""
-        out: dict = {}
-        for mono, coeff in terms:
-            for m, c in self._d_terms(mono).items():
-                out[m] = out.get(m, 0) + coeff * c
-        return out
-
     def _closed(self, image: tuple[Term, ...]) -> bool:
-        return not any(self._d_combination((m, c) for m, _, c in image).values())
+        return not _combination(((m, c) for m, _, c in image), self._d_terms)
 
     def _d_terms(self, mono: Monomial) -> dict[Monomial, "int | Fraction"]:
         """d of a monomial as ``{monomial: coefficient}`` with nonzero
@@ -441,25 +466,19 @@ class SullivanAlgebra:
         """Apply the algebra endomorphism sending each named generator to
         the given (degree-equal homogeneous) element, fixing the others.
         No compatibility with the differential is assumed."""
-        images = {}
+        images = []
         for g in self.generators:
             image = assignment.get(g.name)
             if image is None:
-                images[g.name] = self.gen(g.name)
-                continue
-            if image.algebra.signature != self.signature:
+                image = self.gen(g.name)
+            elif image.algebra.signature != self.signature:
                 raise UnknownGenerator(f"substitute for {g.name!r} uses another algebra")
-            if not image.is_zero and (not image.is_homogeneous or image.degree != g.degree):
+            elif not image.is_zero and (not image.is_homogeneous or image.degree != g.degree):
                 raise DegreeMismatch(f"substitute for {g.name!r} must preserve the degree")
-            images[g.name] = AlgebraElement(self, image.terms)
-        result = self.zero()
-        for mono, coeff in e.terms.items():
-            term = self.one()
-            for g, exp in zip(self.generators, mono):
-                if exp:
-                    term = term * images[g.name] ** exp
-            result = result + coeff * term
-        return result
+            images.append(self._image_terms(image.terms))
+        return self._element(
+            _combination(e.terms.items(), lambda mono: self._product_terms(mono, images))
+        )
 
     # -- structure ----------------------------------------------------
 
@@ -642,6 +661,7 @@ class CdgaMorphism:
 
     def __post_init__(self):
         images: dict[str, AlgebraElement] = {}
+        terms = []  # the images as stored terms of the target, in source order
         for g in self.source.generators:
             if g.name not in self.assignment:
                 raise UnknownGenerator(f"morphism misses generator {g.name!r}")
@@ -656,31 +676,29 @@ class CdgaMorphism:
                     f"image of {g.name!r} has degree {img.degree}, expected {g.degree}"
                 )
             images[g.name] = img
+            terms.append(self.target._image_terms(img.terms))
         object.__setattr__(self, "assignment", images)
+        object.__setattr__(self, "_images", tuple(terms))
         object.__setattr__(self, "_mono_cache", {})
-        for g, d_g in zip(self.source.generators, self.source.differential):
-            if self.apply(d_g) != self.target._d_element(images[g.name]):
+        for g, d_g, image in zip(self.source.generators, self.source._images, self._images):
+            f_of_d = _combination(((m, c) for m, _, c in d_g), self._monomial_terms)
+            if f_of_d != _combination(((m, c) for m, _, c in image), self.target._d_terms):
                 raise NotAChainMap(f"morphism does not commute with d on {g.name!r}")
 
     def apply(self, e: AlgebraElement) -> AlgebraElement:
         if e.algebra.signature != self.source.signature:
             raise UnknownGenerator("element is not in the morphism source")
-        result = self.target.zero()
-        for mono, coeff in e.terms.items():
-            result = result + coeff * self._apply_monomial(mono)
-        return result
+        return self.target._element(_combination(e.terms.items(), self._monomial_terms))
 
-    def _apply_monomial(self, mono: Monomial) -> AlgebraElement:
+    def _monomial_terms(self, mono: Monomial) -> dict:
+        """The image of a source monomial, the product of the generator
+        images ``_images`` (stored terms of the target), as ``{monomial:
+        coefficient}``; cached per monomial."""
         cache = self._mono_cache  # type: ignore[attr-defined]
         cached = cache.get(mono)
-        if cached is not None:
-            return cached
-        result = self.target.one()
-        for g, e in zip(self.source.generators, mono):
-            if e:
-                result = result * self.assignment[g.name] ** e
-        cache[mono] = result
-        return result
+        if cached is None:
+            cached = cache[mono] = self.target._product_terms(mono, self._images)
+        return cached
 
     def compose(self, inner: "CdgaMorphism") -> "CdgaMorphism":
         """self after inner."""

@@ -30,6 +30,11 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _emit(args, report: dict) -> None:
     text = documents.to_json(report) if args.format == "structured" else documents.to_text(report)
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """Write to ``--output`` when given, else to stdout."""
     if args.output:
         with open(args.output, "w", encoding="ascii") as handle:
             handle.write(text)
@@ -101,7 +106,7 @@ def cmd_catalog(args) -> None:
                 for e in entries
             ]
             lines.append("diagram presets: " + ", ".join(sorted(catalog.DIAGRAM_PRESETS)))
-            _write_lines(args, lines)
+            _write(args, "\n".join(lines) + "\n")
     else:
         entry = catalog.resolve(args.name)
         report = {
@@ -116,28 +121,17 @@ def cmd_catalog(args) -> None:
             _emit(args, report)
         else:
             g = entry.group
-            _write_lines(
-                args,
-                [
-                    f"name: {g.name}",
-                    f"rank: {g.rank}",
-                    f"dimension: {g.dimension}",
-                    f"exterior degrees: {list(g.exterior_degrees)}",
-                    f"classifying generators: "
-                    + ", ".join(f"{n}:{d}" for n, d in zip(g.bg_names, g.bg_degrees)),
-                    f"flags: connected={g.connected} "
-                    f"pi1_torsion_free={g.pi1_torsion_free} steinberg={g.steinberg}",
-                ],
-            )
-
-
-def _write_lines(args, lines) -> None:
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            lines = [
+                f"name: {g.name}",
+                f"rank: {g.rank}",
+                f"dimension: {g.dimension}",
+                f"exterior degrees: {list(g.exterior_degrees)}",
+                f"classifying generators: "
+                + ", ".join(f"{n}:{d}" for n, d in zip(g.bg_names, g.bg_degrees)),
+                f"flags: connected={g.connected} "
+                f"pi1_torsion_free={g.pi1_torsion_free} steinberg={g.steinberg}",
+            ]
+            _write(args, "\n".join(lines) + "\n")
 
 
 def cmd_model_build(args) -> None:

@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Sequence
 
 from . import linalg
-from .cdga import AlgebraElement, CdgaMorphism, SullivanAlgebra
+from .cdga import AlgebraElement, CdgaMorphism, SullivanAlgebra, _combination
 from .errors import (
     CutoffExceeded,
     DegreeMismatch,
@@ -43,11 +43,6 @@ def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[dict]:
     -> position), with the nonzero coefficients of ``_d_terms``, all
     ``int`` when the generators' images are integral."""
     return [{index[m]: c for m, c in a._d_terms(mono).items()} for mono in monos]
-
-
-def _element_row(e: AlgebraElement, index: dict) -> dict:
-    """The sparse row ``{index[monomial]: c}`` of ``e``, ``int`` where integral."""
-    return {index[m]: c.numerator if c.denominator == 1 else c for m, c in e.terms.items()}
 
 
 def _action_rows(a: SullivanAlgebra, degree: int) -> list[dict]:
@@ -352,7 +347,8 @@ def surjectivity_by_parity(
     Returns (verdict, smallest failing degree).  Works by rank counting:
     the classes hit by f span H^n(target) iff the f-images of source
     cocycles together with the target coboundaries span the target
-    cocycles.
+    cocycles.  The integer cocycles are mapped to sparse target rows
+    through the morphism's cached monomial images, with no element built.
     """
     if cutoff is None:
         cutoff = min(f.source.cutoff, f.target.cutoff)
@@ -368,10 +364,11 @@ def surjectivity_by_parity(
         if kernel_dim == boundary_rank:
             continue  # H^n(target) = 0
         _, cocycles = _cocycles(_action_rows(f.source, n))
+        basis, index = f.source._basis(n), target._basis_index(n)
         for vec in cocycles:
-            image = f.apply(f.source.element_from_coordinates(vec, n))
-            if not image.is_zero:
-                rows.append(_element_row(image, target._basis_index(n)))
+            image = _combination(((basis[p], c) for p, c in vec.items()), f._monomial_terms)
+            if image:
+                rows.append({index[m]: c for m, c in image.items()})
         if linalg.rank_rows(rows) != kernel_dim:
             return False, n
     return True, None

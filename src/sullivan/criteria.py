@@ -7,7 +7,10 @@ governing hypotheses hold the two must agree, and a disagreement raises
 CriterionDisagreement rather than being reconciled.  A disagreement that
 the input explains is a validation error instead: a direct check cut off
 below the model's formal dimension, or maps whose model has
-infinite-dimensional cohomology (they define no compact quotient).
+infinite-dimensional cohomology (they define no compact quotient).  Such
+maps are also rejected by ``space_table`` when the two checks agree but
+the space's table reaches the formal dimension and fails Poincaré
+duality there.
 
 ``pair_analysis`` and ``cohomogeneity_one_analysis`` build a space's
 Borel package once and return it with its verdict, so a report reads the
@@ -18,6 +21,7 @@ diagram take the manifold's table rather than rebuilding its model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import cohomology as ch
 from . import linalg
@@ -61,6 +65,10 @@ CITATION_H0 = (
     "characteristic is at most one (pure elliptic algebras)"
 )
 CITATION_EULER = "Euler characteristic additivity over the orbit decomposition"
+
+_NO_QUOTIENT = (
+    "the model's cohomology is infinite-dimensional, so the given maps define no compact quotient"
+)
 
 
 @dataclass(frozen=True)
@@ -112,18 +120,14 @@ def _verdict_from_package(
     direct, failing = ch.even_degree_surjectivity(package.forgetful, cutoff)
     odd_direct, odd_failing = ch.surjectivity_by_parity(package.forgetful, 1, cutoff)
     if hypotheses_hold and direct != (rank_gap <= 1):
-        space = package.space
-        top = sum(g.degree if g.is_odd else 1 - g.degree for g in space.generators)
+        top = _formal_dimension(package.space)
         if direct and cutoff < top:
             raise CutoffExceeded(
                 f"{context}: cutoff {cutoff} is below the formal dimension {top}, "
                 "so the direct check cannot confirm surjectivity"
             )
-        if not _elliptic(space, top):
-            raise NotElliptic(
-                f"{context}: the model's cohomology is infinite-dimensional, so the given "
-                "maps define no compact quotient"
-            )
+        if not _elliptic(package.space, top):
+            raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
     return _reconcile(
         SurjectivityVerdict(
             context=context,
@@ -141,14 +145,32 @@ def _verdict_from_package(
     )
 
 
+def _formal_dimension(a: SullivanAlgebra) -> int:
+    """The formal dimension of a pure algebra with finite-dimensional
+    cohomology: the sum of the odd degrees minus the sum of the even
+    degrees less one."""
+    return sum(g.degree if g.is_odd else 1 - g.degree for g in a.generators)
+
+
 def _elliptic(a: SullivanAlgebra, top: int) -> bool:
-    """Whether a pure algebra of formal dimension ``top`` (the sum of the
-    odd degrees minus the sum of the even degrees less one) has
+    """Whether a pure algebra of formal dimension ``top`` has
     finite-dimensional cohomology: exactly when it vanishes in the window
     of the largest generator degree above ``top``, as otherwise the
     even-subalgebra image has classes in every such window."""
     wide = a.with_cutoff(max(top, 0) + max((g.degree for g in a.generators), default=0))
     return ch.top_window_vanishes(wide, ch.betti_numbers(wide))
+
+
+def space_table(package: BorelPackage, context: str) -> ch.CohomologyTable:
+    """The cohomology table of a package's pure space model.  Cohomology
+    that is finite-dimensional satisfies Poincaré duality at the formal
+    dimension, so a table that reaches that degree and fails duality
+    there raises NotElliptic; a table cut off below it is not checked."""
+    table = ch.cohomology(package.space)
+    top = _formal_dimension(package.space)
+    if table.cutoff >= top and not ch.poincare_duality_holds(table.betti, top):
+        raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
+    return table
 
 
 def homogeneous_surjectivity(
@@ -271,10 +293,10 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
         raise NotElliptic("cohomology does not vanish in the top window below the cutoff")
     odd_gens = [g for g in a.generators if g.is_odd]
     even_count = len(a.generators) - len(odd_gens)
-    images: dict[int, list[AlgebraElement]] = {}
-    for g, img in zip(a.generators, a.differential):
-        if g.is_odd and not img.is_zero:
-            images.setdefault(img.degree, []).append(img)
+    images: dict[int, list[dict]] = {}
+    for g, image in zip(a.generators, a._images):
+        if g.is_odd and image:
+            images.setdefault(g.degree + 1, []).append({m: c for m, _, c in image})
     if not images:
         return FormalityVerdict(len(odd_gens), 0, even_count == 0)
     top = max(images)
@@ -282,37 +304,32 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
         n: [m for m in a._basis(n) if a.odd_word_length(m) == 0] for n in range(top + 1)
     }
 
-    ideal_basis: dict[int, list[AlgebraElement]] = {}
+    ideal_basis: dict[int, list[dict]] = {}
     mu = 0
     for n in range(2, top + 1, 2):
-        decomposable = []
-        for m, elements in ideal_basis.items():
-            factor_degree = n - m
-            if factor_degree < 2:
-                continue
-            for mono in even_basis[factor_degree]:
-                if a.monomial_degree(mono) == 0:
-                    continue
-                factor = a.monomial_element(mono)
-                for w in elements:
-                    decomposable.append(a.multiply(factor, w))
-        index = {m: i for i, m in enumerate(even_basis[n])}
-        rows = [ch._element_row(e, index) for e in decomposable]
-        rank_decomposable = _rank(rows)
-        for z in images.get(n, []):
-            rows.append(ch._element_row(z, index))
-        total_rank = _rank(rows)
-        mu += total_rank - rank_decomposable
-        # Each candidate in order independent of those before it: the
-        # pivot columns of one echelon with a column per candidate.
+        # Even monomials of positive degree times the ideal's basis below
+        # n: both factors are even, so the product adds exponents.
+        decomposable = [
+            {tuple(map(add, mono, m)): c for m, c in w.items()}
+            for m_degree, elements in ideal_basis.items()
+            if n - m_degree >= 2
+            for mono in even_basis[n - m_degree]
+            for w in elements
+        ]
         candidates = decomposable + images.get(n, [])
+        index = {m: i for i, m in enumerate(even_basis[n])}
+        rows = [{index[m]: c for m, c in z.items()} for z in candidates]
+        # Each candidate in order independent of those before it: the
+        # pivot columns of one echelon with a column per candidate.  The
+        # pivots among the odd differentials count new minimal generators.
         _, pivots = linalg._echelon(linalg._transpose(rows))
+        mu += sum(c >= len(decomposable) for c in pivots)
         if pivots:
             ideal_basis[n] = [candidates[c] for c in pivots]
     return FormalityVerdict(len(odd_gens) - mu, mu, mu == even_count)
 
 
-def _rank(rows) -> int:
+def _rank(rows) -> int:  # (perfbench/tracer.py patches it here)
     return linalg.rank_rows(rows)
 
 

@@ -351,7 +351,7 @@ def _analyze_model(a: SullivanAlgebra) -> dict:
 
 def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
     package, verdict = criteria.pair_analysis(kind, g, h, restriction, cutoff)
-    table = ch.cohomology(package.space)
+    table = criteria.space_table(package, verdict.context)
     flags = ktheory.StabilizationFlags.from_homogeneous(g, h)
     report = {
         "kind": kind,
@@ -368,7 +368,7 @@ def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
 
 def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) -> dict:
     package, verdict = criteria.cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)
-    table = ch.cohomology(package.space)
+    table = criteria.space_table(package, verdict.context)
     borel_betti = ch.betti_numbers(package.borel)
     euler = criteria.euler_characteristic_relations(diagram, table)
     applicability = criteria.theorem_a_applicability(diagram)

@@ -77,12 +77,11 @@ def random_pure_elliptic(
     return algebra
 
 
-def random_sheared(rng: random.Random):
-    """A non-pure algebra isomorphic to a pure elliptic core: conjugate
-    the core differential by a shearing automorphism
-    v_t -> v_t + c * m * v_a v_b v_c, which adds odd-word-length-two
-    terms to d(v_t) but leaves the associated pure algebra equal to the
-    core.  Returns (sheared, core) or None when no shear fits."""
+def random_shear(rng: random.Random):
+    """A pure elliptic core and a shearing automorphism of it,
+    v_t -> v_t + c * m * v_a v_b v_c, as the assignments ``(core,
+    forward, backward)`` of the shear and its inverse, or None when no
+    shear fits."""
     def admits_shear(even_degrees, odd_degrees):
         if len(odd_degrees) < 4:
             return False
@@ -120,15 +119,33 @@ def random_sheared(rng: random.Random):
         perturbation = perturbation * core.gen(name)
     forward = {t_name: core.gen(t_name) + perturbation}
     backward = {t_name: core.gen(t_name) - perturbation}
+    return core, forward, backward
+
+
+def random_sheared(rng: random.Random):
+    """A non-pure algebra isomorphic to a pure elliptic core: conjugate
+    the core differential by a shearing automorphism (``random_shear``),
+    which adds odd-word-length-two terms to d(v_t) but leaves the
+    associated pure algebra equal to the core.  Returns (sheared, core)
+    or None when no shear fits."""
+    drawn = random_shear(rng)
+    if drawn is None:
+        return None
+    core, forward, backward = drawn
+    return conjugated(core, forward, backward), core
+
+
+def conjugated(core: SullivanAlgebra, forward, backward) -> SullivanAlgebra:
+    """The core's generators with the differential backward . d . forward
+    of a shear and its inverse, given as assignments."""
     differential = {}
-    for g, img in zip(core.generators, core.differential):
-        conjugated = core.substitute(
+    for g in core.generators:
+        image = core.substitute(
             core._d_element(core.substitute(core.gen(g.name), forward)), backward
         )
-        if not conjugated.is_zero:
-            differential[g.name] = conjugated
-    sheared = SullivanAlgebra(core.generators, core.cutoff, differential)
-    return sheared, core
+        if not image.is_zero:
+            differential[g.name] = image
+    return SullivanAlgebra(core.generators, core.cutoff, differential)
 
 
 def tensor_product(a: SullivanAlgebra, b: SullivanAlgebra) -> SullivanAlgebra:

@@ -27,6 +27,13 @@ class TestCatalog:
         assert code == 1
         assert "unknown catalog group" in err
 
+    def test_list_output_file_matches_stdout(self, capsys, tmp_path):
+        _, shown, _ = run(capsys, "catalog", "list")
+        target = tmp_path / "catalog.txt"
+        code, out, _ = run(capsys, "catalog", "list", "--output", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text(encoding="ascii") == shown
+
 
 class TestModelAndCohomology:
     def test_build_from_catalog(self, capsys):
@@ -102,6 +109,29 @@ class TestCheck:
         code, out, err = run(capsys, "report", "--preset", "gap-three-diagonal", "--cutoff", "2")
         assert code == 1 and out == ""
         assert "below the formal dimension 13" in err
+
+    def test_non_elliptic_maps_are_validation_errors(self, capsys, tmp_path):
+        # both generators of H*(BT2) restrict to u1^2, so u2 is free and the
+        # model's cohomology is infinite-dimensional: the rank criterion and
+        # the direct check agree, but duality fails at the formal dimension 4
+        path = tmp_path / "doubled.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "homogeneous",
+                    "G": "SU(2)^2",
+                    "H": "T2",
+                    "embedding": {"u1": "u1^2", "u2": "u1^2"},
+                }
+            )
+        )
+        for cutoff in ("4", "8"):
+            code, out, err = run(capsys, "report", "--file", str(path), "--cutoff", cutoff)
+            assert code == 1 and out == ""
+            assert "infinite-dimensional" in err
+        # a table cut off below the formal dimension is reported as it is
+        code, _, _ = run(capsys, "report", "--file", str(path), "--cutoff", "3")
+        assert code == 0
 
 
 class TestMoreSurfaces:

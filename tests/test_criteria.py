@@ -302,6 +302,37 @@ class TestFormality:
         assert verdict.minimal_generators_mu == 1
         assert verdict.split_k == 1
 
+    @pytest.mark.parametrize(
+        "generators, differential, cutoff, calls",
+        [
+            # the six-generator pure model: candidates only in degree 4
+            (
+                [("x", 2), ("y", 2), ("z", 2), ("a", 3), ("b", 3), ("c", 3)],
+                {"a": "x^2", "b": "y^2", "c": "z^2"},
+                14,
+                1,
+            ),
+            # candidates in degree 4 (u^2) and 6 (u * u^2 and u^3)
+            ([("u", 2), ("q1", 3), ("q2", 5)], {"q1": "u^2", "q2": "u^3"}, 12, 2),
+        ],
+    )
+    def test_one_elimination_per_degree_with_candidates(
+        self, generators, differential, cutoff, calls, monkeypatch
+    ):
+        from sullivan import linalg
+
+        table = cohomology(SullivanAlgebra.build(generators, differential, cutoff=cutoff))
+        echelon = linalg.ff_row_echelon
+        seen = []
+
+        def counting_echelon(rows):
+            seen.append(1)
+            return echelon(rows)
+
+        monkeypatch.setattr(linalg, "ff_row_echelon", counting_echelon)
+        pure_formality(table)
+        assert len(seen) == calls
+
 
 class TestDiagramReports:
     def test_euler_identity_cp2sum(self):
