@@ -22,7 +22,9 @@ extends d or a map linearly.  The algebra holds no element of its own,
 so it is freed by reference counting.
 
 ``AlgebraElement`` values appear only where elements are read or
-written: parsed polynomials and the model builders' differentials, the
+written: parsed polynomials (``parse`` adds each term's exponents,
+Koszul sign and coefficient straight into one ``{monomial: coefficient}``
+map and builds the element once) and the model builders' differentials, the
 ``differential`` property, the results of ``multiply``,
 ``apply_differential``, ``substitute``, ``CdgaMorphism.apply`` (which
 ``induced_map`` and ``compose`` call) and ``element_from_coordinates``
@@ -32,6 +34,9 @@ check and the formality count build none.
 A degree cutoff is fixed at construction: basis enumeration and the
 public differential are guarded by it (internal callers may go one
 degree past it, which cohomology needs for kernels at the cutoff).
+Every degree's monomial basis is read from one suffix table per
+algebra, the exponent suffixes of generators i.. of each remaining
+degree, filled on demand so that each entry is built once.
 """
 
 from __future__ import annotations
@@ -209,6 +214,7 @@ class SullivanAlgebra:
         self._degrees = tuple(g.degree for g in self.generators)
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.is_odd)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
+        self._suffix_table: dict[tuple[int, int], list[Monomial]] = {}
         self._index_cache: dict[int, dict[Monomial, int]] = {}
         self._d_cache: dict[Monomial, dict[Monomial, int | Fraction]] = {}
         self._images = self._validate_differential(differential or {})
@@ -297,17 +303,10 @@ class SullivanAlgebra:
         return AlgebraElement(self, {unit: Fraction(c)})
 
     def gen(self, name: str) -> AlgebraElement:
-        return self._gen_power(name, 1)
-
-    def _gen_power(self, name: str, k: int) -> AlgebraElement:
-        """The k-th power of a generator, built as one monomial rather than
-        by k products: an odd generator squares to zero."""
-        if name not in self._index:
+        index = self._index.get(name)
+        if index is None:
             raise UnknownGenerator(f"no generator named {name!r}")
-        index = self._index[name]
-        if k >= 2 and self.generators[index].is_odd:
-            return self.zero()
-        mono = tuple(k if i == index else 0 for i in range(len(self.generators)))
+        mono = tuple(int(i == index) for i in range(len(self.generators)))
         return AlgebraElement(self, {mono: Fraction(1)})
 
     def monomial_element(self, mono: Monomial, coeff=1) -> AlgebraElement:
@@ -330,37 +329,35 @@ class SullivanAlgebra:
         return self._basis(degree)
 
     def _basis(self, degree: int) -> tuple[Monomial, ...]:
+        """The degree's monomials in lexicographic exponent order, read off
+        the algebra's suffix table."""
         cached = self._basis_cache.get(degree)
-        if cached is not None:
-            return cached
-        n = len(self.generators)
-        degrees = self._degrees
-        # Exponent suffixes of generators i.. with total degree r, in
-        # lexicographic order, each (i, r) built once per enumeration.
-        suffixes: dict[tuple[int, int], list[Monomial]] = {}
+        if cached is None:
+            cached = self._basis_cache[degree] = tuple(self._suffixes(0, degree))
+        return cached
 
-        def build(i: int, remaining: int) -> list[Monomial]:
-            key = (i, remaining)
-            found = suffixes.get(key)
-            if found is None:
-                if i == n:
-                    found = [()] if remaining == 0 else []
-                else:
-                    d = degrees[i]
-                    top = remaining // d
-                    if d % 2:
-                        top = min(top, 1)
-                    found = [
-                        (e,) + tail
-                        for e in range(top + 1)
-                        for tail in build(i + 1, remaining - e * d)
-                    ]
-                suffixes[key] = found
-            return found
-
-        result = tuple(build(0, degree))
-        self._basis_cache[degree] = result
-        return result
+    def _suffixes(self, i: int, remaining: int) -> list[Monomial]:
+        """Exponent suffixes of generators i.. with total degree
+        ``remaining``, in lexicographic order.  Each (i, remaining) entry
+        of ``_suffix_table`` is filled once and shared by every degree's
+        basis; the recursion takes one frame per generator."""
+        key = (i, remaining)
+        found = self._suffix_table.get(key)
+        if found is None:
+            if i == len(self._degrees):
+                found = [()] if remaining == 0 else []
+            else:
+                d = self._degrees[i]
+                top = remaining // d
+                if d % 2:
+                    top = min(top, 1)
+                found = [
+                    (e,) + tail
+                    for e in range(top + 1)
+                    for tail in self._suffixes(i + 1, remaining - e * d)
+                ]
+            self._suffix_table[key] = found
+        return found
 
     def _basis_index(self, degree: int) -> dict[Monomial, int]:
         """Position of each monomial in the degree basis."""
@@ -512,66 +509,71 @@ class SullivanAlgebra:
 
     def parse(self, text: str) -> AlgebraElement:
         """Parse the polynomial grammar: terms ``coef*gen^k*gen2^k2``
-        joined by ``+``/``-``; coefficients integer or ``a/b``."""
+        joined by ``+``/``-``; coefficients integer or ``a/b``; whitespace
+        is allowed between and around tokens.  Each term is added straight
+        into one ``{monomial: coefficient}`` map."""
         tokens = self._tokenize(text)
-        result = self.zero()
+        terms: dict[Monomial, int | Fraction] = {}
         pos = 0
-        sign = Fraction(1)
+        sign = 1
         expect_term = True
         while pos < len(tokens):
             kind, value = tokens[pos]
             if expect_term:
-                if kind == "op" and value == "-":
-                    sign = -sign
+                if kind == "op" and value in "+-":
+                    if value == "-":
+                        sign = -sign
                     pos += 1
                     continue
-                if kind == "op" and value == "+":
-                    pos += 1
-                    continue
-                term, pos = self._parse_term(tokens, pos)
-                result = result + sign * term
-                sign = Fraction(1)
+                mono, coeff, pos = self._parse_term(tokens, pos)
+                if coeff:
+                    terms[mono] = terms.get(mono, 0) + sign * coeff
+                sign = 1
                 expect_term = False
             else:
                 if kind != "op" or value not in "+-":
                     raise ValueError(f"expected '+' or '-' in polynomial: {text!r}")
-                sign = Fraction(-1) if value == "-" else Fraction(1)
+                sign = -1 if value == "-" else 1
                 pos += 1
                 expect_term = True
         if expect_term:
             raise ValueError(f"empty term in polynomial: {text!r}")
-        return result
+        return self._element(terms)
 
-    def _tokenize(self, text: str):
+    def _tokenize(self, text: str) -> list[tuple[str, str]]:
         tokens = []
         pos = 0
-        while pos < len(text):
+        end = len(text.rstrip())
+        while pos < end:
             match = self._TOKEN.match(text, pos)
-            if not match or match.end() == pos:
+            if not match:
                 raise ValueError(f"cannot tokenize polynomial at {text[pos:]!r}")
             pos = match.end()
-            for kind in ("num", "name", "op"):
-                if match.group(kind) is not None:
-                    tokens.append((kind, match.group(kind)))
-                    break
+            tokens.append((match.lastgroup, match.group(match.lastgroup)))
         return tokens
 
-    def _parse_term(self, tokens, pos):
-        coeff = Fraction(1)
-        mono = self.one()
+    def _parse_term(self, tokens, pos: int) -> tuple[Monomial, "int | Fraction", int]:
+        """One term from ``tokens[pos]`` on: its monomial, its coefficient
+        (0 when an odd generator repeats, with the Koszul sign of its
+        factors' order folded in) and the position after it."""
+        coeff: int | Fraction = 1
+        exponents = [0] * len(self._degrees)
+        mask = 0  # odd generators of the term so far
         saw_factor = False
-        while True:
-            if pos >= len(tokens):
-                break
+        while pos < len(tokens):
             kind, value = tokens[pos]
             if kind == "num":
-                try:
-                    coeff *= Fraction(value)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in coefficient {value!r}") from None
+                if "/" in value:
+                    try:
+                        coeff *= Fraction(value)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in coefficient {value!r}") from None
+                else:
+                    coeff *= int(value)
                 pos += 1
             elif kind == "name":
-                if value not in self._index:
+                index = self._index.get(value)
+                if index is None:
                     raise UnknownGenerator(f"no generator named {value!r}")
                 pos += 1
                 exp = 1
@@ -581,7 +583,14 @@ class SullivanAlgebra:
                         raise ValueError("exponent must be a non-negative integer")
                     exp = int(nv)
                     pos += 2
-                mono = mono * self._gen_power(value, exp)
+                exponents[index] += exp
+                if exp and self._degrees[index] % 2:
+                    bit = 1 << index
+                    if exp > 1 or mask & bit:
+                        coeff = 0
+                    elif (mask >> (index + 1)).bit_count() & 1:
+                        coeff = -coeff
+                    mask |= bit
             else:
                 break
             saw_factor = True
@@ -593,7 +602,7 @@ class SullivanAlgebra:
             break
         if not saw_factor:
             raise ValueError("empty term in polynomial")
-        return coeff * mono, pos
+        return tuple(exponents), coeff, pos
 
     def format_monomial(self, mono: Monomial) -> str:
         parts = []

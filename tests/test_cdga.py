@@ -1,7 +1,9 @@
 """Graded algebra core: bases, Koszul signs, differentials, purity."""
 
 import gc
+import itertools
 import json
+import random
 import weakref
 from fractions import Fraction
 
@@ -125,7 +127,68 @@ class TestConstruction:
         assert unit.is_pure()
 
 
+def product_basis(degrees, n):
+    """Independent enumeration of the degree-n monomials: every exponent
+    tuple in range (odd exponents at most 1) filtered by degree, sorted."""
+    ranges = [range(2) if d % 2 else range(n // d + 1) for d in degrees]
+    return tuple(
+        sorted(e for e in itertools.product(*ranges) if sum(map(int.__mul__, e, degrees)) == n)
+    )
+
+
+def reachable_suffixes(degrees, top):
+    """Every (generator index, remaining degree) that enumerating the bases
+    of degrees 0..top visits: from (i, r) to (i + 1, r - e*d_i)."""
+    seen = set()
+    stack = [(0, n) for n in range(top + 1)]
+    while stack:
+        i, r = stack.pop()
+        if (i, r) in seen:
+            continue
+        seen.add((i, r))
+        if i < len(degrees):
+            d = degrees[i]
+            top_e = min(r // d, 1) if d % 2 else r // d
+            stack.extend((i + 1, r - e * d) for e in range(top_e + 1))
+    return seen
+
+
+def random_degree_algebras(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+        gens = [(f"g{i}", d) for i, d in enumerate(degrees)]
+        yield SullivanAlgebra.build(gens, cutoff=rng.randint(0, 10)), degrees
+
+
 class TestMonomialBasis:
+    @pytest.mark.parametrize("seed", [3, 1013])
+    def test_bases_match_product_enumeration(self, seed):
+        for a, degrees in random_degree_algebras(seed, 25):
+            top = a.cutoff + 1
+            order = list(range(top + 1))
+            random.Random(seed + top).shuffle(order)
+            # the highest degree first, then the others, lower ones included
+            for n in [top] + order:
+                assert a._basis(n) == product_basis(degrees, n), (degrees, n)
+
+    @pytest.mark.parametrize("seed", [3, 1013])
+    def test_each_suffix_entry_is_filled_once(self, seed):
+        for a, degrees in random_degree_algebras(seed, 25):
+            filled = []
+
+            class Recording(dict):
+                def __setitem__(self, key, value):
+                    filled.append(key)
+                    super().__setitem__(key, value)
+
+            a._suffix_table = Recording()
+            top = a.cutoff + 1
+            for n in list(range(top + 1)) + list(range(top, -1, -1)):
+                a._basis(n)
+            assert len(filled) == len(set(filled)), degrees
+            assert set(filled) == reachable_suffixes(degrees, top), degrees
+
     def test_single_even_generator(self):
         a = SullivanAlgebra.build([("u", 2)], cutoff=8)
         assert len(a.monomial_basis(4)) == 1  # u^2 only

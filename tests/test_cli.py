@@ -81,6 +81,22 @@ class TestModelAndCohomology:
         assert report["even_coverage"]["chi_pi"] == 0
         assert report["formality"]["formal"] is True
 
+    def test_whitespace_around_polynomial_tokens(self, capsys, tmp_path):
+        # trailing whitespace is accepted as leading whitespace is
+        path = tmp_path / "model.json"
+        doc = {"kind": "model", "generators": [["x", 2], ["a", 3]], "cutoff": 6}
+        reports = set()
+        for text in ("x^2", "x^2 ", " x^2", "x ^ 2", " x ^ 2 \n"):
+            path.write_text(json.dumps({**doc, "differential": {"a": text}}))
+            code, out, err = run(capsys, "report", "--file", str(path), "--format", "structured")
+            assert code == 0, (text, err)
+            reports.add(out)
+        assert len(reports) == 1
+        path.write_text(json.dumps({**doc, "differential": {"a": "x^2 + "}}))
+        code, out, err = run(capsys, "report", "--file", str(path))
+        assert code == 1 and out == ""
+        assert "$.differential.a: empty term in polynomial: 'x^2 + '" in err
+
 
 class TestCheck:
     def test_homogeneous_flags(self, capsys):
