@@ -525,6 +525,8 @@ class SullivanAlgebra:
                         sign = -sign
                     pos += 1
                     continue
+                if kind == "op":
+                    break  # '*' or '^' cannot start a term, which is empty
                 mono, coeff, pos = self._parse_term(tokens, pos)
                 if coeff:
                     terms[mono] = terms.get(mono, 0) + sign * coeff
@@ -553,13 +555,13 @@ class SullivanAlgebra:
         return tokens
 
     def _parse_term(self, tokens, pos: int) -> tuple[Monomial, "int | Fraction", int]:
-        """One term from ``tokens[pos]`` on: its monomial, its coefficient
-        (0 when an odd generator repeats, with the Koszul sign of its
-        factors' order folded in) and the position after it."""
+        """One term from its first factor ``tokens[pos]`` on: its
+        monomial, its coefficient (0 when an odd generator repeats, with
+        the Koszul sign of its factors' order folded in) and the position
+        after it."""
         coeff: int | Fraction = 1
         exponents = [0] * len(self._degrees)
         mask = 0  # odd generators of the term so far
-        saw_factor = False
         while pos < len(tokens):
             kind, value = tokens[pos]
             if kind == "num":
@@ -577,8 +579,8 @@ class SullivanAlgebra:
                     raise UnknownGenerator(f"no generator named {value!r}")
                 pos += 1
                 exp = 1
-                if pos + 1 < len(tokens) and tokens[pos] == ("op", "^"):
-                    nk, nv = tokens[pos + 1]
+                if pos < len(tokens) and tokens[pos] == ("op", "^"):
+                    nk, nv = tokens[pos + 1] if pos + 1 < len(tokens) else ("", "")
                     if nk != "num" or "/" in nv:
                         raise ValueError("exponent must be a non-negative integer")
                     exp = int(nv)
@@ -593,15 +595,12 @@ class SullivanAlgebra:
                     mask |= bit
             else:
                 break
-            saw_factor = True
             if pos < len(tokens) and tokens[pos] == ("op", "*"):
                 pos += 1
                 if pos >= len(tokens) or tokens[pos][0] == "op":
                     raise ValueError("'*' must be followed by a factor")
                 continue
             break
-        if not saw_factor:
-            raise ValueError("empty term in polynomial")
         return tuple(exponents), coeff, pos
 
     def format_monomial(self, mono: Monomial) -> str:

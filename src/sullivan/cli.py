@@ -87,6 +87,10 @@ def _document_from_args(args, kind: str | None = None) -> dict:
 
 
 def cmd_catalog(args) -> None:
+    if args.action == "list" and args.name is not None:
+        raise SchemaError(f"catalog list takes no group name, got {args.name!r}")
+    if args.action == "show" and args.name is None:
+        raise SchemaError("catalog show needs a group name")
     if args.action == "list":
         entries = catalog.catalog_list()
         if args.format == "structured":

@@ -6,6 +6,10 @@ deterministically: kernel bases come from echelon back-substitution and
 quotient representatives are picked greedily from the kernel basis in
 order, so repeated runs give identical tables.
 
+The algebra's cutoff is the only cutoff: every function here runs to
+it, and one on a map runs to the smaller cutoff of its two sides, so
+``SullivanAlgebra.with_cutoff`` is how to stop lower.
+
 ``CohomologyTable`` eliminates each degree block by block, once.  For
 pure algebras the differential drops the odd word length of a monomial
 by exactly one, so the cochain complex splits into strands of odd word
@@ -82,16 +86,13 @@ def _element(a: SullivanAlgebra, v: dict[int, int], degree: int) -> AlgebraEleme
     return a.element_from_coordinates(linalg._unit_scaled(v), degree)
 
 
-def betti_numbers(a: SullivanAlgebra, cutoff: int | None = None) -> tuple[int, ...]:
+def betti_numbers(a: SullivanAlgebra) -> tuple[int, ...]:
     """Betti numbers (dim H^n) for n = 0..cutoff, by rank counting only."""
-    cutoff = a.cutoff if cutoff is None else cutoff
-    if cutoff > a.cutoff:
-        raise CutoffExceeded(f"requested degree {cutoff} beyond cutoff {a.cutoff}")
     if not a.verify_d_squared():
         raise InvalidDifferential("differential does not square to zero")
-    ranks = [linalg.rank_rows(_action_rows(a, n)) for n in range(cutoff + 1)]
+    ranks = [linalg.rank_rows(_action_rows(a, n)) for n in range(a.cutoff + 1)]
     betti = []
-    for n in range(cutoff + 1):
+    for n in range(a.cutoff + 1):
         dim = len(a._basis(n))
         prev = ranks[n - 1] if n else 0
         betti.append(dim - ranks[n] - prev)
@@ -133,18 +134,15 @@ class CohomologyTable:
     the order of their free columns.
     """
 
-    def __init__(self, algebra: SullivanAlgebra, cutoff: int | None = None):
-        cutoff = algebra.cutoff if cutoff is None else cutoff
-        if cutoff > algebra.cutoff:
-            raise CutoffExceeded(f"requested degree {cutoff} beyond cutoff {algebra.cutoff}")
+    def __init__(self, algebra: SullivanAlgebra):
         if not algebra.verify_d_squared():
             raise InvalidDifferential("differential does not square to zero")
         self.algebra = algebra
-        self.cutoff = cutoff
+        self.cutoff = algebra.cutoff
         pure = algebra.is_pure()
         self._spaces = []
         images: dict[int, tuple] = {}  # block key -> coboundaries handed up from below
-        for n in range(cutoff + 1):
+        for n in range(algebra.cutoff + 1):
             rows = _action_rows(algebra, n)
             blocks: dict[int, list[int]] = {}
             for p, mono in enumerate(algebra._basis(n)):
@@ -185,8 +183,8 @@ class CohomologyTable:
         return None
 
 
-def cohomology(a: SullivanAlgebra, cutoff: int | None = None) -> CohomologyTable:
-    return CohomologyTable(a, cutoff)
+def cohomology(a: SullivanAlgebra) -> CohomologyTable:
+    return CohomologyTable(a)
 
 
 def euler_characteristic(t: CohomologyTable | Sequence[int]) -> int:
@@ -259,13 +257,13 @@ class LowerGradedTable:
         return self.table.betti
 
 
-def lower_grading(a: SullivanAlgebra, cutoff: int | None = None) -> LowerGradedTable:
+def lower_grading(a: SullivanAlgebra) -> LowerGradedTable:
     if not a.is_pure():
         raise NotPure("lower grading is defined for pure algebras only")
-    return LowerGradedTable(cohomology(a, cutoff))
+    return LowerGradedTable(cohomology(a))
 
 
-def h0_dims(a: SullivanAlgebra, cutoff: int | None = None) -> dict[int, int]:
+def h0_dims(a: SullivanAlgebra) -> dict[int, int]:
     """dim of the even-subalgebra image in cohomology, per even degree.
 
     For a pure algebra every even-subalgebra element is closed and the
@@ -275,9 +273,8 @@ def h0_dims(a: SullivanAlgebra, cutoff: int | None = None) -> dict[int, int]:
     """
     if not a.is_pure():
         raise NotPure("even-subalgebra image is computed for pure algebras only")
-    cutoff = a.cutoff if cutoff is None else cutoff
     dims: dict[int, int] = {}
-    for n in range(0, cutoff + 1, 2):
+    for n in range(0, a.cutoff + 1, 2):
         strand0 = [m for m in a._basis(n) if a.odd_word_length(m) == 0]
         below = [m for m in a._basis(n - 1) if a.odd_word_length(m) == 1] if n else []
         rows = _d_rows(a, below, {m: i for i, m in enumerate(strand0)})
@@ -313,17 +310,16 @@ def h0_image(a: SullivanAlgebra, table: CohomologyTable | None = None) -> dict[i
 
 def induced_map(
     f: CdgaMorphism,
-    cutoff: int | None = None,
     source_table: CohomologyTable | None = None,
     target_table: CohomologyTable | None = None,
 ) -> dict[int, RationalMatrix]:
-    """Matrices of H^n(f) in the chosen class bases, one per degree."""
-    if cutoff is None:
-        cutoff = min(f.source.cutoff, f.target.cutoff)
-    source_table = source_table or cohomology(f.source, cutoff)
-    target_table = target_table or cohomology(f.target, cutoff)
+    """Matrices of H^n(f) in the chosen class bases, one per degree up to
+    the smaller cutoff of the two tables (by default the tables of f's
+    source and target; pass a table of ``with_cutoff`` to stop lower)."""
+    source_table = source_table or cohomology(f.source)
+    target_table = target_table or cohomology(f.target)
     matrices = {}
-    for n in range(cutoff + 1):
+    for n in range(min(source_table.cutoff, target_table.cutoff) + 1):
         target_space = target_table._space(n)
         columns = []
         for rep in source_table.representatives(n):
@@ -339,10 +335,9 @@ def induced_map(
     return matrices
 
 
-def surjectivity_by_parity(
-    f: CdgaMorphism, parity: int, cutoff: int | None = None
-) -> tuple[bool, int | None]:
-    """Is H^n(f) surjective for every n of the given parity up to cutoff?
+def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | None]:
+    """Is H^n(f) surjective for every n of the given parity up to the
+    smaller cutoff of f's two algebras?
 
     Returns (verdict, smallest failing degree).  Works by rank counting:
     the classes hit by f span H^n(target) iff the f-images of source
@@ -350,12 +345,8 @@ def surjectivity_by_parity(
     cocycles.  The integer cocycles are mapped to sparse target rows
     through the morphism's cached monomial images, with no element built.
     """
-    if cutoff is None:
-        cutoff = min(f.source.cutoff, f.target.cutoff)
-    if cutoff > min(f.source.cutoff, f.target.cutoff):
-        raise CutoffExceeded("cutoff beyond one of the morphism's algebras")
     target = f.target
-    for n in range(parity % 2, cutoff + 1, 2):
+    for n in range(parity % 2, min(f.source.cutoff, target.cutoff) + 1, 2):
         target_dim = len(target._basis(n))
         target_rank = linalg.rank_rows(_action_rows(target, n))
         kernel_dim = target_dim - target_rank
@@ -374,7 +365,8 @@ def surjectivity_by_parity(
     return True, None
 
 
-def even_degree_surjectivity(f: CdgaMorphism, cutoff: int | None = None) -> tuple[bool, int | None]:
-    """True iff H^n(f) is surjective in every even n up to cutoff;
-    otherwise the smallest even failing degree is returned."""
-    return surjectivity_by_parity(f, 0, cutoff)
+def even_degree_surjectivity(f: CdgaMorphism) -> tuple[bool, int | None]:
+    """True iff H^n(f) is surjective in every even n up to the smaller
+    cutoff of f's two algebras; otherwise the smallest even failing
+    degree is returned."""
+    return surjectivity_by_parity(f, 0)

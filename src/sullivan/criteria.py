@@ -25,7 +25,7 @@ from operator import add
 
 from . import cohomology as ch
 from . import linalg
-from .cdga import AlgebraElement, CdgaMorphism, Generator, SullivanAlgebra
+from .cdga import CdgaMorphism, Generator, SullivanAlgebra
 from .errors import (
     CriterionDisagreement,
     CutoffExceeded,
@@ -43,9 +43,7 @@ from .models import (
     borel_model_homogeneous,
     classifying_space_model,  # noqa: F401  (perfbench/tracer.py patches it here)
     cohomogeneity_one_model,  # noqa: F401  (perfbench/tracer.py patches it here)
-    _kill_generator,
-    EULER_MINUS,
-    EULER_PLUS,
+    orbit_models,
 )
 
 CITATION_HOMOGENEOUS = (
@@ -117,8 +115,8 @@ def _verdict_from_package(
     citation: str,
 ) -> SurjectivityVerdict:
     cutoff = package.space.cutoff
-    direct, failing = ch.even_degree_surjectivity(package.forgetful, cutoff)
-    odd_direct, odd_failing = ch.surjectivity_by_parity(package.forgetful, 1, cutoff)
+    direct, failing = ch.even_degree_surjectivity(package.forgetful)
+    odd_direct, odd_failing = ch.surjectivity_by_parity(package.forgetful, 1)
     if hypotheses_hold and direct != (rank_gap <= 1):
         top = _formal_dimension(package.space)
         if direct and cutoff < top:
@@ -357,58 +355,6 @@ class EulerReport:
     citation: str = CITATION_EULER
 
 
-def _singular_orbit_model(
-    diagram: GroupDiagram, side: str, cutoff: int | None = None
-) -> SullivanAlgebra:
-    """Homogeneous model of G/K± in the merged presentation of H*(BK±)."""
-    g, h = diagram.g, diagram.h
-    if side == "+":
-        k, euler_name, restriction = diagram.k_plus, EULER_PLUS, diagram.restriction_plus
-        sphere = diagram.sphere_dims[1]
-    else:
-        k, euler_name, restriction = diagram.k_minus, EULER_MINUS, diagram.restriction_minus
-        sphere = diagram.sphere_dims[0]
-    cutoff = g.dimension - k.dimension if cutoff is None else cutoff
-    gens = [Generator(n, d) for n, d in zip(h.bg_names, h.bg_degrees)]
-    gens.append(Generator(euler_name, sphere + 1))
-    gens += [Generator(n, d) for n, d in zip(g.g_names, g.exterior_degrees)]
-    draft = SullivanAlgebra(gens, cutoff)
-    differential = {
-        q_name: draft.parse(restriction.get(bg_name, "0"))
-        for q_name, bg_name in zip(g.g_names, g.bg_names)
-    }
-    return SullivanAlgebra(gens, cutoff, differential)
-
-
-def _principal_orbit_model(diagram: GroupDiagram, cutoff: int | None = None) -> SullivanAlgebra:
-    """Homogeneous model of G/H; the differential is the common part of
-    the two restrictions (killing the sphere classes)."""
-    g, h = diagram.g, diagram.h
-    cutoff = g.dimension - h.dimension if cutoff is None else cutoff
-    gens = [Generator(n, d) for n, d in zip(h.bg_names, h.bg_degrees)]
-    gens += [Generator(n, d) for n, d in zip(g.g_names, g.exterior_degrees)]
-    draft = SullivanAlgebra(gens, cutoff)
-    full = _singular_orbit_model(diagram, "+", cutoff + 2)
-    images = {gen.name: image for gen, image in zip(full.generators, full.differential)}
-    differential = {}
-    for q_name in g.g_names:
-        killed = _kill_generator(full, images[q_name], EULER_PLUS)
-        differential[q_name] = AlgebraElement(
-            draft,
-            {_drop_index(full, m, EULER_PLUS): c for m, c in killed.terms.items()},
-        )
-    return SullivanAlgebra(gens, cutoff, differential)
-
-
-def _drop_index(algebra: SullivanAlgebra, mono, name: str):
-    index = [g.name for g in algebra.generators].index(name)
-    return tuple(e for i, e in enumerate(mono) if i != index)
-
-
-def _chi(a: SullivanAlgebra) -> int:
-    return ch.euler_characteristic(ch.betti_numbers(a))
-
-
 def euler_characteristic_relations(
     diagram: GroupDiagram, table: ch.CohomologyTable
 ) -> EulerReport:
@@ -420,13 +366,14 @@ def euler_characteristic_relations(
     alternating sum of the Betti numbers a report prints, up to dim M;
     a table cut off below dim M is extended by counting the ranks of its
     algebra up to dim M.  The three orbit characteristics each come from
-    the orbit's own model."""
+    the orbit's own model (``models.orbit_models``), whose generators hit
+    the restriction images unglued, so the identity checks the gluing."""
     top = diagram.manifold_dimension
     betti = table.betti if table.cutoff >= top else ch.betti_numbers(table.algebra.with_cutoff(top))
     chi_m = ch.euler_characteristic(betti[: top + 1])
-    chi_minus = _chi(_singular_orbit_model(diagram, "-"))
-    chi_plus = _chi(_singular_orbit_model(diagram, "+"))
-    chi_h = _chi(_principal_orbit_model(diagram))
+    chi_minus, chi_plus, chi_h = (
+        ch.euler_characteristic(ch.betti_numbers(orbit)) for orbit in orbit_models(diagram)
+    )
     identity = chi_m == chi_minus + chi_plus - chi_h
     if not identity:
         raise CriterionDisagreement(

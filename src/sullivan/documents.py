@@ -61,6 +61,11 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
+def _flag(obj: dict, key: str, default: bool, path: str) -> bool:
+    """An optional JSON boolean; any other value is a schema error."""
+    return _require(obj, key, bool, path) if key in obj else default
+
+
 def _reject_unknown(obj: dict, keys, path: str) -> None:
     unknown = next((key for key in obj if key not in keys), None)
     if unknown is not None:
@@ -89,9 +94,9 @@ def load_group(obj, path: str) -> GroupData:
         rank,
         dim,
         tuple(degrees),
-        connected=bool(flags.get("connected", True)),
-        pi1_torsion_free=bool(flags.get("pi1_torsion_free", False)),
-        steinberg=bool(flags.get("steinberg", False)),
+        connected=_flag(flags, "connected", True, f"{path}.flags"),
+        pi1_torsion_free=_flag(flags, "pi1_torsion_free", False, f"{path}.flags"),
+        steinberg=_flag(flags, "steinberg", False, f"{path}.flags"),
     )
 
 
@@ -317,7 +322,7 @@ def run_analysis(doc: dict, cutoff: int | None = None) -> dict:
     if kind in ("homogeneous", "biquotient"):
         g, h, restriction = payload
         return _analyze_pair(kind, g, h, restriction, cutoff)
-    return _analyze_diagram(payload, cutoff, bool(doc.get("allow_disconnected", False)))
+    return _analyze_diagram(payload, cutoff, _flag(doc, "allow_disconnected", False, "$"))
 
 
 def _analyze_model(a: SullivanAlgebra) -> dict:

@@ -8,7 +8,8 @@ are assembled: exterior algebras for groups, polynomial algebras for
 classifying spaces, the two-sided model for biquotients and orbit
 spaces, the Borel-construction models, and the double-mapping-cylinder
 model for cohomogeneity-one manifolds with odd-dimensional sphere
-fibres.
+fibres, with the models of its three orbits read off the same
+restriction images.
 
 Generator naming is uniform and predictable: a group of rank k has
 exterior generators ``q1..qk`` and classifying-space generators
@@ -275,19 +276,15 @@ def _coho1_generators(diagram: GroupDiagram) -> list[Generator]:
     return gens
 
 
-def _coho1_differential(
+def _restriction_images(
     diagram: GroupDiagram, draft: SullivanAlgebra
-) -> dict[str, AlgebraElement]:
-    """Odd differentials of the double-mapping-cylinder model.
-
-    The two singular-orbit models glue over the principal-orbit model, so
-    dq_i is the fibre-product class of the pair of restriction images: the
-    e+ part plus the e- part plus their common polynomial part, which the
-    two sides must agree on.
-    """
-    h, g = diagram.h, diagram.g
-    bh = set(h.bg_names)
-    differential: dict[str, AlgebraElement] = {}
+) -> dict[str, tuple[AlgebraElement, AlgebraElement, AlgebraElement]]:
+    """The images of u_i under the restrictions to K-, K+ and H, by the
+    name of q_i: the minus and plus restrictions parsed and checked over
+    ``draft``, and their common polynomial part, on which the two sides
+    must agree once the sphere classes are killed."""
+    g, bh = diagram.g, set(diagram.h.bg_names)
+    images = {}
     for q_name, bg_name, d in zip(g.g_names, g.bg_names, g.exterior_degrees):
         plus = _parse_restricted(
             draft,
@@ -303,16 +300,15 @@ def _coho1_differential(
             d + 1,
             f"restriction of {bg_name} to the minus side",
         )
-        common_plus = _kill_generator(draft, plus, EULER_PLUS)
+        common = _kill_generator(draft, plus, EULER_PLUS)
         common_minus = _kill_generator(draft, minus, EULER_MINUS)
-        if common_plus != common_minus:
+        if common != common_minus:
             raise InvalidDiagram(
                 f"restrictions of {bg_name} disagree after killing the sphere classes: "
-                f"{common_plus!r} vs {common_minus!r}"
+                f"{common!r} vs {common_minus!r}"
             )
-        differential[q_name] = plus + minus - common_plus
-    differential[RELATION_GENERATOR] = draft.gen(EULER_PLUS) * draft.gen(EULER_MINUS)
-    return differential
+        images[q_name] = (minus, plus, common)
+    return images
 
 
 def _kill_generator(
@@ -332,12 +328,23 @@ def cohomogeneity_one_model(
     """Pure model of the cohomogeneity-one manifold: H*(BH) and the two
     sphere classes e± closed, exterior generators of H*(G) hitting the
     fibre-product of the two restrictions, and one generator n with
-    dn = e+ e- encoding the single relation."""
+    dn = e+ e- encoding the single relation.
+
+    The two singular-orbit models glue over the principal-orbit model, so
+    dq_i is the fibre-product class of the pair of restriction images: the
+    e+ part plus the e- part minus their common polynomial part, which is
+    in both.
+    """
     _check_diagram_flags(diagram, allow_disconnected)
     cutoff = diagram.manifold_dimension if cutoff is None else cutoff
     gens = _coho1_generators(diagram)
     draft = SullivanAlgebra(gens, cutoff)
-    return SullivanAlgebra(gens, cutoff, _coho1_differential(diagram, draft))
+    differential = {
+        q_name: plus + minus - common
+        for q_name, (minus, plus, common) in _restriction_images(diagram, draft).items()
+    }
+    differential[RELATION_GENERATOR] = draft.gen(EULER_PLUS) * draft.gen(EULER_MINUS)
+    return SullivanAlgebra(gens, cutoff, differential)
 
 
 def borel_model_cohomogeneity_one(
@@ -359,6 +366,32 @@ def borel_model_cohomogeneity_one(
     )
     assignment = {g.name: space.gen(g.name) for g in gens}
     return BorelPackage(space, borel, CdgaMorphism(borel, space, assignment))
+
+
+def orbit_models(diagram: GroupDiagram) -> tuple[SullivanAlgebra, ...]:
+    """Homogeneous models of the orbits G/K-, G/K+ and G/H, each up to its
+    own dimension: H*(BK) in the merged presentation (H*(BH) with e- or
+    e+, or H*(BH) alone) and the exterior generators of H*(G), each
+    hitting its minus, plus or common restriction image.  The images are
+    the manifold model's, parsed and checked the same way but not glued,
+    so the Euler identity over the orbits stays a check of the gluing."""
+    gens = _coho1_generators(diagram)[:-1]  # without the relation generator n
+    draft = SullivanAlgebra(gens, diagram.manifold_dimension)
+    images = _restriction_images(diagram, draft)
+    models = []
+    for side, k in enumerate((diagram.k_minus, diagram.k_plus, diagram.h)):
+        killed = ({EULER_PLUS}, {EULER_MINUS}, {EULER_PLUS, EULER_MINUS})[side]
+        kept = [gen for gen in gens if gen.name not in killed]
+        positions = [draft._index[gen.name] for gen in kept]
+        orbit = SullivanAlgebra(kept, diagram.g.dimension - k.dimension)
+        differential = {
+            q_name: AlgebraElement(
+                orbit, {tuple(m[p] for p in positions): c for m, c in parts[side].terms.items()}
+            )
+            for q_name, parts in images.items()
+        }
+        models.append(SullivanAlgebra(kept, orbit.cutoff, differential))
+    return tuple(models)
 
 
 def almost_free_quotient_model(

@@ -79,7 +79,7 @@ class TestForgetfulMaps:
 
         monkeypatch.setattr(cdga.AlgebraElement, "__init__", counting_init)
         for parity in (0, 1):
-            surjectivity_by_parity(package.forgetful, parity, package.space.cutoff)
+            surjectivity_by_parity(package.forgetful, parity)
         assert not built, name
 
 

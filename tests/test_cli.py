@@ -27,6 +27,16 @@ class TestCatalog:
         assert code == 1
         assert "unknown catalog group" in err
 
+    def test_show_without_a_name_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "catalog", "show")
+        assert code == 1 and out == ""
+        assert err == "error: catalog show needs a group name\n"
+
+    def test_list_with_a_name_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "catalog", "list", "SU(3)")
+        assert code == 1 and out == ""
+        assert err == "error: catalog list takes no group name, got 'SU(3)'\n"
+
     def test_list_output_file_matches_stdout(self, capsys, tmp_path):
         _, shown, _ = run(capsys, "catalog", "list")
         target = tmp_path / "catalog.txt"
@@ -250,6 +260,45 @@ class TestMoreSurfaces:
         assert code == 0 and json.loads(out)["cutoff"] == 9
         code, out, err = run(capsys, "model", "build", "--file", str(path), "--cutoff", "-1")
         assert (code, out) == (1, "") and "cutoff must be a non-negative integer" in err
+
+
+class TestBooleanFlags:
+    """Group flags and ``allow_disconnected`` are JSON booleans; a string or
+    a number is rejected rather than read by its truthiness."""
+
+    GROUP = {"name": "S3", "rank": 1, "dim": 3, "degrees": [3]}
+
+    def report(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run(capsys, "report", "--file", str(path), "--format", "structured")
+
+    def test_string_and_number_group_flags(self, capsys, tmp_path):
+        group = {**self.GROUP, "flags": {"connected": "false", "pi1_torsion_free": 1}}
+        doc = {"kind": "homogeneous", "G": group, "H": "T1", "embedding": {"u1": "-u1^2"}}
+        code, out, err = self.report(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err == "error: $.G.flags.connected: expected bool, got str\n"
+        group["flags"]["connected"] = True
+        code, _, err = self.report(capsys, tmp_path, doc)
+        assert code == 1
+        assert err == "error: $.G.flags.pi1_torsion_free: expected bool, got int\n"
+        group["flags"]["pi1_torsion_free"] = True
+        code, out, _ = self.report(capsys, tmp_path, doc)
+        assert code == 0
+        flags = json.loads(out)["input"]["G"]["flags"]
+        assert flags == {"connected": True, "pi1_torsion_free": True, "steinberg": False}
+
+    def test_string_allow_disconnected(self, capsys, tmp_path):
+        from sullivan.catalog import DIAGRAM_PRESETS
+
+        doc = {**DIAGRAM_PRESETS["cp2-sum"], "H": "Z2", "allow_disconnected": "yes"}
+        code, out, err = self.report(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err == "error: $.allow_disconnected: expected bool, got str\n"
+        doc["allow_disconnected"] = True
+        code, out, _ = self.report(capsys, tmp_path, doc)
+        assert code == 0 and json.loads(out)["input"]["allow_disconnected"] is True
 
 
 class TestKTheoryAndReport:

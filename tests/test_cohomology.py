@@ -249,6 +249,25 @@ class TestInducedMaps:
         # degree 4: u^2 is exact in the target, so the matrix has no rows
         assert matrices[4].rows == 0
 
+    def test_target_table_cutoff_bounds_the_map(self):
+        # a table of ``with_cutoff`` stops the map lower, with the same matrices
+        from sullivan.catalog import DIAGRAM_PRESETS
+        from sullivan.documents import load_diagram
+        from sullivan.models import borel_model_cohomogeneity_one
+
+        f = borel_model_cohomogeneity_one(load_diagram(DIAGRAM_PRESETS["cp2-sum"])).forgetful
+        full = induced_map(f)
+        low = induced_map(f, target_table=cohomology(f.target.with_cutoff(2)))
+        assert sorted(full) == [0, 1, 2, 3, 4]
+        assert sorted(low) == [0, 1, 2]
+        for n in low:
+            assert (low[n].rows, low[n].cols, low[n].entries) == (
+                full[n].rows,
+                full[n].cols,
+                full[n].entries,
+            )
+        assert any(low[n].entries for n in low)
+
     def test_composition_is_product(self, s2):
         poly = SullivanAlgebra.build([("u", 2)], cutoff=4)
         phi = CdgaMorphism(poly, s2, {"u": s2.gen("u")})

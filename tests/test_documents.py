@@ -223,10 +223,11 @@ class TestOneBorelPackagePerReport:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        counts = {"signatures": [], "morphisms": 0, "betti_numbers": 0}
+        counts = {"signatures": [], "morphisms": 0, "betti_numbers": 0, "parses": 0}
         init = SullivanAlgebra.__init__
         post_init = CdgaMorphism.__post_init__
         betti_numbers = ch.betti_numbers
+        parse = SullivanAlgebra.parse
 
         def counting_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
@@ -240,21 +241,33 @@ class TestOneBorelPackagePerReport:
             counts["betti_numbers"] += 1
             return betti_numbers(*args, **kwargs)
 
+        def counting_parse(self, text):
+            counts["parses"] += 1
+            return parse(self, text)
+
         monkeypatch.setattr(SullivanAlgebra, "__init__", counting_init)
+        monkeypatch.setattr(SullivanAlgebra, "parse", counting_parse)
         monkeypatch.setattr(CdgaMorphism, "__post_init__", counting_post_init)
         monkeypatch.setattr(ch, "betti_numbers", counting_betti)
         return counts
 
     @pytest.mark.parametrize("name", sorted(DIAGRAM_PRESETS))
     def test_diagram_report(self, name, builds):
-        manifold = cohomogeneity_one_model(load_diagram(DIAGRAM_PRESETS[name])).signature
+        diagram = load_diagram(DIAGRAM_PRESETS[name])
+        manifold = cohomogeneity_one_model(diagram).signature
         builds["signatures"].clear()
+        builds["parses"] = 0
         run_analysis(DIAGRAM_PRESETS[name])
         assert builds["morphisms"] == 1
         # the manifold model's draft and final algebra, nothing more
         assert builds["signatures"].count(manifold) <= 2
+        # the manifold and Borel models (two each), one draft for the
+        # orbits' restriction images and each orbit's draft and model
+        assert len(builds["signatures"]) <= 11
         # the Borel model and the three orbit models; M is read from its table
         assert builds["betti_numbers"] == 4
+        # each restriction string once for the manifold, once for the orbits
+        assert builds["parses"] == 4 * diagram.g.rank
 
     @pytest.mark.parametrize(
         "doc",
