@@ -166,7 +166,6 @@ class AlgebraElement:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return AlgebraElement(self.algebra, {m: c * x for m, x in self.terms.items()})
-        self._compat(other)
         return self.algebra.multiply(self, other)
 
     def __rmul__(self, scalar):
@@ -234,11 +233,10 @@ class SullivanAlgebra:
         grammar (e.g. ``"x^2+y^2"``)."""
         gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in generators)
         draft = cls(gens, cutoff)
-        resolved = {}
-        for name, value in (differential or {}).items():
-            if name not in draft._index:
-                raise UnknownGenerator(f"differential assigned to unknown generator {name!r}")
-            resolved[name] = draft.parse(value) if isinstance(value, str) else value
+        resolved = {
+            name: draft.parse(value) if isinstance(value, str) else value
+            for name, value in (differential or {}).items()
+        }
         return cls(gens, cutoff, resolved)
 
     def with_cutoff(self, cutoff: int) -> "SullivanAlgebra":
@@ -555,10 +553,10 @@ class SullivanAlgebra:
         return tokens
 
     def _parse_term(self, tokens, pos: int) -> tuple[Monomial, "int | Fraction", int]:
-        """One term from its first factor ``tokens[pos]`` on: its
-        monomial, its coefficient (0 when an odd generator repeats, with
-        the Koszul sign of its factors' order folded in) and the position
-        after it."""
+        """One term from its first factor ``tokens[pos]``, a number or a
+        name, on: its monomial, its coefficient (0 when an odd generator
+        repeats, with the Koszul sign of its factors' order folded in) and
+        the position after it."""
         coeff: int | Fraction = 1
         exponents = [0] * len(self._degrees)
         mask = 0  # odd generators of the term so far
@@ -573,7 +571,7 @@ class SullivanAlgebra:
                 else:
                     coeff *= int(value)
                 pos += 1
-            elif kind == "name":
+            else:
                 index = self._index.get(value)
                 if index is None:
                     raise UnknownGenerator(f"no generator named {value!r}")
@@ -593,8 +591,6 @@ class SullivanAlgebra:
                     elif (mask >> (index + 1)).bit_count() & 1:
                         coeff = -coeff
                     mask |= bit
-            else:
-                break
             if pos < len(tokens) and tokens[pos] == ("op", "*"):
                 pos += 1
                 if pos >= len(tokens) or tokens[pos][0] == "op":

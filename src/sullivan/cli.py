@@ -2,9 +2,9 @@
 
 Verbs: ``catalog list|show``, ``model build``, ``cohomology``,
 ``check homogeneous|biquotient|coho1``, ``ktheory``, ``report``.
-Global flags: ``--cutoff N``, ``--output PATH``, ``--format
-text|structured``.  Exit codes: 0 success, 1 validation error,
-2 computation error.
+Global flags: ``--cutoff N`` (every verb but ``catalog``), ``--output
+PATH``, ``--format text|structured``.  Exit codes: 0 success, 1
+validation error (a usage error too), 2 computation error.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from . import catalog, documents
 from .errors import SchemaError, SullivanError, ValidationError
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cutoff", type=int, default=None, help="maximum degree tracked")
+def _common_flags(parser: argparse.ArgumentParser, cutoff: bool = True) -> None:
+    if cutoff:
+        parser.add_argument("--cutoff", type=int, default=None, help="maximum degree tracked")
     parser.add_argument("--output", default=None, help="write the report to this path")
     parser.add_argument(
         "--format",
@@ -36,8 +37,11 @@ def _emit(args, report: dict) -> None:
 def _write(args, text: str) -> None:
     """Write to ``--output`` when given, else to stdout."""
     if args.output:
-        with open(args.output, "w", encoding="ascii") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="ascii") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -46,9 +50,9 @@ def _load_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise SchemaError(f"cannot read document: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"document is not valid JSON: {exc}") from exc
 
 
@@ -154,12 +158,20 @@ def cmd_model_build(args) -> None:
     _emit(args, {"kind": "model", **documents.model_document(algebra)})
 
 
-def cmd_cohomology(args) -> None:
+# The verbs that report a --file document of given kinds: their help, the
+# kinds they accept, and how their error message names those kinds.
+FILE_VERBS = {
+    "cohomology": ("Betti table and invariants of a model", ("model",), "a model document"),
+    "ktheory": ("rational K-theory dimensions", ("model", "betti"), "a model or betti document"),
+}
+
+
+def cmd_file_verb(args) -> None:
+    _, kinds, expected = FILE_VERBS[args.command]
     doc = _load_file(args.file)
-    if not isinstance(doc, dict) or doc.get("kind") != "model":
-        raise SchemaError("cohomology expects a model document")
-    report = documents.run_analysis(doc, args.cutoff)
-    _emit(args, report)
+    if not isinstance(doc, dict) or doc.get("kind") not in kinds:
+        raise SchemaError(f"{args.command} expects {expected}")
+    _emit(args, documents.run_analysis(doc, args.cutoff))
 
 
 def cmd_check(args) -> None:
@@ -171,14 +183,6 @@ def cmd_check(args) -> None:
             "note: even-degree surjectivity fails at degree "
             f"{report['verdict']['first_failing_degree']}\n"
         )
-
-
-def cmd_ktheory(args) -> None:
-    doc = _load_file(args.file)
-    if not isinstance(doc, dict) or doc.get("kind") not in ("model", "betti"):
-        raise SchemaError("ktheory expects a model or betti document")
-    report = documents.run_analysis(doc, args.cutoff)
-    _emit(args, report)
 
 
 def cmd_report(args) -> None:
@@ -200,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog = sub.add_parser("catalog", help="list or inspect catalog groups")
     p_catalog.add_argument("action", choices=("list", "show"))
     p_catalog.add_argument("name", nargs="?", default=None)
-    _common_flags(p_catalog)
+    _common_flags(p_catalog, cutoff=False)
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_model = sub.add_parser("model", help="build a model document")
@@ -211,10 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_model)
     p_model.set_defaults(func=cmd_model_build)
 
-    p_coh = sub.add_parser("cohomology", help="Betti table and invariants of a model")
-    p_coh.add_argument("--file", required=True)
-    _common_flags(p_coh)
-    p_coh.set_defaults(func=cmd_cohomology)
+    for verb, (help_text, _, _) in FILE_VERBS.items():
+        p_file = sub.add_parser(verb, help=help_text)
+        p_file.add_argument("--file", required=True)
+        _common_flags(p_file)
+        p_file.set_defaults(func=cmd_file_verb)
 
     p_check = sub.add_parser("check", help="run a surjectivity criterion")
     p_check.add_argument("space", choices=("homogeneous", "biquotient", "coho1"))
@@ -228,11 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
-    p_k = sub.add_parser("ktheory", help="rational K-theory dimensions")
-    p_k.add_argument("--file", required=True)
-    _common_flags(p_k)
-    p_k.set_defaults(func=cmd_ktheory)
-
     p_report = sub.add_parser("report", help="full analysis of any document")
     p_report.add_argument("--file", default=None)
     p_report.add_argument("--preset", default=None)
@@ -244,7 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed help (exit 0) or a usage error (exit 2); a
+        # usage error is a validation error.
+        return 1 if exc.code else 0
     try:
         args.func(args)
     except ValidationError as exc:

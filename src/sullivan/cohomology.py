@@ -14,14 +14,15 @@ it, and one on a map runs to the smaller cutoff of its two sides, so
 pure algebras the differential drops the odd word length of a monomial
 by exactly one, so the cochain complex splits into strands of odd word
 length, and these are the blocks; any other algebra has one block per
-degree.  The table's strands are the lower grading, with H_0 the part of
-cohomology represented by the even subalgebra, which
-``LowerGradedTable`` reads without eliminating again.  ``betti_numbers``
-and ``h0_dims`` count ranks independently of the table.  Differential
-rows are sparse rows ``{position: coefficient}`` read off
-``SullivanAlgebra._d_terms`` and reach the elimination kernel as they
-are; cocycles and class representatives are primitive ``{position: int}``
-vectors.
+degree.  The table's strands are the lower grading, which
+``LowerGradedTable`` reads without eliminating again; its index-0 strand
+H_0 is the image of the even subalgebra in cohomology.  Cup products,
+induced maps and parity-wise surjectivity of a morphism complete the
+module.  ``betti_numbers`` and ``h0_dims`` count ranks independently of
+the table.  Differential rows are sparse rows ``{position: coefficient}``
+read off ``SullivanAlgebra._d_terms`` and reach the elimination kernel as
+they are; cocycles and class representatives are primitive
+``{position: int}`` vectors.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     InvalidDifferential,
     NotPure,
 )
-from .linalg import RationalMatrix, SubspaceBasis
+from .linalg import RationalMatrix
 
 
 def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[dict]:
@@ -175,12 +176,12 @@ class CohomologyTable:
         space = self._space(degree)
         return degree, space.class_coordinates(self.algebra.coordinates(e, degree))
 
-    def formal_dimension(self) -> int | None:
-        """Top degree with nonzero cohomology inside the table."""
+    def formal_dimension(self) -> int:
+        """Top degree with nonzero cohomology inside the table (the unit
+        spans degree 0, so there is one)."""
         for n in range(self.cutoff, -1, -1):
             if self.betti[n]:
                 return n
-        return None
 
 
 def cohomology(a: SullivanAlgebra) -> CohomologyTable:
@@ -280,29 +281,6 @@ def h0_dims(a: SullivanAlgebra) -> dict[int, int]:
         rows = _d_rows(a, below, {m: i for i, m in enumerate(strand0)})
         dims[n] = len(strand0) - linalg.rank_rows(rows)
     return dims
-
-
-def h0_image(a: SullivanAlgebra, table: CohomologyTable | None = None) -> dict[int, SubspaceBasis]:
-    """Subspace of each even-degree cohomology spanned by classes of
-    even-subalgebra cocycles, in class coordinates, given by an echelon
-    basis of that span (the rows of ``linalg.ff_row_echelon``)."""
-    if not a.is_pure():
-        raise NotPure("even-subalgebra image is computed for pure algebras only")
-    table = table or cohomology(a)
-    out: dict[int, SubspaceBasis] = {}
-    for n in range(0, table.cutoff + 1, 2):
-        space = table._space(n)
-        vectors = []
-        for mono in a._basis(n):
-            if a.odd_word_length(mono):
-                continue
-            vec = a.coordinates(a.monomial_element(mono), n)
-            vectors.append(space.class_coordinates(vec))
-        echelon, _ = linalg._echelon(vectors)
-        out[n] = SubspaceBasis.from_vectors(
-            space.betti, ([row.get(j, 0) for j in range(space.betti)] for row in echelon)
-        )
-    return out
 
 
 # -- induced maps ------------------------------------------------------

@@ -222,17 +222,20 @@ def load_document(doc: dict, path: str = "$"):
         raise SchemaError(f"{path}.kind: unknown kind {kind!r}; expected one of {SCHEMA_KINDS}")
     _reject_unknown(doc, DOCUMENT_KEYS[kind], path)
     if kind == "model":
-        return kind, load_model(doc, path)
-    if kind == "homogeneous":
-        return kind, load_homogeneous(doc, path)
-    if kind == "biquotient":
-        return kind, load_biquotient(doc, path)
-    if kind == "diagram":
-        return kind, load_diagram(doc, path)
-    betti = _require(doc, "betti", list, path)
-    if not all(_is_int(b) and b >= 0 for b in betti):
-        raise SchemaError(f"{path}.betti: expected non-negative integers")
-    return kind, tuple(betti)
+        payload = load_model(doc, path)
+    elif kind == "homogeneous":
+        payload = load_homogeneous(doc, path)
+    elif kind == "biquotient":
+        payload = load_biquotient(doc, path)
+    elif kind == "diagram":
+        payload = load_diagram(doc, path)
+    else:
+        payload = tuple(_require(doc, "betti", list, path))
+        if not all(_is_int(b) and b >= 0 for b in payload):
+            raise SchemaError(f"{path}.betti: expected non-negative integers")
+    if "cutoff" in doc:
+        _require(doc, "cutoff", int, path)
+    return kind, payload
 
 
 # -- report assembly -----------------------------------------------------
@@ -274,38 +277,31 @@ def _k_dimensions(betti) -> dict:
     return {"k0_dim": k0, "k1_dim": k1, "ko_dim": ko, "infinite_stable_classes": infinite}
 
 
-def _k_report(verdict, flags, betti) -> dict:
-    return asdict(ktheory.stabilization_report(verdict, flags, betti))
-
-
 def _space_summary(table: ch.CohomologyTable) -> dict:
     a, betti = table.algebra, table.betti
-    table_chi = ch.euler_characteristic(betti)
     fdim = table.formal_dimension()
-    summary = {
+    return {
         "model": model_document(a),
         "betti": list(betti),
-        "euler_characteristic": table_chi,
+        "euler_characteristic": ch.euler_characteristic(betti),
         "chi_pi": a.homotopy_euler_characteristic(),
         "pure": a.is_pure(),
         "formal_dimension": fdim,
+        "poincare_duality": ch.poincare_duality_holds(betti, fdim),
+        "representatives": {
+            str(n): [a.format_element(rep) for rep in table.representatives(n)]
+            for n in range(table.cutoff + 1)
+            if table.betti[n]
+        },
     }
-    if fdim is not None:
-        summary["poincare_duality"] = ch.poincare_duality_holds(betti, fdim)
-    summary["representatives"] = {
-        str(n): [a.format_element(rep) for rep in table.representatives(n)]
-        for n in range(table.cutoff + 1)
-        if table.betti[n]
-    }
-    return summary
 
 
 def run_analysis(doc: dict, cutoff: int | None = None) -> dict:
     """Run the full analysis for a document and return the structured
     report (a JSON-serializable, deterministically ordered dict)."""
     kind, payload = load_document(doc)
-    if cutoff is None and doc.get("cutoff") is not None:
-        cutoff = _require(doc, "cutoff", int, "$")
+    if cutoff is None:
+        cutoff = doc.get("cutoff")
     if kind == "betti":
         return {
             "kind": kind,
@@ -357,48 +353,45 @@ def _analyze_model(a: SullivanAlgebra) -> dict:
 def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
     package, verdict = criteria.pair_analysis(kind, g, h, restriction, cutoff)
     table = criteria.space_table(package, verdict.context)
+    input_doc = _pair_input_document(kind, g, h, restriction, table.cutoff)
     flags = ktheory.StabilizationFlags.from_homogeneous(g, h)
-    report = {
-        "kind": kind,
-        "input": _pair_input_document(kind, g, h, restriction, table.cutoff),
-        "space": _space_summary(table),
-        "verdict": asdict(verdict),
-        "ktheory": _k_report(verdict, flags, table.betti),
-    }
-    report["citations"] = sorted(
-        {verdict.citation, *report["ktheory"]["citations"]}
-    )
-    return report
+    return _verdict_report(kind, input_doc, table, verdict, flags)
 
 
 def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) -> dict:
     package, verdict = criteria.cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)
     table = criteria.space_table(package, verdict.context)
-    borel_betti = ch.betti_numbers(package.borel)
     euler = criteria.euler_characteristic_relations(diagram, table)
-    applicability = criteria.theorem_a_applicability(diagram)
-    flags = ktheory.StabilizationFlags.from_diagram(diagram)
     input_doc = diagram_document(diagram)
     input_doc["cutoff"] = table.cutoff
     if allow_disconnected:
         input_doc["allow_disconnected"] = True
-    report = {
-        "kind": "diagram",
-        "input": input_doc,
-        "space": _space_summary(table),
+    flags = ktheory.StabilizationFlags.from_diagram(diagram)
+    sections = {
         "borel": {
             "model": model_document(package.borel),
-            "betti": list(borel_betti),
+            "betti": list(ch.betti_numbers(package.borel)),
         },
-        "verdict": asdict(verdict),
         "euler_relations": asdict(euler),
-        "theorem_applicability": asdict(applicability),
-        "ktheory": _k_report(verdict, flags, table.betti),
+        "theorem_applicability": asdict(criteria.theorem_a_applicability(diagram)),
     }
-    report["citations"] = sorted(
-        {verdict.citation, euler.citation, *report["ktheory"]["citations"]}
-    )
-    return report
+    return _verdict_report("diagram", input_doc, table, verdict, flags, sections, (euler.citation,))
+
+
+def _verdict_report(kind, input_doc, table, verdict, flags, sections=None, citations=()) -> dict:
+    """The report of a space with a verdict: its input, space summary,
+    verdict, the kind's own ``sections``, K-theory, and the citations of
+    the verdict, the K-theory and ``citations``."""
+    k_report = asdict(ktheory.stabilization_report(verdict, flags, table.betti))
+    return {
+        "kind": kind,
+        "input": input_doc,
+        "space": _space_summary(table),
+        "verdict": asdict(verdict),
+        **(sections or {}),
+        "ktheory": k_report,
+        "citations": sorted({verdict.citation, *citations, *k_report["citations"]}),
+    }
 
 
 def to_json(report: dict) -> str:
@@ -413,8 +406,7 @@ def to_text(report: dict) -> str:
         lines.append(f"betti: {space['betti']}")
         lines.append(f"euler characteristic: {space['euler_characteristic']}")
         lines.append(f"homotopy euler characteristic: {space['chi_pi']}")
-        if space.get("formal_dimension") is not None:
-            lines.append(f"formal dimension: {space['formal_dimension']}")
+        lines.append(f"formal dimension: {space['formal_dimension']}")
     if "borel" in report:
         lines.append(f"borel betti: {report['borel']['betti']}")
     verdict = report.get("verdict")

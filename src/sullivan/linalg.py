@@ -152,9 +152,6 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(tuple(zip(*self.entries))) if self.entries else RationalMatrix(())
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:

@@ -85,13 +85,19 @@ class TestConstruction:
             SullivanAlgebra.build([("x", 2), ("q", 5)], {"q": "x^2"}, cutoff=6)
 
     def test_d_squared_enforced(self):
-        # dq = x y but dx = y^2 makes d(dq) nonzero
-        with pytest.raises(InvalidDifferential):
+        # dq = y x has the right degree, but dx = y^2 makes d(dq) = y^3
+        with pytest.raises(InvalidDifferential, match=r"^d\(d\(q\)\) != 0$"):
             SullivanAlgebra.build(
-                [("y", 2), ("x", 3), ("q", 5)],
+                [("y", 2), ("x", 3), ("q", 4)],
                 {"x": "y^2", "q": "y*x"},
                 cutoff=8,
             )
+
+    def test_differential_of_an_unknown_generator_rejected(self):
+        with pytest.raises(
+            UnknownGenerator, match=r"^differential assigned to unknown generator 'z'$"
+        ):
+            SullivanAlgebra.build([("x", 2), ("q", 3)], {"q": "x^2", "z": "x"}, cutoff=6)
 
     def test_algebra_is_freed_without_the_garbage_collector(self, cp2sum):
         """The algebra holds no element of its own (no reference cycle), so

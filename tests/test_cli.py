@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+from sullivan import criteria
+from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cli import main
 
 
@@ -36,6 +40,29 @@ class TestCatalog:
         code, out, err = run(capsys, "catalog", "list", "SU(3)")
         assert code == 1 and out == ""
         assert err == "error: catalog list takes no group name, got 'SU(3)'\n"
+
+    def test_list_structured(self, capsys):
+        code, out, _ = run(capsys, "catalog", "list", "--format", "structured")
+        assert code == 0
+        listing = json.loads(out)
+        assert listing["kind"] == "catalog"
+        assert {"name": "SU(3)", "rank": 2, "dim": 8, "degrees": [3, 5]}.items() <= next(
+            g for g in listing["groups"] if g["name"] == "SU(3)"
+        ).items()
+        assert "cp2-sum" in listing["diagram_presets"]
+
+    def test_show_structured(self, capsys):
+        code, out, _ = run(capsys, "catalog", "show", "SU(3)", "--format", "structured")
+        assert code == 0
+        entry = json.loads(out)
+        assert entry["kind"] == "catalog-entry"
+        assert entry["group"]["degrees"] == [3, 5]
+        assert entry["classifying_generators"] == {"u1": 4, "u2": 6}
+
+    def test_cutoff_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "catalog", "list", "--cutoff", "3")
+        assert code == 1 and out == ""
+        assert err.endswith("sullivan: error: unrecognized arguments: --cutoff 3\n")
 
     def test_list_output_file_matches_stdout(self, capsys, tmp_path):
         _, shown, _ = run(capsys, "catalog", "list")
@@ -290,8 +317,6 @@ class TestBooleanFlags:
         assert flags == {"connected": True, "pi1_torsion_free": True, "steinberg": False}
 
     def test_string_allow_disconnected(self, capsys, tmp_path):
-        from sullivan.catalog import DIAGRAM_PRESETS
-
         doc = {**DIAGRAM_PRESETS["cp2-sum"], "H": "Z2", "allow_disconnected": "yes"}
         code, out, err = self.report(capsys, tmp_path, doc)
         assert code == 1 and out == ""
@@ -336,6 +361,43 @@ class TestKTheoryAndReport:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["kind"] == "diagram"
 
+    def test_malformed_cutoff_with_cutoff_flag(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        for doc in (
+            {"kind": "homogeneous", "G": "SU(2)", "H": "T1", "cutoff": "x"},
+            {**DIAGRAM_PRESETS["cp2-sum"], "cutoff": "x"},
+        ):
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "report", "--file", str(path), "--cutoff", "4")
+            assert (code, out, err) == (1, "", "error: $.cutoff: expected int, got str\n")
+
+    def test_unreadable_document(self, capsys, tmp_path):
+        code, out, err = run(capsys, "report", "--file", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read document: ") and err.count("\n") == 1
+
+    def test_document_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "betti", "betti": [1], "\xe9": 1}')
+        code, out, err = run(capsys, "report", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: document is not valid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", [".", "missing/report.json"])
+    def test_unwritable_output(self, capsys, tmp_path, target):
+        output = str(tmp_path / target)
+        code, out, err = run(capsys, "report", "--preset", "cp2-sum", "--output", output)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+    def test_computation_error_exits_two(self, capsys, monkeypatch):
+        # a direct check that contradicts the rank criterion on an elliptic
+        # model is an internal inconsistency, not bad input
+        monkeypatch.setattr(criteria.ch, "even_degree_surjectivity", lambda f: (False, 2))
+        code, out, err = run(capsys, "report", "--preset", "cp2-sum")
+        assert code == 2 and out == ""
+        assert err.startswith("computation error: ") and err.count("\n") == 1
+
     def test_invalid_json_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -371,3 +433,27 @@ class TestKTheoryAndReport:
             assert result.returncode == 0, result.stderr.decode()
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestUsageErrors:
+    """argparse's usage errors are validation errors (exit 1); its help
+    exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["report", "--cutoff", "abc"], "sullivan report: error: argument --cutoff: invalid int value: 'abc'"),
+            (["frobnicate"], "sullivan: error: argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["bad-cutoff", "unknown-verb"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: sullivan") and message in err
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["report", "--help"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            assert out.startswith("usage: sullivan")

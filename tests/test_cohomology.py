@@ -13,7 +13,6 @@ from sullivan.cohomology import (
     euler_characteristic,
     even_degree_surjectivity,
     h0_dims,
-    h0_image,
     induced_map,
     lower_grading,
     poincare_duality_holds,
@@ -221,13 +220,6 @@ class TestEvenSubalgebraImage:
     def test_unit_algebra(self):
         unit = SullivanAlgebra([], cutoff=2)
         assert h0_dims(unit) == {0: 1, 2: 0}
-
-    def test_image_matches_lower_grading(self, cp2sum):
-        table = cohomology(cp2sum)
-        image = h0_image(cp2sum, table)
-        lg = lower_grading(cp2sum)
-        for n in image:
-            assert image[n].dim == lg.dim(n, 0)
 
 
 class TestInducedMaps:
