@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import catalog, documents
+from .cdga import _decimal
 from .errors import SchemaError, SullivanError, ValidationError
 
 
@@ -49,10 +50,10 @@ def _write(args, text: str) -> None:
 def _load_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_int=lambda digits: _decimal(digits, "integer"))
     except OSError as exc:
         raise SchemaError(f"cannot read document: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"document is not valid JSON: {exc}") from exc
 
 

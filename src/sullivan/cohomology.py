@@ -16,10 +16,10 @@ by exactly one, so the cochain complex splits into strands of odd word
 length, and these are the blocks; any other algebra has one block per
 degree.  The table's strands are the lower grading, which
 ``LowerGradedTable`` reads without eliminating again; its index-0 strand
-H_0 is the image of the even subalgebra in cohomology.  Cup products,
-induced maps and parity-wise surjectivity of a morphism complete the
-module.  ``betti_numbers`` and ``h0_dims`` count ranks independently of
-the table.  Differential rows are sparse rows ``{position: coefficient}``
+H_0 is the image of the even subalgebra in cohomology.  Parity-wise
+surjectivity of a morphism, by rank counting, completes the module.
+``betti_numbers`` and ``h0_dims`` count ranks independently of the
+table.  Differential rows are sparse rows ``{position: coefficient}``
 read off ``SullivanAlgebra._d_terms`` and reach the elimination kernel as
 they are; cocycles and class representatives are primitive
 ``{position: int}`` vectors.
@@ -27,19 +27,12 @@ they are; cocycles and class representatives are primitive
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
 from . import linalg
 from .cdga import AlgebraElement, CdgaMorphism, SullivanAlgebra, _combination
-from .errors import (
-    CutoffExceeded,
-    DegreeMismatch,
-    InvalidDifferential,
-    NotPure,
-)
-from .linalg import RationalMatrix
+from .errors import CutoffExceeded, InvalidDifferential, NotPure
 
 
 def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[dict]:
@@ -101,26 +94,18 @@ def betti_numbers(a: SullivanAlgebra) -> tuple[int, ...]:
 
 
 class _DegreeSpace:
-    """Class representatives ``reps`` (kernel vectors, by free column)
-    and a coboundary basis ``image`` (sparse rows) in one degree, and
-    ``blocks``, the representatives of each block by block key."""
+    """Class representatives ``reps`` (kernel vectors, by free column) in
+    one degree, and ``blocks``, the representatives of each block by
+    block key."""
 
-    def __init__(self, algebra: SullivanAlgebra, degree: int, blocks: dict, image: tuple):
+    def __init__(self, algebra: SullivanAlgebra, degree: int, blocks: dict):
         self.blocks = blocks
         self.reps = tuple(sorted(chain.from_iterable(blocks.values()), key=max))
-        self.image = image
         self.elements = tuple(_element(algebra, v, degree) for v in self.reps)
 
     @property
     def betti(self) -> int:
         return len(self.reps)
-
-    def class_coordinates(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        """Coordinates of a cocycle's class over the scaled representatives."""
-        coeffs = linalg.solve(self.reps + self.image, vector)
-        if coeffs is None:
-            raise DegreeMismatch("vector is not a cocycle of this degree")
-        return [c * v[max(v)] for c, v in zip(coeffs, self.reps)]
 
 
 class CohomologyTable:
@@ -153,28 +138,14 @@ class CohomologyTable:
                 block_reps[i], next_images[i - 1 if pure else 0] = _classes(
                     rows, block, images.get(i, ())
                 )
-            image = tuple(chain.from_iterable(images.values()))
-            self._spaces.append(_DegreeSpace(algebra, n, block_reps, image))
+            self._spaces.append(_DegreeSpace(algebra, n, block_reps))
             images = next_images
         self.betti = tuple(space.betti for space in self._spaces)
 
     def representatives(self, degree: int) -> tuple[AlgebraElement, ...]:
-        return self._space(degree).elements
-
-    def _space(self, degree: int) -> _DegreeSpace:
         if not 0 <= degree <= self.cutoff:
             raise CutoffExceeded(f"degree {degree} outside table range 0..{self.cutoff}")
-        return self._spaces[degree]
-
-    def class_coordinates(self, e: AlgebraElement) -> tuple[int, list[Fraction]]:
-        """Class of a homogeneous cocycle in the chosen basis of its degree."""
-        if e.is_zero:
-            raise DegreeMismatch("zero element has no well-defined degree")
-        if not e.is_homogeneous:
-            raise DegreeMismatch("class operations need a homogeneous element")
-        degree = e.degree
-        space = self._space(degree)
-        return degree, space.class_coordinates(self.algebra.coordinates(e, degree))
+        return self._spaces[degree].elements
 
     def formal_dimension(self) -> int:
         """Top degree with nonzero cohomology inside the table (the unit
@@ -188,25 +159,8 @@ def cohomology(a: SullivanAlgebra) -> CohomologyTable:
     return CohomologyTable(a)
 
 
-def euler_characteristic(t: CohomologyTable | Sequence[int]) -> int:
-    betti = t.betti if isinstance(t, CohomologyTable) else t
+def euler_characteristic(betti: Sequence[int]) -> int:
     return sum((-1) ** n * b for n, b in enumerate(betti))
-
-
-def cup_product(t: CohomologyTable, c1: AlgebraElement, c2: AlgebraElement) -> list[Fraction]:
-    """Product of two classes (given by representatives), expressed in the
-    class basis of the sum degree."""
-    for c in (c1, c2):
-        if c.is_zero or not c.is_homogeneous:
-            raise DegreeMismatch("cup product needs homogeneous nonzero representatives")
-    total = c1.degree + c2.degree
-    if total > t.cutoff:
-        raise CutoffExceeded(f"product degree {total} beyond table cutoff {t.cutoff}")
-    product = t.algebra.multiply(c1, c2)
-    if product.is_zero:
-        return [Fraction(0)] * t.betti[total]
-    _, coords = t.class_coordinates(product)
-    return coords
 
 
 def top_window_vanishes(a: SullivanAlgebra, betti: Sequence[int]) -> bool:
@@ -254,9 +208,6 @@ class LowerGradedTable:
     def representatives(self, degree: int, index: int) -> tuple[AlgebraElement, ...]:
         return tuple(_element(self.algebra, v, degree) for v in self._strands(degree).get(index, ()))
 
-    def total_dims(self) -> tuple[int, ...]:
-        return self.table.betti
-
 
 def lower_grading(a: SullivanAlgebra) -> LowerGradedTable:
     if not a.is_pure():
@@ -281,36 +232,6 @@ def h0_dims(a: SullivanAlgebra) -> dict[int, int]:
         rows = _d_rows(a, below, {m: i for i, m in enumerate(strand0)})
         dims[n] = len(strand0) - linalg.rank_rows(rows)
     return dims
-
-
-# -- induced maps ------------------------------------------------------
-
-
-def induced_map(
-    f: CdgaMorphism,
-    source_table: CohomologyTable | None = None,
-    target_table: CohomologyTable | None = None,
-) -> dict[int, RationalMatrix]:
-    """Matrices of H^n(f) in the chosen class bases, one per degree up to
-    the smaller cutoff of the two tables (by default the tables of f's
-    source and target; pass a table of ``with_cutoff`` to stop lower)."""
-    source_table = source_table or cohomology(f.source)
-    target_table = target_table or cohomology(f.target)
-    matrices = {}
-    for n in range(min(source_table.cutoff, target_table.cutoff) + 1):
-        target_space = target_table._space(n)
-        columns = []
-        for rep in source_table.representatives(n):
-            image = f.apply(rep)
-            if image.is_zero:
-                columns.append([Fraction(0)] * target_space.betti)
-            else:
-                columns.append(target_space.class_coordinates(f.target.coordinates(image, n)))
-        rows = tuple(zip(*columns)) if columns else ()
-        matrices[n] = RationalMatrix.from_rows(
-            rows if rows else [[] for _ in range(target_space.betti)]
-        )
-    return matrices
 
 
 def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | None]:

@@ -423,9 +423,3 @@ def theorem_a_applicability(diagram: GroupDiagram) -> ApplicabilityReport:
         rational_clause=circles and connected and gap_one,
         even_surjectivity_theorem_applies=connected,
     )
-
-
-def circle_orbit_space_formality(g: GroupData, h: GroupData) -> bool:
-    """Equivariant formality predicate for actions with orbit space a
-    circle: rank equality of the group and the principal isotropy."""
-    return g.rank == h.rank

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cohomology import CohomologyTable
 from .criteria import SurjectivityVerdict
 from .models import GroupData, GroupDiagram
 
@@ -58,24 +57,18 @@ class RationalKReport:
     citations: tuple[str, ...]
 
 
-def _betti(t: CohomologyTable | Sequence[int]) -> Sequence[int]:
-    return t.betti if isinstance(t, CohomologyTable) else tuple(t)
-
-
-def rational_k_dimensions(t: CohomologyTable | Sequence[int]) -> tuple[int, int, int]:
-    """(dim K0 ⊗ Q, dim K1 ⊗ Q, dim KO ⊗ Q) from a Betti table whose
+def rational_k_dimensions(betti: Sequence[int]) -> tuple[int, int, int]:
+    """(dim K0 ⊗ Q, dim K1 ⊗ Q, dim KO ⊗ Q) from Betti numbers whose
     range covers the formal dimension."""
-    betti = _betti(t)
     k0 = sum(b for n, b in enumerate(betti) if n % 2 == 0)
     k1 = sum(b for n, b in enumerate(betti) if n % 2 == 1)
     ko = sum(b for n, b in enumerate(betti) if n % 4 == 0)
     return k0, k1, ko
 
 
-def stable_class_infinitude(t: CohomologyTable | Sequence[int]) -> bool:
+def stable_class_infinitude(betti: Sequence[int]) -> bool:
     """True iff some Betti number in a positive degree divisible by four
     is nonzero."""
-    betti = _betti(t)
     return any(b for n, b in enumerate(betti) if n > 0 and n % 4 == 0)
 
 
@@ -118,7 +111,7 @@ class StabilizationFlags:
 def stabilization_report(
     verdict: SurjectivityVerdict,
     flags: StabilizationFlags,
-    t: CohomologyTable | Sequence[int],
+    betti: Sequence[int],
 ) -> RationalKReport:
     """Assemble the K-theory conclusions for one verdict.
 
@@ -126,7 +119,7 @@ def stabilization_report(
     verification is out of scope); otherwise a true rational verdict
     yields the multiple-of-the-bundle conclusion; otherwise none.
     """
-    k0, k1, ko = rational_k_dimensions(t)
+    k0, k1, ko = rational_k_dimensions(betti)
     even, odd = forgetful_surjectivity_translation(verdict)
     citations = [CITATION_CHERN, CITATION_KO, CITATION_TRANSLATION]
     if verdict.context == "homogeneous":
@@ -151,7 +144,7 @@ def stabilization_report(
         citations.append(CITATION_RATIONAL)
     else:
         conclusion = NONE
-    infinite = stable_class_infinitude(t)
+    infinite = stable_class_infinitude(betti)
     if infinite and conclusion != NONE:
         citations.append(CITATION_STABLE)
     return RationalKReport(

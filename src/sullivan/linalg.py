@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Ranks, kernels, membership tests and quotient bases, all in exact
-arithmetic: rows with int or Fraction entries are reduced by sparse
-fraction-free elimination over arbitrary-precision integers, which
-visits only nonzero entries and keeps every row primitive.  The kernel
+Ranks, kernels, solutions and quotient bases, all in exact arithmetic:
+rows with int or Fraction entries are reduced by sparse fraction-free
+elimination over arbitrary-precision integers, which visits only
+nonzero entries and keeps every row primitive.  The kernel
 takes and returns sparse rows ``{column: int}``, which ``_int_rows``
 makes of mapping or dense rows (``int`` mappings, such as differential
 rows, pass through) and ``_transpose`` of the columns of vectors.
@@ -149,9 +149,6 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries))) if self.entries else RationalMatrix(())
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -260,18 +257,6 @@ def solve(columns: Sequence, rhs: Sequence) -> list[Fraction] | None:
     c = {k: 1}  # then rhs = -sum_i c_i/c_k * columns[i]
     _back_substitute(echelon, pivots, c)
     return [Fraction(-c.get(i, 0), c[k]) for i in range(k)]
-
-
-def image_membership(basis: SubspaceBasis, v: Sequence) -> tuple[bool, list[Fraction] | None]:
-    """Test whether v lies in the span; if so, return its coefficients."""
-    if len(v) != basis.ambient_dim:
-        raise DimensionMismatch(
-            f"vector of length {len(v)} against ambient dimension {basis.ambient_dim}"
-        )
-    coeffs = solve(basis.vectors, _as_fraction_vector(v))
-    if coeffs is None:
-        return False, None
-    return True, coeffs
 
 
 class _Reducer:

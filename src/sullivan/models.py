@@ -392,34 +392,3 @@ def orbit_models(diagram: GroupDiagram) -> tuple[SullivanAlgebra, ...]:
         }
         models.append(SullivanAlgebra(kept, orbit.cutoff, differential))
     return tuple(models)
-
-
-def almost_free_quotient_model(
-    x: SullivanAlgebra,
-    g: GroupData,
-    action_differential: Mapping[str, "AlgebraElement | str"],
-    cutoff: int | None = None,
-) -> SullivanAlgebra:
-    """Model of the orbit space of an almost-free action: the model of the
-    space tensored with H*(BG) adjoined as closed even generators, with
-    the action entering through the supplied perturbed differentials of
-    the space generators (unmentioned generators keep their original
-    differential)."""
-    cutoff = x.cutoff if cutoff is None else cutoff
-    gens = list(x.generators) + [
-        Generator(n, d) for n, d in zip(g.bg_names, g.bg_degrees)
-    ]
-    draft = SullivanAlgebra(gens, cutoff)
-    pad = (0,) * g.rank
-    differential: dict[str, AlgebraElement] = {}
-    for old_gen, old_image in zip(x.generators, x.differential):
-        differential[old_gen.name] = AlgebraElement(
-            draft, {m + pad: c for m, c in old_image.terms.items()}
-        )
-    for name, value in action_differential.items():
-        if name not in {gen.name for gen in x.generators}:
-            raise UnknownGenerator(
-                f"action differential assigned to non-space generator {name!r}"
-            )
-        differential[name] = draft.parse(value) if isinstance(value, str) else AlgebraElement(draft, value.terms)
-    return SullivanAlgebra(gens, cutoff, differential)

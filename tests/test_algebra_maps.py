@@ -43,8 +43,8 @@ def borel_packages():
 
 def basis_elements(algebra):
     for n in range(algebra.cutoff + 1):
-        for mono in algebra.monomial_basis(n):
-            yield algebra.monomial_element(mono)
+        for p in range(len(algebra.monomial_basis(n))):
+            yield algebra.element_from_coordinates({p: 1}, n)
 
 
 def shears(seed, count):

@@ -1,6 +1,7 @@
 """Command-line surface: verbs, exit codes, output determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -382,6 +383,39 @@ class TestKTheoryAndReport:
         code, out, err = run(capsys, "report", "--file", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: document is not valid JSON: ") and err.count("\n") == 1
+
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "report", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: document is not valid JSON: ") and err.count("\n") == 1
+
+    def test_over_long_json_integer(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "betti", "betti": [1, %s]}' % ("7" * (limit + 1)))
+        code, out, err = run(capsys, "report", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: document is not valid JSON: integer has more than {limit} digits\n"
+
+    @pytest.mark.parametrize(
+        "template, what",
+        [("{}*x^2", "coefficient"), ("1/{}*x^2", "coefficient"), ("x^{}", "exponent")],
+    )
+    def test_over_long_polynomial_integer(self, capsys, tmp_path, template, what):
+        limit = sys.get_int_max_str_digits()
+        doc = {
+            "kind": "model",
+            "generators": [["x", 2], ["a", 3]],
+            "differential": {"a": template.format("7" * (limit + 1))},
+            "cutoff": 4,
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: $.differential.a: {what} has more than {limit} digits\n"
 
     @pytest.mark.parametrize("target", [".", "missing/report.json"])
     def test_unwritable_output(self, capsys, tmp_path, target):

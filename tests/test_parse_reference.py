@@ -20,7 +20,7 @@ from sullivan.catalog import (
     _rename_torus_polynomial,
     standard_restriction,
 )
-from sullivan.cdga import SullivanAlgebra
+from sullivan.cdga import AlgebraElement, SullivanAlgebra
 from sullivan.documents import load_diagram
 from sullivan.errors import UnknownGenerator
 from sullivan.models import borel_model_cohomogeneity_one, borel_model_homogeneous
@@ -33,7 +33,7 @@ def _gen_power(algebra, name, k):
     if k >= 2 and algebra.generators[index].is_odd:
         return algebra.zero()
     mono = tuple(k if i == index else 0 for i in range(len(algebra.generators)))
-    return algebra.monomial_element(mono)
+    return AlgebraElement(algebra, {mono: Fraction(1)})
 
 
 def _reference_tokenize(algebra, text):

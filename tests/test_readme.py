@@ -4,11 +4,13 @@ The python block of "A worked example" is executed and its commented
 results are checked, every JSON document of "Documents" (with its
 ``//`` comment lines removed) goes through ``run_analysis``, and every
 "Command line" example that needs no input file exits 0 through
-``cli.main``.  An edit to the library that breaks an example, or an
+``cli.main``, and every name that the "Public surface" paragraph of
+"Library layout" lists imports from its module.  An edit to the library that breaks an example, or an
 example edited into something the library rejects, fails here.
 """
 
 import ast
+import importlib
 import json
 import re
 import shlex
@@ -45,6 +47,32 @@ def _commands() -> list[list[str]]:
     (block,) = _blocks("Command line")
     commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
     return [argv[1:] for argv in commands if "--file" not in argv]
+
+
+def _public_surface() -> list[tuple[str, str]]:
+    """(module, name) for each name of the "Public surface" list, whose
+    items read ``- `sullivan.module`: `name`, `name`, ...``."""
+    text = _section("Library layout").split("**Public surface.**", 1)[1]
+    items = re.findall(r"^- `(sullivan\.\w+)`: (.+)$", text, re.M)
+    return [(module, name) for module, names in items for name in re.findall(r"`(\w+)`", names)]
+
+
+def test_public_surface_imports():
+    surface = _public_surface()
+    assert {module for module, _ in surface} >= {
+        "sullivan.cdga",
+        "sullivan.cohomology",
+        "sullivan.criteria",
+        "sullivan.documents",
+        "sullivan.ktheory",
+        "sullivan.models",
+    }
+    missing = [
+        f"{module}.{name}"
+        for module, name in surface
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, missing
 
 
 def test_worked_example_runs():

@@ -39,19 +39,26 @@ def test_every_patch_target_resolves():
 NOTE = "(perfbench/tracer.py patches it here)"
 SRC = Path(__file__).resolve().parent.parent / "src"
 NAMED = re.compile(r"^\s*(?:def\s+)?([A-Za-z_][A-Za-z0-9_]*)")
+CLASS = re.compile(r"^class\s+([A-Za-z_][A-Za-z0-9_]*)")
+METHOD = re.compile(r"^\s+def\s")
 
 
 def test_every_tracer_only_name_is_a_patch_target():
     # A name kept alive only for the tracer carries NOTE on its line, so
-    # it can be deleted once the tracer stops patching it.
-    targets = {
-        (module, attribute) for module, class_name, attribute, _ in _patches() if class_name is None
-    }
+    # it can be deleted once the tracer stops patching it.  A method's
+    # note names the class whose body holds it.
+    targets = {(module, class_name, attribute) for module, class_name, attribute, _ in _patches()}
     noted = []
     for path in sorted(SRC.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        owner = None
         for line in path.read_text(encoding="utf-8").splitlines():
+            header = CLASS.match(line)
+            if header:
+                owner = header.group(1)
             if NOTE in line:
-                noted.append((module, NAMED.match(line).group(1)))
-    assert ("sullivan.criteria", "_rank") in noted
+                name = NAMED.match(line).group(1)
+                noted.append((module, owner if METHOD.match(line) else None, name))
+    assert ("sullivan.criteria", None, "_rank") in noted
+    assert ("sullivan.cdga", "SullivanAlgebra", "coordinates") in noted
     assert [name for name in noted if name not in targets] == []
