@@ -2,9 +2,10 @@
 
 Cohomology in degree n is ker(d_n)/im(d_{n-1}), computed by exact
 elimination over the monomial bases.  Class representatives are chosen
-deterministically: kernel bases come from echelon back-substitution and
-quotient representatives are picked greedily from the kernel basis in
-order, so repeated runs give identical tables.
+deterministically: each is the back-substituted kernel vector of a free
+column of its block's echelon that no coboundary ends on, which is the
+complement of the coboundaries that a greedy pass over the kernel basis
+in order would pick, so repeated runs give identical tables.
 
 The algebra's cutoff is the only cutoff: every function here runs to
 it, and one on a map runs to the smaller cutoff of its two sides, so
@@ -32,7 +33,7 @@ from typing import Sequence
 
 from . import linalg
 from .cdga import AlgebraElement, CdgaMorphism, SullivanAlgebra, _combination
-from .errors import CutoffExceeded, InvalidDifferential, NotPure
+from .errors import CutoffExceeded, InvalidDifferential, NotASubspace, NotPure
 
 
 def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[dict]:
@@ -49,30 +50,50 @@ def _action_rows(a: SullivanAlgebra, degree: int) -> list[dict]:
     return _d_rows(a, a._basis(degree), a._basis_index(degree + 1))
 
 
-def _cocycles(rows: list) -> tuple[list[int], list[dict[int, int]]]:
-    """Pivot columns and kernel basis of d from the d-images ``rows`` of
-    a space's basis: one elimination with a column per basis vector, zero
-    rows dropped (with none left, the kernel is the identity basis)."""
-    echelon, pivots = linalg._echelon(linalg._transpose(rows))
-    return pivots, linalg._kernel_vectors(echelon, pivots, len(rows))
-
-
 def _classes(rows: list, block: list[int], image: tuple) -> tuple[tuple, tuple]:
     """Class representatives of one block of a cochain space and the
     coboundaries that the block hands to the next space.
 
     ``rows`` are the d-images of the space's basis vectors over the next
     space's basis, ``block`` the positions of the block's basis vectors
-    and ``image`` a basis of the block's coboundaries.  The one
-    elimination of ``_cocycles`` on the block's rows serves both spaces:
-    representatives are picked greedily from its kernel basis, written
-    over the space's basis positions, as a complement of ``image``, and
-    the d-images of its pivot basis vectors are a basis of the next
-    space's coboundaries that the block hits.
+    and ``image`` a basis of the block's coboundaries.  One elimination
+    of the block's rows, with a column per basis vector, serves both
+    spaces.  Its kernel vector of free column f is 1 at f and 0 at every
+    other free column, so a coboundary's free coordinates are its entries
+    there.  The greedy complement of ``image`` in the kernel basis skips
+    exactly the free columns that are the last nonzero free coordinate
+    of some coboundary, the pivots of those coordinates eliminated with
+    the column order reversed; only the other free columns are
+    back-substituted, one per class, and written over the space's basis
+    positions.  The d-images of the pivot basis vectors are a basis of
+    the next space's coboundaries that the block hits.  NotASubspace is
+    raised if a coboundary is not a cocycle of the block or the
+    coboundaries are dependent.
     """
-    pivots, cocycles = _cocycles([rows[p] for p in block])
-    embedded = [{block[j]: x for j, x in v.items()} for v in cocycles]
-    return linalg._complement(image, embedded), tuple(rows[block[c]] for c in pivots)
+    echelon, pivots = linalg._echelon(linalg._transpose([rows[p] for p in block]))
+    local = {p: j for j, p in enumerate(block)}
+    pivot_set = set(pivots)
+    last = len(block) - 1
+    projected = []
+    for w in image:
+        d_w: dict[int, int] = {}
+        for p, x in w.items():
+            for k, y in rows[p].items():
+                d_w[k] = d_w.get(k, 0) + x * y
+        if any(d_w.values()) or not w.keys() <= local.keys():
+            raise NotASubspace("coboundary is not a cocycle of the block")
+        projected.append({last - local[p]: x for p, x in w.items() if local[p] not in pivot_set})
+    _, ends = linalg._echelon(projected)
+    if len(ends) != len(image):
+        raise NotASubspace("coboundaries are dependent")
+    taken = pivot_set.union(last - k for k in ends)
+    reps = []
+    for f in range(len(block)):
+        if f not in taken:
+            v = {f: 1}
+            linalg._back_substitute(echelon, pivots, v)
+            reps.append({block[j]: x for j, x in v.items()})
+    return tuple(reps), tuple(rows[block[c]] for c in pivots)
 
 
 def _element(a: SullivanAlgebra, v: dict[int, int], degree: int) -> AlgebraElement:
@@ -115,9 +136,9 @@ class CohomologyTable:
     algebra are its strands of odd word length i, which d maps to strand
     i - 1 of the next degree; any other algebra has one block, key 0, per
     degree.  The strands' column spaces are independent, so a degree's
-    pivots, kernel vectors and greedy complements are those of its
-    blocks embedded with zeros, and its representatives are theirs in
-    the order of their free columns.
+    pivots, kernel vectors and classes are those of its blocks embedded
+    with zeros, and its representatives are theirs in the order of their
+    free columns.
     """
 
     def __init__(self, algebra: SullivanAlgebra):
@@ -241,8 +262,10 @@ def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | No
     Returns (verdict, smallest failing degree).  Works by rank counting:
     the classes hit by f span H^n(target) iff the f-images of source
     cocycles together with the target coboundaries span the target
-    cocycles.  The integer cocycles are mapped to sparse target rows
-    through the morphism's cached monomial images, with no element built.
+    cocycles.  The source cocycles are the kernel basis of one
+    elimination of the source's d rows; these integer cocycles are mapped
+    to sparse target rows through the morphism's cached monomial images,
+    with no element built.
     """
     target = f.target
     for n in range(parity % 2, min(f.source.cutoff, target.cutoff) + 1, 2):
@@ -253,8 +276,9 @@ def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | No
         boundary_rank = linalg.rank_rows(rows)
         if kernel_dim == boundary_rank:
             continue  # H^n(target) = 0
-        _, cocycles = _cocycles(_action_rows(f.source, n))
         basis, index = f.source._basis(n), target._basis_index(n)
+        echelon, pivots = linalg._echelon(linalg._transpose(_action_rows(f.source, n)))
+        cocycles = linalg._kernel_vectors(echelon, pivots, len(basis))
         for vec in cocycles:
             image = _combination(((basis[p], c) for p, c in vec.items()), f._monomial_terms)
             if image:

@@ -9,9 +9,10 @@ makes of mapping or dense rows (``int`` mappings, such as differential
 rows, pass through) and ``_transpose`` of the columns of vectors.
 Each column's pivot row is its shortest candidate; the pivot columns,
 and so every basis this module produces, do not depend on row order.
-Kernel vectors are back-substituted fraction-free in the same format and
-reach ``_complement`` as they are; ``Fraction`` values and dense vectors
-appear only at the public functions.
+Kernel vectors are back-substituted fraction-free in the same format,
+one free column at a time, so a caller can back-substitute only the
+columns it needs; ``Fraction`` values and dense vectors appear only at
+the public functions.
 """
 
 from __future__ import annotations

@@ -222,3 +222,14 @@ def random_mixed_two_stage(rng: random.Random):
         )
         differential[name] = term + pure_part
     return SullivanAlgebra(gens, cutoff, differential)
+
+
+def k_pair_model(k: int, cutoff: int) -> SullivanAlgebra:
+    """The pure model of k pairs x_i (degree 2), a_i (degree 3) with
+    d a_i = x_i^2, whose cohomology is (1 + t^2)^k: 2^k classes once the
+    cutoff reaches 2k."""
+    return SullivanAlgebra.build(
+        [(f"x{i}", 2) for i in range(1, k + 1)] + [(f"a{i}", 3) for i in range(1, k + 1)],
+        {f"a{i}": f"x{i}^2" for i in range(1, k + 1)},
+        cutoff=cutoff,
+    )

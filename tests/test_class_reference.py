@@ -1,0 +1,106 @@
+"""Cohomology classes against the kernel-complement route they replaced.
+
+``cohomology._classes`` back-substitutes only the free columns that
+become classes, found from the coboundaries' free coordinates.  The
+reference here is the older route: the full kernel basis of the block
+(``_kernel_vectors``, one back-substitution per free column), written
+over the space's positions, and its greedy complement of the handed-up
+coboundaries (``linalg._complement``).  Every block of every table must
+give equal representative dicts and equal handed-up coboundary tuples.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from instance_generators import k_pair_model, random_pure_elliptic, random_sheared
+from sullivan import cohomology, linalg
+from sullivan.cdga import SullivanAlgebra
+from sullivan.documents import run_analysis
+from sullivan.errors import NotASubspace
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _reference_classes(rows, block, image):
+    echelon, pivots = linalg._echelon(linalg._transpose([rows[p] for p in block]))
+    cocycles = linalg._kernel_vectors(echelon, pivots, len(block))
+    embedded = [{block[j]: x for j, x in v.items()} for v in cocycles]
+    return linalg._complement(image, embedded), tuple(rows[block[c]] for c in pivots)
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """Counts of the blocks with coboundaries and of those with classes,
+    while every ``_classes`` call is checked against the reference."""
+    counts = {"with_image": 0, "with_classes": 0}
+    classes = cohomology._classes
+
+    def checked(rows, block, image):
+        got = classes(rows, block, image)
+        assert got == _reference_classes(rows, block, image)
+        counts["with_image"] += bool(image)
+        counts["with_classes"] += bool(got[0])
+        return got
+
+    monkeypatch.setattr(cohomology, "_classes", checked)
+    return counts
+
+
+class TestAgainstKernelComplement:
+    @pytest.mark.parametrize("k, cutoff", [(2, 6), (3, 14), (4, 11), (5, 10)])
+    def test_k_pair_models(self, compared, k, cutoff):
+        table = cohomology.cohomology(k_pair_model(k, cutoff))
+        assert sum(table.betti) == 2**k
+        assert compared["with_image"] and compared["with_classes"]
+
+    def test_random_pure_elliptic(self, compared):
+        rng = random.Random(233)
+        drawn = 0
+        while drawn < 30:
+            algebra = random_pure_elliptic(rng, max_cutoff=16)
+            if algebra is not None:
+                cohomology.cohomology(algebra)
+                drawn += 1
+        assert compared["with_image"] > 30 and compared["with_classes"] > 30
+
+    def test_random_sheared(self, compared):
+        rng = random.Random(239)
+        drawn = 0
+        while drawn < 10:
+            pair = random_sheared(rng)
+            if pair is not None and not pair[0].is_pure():
+                cohomology.cohomology(pair[0])
+                drawn += 1
+        assert compared["with_image"] and compared["with_classes"]
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.json")))
+    def test_golden_space_models(self, compared, name):
+        document = json.loads((GOLDEN / f"{name}.json").read_text(encoding="ascii"))["input"]
+        run_analysis(document)
+        assert compared["with_classes"]  # the biquotient stops below its first coboundary
+
+
+class TestSubspaceCheck:
+    """The containment check that ``_complement`` made on the handed-up
+    coboundaries, here on the sphere model u, q with d q = u^2."""
+
+    @pytest.fixture
+    def s2(self):
+        return SullivanAlgebra.build([("u", 2), ("q", 3)], {"q": "u^2"}, cutoff=4)
+
+    def test_handed_up_coboundaries_pass(self, s2):
+        # degree 4 is spanned by u^2 = d q, so it has no class
+        image = tuple(cohomology._action_rows(s2, 3))
+        assert cohomology._classes(cohomology._action_rows(s2, 4), [0], image)[0] == ()
+
+    def test_vector_that_is_not_a_cocycle(self, s2):
+        # degree 3 is spanned by q, and d q = u^2 is not zero
+        with pytest.raises(NotASubspace):
+            cohomology._classes(cohomology._action_rows(s2, 3), [0], ({0: 1},))
+
+    def test_dependent_image(self, s2):
+        with pytest.raises(NotASubspace):
+            cohomology._classes(cohomology._action_rows(s2, 4), [0], ({0: 1}, {0: 2}))

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from induced_reference import induced_map
+from instance_generators import k_pair_model
 from sullivan import linalg
+from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cdga import CdgaMorphism, SullivanAlgebra
 from sullivan.cohomology import (
     betti_numbers,
@@ -19,7 +21,9 @@ from sullivan.cohomology import (
     surjectivity_by_parity,
     top_window_vanishes,
 )
+from sullivan.documents import load_diagram
 from sullivan.errors import InvalidDifferential, NotPure
+from sullivan.models import cohomogeneity_one_model
 
 
 @pytest.fixture
@@ -202,6 +206,36 @@ class TestEliminationCount:
         )
         assert blocks == 18
         assert 0 < len(eliminations) <= 2 * blocks
+
+
+class TestBackSubstitutionCount:
+    """A table back-substitutes one kernel vector per class, not the
+    whole kernel of d."""
+
+    @pytest.fixture
+    def back_substitutions(self, monkeypatch):
+        calls = []
+        back_substitute = linalg._back_substitute
+
+        def counting(echelon, pivots, v):
+            calls.append(len(v))
+            return back_substitute(echelon, pivots, v)
+
+        monkeypatch.setattr(linalg, "_back_substitute", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "k, cutoff", [(2, 6), (2, 12), (3, 10), (3, 14), (4, 8), (4, 12), (5, 10), (5, 12)]
+    )
+    def test_k_pair_models(self, back_substitutions, k, cutoff):
+        table = cohomology(k_pair_model(k, cutoff))
+        assert sum(table.betti) == 2**k
+        assert len(back_substitutions) == sum(table.betti)
+
+    @pytest.mark.parametrize("name", sorted(DIAGRAM_PRESETS))
+    def test_diagram_preset_space_models(self, back_substitutions, name):
+        table = cohomology(cohomogeneity_one_model(load_diagram(DIAGRAM_PRESETS[name])))
+        assert len(back_substitutions) == sum(table.betti) > 0
 
 
 class TestEvenSubalgebraImage:
