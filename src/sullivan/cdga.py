@@ -13,13 +13,19 @@ The differential is stored as each generator's image, a tuple of
 ``(monomial, odd mask, coefficient)`` terms with ``int`` coefficients
 where they are integral and ``Fraction`` otherwise.  The d of a monomial
 is the derivation that Leibniz's rule extends from those images, computed
-on exponent tuples in integers by ``_d_terms`` and cached as a
-``{monomial: coefficient}`` map.  Algebra maps work on the same terms: a
-``CdgaMorphism`` stores its generator images so, multiplies them out per
-monomial with ``_product_terms`` and caches the result, and
-``substitute`` does the same for an endomorphism; ``_combination``
-extends d or a map linearly.  The algebra holds no element of its own,
-so it is freed by reference counting.
+in integers on packed monomials: each monomial is one int with a
+fixed-width field per generator, wide enough for every exponent that
+occurs, so a term of d(x_i) times m/x_i is the packed m plus a fixed
+delta.  ``_d_rows`` writes the d of many packed monomials as sparse rows
+over one ``{packed monomial: position}`` index per degree, from a memo
+of the signed terms of each generator's image against each odd mask;
+``_d_sum`` (and ``_d_terms`` for one monomial) is its output for a
+combination of monomials, unpacked back to exponent tuples.  Algebra
+maps work on the stored terms: a ``CdgaMorphism`` stores its generator
+images so, multiplies them out per monomial with ``_product_terms`` and
+caches the result, and ``substitute`` does the same for an
+endomorphism; ``_combination`` extends a map linearly.  The algebra
+holds no element of its own, so it is freed by reference counting.
 
 ``AlgebraElement`` values appear only where elements are read or
 written: parsed polynomials (``parse`` adds each term's exponents,
@@ -44,7 +50,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, lshift, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -88,6 +94,13 @@ def _decimal(digits: str, what: str) -> int:
         return int(digits)
     except ValueError:
         raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from None
+
+
+class _Identity(dict):
+    """The index that maps each packed monomial to itself."""
+
+    def __missing__(self, key):
+        return key
 
 
 def _combination(terms: Iterable[tuple[Monomial, "int | Fraction"]], image_of) -> dict:
@@ -210,7 +223,7 @@ class SullivanAlgebra:
         cutoff: int,
         differential: Mapping[str, AlgebraElement] | None = None,
     ):
-        if not isinstance(cutoff, int) or cutoff < 0:
+        if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
             raise CutoffExceeded("cutoff must be a non-negative integer")
         self.generators = tuple(generators)
         names = [g.name for g in self.generators]
@@ -223,8 +236,8 @@ class SullivanAlgebra:
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.is_odd)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._suffix_table: dict[tuple[int, int], list[Monomial]] = {}
-        self._index_cache: dict[int, dict[Monomial, int]] = {}
-        self._d_cache: dict[Monomial, dict[Monomial, int | Fraction]] = {}
+        self._width = 0
+        self._fit(cutoff + 1)
         self._images = self._validate_differential(differential or {})
 
     # -- construction -------------------------------------------------
@@ -317,7 +330,7 @@ class SullivanAlgebra:
         return AlgebraElement(self, {mono: Fraction(1)})
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self._degrees))
+        return sum(map(mul, mono, self._degrees))
 
     def odd_word_length(self, mono: Monomial) -> int:
         return sum(mono[i] for i in self._odd)
@@ -363,12 +376,34 @@ class SullivanAlgebra:
             self._suffix_table[key] = found
         return found
 
-    def _basis_index(self, degree: int) -> dict[Monomial, int]:
-        """Position of each monomial in the degree basis."""
-        cached = self._index_cache.get(degree)
+    # -- packed monomials ---------------------------------------------
+
+    def _fit(self, degree: int) -> None:
+        """Make the packed fields wide enough for every exponent of a
+        monomial of degree at most ``degree`` (no exponent exceeds its
+        degree), so no field carries into the next.  The constructor fits
+        cutoff + 1, so only a monomial past that widens the fields, which
+        drops what was packed at the old width: the position indexes and
+        the memo of signed image terms."""
+        if degree >> self._width:
+            width = self._width = degree.bit_length()
+            self._shifts = tuple(width * i for i in range(len(self._degrees)))
+            self._odd_bits = sum(1 << self._shifts[i] for i in self._odd)
+            self._positions_cache: dict[int, dict[int, int]] = {}
+            self._leibniz = tuple({} for _ in self._degrees)
+
+    def _pack(self, mono: Monomial) -> int:
+        """A monomial as one int, exponent i in the field at ``_shifts[i]``."""
+        return sum(map(lshift, mono, self._shifts))
+
+    def _positions(self, degree: int) -> dict[int, int]:
+        """Position of each monomial of the degree basis, keyed by the
+        packed monomial; the keys run in basis order."""
+        self._fit(degree)
+        cached = self._positions_cache.get(degree)
         if cached is None:
-            cached = {m: i for i, m in enumerate(self._basis(degree))}
-            self._index_cache[degree] = cached
+            cached = {self._pack(m): i for i, m in enumerate(self._basis(degree))}
+            self._positions_cache[degree] = cached
         return cached
 
     # -- products -----------------------------------------------------
@@ -415,7 +450,7 @@ class SullivanAlgebra:
         return self._d_element(e)
 
     def _d_element(self, e: AlgebraElement) -> AlgebraElement:
-        return self._element(_combination(e.terms.items(), self._d_terms))
+        return self._element(self._d_sum(e.terms.items()))
 
     def _d_monomial(self, mono: Monomial) -> AlgebraElement:  # (perfbench/tracer.py patches it here)
         return self._element(self._d_terms(mono))
@@ -424,38 +459,87 @@ class SullivanAlgebra:
         return AlgebraElement(self, {m: Fraction(c) for m, c in terms.items()})
 
     def _closed(self, image: tuple[Term, ...]) -> bool:
-        return not _combination(((m, c) for m, _, c in image), self._d_terms)
+        return not self._d_sum((m, c) for m, _, c in image)
 
     def _d_terms(self, mono: Monomial) -> dict[Monomial, "int | Fraction"]:
         """d of a monomial as ``{monomial: coefficient}`` with nonzero
-        coefficients, ``int`` where the generators' images are integral.
+        coefficients, ``int`` where the generators' images are integral."""
+        return self._d_sum(((mono, 1),))
 
-        Leibniz's rule on exponent tuples: for each generator i of the
-        monomial, its exponent times the monomial with one factor i
-        removed, times d(i), with the sign of moving d past the odd
-        factors on one side: for an odd generator those before it, for
-        an even one (whose d is odd) those after it."""
-        cached = self._d_cache.get(mono)
-        if cached is not None:
-            return cached
-        terms: dict = {}
-        mask = self._mask(mono)
-        for i, image in enumerate(self._images):
-            e = mono[i]
-            if not e or not image:
-                continue
-            bit = 1 << i
-            if mask & bit:
-                rest = mask ^ bit
-                parity = (mask & (bit - 1)).bit_count()
-            else:
-                rest = mask
-                parity = (mask >> (i + 1)).bit_count()
-            reduced = mono[:i] + (e - 1,) + mono[i + 1 :]
-            _add_products(terms, reduced, rest, -e if parity & 1 else e, image)
-        result = {m: c for m, c in terms.items() if c}
-        self._d_cache[mono] = result
-        return result
+    def _d_sum(self, terms: Iterable[tuple[Monomial, "int | Fraction"]]) -> dict:
+        """d of the sum of ``c*m`` over the pairs ``(m, c)`` of ``terms``,
+        as ``{monomial: coefficient}`` with the nonzero coefficients: the
+        ``_d_rows`` rows of the packed monomials, combined and unpacked."""
+        terms = tuple(terms)
+        if not terms:
+            return {}
+        self._fit(max(self.monomial_degree(m) for m, _ in terms) + 1)
+        rows = self._d_rows([self._pack(m) for m, _ in terms], _Identity())
+        out: dict = {}
+        for (_, c), row in zip(terms, rows):
+            for packed, x in row.items():
+                out[packed] = out.get(packed, 0) + c * x
+        field = (1 << self._width) - 1
+        return {tuple(p >> s & field for s in self._shifts): x for p, x in out.items() if x}
+
+    def _d_rows(self, monos: Iterable[int], index: Mapping[int, int]) -> list[dict]:
+        """d of each packed monomial of ``monos`` as a sparse row
+        ``{position: coefficient}`` over ``index`` (packed monomial ->
+        position), with the nonzero coefficients in the order their
+        monomials first occur; the fields must be fitted to the degree
+        of the images.
+
+        Leibniz's rule: for each generator i of a monomial m, its exponent
+        times d(i) times m with one factor i removed.  Each term of that
+        product is m plus a delta, and its sign depends on i and the odd
+        generators of m only, so ``_leibniz_terms`` memoises the signed
+        terms per generator and odd mask."""
+        field = (1 << self._width) - 1
+        odd_bits = self._odd_bits
+        active = [
+            (i, shift, memo)
+            for i, (shift, memo) in enumerate(zip(self._shifts, self._leibniz))
+            if self._images[i]
+        ]
+        rows = []
+        for packed in monos:
+            mask = packed & odd_bits
+            row: dict = {}
+            for i, shift, memo in active:
+                e = packed >> shift & field
+                if e:
+                    terms = memo.get(mask)
+                    if terms is None:
+                        terms = self._leibniz_terms(i, mask)
+                    for delta, c in terms:
+                        k = index[packed + delta]
+                        row[k] = row.get(k, 0) + e * c
+            rows.append(row if all(row.values()) else {k: c for k, c in row.items() if c})
+        return rows
+
+    def _leibniz_terms(self, i: int, mask: int) -> tuple[tuple[int, "int | Fraction"], ...]:
+        """The terms of d(i) times a monomial m with odd generators
+        ``mask`` (packed) and one factor i removed, as ``(delta,
+        coefficient)`` pairs: the term is the packed m plus delta.  The
+        coefficient carries the Koszul sign of the product and the sign
+        of moving d past the odd factors on one side: for an odd
+        generator those before it, for an even one (whose d is odd) those
+        after it.  Memoised in ``_leibniz[i]``."""
+        unit = 1 << self._shifts[i]
+        if mask & unit:
+            rest = mask ^ unit
+            parity = (mask & (unit - 1)).bit_count()
+        else:
+            rest = mask
+            parity = (mask & -unit).bit_count()
+        terms = []
+        for m, _, c in self._images[i]:
+            packed = self._pack(m)
+            sign = _koszul_sign(rest, packed & self._odd_bits)
+            if sign:
+                terms.append((packed - unit, -sign * c if parity & 1 else sign * c))
+        terms = self._leibniz[i][mask] = tuple(terms)
+        return terms
 
     def verify_d_squared(self) -> bool:
         """True iff d(d(g)) = 0 for every generator."""
@@ -636,14 +720,15 @@ class SullivanAlgebra:
 
     def coordinates(self, e: AlgebraElement, degree: int) -> list[Fraction]:  # (perfbench/tracer.py patches it here)
         """Coefficient vector of a homogeneous element over the degree basis."""
-        index = self._basis_index(degree)
-        vec = [Fraction(0)] * len(index)
+        index, basis = self._positions(degree), self._basis(degree)
+        vec = [Fraction(0)] * len(basis)
         for mono, coeff in e.terms.items():
-            if mono not in index:
+            p = index.get(self._pack(mono))
+            if p is None or basis[p] != mono:  # a wider exponent may pack onto a basis monomial
                 raise DegreeMismatch(
                     f"monomial {self.format_monomial(mono)} is not of degree {degree}"
                 )
-            vec[index[mono]] = coeff
+            vec[p] = coeff
         return vec
 
     def element_from_coordinates(self, coords: Mapping[int, Fraction], degree: int) -> AlgebraElement:
@@ -692,7 +777,7 @@ class CdgaMorphism:
         object.__setattr__(self, "_mono_cache", {})
         for g, d_g, image in zip(self.source.generators, self.source._images, self._images):
             f_of_d = _combination(((m, c) for m, _, c in d_g), self._monomial_terms)
-            if f_of_d != _combination(((m, c) for m, _, c in image), self.target._d_terms):
+            if f_of_d != self.target._d_sum((m, c) for m, _, c in image):
                 raise NotAChainMap(f"morphism does not commute with d on {g.name!r}")
 
     def apply(self, e: AlgebraElement) -> AlgebraElement:

@@ -20,10 +20,11 @@ degree.  The table's strands are the lower grading, which
 H_0 is the image of the even subalgebra in cohomology.  Parity-wise
 surjectivity of a morphism, by rank counting, completes the module.
 ``betti_numbers`` and ``h0_dims`` count ranks independently of the
-table.  Differential rows are sparse rows ``{position: coefficient}``
-read off ``SullivanAlgebra._d_terms`` and reach the elimination kernel as
-they are; cocycles and class representatives are primitive
-``{position: int}`` vectors.
+table.  Differential rows are sparse rows ``{position: coefficient}``,
+built by ``SullivanAlgebra._d_rows`` in one pass over a degree's packed
+monomials against the next degree's ``{packed monomial: position}``
+index, and reach the elimination kernel as they are; cocycles and class
+representatives are primitive ``{position: int}`` vectors.
 """
 
 from __future__ import annotations
@@ -36,18 +37,12 @@ from .cdga import AlgebraElement, CdgaMorphism, SullivanAlgebra, _combination
 from .errors import CutoffExceeded, InvalidDifferential, NotASubspace, NotPure
 
 
-def _d_rows(a: SullivanAlgebra, monos, index: dict) -> list[dict]:
-    """Rows are the differential images of ``monos`` as sparse rows
-    ``{position: coefficient}`` over the monomials of ``index`` (monomial
-    -> position), with the nonzero coefficients of ``_d_terms``, all
-    ``int`` when the generators' images are integral."""
-    return [{index[m]: c for m, c in a._d_terms(mono).items()} for mono in monos]
-
-
 def _action_rows(a: SullivanAlgebra, degree: int) -> list[dict]:
     """Rows are the differential images of the degree-basis monomials,
-    written over the (degree+1) basis."""
-    return _d_rows(a, a._basis(degree), a._basis_index(degree + 1))
+    written over the (degree+1) basis, all ``int`` when the generators'
+    images are integral."""
+    a._fit(degree + 1)
+    return a._d_rows(a._positions(degree), a._positions(degree + 1))
 
 
 def _classes(rows: list, block: list[int], image: tuple) -> tuple[tuple, tuple]:
@@ -247,10 +242,11 @@ def h0_dims(a: SullivanAlgebra) -> dict[int, int]:
     if not a.is_pure():
         raise NotPure("even-subalgebra image is computed for pure algebras only")
     dims: dict[int, int] = {}
+    odd = a._odd_bits
     for n in range(0, a.cutoff + 1, 2):
-        strand0 = [m for m in a._basis(n) if a.odd_word_length(m) == 0]
-        below = [m for m in a._basis(n - 1) if a.odd_word_length(m) == 1] if n else []
-        rows = _d_rows(a, below, {m: i for i, m in enumerate(strand0)})
+        strand0 = [p for p in a._positions(n) if not p & odd]
+        below = [p for p in a._positions(n - 1) if (p & odd).bit_count() == 1] if n else []
+        rows = a._d_rows(below, {p: i for i, p in enumerate(strand0)})
         dims[n] = len(strand0) - linalg.rank_rows(rows)
     return dims
 
@@ -276,13 +272,13 @@ def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | No
         boundary_rank = linalg.rank_rows(rows)
         if kernel_dim == boundary_rank:
             continue  # H^n(target) = 0
-        basis, index = f.source._basis(n), target._basis_index(n)
+        basis, index = f.source._basis(n), target._positions(n)
         echelon, pivots = linalg._echelon(linalg._transpose(_action_rows(f.source, n)))
         cocycles = linalg._kernel_vectors(echelon, pivots, len(basis))
         for vec in cocycles:
             image = _combination(((basis[p], c) for p, c in vec.items()), f._monomial_terms)
             if image:
-                rows.append({index[m]: c for m, c in image.items()})
+                rows.append({index[target._pack(m)]: c for m, c in image.items()})
         if linalg.rank_rows(rows) != kernel_dim:
             return False, n
     return True, None

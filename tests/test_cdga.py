@@ -72,6 +72,16 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             SullivanAlgebra.build([(name, 2), ("q", 3)], {}, cutoff=4)
 
+    @pytest.mark.parametrize("cutoff", [True, False])
+    def test_bool_cutoff_rejected(self, cutoff):
+        # a bool passed as int would be written to a model document as
+        # "cutoff": true, which load_document rejects
+        with pytest.raises(CutoffExceeded):
+            SullivanAlgebra.build([("u", 2), ("q", 3)], {"q": "u^2"}, cutoff=cutoff)
+        s2 = SullivanAlgebra.build([("u", 2), ("q", 3)], {"q": "u^2"}, cutoff=4)
+        with pytest.raises(CutoffExceeded):
+            s2.with_cutoff(cutoff)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(InvalidDegrees):
             SullivanAlgebra([Generator("x", 2), Generator("x", 4)], cutoff=4)

@@ -64,7 +64,7 @@ class TestTables:
         # bypass construction-time validation to exercise the guard
         broken = object.__new__(SullivanAlgebra)
         broken.__dict__.update(s2.__dict__)
-        broken._d_cache = {}
+        broken._leibniz = tuple({} for _ in s2.generators)
         broken._images = tuple(
             s2._image_terms(s2.gen("q").terms) if g.name == "u" else image
             for g, image in zip(s2.generators, s2._images)
