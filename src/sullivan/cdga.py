@@ -577,12 +577,13 @@ class SullivanAlgebra:
 
     def associated_pure(self) -> "SullivanAlgebra":
         """Same generators; even differentials dropped, odd differentials
-        projected to their even-subalgebra component."""
-        diff = {}
-        for g, image in zip(self.generators, self.differential):
-            if g.is_odd:
-                kept = {m: c for m, c in image.terms.items() if self.odd_word_length(m) == 0}
-                diff[g.name] = AlgebraElement(self, kept)
+        projected to their even-subalgebra component, the stored terms
+        whose odd mask is 0."""
+        diff = {
+            g.name: self._element({m: c for m, mask, c in image if not mask})
+            for g, image in zip(self.generators, self._images)
+            if g.is_odd
+        }
         return SullivanAlgebra(self.generators, self.cutoff, diff)
 
     def homotopy_euler_characteristic(self) -> int:

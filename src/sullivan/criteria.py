@@ -21,7 +21,6 @@ diagram take the manifold's table rather than rebuilding its model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from . import cohomology as ch
 from . import linalg
@@ -277,54 +276,41 @@ def pure_h0_equals_heven(table: ch.CohomologyTable) -> EvenCoverageReport:
 def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
     """Splitting invariants by graded Nakayama count.
 
-    mu is the minimal number of generators of the ideal generated by the
-    odd differentials inside the even subalgebra (dimension of the ideal
-    modulo its decomposable part, degree by degree); k = dim V^odd - mu
-    odd generators split off freely, and the algebra is formal iff
-    mu = dim V^even.  The table's Betti numbers must vanish in the top
-    window (ellipticity).
+    mu is the minimal number of generators of the ideal I that the odd
+    differentials generate inside the even subalgebra: the dimension of
+    I modulo its decomposable part, degree by degree.  In a pure algebra
+    d(x^a*y) = x^a*dy, so I in degree n is d of the strand of odd word
+    length one in degree n - 1, and its decomposable part is d of that
+    strand's products, the x^a*y with a != 0.  One echelon per even
+    degree, with a column per strand monomial, products first and the
+    bare odd generators last, has as pivots among the bare generators
+    those independent of the products and of each other: their number
+    is that degree's share of mu.  k = dim V^odd - mu odd generators
+    split off freely, and the algebra is formal iff mu = dim V^even.
+    The table's Betti numbers must vanish in the top window
+    (ellipticity).
     """
     a = table.algebra
     if not a.is_pure():
         raise NotPure("the formality criterion needs a pure algebra")
     if not ch.top_window_vanishes(a, table.betti):
         raise NotElliptic("cohomology does not vanish in the top window below the cutoff")
-    odd_gens = [g for g in a.generators if g.is_odd]
-    even_count = len(a.generators) - len(odd_gens)
-    images: dict[int, list[dict]] = {}
-    for g, image in zip(a.generators, a._images):
-        if g.is_odd and image:
-            images.setdefault(g.degree + 1, []).append({m: c for m, _, c in image})
-    if not images:
-        return FormalityVerdict(len(odd_gens), 0, even_count == 0)
-    top = max(images)
-    even_basis = {
-        n: [m for m in a._basis(n) if a.odd_word_length(m) == 0] for n in range(top + 1)
-    }
-
-    ideal_basis: dict[int, list[dict]] = {}
+    top = max((g.degree + 1 for g, image in zip(a.generators, a._images) if image), default=0)
     mu = 0
     for n in range(2, top + 1, 2):
-        # Even monomials of positive degree times the ideal's basis below
-        # n: both factors are even, so the product adds exponents.
-        decomposable = [
-            {tuple(map(add, mono, m)): c for m, c in w.items()}
-            for m_degree, elements in ideal_basis.items()
-            if n - m_degree >= 2
-            for mono in even_basis[n - m_degree]
-            for w in elements
-        ]
-        candidates = decomposable + images.get(n, [])
-        index = {m: i for i, m in enumerate(even_basis[n])}
-        rows = [{index[m]: c for m, c in z.items()} for z in candidates]
-        # Each candidate in order independent of those before it: the
-        # pivot columns of one echelon with a column per candidate.  The
-        # pivots among the odd differentials count new minimal generators.
+        index = a._positions(n)  # fits the packed fields to degree n
+        odd = a._odd_bits
+        strand0 = {p: i for i, p in enumerate(q for q in index if not q & odd)}
+        strand1 = [p for p in a._positions(n - 1) if (p & odd).bit_count() == 1]
+        products = [p for p in strand1 if p & ~odd]
+        bare = [p for p in strand1 if not p & ~odd]
+        rows = a._d_rows(products + bare, strand0)
+        # Each row in order independent of those before it: the pivot
+        # columns of one echelon with a column per row.
         _, pivots = linalg._echelon(linalg._transpose(rows))
-        mu += sum(c >= len(decomposable) for c in pivots)
-        if pivots:
-            ideal_basis[n] = [candidates[c] for c in pivots]
-    return FormalityVerdict(len(odd_gens) - mu, mu, mu == even_count)
+        mu += sum(c >= len(products) for c in pivots)
+    odd_count = len(a._odd)
+    return FormalityVerdict(odd_count - mu, mu, mu == len(a.generators) - odd_count)
 
 
 def _rank(rows) -> int:  # (perfbench/tracer.py patches it here)

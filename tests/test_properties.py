@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from induced_reference import class_coordinates
 from instance_generators import (
+    k_pair_model,
     random_mixed_two_stage,
     random_pure_elliptic,
     random_sheared,
@@ -25,7 +26,13 @@ from sullivan.cohomology import (
     lower_grading,
     poincare_duality_holds,
 )
-from sullivan.criteria import FormalityVerdict, even_subalgebra_inclusion, pure_formality
+from sullivan.catalog import DIAGRAM_PRESETS
+from sullivan.criteria import (
+    FormalityVerdict,
+    _formal_dimension,
+    even_subalgebra_inclusion,
+    pure_formality,
+)
 from sullivan.errors import NotASubspace
 from sullivan.linalg import RationalMatrix, kernel_basis, rank
 
@@ -650,6 +657,55 @@ class TestFormalityAgainstReducer:
             formal += verdict.formal
             checked += 1
         assert 0 < formal < checked
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_k_pair_models(self, k):
+        # formal dimension 2k, largest generator degree 3
+        algebra = k_pair_model(k, 2 * k + 3)
+        verdict = pure_formality(cohomology(algebra))
+        assert verdict == _reference_formality(algebra) == FormalityVerdict(0, k, True)
+
+    @pytest.mark.parametrize("name", ["model-pure-cutoff12", "model-readme"])
+    def test_model_goldens(self, name):
+        from sullivan.documents import load_model
+
+        document = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["input"]
+        algebra = _at_window(load_model(document))
+        assert pure_formality(cohomology(algebra)) == _reference_formality(algebra)
+
+    @pytest.mark.parametrize("name", sorted(DIAGRAM_PRESETS) + ["SU(4)/T3", "Sp(2)/T2", "SU(3)/T2"])
+    def test_space_models(self, name):
+        from sullivan.catalog import standard_restriction
+        from sullivan.documents import load_diagram
+        from sullivan.models import borel_model_homogeneous, cohomogeneity_one_model
+
+        if name in DIAGRAM_PRESETS:
+            space = cohomogeneity_one_model(load_diagram(DIAGRAM_PRESETS[name]))
+        else:
+            restriction = standard_restriction(*name.split("/"))
+            space = borel_model_homogeneous(restriction.source, restriction.target, restriction).space
+        algebra = _at_window(space)
+        assert pure_formality(cohomology(algebra)) == _reference_formality(algebra)
+
+    @pytest.mark.parametrize(
+        "generators, differential, expected",
+        [
+            # a Fraction coefficient in an image
+            ([("x", 2), ("y", 2), ("a", 3), ("b", 3)], {"a": "1/2*x^2+y^2", "b": "2/3*x*y"}, (0, 2, True)),
+            # q2 is an odd generator whose d is 0: it splits off
+            ([("u", 2), ("q1", 3), ("q2", 5)], {"q1": "u^2"}, (1, 1, True)),
+        ],
+    )
+    def test_fraction_image_and_closed_odd_generator(self, generators, differential, expected):
+        algebra = _at_window(SullivanAlgebra.build(generators, differential, cutoff=0))
+        verdict = pure_formality(cohomology(algebra))
+        assert verdict == _reference_formality(algebra) == FormalityVerdict(*expected)
+
+
+def _at_window(algebra):
+    """The algebra at the formal dimension plus its largest generator
+    degree, where the top window of an elliptic algebra vanishes."""
+    return algebra.with_cutoff(_formal_dimension(algebra) + max(g.degree for g in algebra.generators))
 
 
 class TestSufficientCondition:
