@@ -39,9 +39,12 @@ check, the direct surjectivity check and the formality count build none.
 A degree cutoff is fixed at construction: basis enumeration and the
 public differential are guarded by it (internal callers may go one
 degree past it, which cohomology needs for kernels at the cutoff).
-Every degree's monomial basis is read from one suffix table per
-algebra, the exponent suffixes of generators i.. of each remaining
-degree, filled on demand so that each entry is built once.
+Every degree's monomial basis is enumerated packed, from one suffix
+table per algebra: the packed exponent suffixes of generators i.. of
+each remaining degree, filled on demand so that each entry is built
+once.  The packed basis is the key order of the degree's position
+index; exponent tuples are unpacked from it only when an element is read
+or written.
 """
 
 from __future__ import annotations
@@ -235,7 +238,6 @@ class SullivanAlgebra:
         self._degrees = tuple(g.degree for g in self.generators)
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.is_odd)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
-        self._suffix_table: dict[tuple[int, int], list[Monomial]] = {}
         self._width = 0
         self._fit(cutoff + 1)
         self._images = self._validate_differential(differential or {})
@@ -346,30 +348,31 @@ class SullivanAlgebra:
         return self._basis(degree)
 
     def _basis(self, degree: int) -> tuple[Monomial, ...]:
-        """The degree's monomials in lexicographic exponent order, read off
-        the algebra's suffix table."""
+        """The degree's monomials as exponent tuples, in lexicographic
+        exponent order: the keys of ``_positions``, unpacked on demand
+        for the callers that read or write elements."""
         cached = self._basis_cache.get(degree)
         if cached is None:
-            cached = self._basis_cache[degree] = tuple(self._suffixes(0, degree))
+            cached = self._basis_cache[degree] = tuple(map(self._unpack, self._positions(degree)))
         return cached
 
-    def _suffixes(self, i: int, remaining: int) -> list[Monomial]:
-        """Exponent suffixes of generators i.. with total degree
-        ``remaining``, in lexicographic order.  Each (i, remaining) entry
-        of ``_suffix_table`` is filled once and shared by every degree's
-        basis; the recursion takes one frame per generator."""
+    def _suffixes(self, i: int, remaining: int) -> list[int]:
+        """Packed exponent suffixes of generators i.. with total degree
+        ``remaining``, in lexicographic exponent order.  Each (i, remaining)
+        entry of ``_suffix_table`` is filled once and shared by every
+        degree's basis; the recursion takes one frame per generator."""
         key = (i, remaining)
         found = self._suffix_table.get(key)
         if found is None:
             if i == len(self._degrees):
-                found = [()] if remaining == 0 else []
+                found = [0] if remaining == 0 else []
             else:
-                d = self._degrees[i]
+                d, shift = self._degrees[i], self._shifts[i]
                 top = remaining // d
                 if d % 2:
                     top = min(top, 1)
                 found = [
-                    (e,) + tail
+                    (e << shift) + tail
                     for e in range(top + 1)
                     for tail in self._suffixes(i + 1, remaining - e * d)
                 ]
@@ -383,12 +386,13 @@ class SullivanAlgebra:
         monomial of degree at most ``degree`` (no exponent exceeds its
         degree), so no field carries into the next.  The constructor fits
         cutoff + 1, so only a monomial past that widens the fields, which
-        drops what was packed at the old width: the position indexes and
-        the memo of signed image terms."""
+        drops what was packed at the old width: the suffix table, the
+        position indexes and the memo of signed image terms."""
         if degree >> self._width:
             width = self._width = degree.bit_length()
             self._shifts = tuple(width * i for i in range(len(self._degrees)))
             self._odd_bits = sum(1 << self._shifts[i] for i in self._odd)
+            self._suffix_table: dict[tuple[int, int], list[int]] = {}
             self._positions_cache: dict[int, dict[int, int]] = {}
             self._leibniz = tuple({} for _ in self._degrees)
 
@@ -396,14 +400,20 @@ class SullivanAlgebra:
         """A monomial as one int, exponent i in the field at ``_shifts[i]``."""
         return sum(map(lshift, mono, self._shifts))
 
+    def _unpack(self, packed: int) -> Monomial:
+        """The exponent tuple of a packed monomial."""
+        field = (1 << self._width) - 1
+        return tuple(packed >> s & field for s in self._shifts)
+
     def _positions(self, degree: int) -> dict[int, int]:
         """Position of each monomial of the degree basis, keyed by the
-        packed monomial; the keys run in basis order."""
+        packed monomial as the suffix table enumerates it; the keys run in
+        basis order."""
         self._fit(degree)
         cached = self._positions_cache.get(degree)
         if cached is None:
-            cached = {self._pack(m): i for i, m in enumerate(self._basis(degree))}
-            self._positions_cache[degree] = cached
+            monos = self._suffixes(0, degree)
+            cached = self._positions_cache[degree] = dict(zip(monos, range(len(monos))))
         return cached
 
     # -- products -----------------------------------------------------
@@ -479,8 +489,7 @@ class SullivanAlgebra:
         for (_, c), row in zip(terms, rows):
             for packed, x in row.items():
                 out[packed] = out.get(packed, 0) + c * x
-        field = (1 << self._width) - 1
-        return {tuple(p >> s & field for s in self._shifts): x for p, x in out.items() if x}
+        return {self._unpack(p): x for p, x in out.items() if x}
 
     def _d_rows(self, monos: Iterable[int], index: Mapping[int, int]) -> list[dict]:
         """d of each packed monomial of ``monos`` as a sparse row

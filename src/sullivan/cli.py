@@ -10,6 +10,7 @@ validation error (a usage error too), 2 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -191,7 +192,10 @@ def cmd_report(args) -> None:
     _emit(args, report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="sullivan",
         description=(

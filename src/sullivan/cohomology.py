@@ -104,7 +104,7 @@ def betti_numbers(a: SullivanAlgebra) -> tuple[int, ...]:
     ranks = [linalg.rank_rows(_action_rows(a, n)) for n in range(a.cutoff + 1)]
     betti = []
     for n in range(a.cutoff + 1):
-        dim = len(a._basis(n))
+        dim = len(a._positions(n))
         prev = ranks[n - 1] if n else 0
         betti.append(dim - ranks[n] - prev)
     return tuple(betti)
@@ -265,7 +265,7 @@ def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | No
     """
     target = f.target
     for n in range(parity % 2, min(f.source.cutoff, target.cutoff) + 1, 2):
-        target_dim = len(target._basis(n))
+        target_dim = len(target._positions(n))
         target_rank = linalg.rank_rows(_action_rows(target, n))
         kernel_dim = target_dim - target_rank
         rows = _action_rows(target, n - 1) if n else []
@@ -274,7 +274,7 @@ def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | No
             continue  # H^n(target) = 0
         basis, index = f.source._basis(n), target._positions(n)
         echelon, pivots = linalg._echelon(linalg._transpose(_action_rows(f.source, n)))
-        cocycles = linalg._kernel_vectors(echelon, pivots, len(basis))
+        cocycles = linalg._kernel_vectors(echelon, pivots, len(f.source._positions(n)))
         for vec in cocycles:
             image = _combination(((basis[p], c) for p, c in vec.items()), f._monomial_terms)
             if image:

@@ -205,6 +205,23 @@ class TestMonomialBasis:
             assert len(filled) == len(set(filled)), degrees
             assert set(filled) == reachable_suffixes(degrees, top), degrees
 
+    def test_widening_repacks_every_basis(self):
+        # bases packed at the constructor's width, then a degree past it
+        rng = random.Random(20)
+        for _ in range(40):
+            degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            a = SullivanAlgebra.build([(f"g{i}", d) for i, d in enumerate(degrees)], cutoff=rng.randint(0, 3))
+            for n in range(a.cutoff + 2):
+                a._positions(n)
+            width, top = a._width, 4 * (a.cutoff + 2) + 3
+            a._positions(top)
+            assert a._width > width
+            for n in range(top + 1):
+                expected = product_basis(degrees, n)
+                assert a._basis(n) == expected, (degrees, n)
+                packed = [sum(e << a._width * i for i, e in enumerate(m)) for m in expected]
+                assert list(a._positions(n)) == packed, (degrees, n)
+
     def test_single_even_generator(self):
         a = SullivanAlgebra.build([("u", 2)], cutoff=8)
         assert len(a.monomial_basis(4)) == 1  # u^2 only

@@ -1,13 +1,17 @@
 """Command-line surface: verbs, exit codes, output determinism."""
 
+import argparse
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from sullivan import criteria
 from sullivan.catalog import DIAGRAM_PRESETS
-from sullivan.cli import main
+from sullivan.cli import build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -491,3 +495,37 @@ class TestUsageErrors:
             code, out, err = run(capsys, *argv)
             assert code == 0 and err == ""
             assert out.startswith("usage: sullivan")
+
+    def test_help_after_a_usage_error(self, capsys):
+        assert run(capsys, "report", "--bogus")[0] == 1
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and err == ""
+        assert out == build_parser.__wrapped__().format_help()
+
+
+class TestOneParser:
+    """``main`` parses every argv against one parser per process."""
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.__wrapped__()
+        one_build = len(built)
+        built.clear()
+        build_parser.cache_clear()
+        for argv in (["catalog", "list"], ["report", "--bogus"], ["catalog", "list", "--format", "structured"]):
+            run(capsys, *argv)
+        assert len(built) == one_build
+
+    def test_no_state_carries_between_calls(self, capsys, tmp_path):
+        assert run(capsys, "report", "--preset", "cp2-sum", "--cutoff", "4")[0] == 0
+        output = tmp_path / "report.json"
+        argv = ["report", "--preset", "cp2-sum", "--format", "structured", "--output", str(output)]
+        assert run(capsys, *argv)[0] == 0
+        assert output.read_bytes() == (GOLDEN / "preset-cp2-sum.json").read_bytes()
