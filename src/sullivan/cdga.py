@@ -39,18 +39,18 @@ check, the direct surjectivity check and the formality count build none.
 A degree cutoff is fixed at construction: basis enumeration and the
 public differential are guarded by it (internal callers may go one
 degree past it, which cohomology needs for kernels at the cutoff).
-Every degree's monomial basis is enumerated packed, from one suffix
-table per algebra: the packed exponent suffixes of generators i.. of
-each remaining degree, filled on demand so that each entry is built
+Every degree's monomial basis is one list of packed monomials, built
+from the lists of the degrees below it, in increasing degree and each
 once.  The packed basis is the key order of the degree's position
-index; exponent tuples are unpacked from it only when an element is read
-or written.
+index; exponent tuples are unpacked from it only where an element is
+read or written.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, lshift, mul
@@ -237,7 +237,6 @@ class SullivanAlgebra:
         self._index = {g.name: i for i, g in enumerate(self.generators)}
         self._degrees = tuple(g.degree for g in self.generators)
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.is_odd)
-        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._width = 0
         self._fit(cutoff + 1)
         self._images = self._validate_differential(differential or {})
@@ -349,35 +348,32 @@ class SullivanAlgebra:
 
     def _basis(self, degree: int) -> tuple[Monomial, ...]:
         """The degree's monomials as exponent tuples, in lexicographic
-        exponent order: the keys of ``_positions``, unpacked on demand
-        for the callers that read or write elements."""
-        cached = self._basis_cache.get(degree)
-        if cached is None:
-            cached = self._basis_cache[degree] = tuple(map(self._unpack, self._positions(degree)))
-        return cached
+        exponent order: ``_monomials`` unpacked, for the callers that read
+        every monomial of a degree."""
+        return tuple(map(self._unpack, self._monomials(degree)))
 
-    def _suffixes(self, i: int, remaining: int) -> list[int]:
-        """Packed exponent suffixes of generators i.. with total degree
-        ``remaining``, in lexicographic exponent order.  Each (i, remaining)
-        entry of ``_suffix_table`` is filled once and shared by every
-        degree's basis; the recursion takes one frame per generator."""
-        key = (i, remaining)
-        found = self._suffix_table.get(key)
-        if found is None:
-            if i == len(self._degrees):
-                found = [0] if remaining == 0 else []
-            else:
+    def _monomials(self, degree: int) -> list[int]:
+        """The degree's packed monomials in lexicographic exponent order.
+        ``_bases`` holds one list per degree and is filled in increasing
+        degree, each degree once.  A degree-n monomial whose first
+        generator is i is x_i times a degree n - d_i monomial with no
+        generator before i (none up to i when x_i is odd); those lead
+        their degree's list, so each block is a prefix of a list below,
+        and the blocks run from the last generator to the first."""
+        self._fit(degree)
+        bases, width = self._bases, self._width
+        while len(bases) <= degree:
+            n = len(bases)
+            monos = [] if n else [0]
+            for i in reversed(range(len(self._degrees))):
                 d, shift = self._degrees[i], self._shifts[i]
-                top = remaining // d
-                if d % 2:
-                    top = min(top, 1)
-                found = [
-                    (e << shift) + tail
-                    for e in range(top + 1)
-                    for tail in self._suffixes(i + 1, remaining - e * d)
-                ]
-            self._suffix_table[key] = found
-        return found
+                if d <= n:
+                    below = bases[n - d]
+                    free = (1 << shift + (width if d % 2 else 0)) - 1
+                    lead = bisect_left(below, 1, key=free.__and__)
+                    monos.extend(map((1 << shift).__add__, below[:lead]))
+            bases.append(monos)
+        return bases[degree]
 
     # -- packed monomials ---------------------------------------------
 
@@ -386,13 +382,13 @@ class SullivanAlgebra:
         monomial of degree at most ``degree`` (no exponent exceeds its
         degree), so no field carries into the next.  The constructor fits
         cutoff + 1, so only a monomial past that widens the fields, which
-        drops what was packed at the old width: the suffix table, the
-        position indexes and the memo of signed image terms."""
+        drops what was packed at the old width: the bases, the position
+        indexes and the memo of signed image terms."""
         if degree >> self._width:
             width = self._width = degree.bit_length()
             self._shifts = tuple(width * i for i in range(len(self._degrees)))
             self._odd_bits = sum(1 << self._shifts[i] for i in self._odd)
-            self._suffix_table: dict[tuple[int, int], list[int]] = {}
+            self._bases: list[list[int]] = []
             self._positions_cache: dict[int, dict[int, int]] = {}
             self._leibniz = tuple({} for _ in self._degrees)
 
@@ -407,12 +403,11 @@ class SullivanAlgebra:
 
     def _positions(self, degree: int) -> dict[int, int]:
         """Position of each monomial of the degree basis, keyed by the
-        packed monomial as the suffix table enumerates it; the keys run in
-        basis order."""
+        packed monomial of ``_monomials``; the keys run in basis order."""
         self._fit(degree)
         cached = self._positions_cache.get(degree)
         if cached is None:
-            monos = self._suffixes(0, degree)
+            monos = self._monomials(degree)
             cached = self._positions_cache[degree] = dict(zip(monos, range(len(monos))))
         return cached
 
@@ -730,11 +725,12 @@ class SullivanAlgebra:
 
     def coordinates(self, e: AlgebraElement, degree: int) -> list[Fraction]:  # (perfbench/tracer.py patches it here)
         """Coefficient vector of a homogeneous element over the degree basis."""
-        index, basis = self._positions(degree), self._basis(degree)
-        vec = [Fraction(0)] * len(basis)
+        index = self._positions(degree)
+        vec = [Fraction(0)] * len(index)
         for mono, coeff in e.terms.items():
-            p = index.get(self._pack(mono))
-            if p is None or basis[p] != mono:  # a wider exponent may pack onto a basis monomial
+            packed = self._pack(mono)
+            p = index.get(packed)
+            if p is None or self._unpack(packed) != mono:  # a wider exponent may pack onto a basis monomial
                 raise DegreeMismatch(
                     f"monomial {self.format_monomial(mono)} is not of degree {degree}"
                 )
@@ -743,12 +739,12 @@ class SullivanAlgebra:
 
     def element_from_coordinates(self, coords: Mapping[int, Fraction], degree: int) -> AlgebraElement:
         """The element with coefficient c at each basis position p of ``coords``."""
-        basis = self._basis(degree)
-        if coords and not 0 <= min(coords) <= max(coords) < len(basis):
+        monos = self._monomials(degree)
+        if coords and not 0 <= min(coords) <= max(coords) < len(monos):
             raise DimensionMismatch(
-                f"coordinate position outside a degree-{degree} basis of size {len(basis)}"
+                f"coordinate position outside a degree-{degree} basis of size {len(monos)}"
             )
-        return AlgebraElement(self, {basis[p]: Fraction(c) for p, c in coords.items()})
+        return AlgebraElement(self, {self._unpack(monos[p]): Fraction(c) for p, c in coords.items()})
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)

@@ -272,11 +272,12 @@ def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | No
         boundary_rank = linalg.rank_rows(rows)
         if kernel_dim == boundary_rank:
             continue  # H^n(target) = 0
-        basis, index = f.source._basis(n), target._positions(n)
+        index = target._positions(n)
         echelon, pivots = linalg._echelon(linalg._transpose(_action_rows(f.source, n)))
-        cocycles = linalg._kernel_vectors(echelon, pivots, len(f.source._positions(n)))
+        monos, unpack = f.source._monomials(n), f.source._unpack
+        cocycles = linalg._kernel_vectors(echelon, pivots, len(monos))
         for vec in cocycles:
-            image = _combination(((basis[p], c) for p, c in vec.items()), f._monomial_terms)
+            image = _combination(((unpack(monos[p]), c) for p, c in vec.items()), f._monomial_terms)
             if image:
                 rows.append({index[target._pack(m)]: c for m, c in image.items()})
         if linalg.rank_rows(rows) != kernel_dim:

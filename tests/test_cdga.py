@@ -152,23 +152,6 @@ def product_basis(degrees, n):
     )
 
 
-def reachable_suffixes(degrees, top):
-    """Every (generator index, remaining degree) that enumerating the bases
-    of degrees 0..top visits: from (i, r) to (i + 1, r - e*d_i)."""
-    seen = set()
-    stack = [(0, n) for n in range(top + 1)]
-    while stack:
-        i, r = stack.pop()
-        if (i, r) in seen:
-            continue
-        seen.add((i, r))
-        if i < len(degrees):
-            d = degrees[i]
-            top_e = min(r // d, 1) if d % 2 else r // d
-            stack.extend((i + 1, r - e * d) for e in range(top_e + 1))
-    return seen
-
-
 def random_degree_algebras(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
@@ -189,21 +172,27 @@ class TestMonomialBasis:
                 assert a._basis(n) == product_basis(degrees, n), (degrees, n)
 
     @pytest.mark.parametrize("seed", [3, 1013])
-    def test_each_suffix_entry_is_filled_once(self, seed):
+    def test_each_degree_is_built_once(self, seed):
         for a, degrees in random_degree_algebras(seed, 25):
-            filled = []
-
-            class Recording(dict):
-                def __setitem__(self, key, value):
-                    filled.append(key)
-                    super().__setitem__(key, value)
-
-            a._suffix_table = Recording()
             top = a.cutoff + 1
-            for n in list(range(top + 1)) + list(range(top, -1, -1)):
-                a._basis(n)
-            assert len(filled) == len(set(filled)), degrees
-            assert set(filled) == reachable_suffixes(degrees, top), degrees
+            # increasing then decreasing degrees, and the highest degree first on a copy
+            for algebra, order in (
+                (a, list(range(top + 1)) + list(range(top, -1, -1))),
+                (a.with_cutoff(a.cutoff), [top] + list(range(top + 1))),
+            ):
+                built = []
+
+                class Recording(list):
+                    def append(self, monos):
+                        built.append(len(self))
+                        super().append(monos)
+
+                algebra._bases = Recording()
+                highest = 0
+                for n in order:
+                    algebra._basis(n)
+                    highest = max(highest, n)
+                    assert built == list(range(highest + 1)), (degrees, order, n)
 
     def test_widening_repacks_every_basis(self):
         # bases packed at the constructor's width, then a degree past it

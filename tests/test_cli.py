@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sullivan import criteria
+from sullivan import criteria, documents
 from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cli import build_parser, main
 
@@ -529,3 +529,36 @@ class TestOneParser:
         argv = ["report", "--preset", "cp2-sum", "--format", "structured", "--output", str(output)]
         assert run(capsys, *argv)[0] == 0
         assert output.read_bytes() == (GOLDEN / "preset-cp2-sum.json").read_bytes()
+
+
+class TestManyGenerators:
+    """Models with hundreds or thousands of generators report: basis
+    enumeration takes no stack frame per generator, and its memory grows
+    with the basis."""
+
+    def _report(self, capsys, tmp_path, count, degree, cutoff):
+        path = tmp_path / "model.json"
+        generators = [[f"x{i}", degree] for i in range(count)]
+        path.write_text(json.dumps({"kind": "model", "generators": generators, "cutoff": cutoff}))
+        code, out, err = run(capsys, "report", "--file", str(path), "--format", "structured")
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    @pytest.mark.parametrize("count", [494, 1100, 5000])
+    def test_degree_three_generators_at_cutoff_zero(self, capsys, tmp_path, count):
+        assert self._report(capsys, tmp_path, count, 3, 0)["space"]["betti"] == [1]
+
+    def test_bases_hold_only_the_basis(self, capsys, tmp_path, monkeypatch):
+        analyzed = []
+        analyze = documents._analyze_model
+
+        def recording(a):
+            analyzed.append(a)
+            return analyze(a)
+
+        monkeypatch.setattr(documents, "_analyze_model", recording)
+        assert self._report(capsys, tmp_path, 400, 1, 1)["space"]["betti"] == [1, 400]
+        (a,) = analyzed
+        # 1 + 400 + 400*399/2 monomials through degree 2, the cutoff + 1
+        assert [len(monos) for monos in a._bases] == [1, 400, 79_800]
+        assert sum(map(len, a._bases)) == 80_201

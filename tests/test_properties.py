@@ -729,6 +729,32 @@ class TestSufficientCondition:
             checked += 1
 
 
+class TestShearedIsomorphism:
+    """A sheared algebra is isomorphic to its pure core by an automorphism
+    that moves one odd generator and fixes every even one, so the two have
+    the same cohomology, and the even-subalgebra inclusions of the two
+    have the same verdict.  The sheared tables have one block per degree
+    and the cores one per strand, so this compares the two table paths."""
+
+    @pytest.mark.parametrize("seed, non_pure, surjective", [(4243, 45, 19), (1013, 42, 21)])
+    def test_sheared_algebra_matches_its_core(self, seed, non_pure, surjective):
+        rng = random.Random(seed)
+        pairs = []
+        while len(pairs) < 60:
+            pair = random_sheared(rng)
+            if pair is not None:
+                pairs.append(pair)
+        verdicts = []
+        for sheared, core in pairs:
+            assert cohomology(sheared).betti == cohomology(core).betti == betti_numbers(sheared)
+            evens = [g.name for g in core.generators if not g.is_odd]
+            verdict = even_degree_surjectivity(even_subalgebra_inclusion(core, evens))
+            assert even_degree_surjectivity(even_subalgebra_inclusion(sheared, evens)) == verdict
+            verdicts.append(verdict[0])
+        assert sum(not sheared.is_pure() for sheared, _ in pairs) == non_pure
+        assert sum(verdicts) == surjective
+
+
 class TestLinalgProperties:
     @given(
         st.lists(
