@@ -23,8 +23,13 @@ without eliminating again; its index-0 strand H_0 is the image of the
 even subalgebra in cohomology.  Parity-wise surjectivity of a morphism,
 by rank counting, completes the module.
 ``betti_numbers`` and ``h0_dims`` count ranks independently of the
-table.  Differential rows are sparse rows ``{position: coefficient}``,
-built by ``SullivanAlgebra._d_rows`` in one pass over a degree's packed
+table.  Both ``betti_numbers`` and the direct check
+``surjectivity_by_parity`` read one chain of eliminations,
+``_echelons``, which clears: a degree's d rows are built only for the
+monomials whose positions are not pivot columns of the degree below,
+which together with the coboundaries, where d vanishes, span the degree.
+Differential rows are sparse rows ``{position: coefficient}``, built by
+``SullivanAlgebra._d_rows`` in one pass over a degree's packed
 monomials against the next degree's ``{packed monomial: position}``
 index, and reach the elimination kernel as they are; cocycles and class
 representatives are primitive ``{position: int}`` vectors.
@@ -99,14 +104,39 @@ def _element(a: SullivanAlgebra, v: dict[int, int], degree: int) -> AlgebraEleme
     return a.element_from_coordinates(linalg._unit_scaled(v), degree)
 
 
+def _echelons(a: SullivanAlgebra, top: int):
+    """Yield ``(echelon, pivots)`` of d_n for n = 0..top in increasing
+    degree, with d_n's rows built only for the degree-n monomials whose
+    positions are not pivots of d_{n-1} (clearing).
+
+    The ranks stay exact.  The echelon rows of d_{n-1} are a basis of
+    the coboundaries B^n, and their pivot columns P are as many; a
+    nonzero vector of B^n has its leading entry at a pivot column, so
+    B^n meets the span of the unit vectors e_j, j not in P, in zero,
+    and by dimension those unit vectors span a complement of B^n.  d_n
+    vanishes on B^n (d² = 0 is checked when the algebra is built), so
+    their d rows span the image of d_n.  ``ff_row_echelon``'s pivot
+    columns depend only on that span, so every degree's pivots, and the
+    columns cleared one degree up, are those of its full elimination."""
+    cleared: set[int] = set()
+    for n in range(top + 1):
+        a._fit(n + 1)
+        monos = [p for j, p in enumerate(a._monomials(n)) if j not in cleared]
+        echelon, pivots = linalg._echelon(a._d_rows(monos, a._positions(n + 1)))
+        yield echelon, pivots
+        cleared = set(pivots)
+
+
 def betti_numbers(a: SullivanAlgebra) -> tuple[int, ...]:
-    """Betti numbers (dim H^n) for n = 0..cutoff, by rank counting only."""
-    ranks = [linalg.rank_rows(_action_rows(a, n)) for n in range(a.cutoff + 1)]
-    betti = []
-    for n in range(a.cutoff + 1):
-        dim = len(a._positions(n))
-        prev = ranks[n - 1] if n else 0
-        betti.append(dim - ranks[n] - prev)
+    """Betti numbers (dim H^n) for n = 0..cutoff, by rank counting only:
+    dim C^n less the pivots of d_n and of d_{n-1}.  They are read off
+    the cleared chain ``_echelons``, which builds d_n's rows only for the
+    monomials that are not pivot columns of d_{n-1}, and which the
+    direct check ``surjectivity_by_parity`` reads too."""
+    betti, below = [], 0
+    for n, (_, pivots) in enumerate(_echelons(a, a.cutoff)):
+        betti.append(len(a._positions(n)) - len(pivots) - below)
+        below = len(pivots)
     return tuple(betti)
 
 
@@ -258,24 +288,32 @@ def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | No
     Returns (verdict, smallest failing degree).  Works by rank counting:
     the classes hit by f span H^n(target) iff the f-images of source
     cocycles together with the target coboundaries span the target
-    cocycles.  The source cocycles are the kernel basis of one
-    elimination of the source's d rows; these integer cocycles are mapped
-    to sparse target rows through the morphism's cached monomial images,
-    with no element built.
+    cocycles.  The target's ranks come from the cleared chain
+    ``_echelons`` that ``betti_numbers`` reads, which builds d_n's rows
+    only for the monomials that are not pivot columns of d_{n-1}: the
+    cocycles number dim C^n less the pivots of d_n, the coboundaries the
+    pivots of d_{n-1}, whose echelon rows are the coboundary basis the
+    mapped cocycles are eliminated with.  The source cocycles are the
+    kernel basis of one elimination of the source's d rows; these integer
+    cocycles are mapped to sparse target rows through the morphism's
+    cached monomial images, with no element built.
     """
     target = f.target
-    for n in range(parity % 2, min(f.source.cutoff, target.cutoff) + 1, 2):
-        target_dim = len(target._positions(n))
-        target_rank = linalg.rank_rows(_action_rows(target, n))
-        kernel_dim = target_dim - target_rank
-        rows = _action_rows(target, n - 1) if n else []
-        boundary_rank = linalg.rank_rows(rows)
-        if kernel_dim == boundary_rank:
-            continue  # H^n(target) = 0
+    top = min(f.source.cutoff, target.cutoff)
+    top -= (top - parity) % 2  # the chain stops at the last degree checked
+    below: list[dict] = []
+    for n, (target_echelon, target_pivots) in enumerate(_echelons(target, top)):
+        boundaries, below = below, target_echelon  # d_{n-1}'s echelon, a basis of B^n
+        if (n - parity) % 2:
+            continue
         index = target._positions(n)
+        kernel_dim = len(index) - len(target_pivots)
+        if kernel_dim == len(boundaries):
+            continue  # H^n(target) = 0
         echelon, pivots = linalg._echelon(linalg._transpose(_action_rows(f.source, n)))
         monos, unpack = f.source._monomials(n), f.source._unpack
         cocycles = linalg._kernel_vectors(echelon, pivots, len(monos))
+        rows = list(boundaries)
         for vec in cocycles:
             image = _combination(((unpack(monos[p]), c) for p, c in vec.items()), f._monomial_terms)
             if image:

@@ -10,9 +10,16 @@ the representatives are its class coordinates, and the matrices of
 H^n(f) are built column by column from them.  The coboundaries come
 first, so a representative that depended on them and on the
 representatives before it would be a free column and get coefficient 0.
+
+The uncleared rank counts that ``betti_numbers`` and
+``surjectivity_by_parity`` made before they read the cleared chain
+``cohomology._echelons`` are kept here too: they rank every degree's
+full d rows, and the direct check eliminates the raw coboundary rows
+with the mapped cocycles.
 """
 
 from sullivan import linalg
+from sullivan.cdga import _combination
 from sullivan.cohomology import _action_rows, cohomology
 from sullivan.errors import DegreeMismatch
 from sullivan.linalg import RationalMatrix
@@ -45,3 +52,32 @@ def induced_map(f, source_table=None, target_table=None):
         rows = tuple(zip(*columns)) if columns else [[] for _ in range(target_table.betti[n])]
         matrices[n] = RationalMatrix.from_rows(rows)
     return matrices
+
+
+def uncleared_betti_numbers(a):
+    """dim C^n less the ranks of the full d_n and d_{n-1} rows."""
+    ranks = [linalg.rank_rows(_action_rows(a, n)) for n in range(a.cutoff + 1)]
+    return tuple(
+        len(a._positions(n)) - rank - (ranks[n - 1] if n else 0) for n, rank in enumerate(ranks)
+    )
+
+
+def uncleared_surjectivity_by_parity(f, parity):
+    """(verdict, smallest failing degree) of ``surjectivity_by_parity``,
+    ranking every target degree's full d rows."""
+    target = f.target
+    for n in range(parity % 2, min(f.source.cutoff, target.cutoff) + 1, 2):
+        kernel_dim = len(target._positions(n)) - linalg.rank_rows(_action_rows(target, n))
+        rows = _action_rows(target, n - 1) if n else []
+        if kernel_dim == linalg.rank_rows(rows):
+            continue  # H^n(target) = 0
+        index = target._positions(n)
+        echelon, pivots = linalg._echelon(linalg._transpose(_action_rows(f.source, n)))
+        monos, unpack = f.source._monomials(n), f.source._unpack
+        for vec in linalg._kernel_vectors(echelon, pivots, len(monos)):
+            image = _combination(((unpack(monos[p]), c) for p, c in vec.items()), f._monomial_terms)
+            if image:
+                rows.append({index[target._pack(m)]: c for m, c in image.items()})
+        if linalg.rank_rows(rows) != kernel_dim:
+            return False, n
+    return True, None

@@ -7,8 +7,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from sullivan.catalog import DIAGRAM_PRESETS, standard_restriction
 from sullivan.cdga import AlgebraElement, Generator, SullivanAlgebra
 from sullivan.cohomology import betti_numbers, top_window_vanishes
+from sullivan.documents import load_diagram
+from sullivan.models import borel_model_cohomogeneity_one, borel_model_homogeneous
 
 # odd degrees o with o+1 a multiple of e, keyed by even degree e <= 8
 _PAIRABLE_ODD = {2: [1, 3, 5, 7], 4: [3, 7], 6: [5], 8: [7]}
@@ -135,6 +138,18 @@ def random_sheared(rng: random.Random):
     return conjugated(core, forward, backward), core
 
 
+def sheared_pairs(seed: int, count: int) -> list:
+    """The first ``count`` (sheared, core) pairs ``random_sheared`` draws
+    from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        pair = random_sheared(rng)
+        if pair is not None:
+            pairs.append(pair)
+    return pairs
+
+
 def conjugated(core: SullivanAlgebra, forward, backward) -> SullivanAlgebra:
     """The core's generators with the differential backward . d . forward
     of a shear and its inverse, given as assignments."""
@@ -233,3 +248,23 @@ def k_pair_model(k: int, cutoff: int) -> SullivanAlgebra:
         {f"a{i}": f"x{i}^2" for i in range(1, k + 1)},
         cutoff=cutoff,
     )
+
+
+def random_degree_algebras(seed, count):
+    """Free algebras on one to five generators of degrees 1..6 (d = 0) at
+    cutoffs 0..10, each with its list of generator degrees."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+        gens = [(f"g{i}", d) for i, d in enumerate(degrees)]
+        yield SullivanAlgebra.build(gens, cutoff=rng.randint(0, 10)), degrees
+
+
+def borel_packages():
+    """(name, Borel package) of every diagram preset and of SU(4)/T3 and
+    Sp(2)/T2 at their maximal tori."""
+    for name in sorted(DIAGRAM_PRESETS):
+        yield name, borel_model_cohomogeneity_one(load_diagram(DIAGRAM_PRESETS[name]))
+    for g, h in (("SU(4)", "T3"), ("Sp(2)", "T2")):
+        restriction = standard_restriction(g, h, "maximal-torus")
+        yield f"{g}/{h}", borel_model_homogeneous(restriction.source, restriction.target, restriction)

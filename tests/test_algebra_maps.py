@@ -10,13 +10,10 @@ import random
 
 import pytest
 
-from instance_generators import conjugated, random_shear
+from instance_generators import borel_packages, conjugated, random_shear
 from sullivan import cdga
-from sullivan.catalog import DIAGRAM_PRESETS, standard_restriction
 from sullivan.cdga import CdgaMorphism
 from sullivan.cohomology import surjectivity_by_parity
-from sullivan.documents import load_diagram
-from sullivan.models import borel_model_cohomogeneity_one, borel_model_homogeneous
 
 
 def reference_map(algebra, e, images):
@@ -31,14 +28,6 @@ def reference_map(algebra, e, images):
                 term = term * image**exp
         result = result + coeff * term
     return result
-
-
-def borel_packages():
-    for name in sorted(DIAGRAM_PRESETS):
-        yield name, borel_model_cohomogeneity_one(load_diagram(DIAGRAM_PRESETS[name]))
-    for g, h in (("SU(4)", "T3"), ("Sp(2)", "T2")):
-        restriction = standard_restriction(g, h, "maximal-torus")
-        yield f"{g}/{h}", borel_model_homogeneous(restriction.source, restriction.target, restriction)
 
 
 def basis_elements(algebra):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from instance_generators import random_degree_algebras
 from sullivan.cdga import CdgaMorphism, Generator, SullivanAlgebra
 from sullivan.cli import main
 from sullivan.errors import (
@@ -150,14 +151,6 @@ def product_basis(degrees, n):
     return tuple(
         sorted(e for e in itertools.product(*ranges) if sum(map(int.__mul__, e, degrees)) == n)
     )
-
-
-def random_degree_algebras(seed, count):
-    rng = random.Random(seed)
-    for _ in range(count):
-        degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
-        gens = [(f"g{i}", d) for i, d in enumerate(degrees)]
-        yield SullivanAlgebra.build(gens, cutoff=rng.randint(0, 10)), degrees
 
 
 class TestMonomialBasis:

@@ -1,16 +1,20 @@
 """Cohomology tables, lower grading and surjectivity of induced maps,
-the last against the reference matrices of ``induced_reference``."""
+the last against the reference matrices of ``induced_reference``, and
+the cleared rank chain against its uncleared rank counts."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from induced_reference import induced_map
-from instance_generators import k_pair_model
+from induced_reference import induced_map, uncleared_betti_numbers, uncleared_surjectivity_by_parity
+from instance_generators import borel_packages, k_pair_model, random_degree_algebras, sheared_pairs
 from sullivan import linalg
 from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cdga import CdgaMorphism, SullivanAlgebra
 from sullivan.cohomology import (
+    _action_rows,
+    _echelons,
     betti_numbers,
     cohomology,
     euler_characteristic,
@@ -21,6 +25,7 @@ from sullivan.cohomology import (
     surjectivity_by_parity,
     top_window_vanishes,
 )
+from sullivan.criteria import even_subalgebra_inclusion
 from sullivan.documents import load_diagram
 from sullivan.errors import InvalidDifferential, NotPure
 from sullivan.models import cohomogeneity_one_model
@@ -339,3 +344,108 @@ class TestInducedMaps:
         phi = CdgaMorphism(unit, two_spheres, {})
         ok, failing = even_degree_surjectivity(phi)
         assert not ok and failing == 6
+
+
+def assert_chain_matches(a):
+    """Every degree's cleared pivots are those of its full d rows, and
+    the Betti numbers are the uncleared rank count's."""
+    for n, (_, pivots) in enumerate(_echelons(a, a.cutoff)):
+        assert pivots == linalg._echelon(_action_rows(a, n))[1], n
+    assert betti_numbers(a) == uncleared_betti_numbers(a)
+
+
+def assert_verdicts_match(f):
+    """Both parities' (verdict, first failing degree) equal the uncleared
+    loop's; returns the verdicts."""
+    verdicts = [surjectivity_by_parity(f, parity) for parity in (0, 1)]
+    assert verdicts == [uncleared_surjectivity_by_parity(f, parity) for parity in (0, 1)]
+    return verdicts
+
+
+class TestClearedChain:
+    """``betti_numbers`` and the direct check read the cleared chain
+    ``_echelons``; the references rank every degree's full d rows."""
+
+    @pytest.mark.parametrize("seed", [4243, 1013])
+    def test_sheared_pairs(self, seed):
+        verdicts = []
+        for sheared, core in sheared_pairs(seed, 60):
+            evens = [g.name for g in core.generators if not g.is_odd]
+            for a in (sheared, core):
+                assert_chain_matches(a)
+                verdicts += assert_verdicts_match(even_subalgebra_inclusion(a, evens))
+        # both outcomes occur, with failures in both parities
+        assert {ok for ok, _ in verdicts} == {True, False}
+        assert {n % 2 for ok, n in verdicts if not ok} == {0, 1}
+
+    @pytest.mark.parametrize("seed", [3, 1013])
+    def test_free_algebras(self, seed):
+        for a, _ in random_degree_algebras(seed, 25):
+            assert_chain_matches(a)
+
+    @pytest.mark.parametrize("k, cutoff", [(3, 14), (4, 14), (5, 14), (6, 14)])
+    def test_k_pair_models(self, k, cutoff):
+        assert_chain_matches(k_pair_model(k, cutoff))
+
+    @pytest.mark.parametrize("name, package", list(borel_packages()))
+    def test_borel_packages(self, name, package):
+        assert_chain_matches(package.borel)
+        assert_verdicts_match(package.forgetful)
+
+
+class TestClearedWork:
+    """The chain hands ``ff_row_echelon`` d_n's rows only for monomials
+    that are not pivots of d_{n-1}, which with the coboundaries span
+    C^n, so the rows it finds dependent in degree n are cocycles that
+    are not coboundaries: at most b_n of them."""
+
+    @staticmethod
+    def work(a, monkeypatch):
+        """Rows handed to ``ff_row_echelon`` and its rank, summed per
+        degree of the monomials whose d rows they are, while
+        ``betti_numbers(a)`` runs."""
+        degree, work = [None], {}
+        d_rows, echelon = a._d_rows, linalg.ff_row_echelon
+
+        def recording_d_rows(monos, index):
+            monos = list(monos)
+            if monos:
+                degree[0] = sum(map(mul, a._unpack(monos[0]), a._degrees))
+            return d_rows(monos, index)
+
+        def recording_echelon(rows):
+            result = echelon(rows)
+            handed, rank = work.get(degree[0], (0, 0))
+            work[degree[0]] = handed + len(rows), rank + len(result[1])
+            return result
+
+        monkeypatch.setattr(a, "_d_rows", recording_d_rows)
+        monkeypatch.setattr(linalg, "ff_row_echelon", recording_echelon)
+        betti_numbers(a)
+        monkeypatch.undo()
+        return work
+
+    @staticmethod
+    def assert_dependent_at_most_betti(a, work):
+        betti = uncleared_betti_numbers(a)
+        for n, (handed, rank) in work.items():
+            assert handed - rank <= betti[n], (n, handed, rank, betti[n])
+
+    def test_three_pair_model_rows_above_six_are_pivots(self, monkeypatch):
+        a = k_pair_model(3, 14)
+        work = self.work(a, monkeypatch)
+        self.assert_dependent_at_most_betti(a, work)
+        assert uncleared_betti_numbers(a)[7:] == (0,) * 8  # (1 + t^2)^3
+        above = [work[n] for n in range(7, 15)]
+        assert all(handed == rank > 0 for handed, rank in above), above
+
+    @pytest.mark.parametrize("seed", [4243, 1013])
+    def test_sheared_pairs(self, seed, monkeypatch):
+        for pair in sheared_pairs(seed, 20):
+            for a in pair:
+                self.assert_dependent_at_most_betti(a, self.work(a, monkeypatch))
+
+    @pytest.mark.parametrize("name, package", list(borel_packages()))
+    def test_borel_packages(self, name, package, monkeypatch):
+        a = package.borel
+        self.assert_dependent_at_most_betti(a, self.work(a, monkeypatch))

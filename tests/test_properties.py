@@ -14,6 +14,7 @@ from instance_generators import (
     random_mixed_two_stage,
     random_pure_elliptic,
     random_sheared,
+    sheared_pairs,
     tensor_product,
 )
 from sullivan import linalg
@@ -738,12 +739,7 @@ class TestShearedIsomorphism:
 
     @pytest.mark.parametrize("seed, non_pure, surjective", [(4243, 45, 19), (1013, 42, 21)])
     def test_sheared_algebra_matches_its_core(self, seed, non_pure, surjective):
-        rng = random.Random(seed)
-        pairs = []
-        while len(pairs) < 60:
-            pair = random_sheared(rng)
-            if pair is not None:
-                pairs.append(pair)
+        pairs = sheared_pairs(seed, 60)
         verdicts = []
         for sheared, core in pairs:
             assert cohomology(sheared).betti == cohomology(core).betti == betti_numbers(sheared)

@@ -119,16 +119,18 @@ class TestRowsMatchTheTupleRoute:
 
     @pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.json")))
     def test_golden_inputs(self, monkeypatch, name):
-        """Every algebra a golden report builds rows for, in every degree."""
+        """Every algebra a golden report builds rows for, in every degree,
+        through ``_action_rows`` or the cleared chain ``_echelons``."""
         seen = []
-        action_rows = cohomology._action_rows
+        for attr in ("_action_rows", "_echelons"):
+            original = getattr(cohomology, attr)
 
-        def recorded(algebra, degree):
-            if all(algebra is not a for a in seen):
-                seen.append(algebra)
-            return action_rows(algebra, degree)
+            def recorded(algebra, degree, _original=original):
+                if all(algebra is not a for a in seen):
+                    seen.append(algebra)
+                return _original(algebra, degree)
 
-        monkeypatch.setattr(cohomology, "_action_rows", recorded)
+            monkeypatch.setattr(cohomology, attr, recorded)
         document = json.loads((GOLDEN / f"{name}.json").read_text(encoding="ascii"))["input"]
         run_analysis(document)
         monkeypatch.undo()
