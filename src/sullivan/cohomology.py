@@ -28,6 +28,8 @@ table.  Both ``betti_numbers`` and the direct check
 ``_echelons``, which clears: a degree's d rows are built only for the
 monomials whose positions are not pivot columns of the degree below,
 which together with the coboundaries, where d vanishes, span the degree.
+The direct check decides every parity it is asked in one walk of the
+target's chain.
 Differential rows are sparse rows ``{position: coefficient}``, built by
 ``SullivanAlgebra._d_rows`` in one pass over a degree's packed
 monomials against the next degree's ``{packed monomial: position}``
@@ -281,30 +283,38 @@ def h0_dims(a: SullivanAlgebra) -> dict[int, int]:
     return dims
 
 
-def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | None]:
-    """Is H^n(f) surjective for every n of the given parity up to the
-    smaller cutoff of f's two algebras?
+def surjectivity_by_parity(
+    f: CdgaMorphism, parities: tuple[int, ...]
+) -> tuple[tuple[bool, int | None], ...]:
+    """Is H^n(f) surjective for every n of each asked parity (0 even, 1
+    odd) up to the smaller cutoff of f's two algebras?
 
-    Returns (verdict, smallest failing degree).  Works by rank counting:
-    the classes hit by f span H^n(target) iff the f-images of source
-    cocycles together with the target coboundaries span the target
-    cocycles.  The target's ranks come from the cleared chain
-    ``_echelons`` that ``betti_numbers`` reads, which builds d_n's rows
-    only for the monomials that are not pivot columns of d_{n-1}: the
-    cocycles number dim C^n less the pivots of d_n, the coboundaries the
-    pivots of d_{n-1}, whose echelon rows are the coboundary basis the
-    mapped cocycles are eliminated with.  The source cocycles are the
-    kernel basis of one elimination of the source's d rows; these integer
-    cocycles are mapped to sparse target rows through the morphism's
-    cached monomial images, with no element built.
+    Returns one (verdict, smallest failing degree) per parity of
+    ``parities``, in order.  Works by rank counting: the classes hit by
+    f span H^n(target) iff the f-images of source cocycles together with
+    the target coboundaries span the target cocycles.  The target's
+    ranks come from one walk of the cleared chain ``_echelons`` that
+    ``betti_numbers`` reads, which builds d_n's rows only for the
+    monomials that are not pivot columns of d_{n-1}: the cocycles number
+    dim C^n less the pivots of d_n, the coboundaries the pivots of
+    d_{n-1}, whose echelon rows are the coboundary basis the mapped
+    cocycles are eliminated with.  A degree is checked only while its
+    parity is asked and has not failed, and the walk stops once every
+    asked parity has failed; with one parity asked it stops at the last
+    degree of that parity.  The source cocycles are the kernel basis of
+    one elimination of the source's d rows; these integer cocycles are
+    mapped to sparse target rows through the morphism's cached monomial
+    images, with no element built.
     """
     target = f.target
     top = min(f.source.cutoff, target.cutoff)
-    top -= (top - parity) % 2  # the chain stops at the last degree checked
+    if len(parities) == 1:
+        top -= (top - parities[0]) % 2  # the chain stops at the last degree checked
+    failing: dict[int, int] = {}  # parity -> its smallest failing degree
     below: list[dict] = []
     for n, (target_echelon, target_pivots) in enumerate(_echelons(target, top)):
         boundaries, below = below, target_echelon  # d_{n-1}'s echelon, a basis of B^n
-        if (n - parity) % 2:
+        if n % 2 not in parities or n % 2 in failing:
             continue
         index = target._positions(n)
         kernel_dim = len(index) - len(target_pivots)
@@ -319,12 +329,14 @@ def surjectivity_by_parity(f: CdgaMorphism, parity: int) -> tuple[bool, int | No
             if image:
                 rows.append({index[target._pack(m)]: c for m, c in image.items()})
         if linalg.rank_rows(rows) != kernel_dim:
-            return False, n
-    return True, None
+            failing[n % 2] = n
+            if failing.keys() >= set(parities):
+                break
+    return tuple((p not in failing, failing.get(p)) for p in parities)
 
 
 def even_degree_surjectivity(f: CdgaMorphism) -> tuple[bool, int | None]:
     """True iff H^n(f) is surjective in every even n up to the smaller
     cutoff of f's two algebras; otherwise the smallest even failing
     degree is returned."""
-    return surjectivity_by_parity(f, 0)
+    return surjectivity_by_parity(f, (0,))[0]

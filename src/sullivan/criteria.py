@@ -15,7 +15,10 @@ duality there.
 ``pair_analysis`` and ``cohomogeneity_one_analysis`` build a space's
 Borel package once and return it with its verdict, so a report reads the
 space's cohomology table from the same model; the Euler relations of a
-diagram take the manifold's table rather than rebuilding its model.
+diagram take the manifold's table rather than rebuilding its model.  A
+verdict decides the even and the odd direct check, the K^0 and K^1
+forgetful questions, in one call of ``surjectivity_by_parity``, which
+walks the space model's cleared chain once.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ class SurjectivityVerdict:
     rank_criterion: bool
     direct_check: bool
     first_failing_degree: int | None
-    odd_direct_check: bool | None = None
-    odd_first_failing_degree: int | None = None
+    odd_direct_check: bool
+    odd_first_failing_degree: int | None
     hypotheses_hold: bool = True
     cutoff: int = 0
     citation: str = ""
@@ -114,8 +117,7 @@ def _verdict_from_package(
     citation: str,
 ) -> SurjectivityVerdict:
     cutoff = package.space.cutoff
-    direct, failing = ch.even_degree_surjectivity(package.forgetful)
-    odd_direct, odd_failing = ch.surjectivity_by_parity(package.forgetful, 1)
+    (direct, failing), (odd_direct, odd_failing) = ch.surjectivity_by_parity(package.forgetful, (0, 1))
     if hypotheses_hold and direct != (rank_gap <= 1):
         top = _formal_dimension(package.space)
         if direct and cutoff < top:

@@ -3,9 +3,10 @@
 Rationally, K-theory of a finite complex is even/odd cohomology (via the
 Chern character) and real K-theory collects the degrees divisible by
 four, so everything here is bookkeeping over a Betti table plus the
-translation of the even-degree surjectivity verdict.  The existential
-stabilization integers are never computed: the statements are
-existence-only, and the report records which criterion fired.
+verdict's even and odd direct checks, read as K^0 and K^1 forgetful
+surjectivity.  The existential stabilization integers are never
+computed: the statements are existence-only, and the report records
+which criterion fired.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class RationalKReport:
     k0_dim: int
     k1_dim: int
     ko_dim: int
-    forgetful_even_surjective: bool | None
-    forgetful_odd_surjective: bool | None
+    forgetful_even_surjective: bool
+    forgetful_odd_surjective: bool
     infinite_stable_classes: bool
     stabilization_conclusion: str
     citations: tuple[str, ...]
@@ -70,14 +71,6 @@ def stable_class_infinitude(betti: Sequence[int]) -> bool:
     """True iff some Betti number in a positive degree divisible by four
     is nonzero."""
     return any(b for n, b in enumerate(betti) if n > 0 and n % 4 == 0)
-
-
-def forgetful_surjectivity_translation(
-    verdict: SurjectivityVerdict,
-) -> tuple[bool, bool | None]:
-    """(K0 ⊗ Q forgetful surjective, K1 ⊗ Q forgetful surjective); the
-    second is None when the odd-degree check was not computed."""
-    return verdict.direct_check, verdict.odd_direct_check
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,6 @@ def stabilization_report(
     yields the multiple-of-the-bundle conclusion; otherwise none.
     """
     k0, k1, ko = rational_k_dimensions(betti)
-    even, odd = forgetful_surjectivity_translation(verdict)
     citations = [CITATION_CHERN, CITATION_KO, CITATION_TRANSLATION]
     if verdict.context == "homogeneous":
         integral = flags.connected and flags.pi1_torsion_free and verdict.rank_gap <= 1
@@ -139,7 +131,7 @@ def stabilization_report(
     if integral:
         conclusion = INTEGRAL
         citations.append(integral_citation)
-    elif even:
+    elif verdict.direct_check:
         conclusion = RATIONAL
         citations.append(CITATION_RATIONAL)
     else:
@@ -151,8 +143,8 @@ def stabilization_report(
         k0_dim=k0,
         k1_dim=k1,
         ko_dim=ko,
-        forgetful_even_surjective=even,
-        forgetful_odd_surjective=odd,
+        forgetful_even_surjective=verdict.direct_check,
+        forgetful_odd_surjective=verdict.odd_direct_check,
         infinite_stable_classes=infinite,
         stabilization_conclusion=conclusion,
         citations=tuple(citations),

@@ -181,11 +181,6 @@ def rank_rows(rows: Iterable) -> int:
     return len(_echelon(rows)[1])
 
 
-def rank(m: RationalMatrix) -> int:
-    """Exact rank over Q."""
-    return rank_rows(m.entries)
-
-
 def _echelon(rows: Iterable) -> tuple[list[dict[int, int]], list[int]]:
     int_rows = _int_rows(rows)
     if not int_rows:

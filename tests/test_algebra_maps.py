@@ -67,8 +67,7 @@ class TestForgetfulMaps:
             init(self, algebra, terms)
 
         monkeypatch.setattr(cdga.AlgebraElement, "__init__", counting_init)
-        for parity in (0, 1):
-            surjectivity_by_parity(package.forgetful, parity)
+        surjectivity_by_parity(package.forgetful, (0, 1))
         assert not built, name
 
 

@@ -373,6 +373,8 @@ class TestDiagnostics:
             rank_criterion=True,
             direct_check=False,
             first_failing_degree=4,
+            odd_direct_check=True,
+            odd_first_failing_degree=None,
         )
         with pytest.raises(CriterionDisagreement):
             _reconcile(verdict)
@@ -383,6 +385,8 @@ class TestDiagnostics:
             rank_criterion=True,
             direct_check=False,
             first_failing_degree=4,
+            odd_direct_check=True,
+            odd_first_failing_degree=None,
             hypotheses_hold=False,
         )
         assert _reconcile(relaxed) is relaxed
@@ -412,7 +416,7 @@ class TestDiagnostics:
         from instance_generators import random_pure_elliptic
         from sullivan.cohomology import cohomology, even_degree_surjectivity
         from sullivan.criteria import even_subalgebra_inclusion
-        from sullivan.linalg import rank
+        from sullivan.linalg import rank_rows
 
         rng = random.Random(307)
         checked = 0
@@ -427,9 +431,49 @@ class TestDiagnostics:
             matrices = induced_map(inclusion, target_table=table)
             slow_fail = None
             for n in range(0, algebra.cutoff + 1, 2):
-                if rank(matrices[n]) != table.betti[n]:
+                if rank_rows(matrices[n].entries) != table.betti[n]:
                     slow_fail = n
                     break
             assert fast == (slow_fail is None)
             assert fast_fail == slow_fail
             checked += 1
+
+
+def _analyses() -> dict:
+    """The verdicts the ``reports`` benchmark decides, by name: every
+    diagram preset, SU(4)/T3 and Sp(2)/T2 at their maximal tori, and the
+    README biquotient; each is a thunk returning (package, verdict)."""
+    from sullivan.catalog import DIAGRAM_PRESETS
+    from sullivan.criteria import cohomogeneity_one_analysis, pair_analysis
+    from sullivan.documents import load_biquotient
+
+    analyses = {
+        name: lambda name=name: cohomogeneity_one_analysis(diagram(name), None, False)
+        for name in DIAGRAM_PRESETS
+    }
+    for g, h in (("SU(4)", "T3"), ("Sp(2)", "T2")):
+        r = standard_restriction(g, h, "maximal-torus")
+        analyses[f"{g}/{h}"] = lambda r=r: pair_analysis("homogeneous", r.source, r.target, r, None)
+    readme = {"G": "SU(2)", "H": "T1", "left": {"u1": "-u1^2"}, "right": {"u1": "-4*u1^2"}}
+    analyses["biquotient-readme"] = lambda: pair_analysis("biquotient", *load_biquotient(readme), None)
+    return analyses
+
+
+ANALYSES = _analyses()
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("name", sorted(ANALYSES))
+    def test_verdict_walks_the_space_chain_once(self, name, monkeypatch):
+        # one walk of the space model's cleared chain decides both parities
+        from sullivan import cohomology as ch
+
+        walked, echelons = [], ch._echelons
+
+        def recording_echelons(a, top):
+            walked.append(a)
+            return echelons(a, top)
+
+        monkeypatch.setattr(ch, "_echelons", recording_echelons)
+        package, _ = ANALYSES[name]()
+        assert sum(a is package.space for a in walked) == 1

@@ -11,7 +11,6 @@ from sullivan.ktheory import (
     NONE,
     RATIONAL,
     StabilizationFlags,
-    forgetful_surjectivity_translation,
     rational_k_dimensions,
     stabilization_report,
     stable_class_infinitude,
@@ -44,21 +43,26 @@ class TestDimensions:
 
 
 class TestTranslation:
+    @staticmethod
+    def report(g, h, restriction):
+        verdict = homogeneous_surjectivity(g, h, restriction)
+        flags = StabilizationFlags.from_homogeneous(g, h)
+        return verdict, stabilization_report(verdict, flags, (1,))  # the Betti numbers of a point
+
     def test_verdict_passthrough(self):
         su2, t1 = lookup("SU(2)"), lookup("T1")
         from sullivan.catalog import standard_restriction
 
-        verdict = homogeneous_surjectivity(su2, t1, standard_restriction("SU(2)", "T1"))
-        even, odd = forgetful_surjectivity_translation(verdict)
-        assert even is verdict.direct_check
-        assert odd is verdict.odd_direct_check
+        verdict, report = self.report(su2, t1, standard_restriction("SU(2)", "T1"))
+        assert report.forgetful_even_surjective is verdict.direct_check
+        assert report.forgetful_odd_surjective is verdict.odd_direct_check
 
     def test_self_action_not_surjective(self):
         g = lookup("SU(2)^2")
         trivial = lookup("e")
-        verdict = homogeneous_surjectivity(g, trivial, RestrictionMap(g, trivial, {}))
-        even, _ = forgetful_surjectivity_translation(verdict)
-        assert not even
+        _, report = self.report(g, trivial, RestrictionMap(g, trivial, {}))
+        assert not report.forgetful_even_surjective
+        assert not report.forgetful_odd_surjective  # H^3 of either factor is missed
 
 
 class TestStabilization:

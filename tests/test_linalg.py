@@ -17,7 +17,7 @@ from sullivan.linalg import (
     SubspaceBasis,
     kernel_basis,
     quotient_basis,
-    rank,
+    rank_rows,
     solve,
 )
 
@@ -127,17 +127,17 @@ def _random_int_matrix(rng, nrows, ncols, density):
 
 class TestRank:
     def test_identity(self):
-        assert rank(M([[1, 0], [0, 1]])) == 2
+        assert rank_rows([[1, 0], [0, 1]]) == 2
 
     def test_zero(self):
-        assert rank(M([[0, 0, 0, 0]] * 3)) == 0
+        assert rank_rows([[0, 0, 0, 0]] * 3) == 0
 
     def test_dependent_rows(self):
         # second row is twice the first, so one pivot survives reduction
-        assert rank(M([[1, 2], [2, 4]])) == 1
+        assert rank_rows([[1, 2], [2, 4]]) == 1
 
     def test_rational_entries(self):
-        assert rank(M([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])) == 1
+        assert rank_rows([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
 
     def test_rank_plus_kernel_is_cols(self):
         rng = random.Random(7)
@@ -145,7 +145,7 @@ class TestRank:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             m = M([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-            assert rank(m) + kernel_basis(m).dim == cols
+            assert rank_rows(m.entries) + kernel_basis(m).dim == cols
 
 
 class TestKernel:
@@ -223,20 +223,20 @@ class TestExactness:
             rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
             m = M(rows)
             scaled = M([[7 * x for x in row] for row in rows])
-            assert rank(m) == rank(scaled)
+            assert rank_rows(m.entries) == rank_rows(scaled.entries)
             assert kernel_basis(m).dim == kernel_basis(scaled).dim
 
     def test_permutation_invariance(self):
         rng = random.Random(29)
         for _ in range(30):
             rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
-            r = rank(M(rows))
+            r = rank_rows(rows)
             shuffled_rows = rows[:]
             rng.shuffle(shuffled_rows)
             perm = list(range(4))
             rng.shuffle(perm)
             permuted = [[row[j] for j in perm] for row in shuffled_rows]
-            assert rank(M(permuted)) == r
+            assert rank_rows(permuted) == r
 
     def test_solve_fractions(self):
         cols = [(1, 0), (1, 2)]

@@ -8,17 +8,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from induced_reference import class_coordinates
+from induced_reference import class_coordinates, induced_map
 from instance_generators import (
+    conjugated,
     k_pair_model,
     random_mixed_two_stage,
     random_pure_elliptic,
+    random_shear,
     random_sheared,
     sheared_pairs,
     tensor_product,
 )
 from sullivan import linalg
-from sullivan.cdga import AlgebraElement, SullivanAlgebra
+from sullivan.cdga import AlgebraElement, CdgaMorphism, SullivanAlgebra
 from sullivan.cohomology import (
     betti_numbers,
     cohomology,
@@ -34,8 +36,9 @@ from sullivan.criteria import (
     even_subalgebra_inclusion,
     pure_formality,
 )
+from sullivan.documents import model_document
 from sullivan.errors import NotASubspace
-from sullivan.linalg import RationalMatrix, kernel_basis, rank
+from sullivan.linalg import RationalMatrix, kernel_basis, rank_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -750,6 +753,25 @@ class TestShearedIsomorphism:
         assert sum(not sheared.is_pure() for sheared, _ in pairs) == non_pure
         assert sum(verdicts) == surjective
 
+    @pytest.mark.parametrize("seed", [4243, 1013])
+    def test_shear_induces_an_isomorphism(self, seed):
+        # the shear's forward map sheared -> core is a chain map whose
+        # induced matrix is square of size b_n and invertible in every degree
+        rng, drawn = random.Random(seed), []
+        while len(drawn) < 60:
+            shear = random_shear(rng)
+            if shear is not None:
+                drawn.append(shear)
+        pairs = sheared_pairs(seed, 60)
+        for (core, forward, backward), pair in zip(drawn, pairs):
+            sheared = conjugated(core, forward, backward)
+            assert list(map(model_document, (sheared, core))) == list(map(model_document, pair))
+            images = {g.name: forward.get(g.name, core.gen(g.name)) for g in core.generators}
+            table = cohomology(core)
+            matrices = induced_map(CdgaMorphism(sheared, core, images), target_table=table)
+            for n, m in matrices.items():
+                assert m.rows == m.cols == table.betti[n] == rank_rows(m.entries), n
+
 
 class TestLinalgProperties:
     @given(
@@ -762,8 +784,8 @@ class TestLinalgProperties:
     @settings(max_examples=80, deadline=None)
     def test_rank_transpose(self, rows):
         m = RationalMatrix.from_rows(rows)
-        assert rank(m) == rank(RationalMatrix.from_rows(zip(*rows)))
-        assert rank(m) + kernel_basis(m).dim == m.cols
+        assert rank_rows(m.entries) == rank_rows(RationalMatrix.from_rows(zip(*rows)).entries)
+        assert rank_rows(m.entries) + kernel_basis(m).dim == m.cols
 
     @given(
         st.lists(
@@ -777,7 +799,7 @@ class TestLinalgProperties:
     def test_scaling_invariance(self, rows, scale):
         m = RationalMatrix.from_rows(rows)
         scaled = RationalMatrix.from_rows([[scale * x for x in row] for row in rows])
-        assert rank(m) == rank(scaled)
+        assert rank_rows(m.entries) == rank_rows(scaled.entries)
         assert kernel_basis(m).dim == kernel_basis(scaled).dim
 
     def test_quotient_complements_span(self):
