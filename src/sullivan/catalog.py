@@ -1,7 +1,8 @@
 """Catalog of standard compact groups and subgroup restriction maps.
 
 Entries carry the classical exterior degrees; product names are parsed
-on demand (``SU(2)^3``, ``SU(2)xT2``).  Restriction maps for the
+on demand (``SU(2)^3``, ``SU(2)xT2``), each power at least 1 and the
+product's rank at most ``MAX_PRODUCT_RANK``.  Restriction maps for the
 standard embeddings (maximal torus, block/coordinate, diagonal,
 diagonal circle) are generated from symmetric-function data; signs
 follow the Chern-class convention (the restriction of the rank-one
@@ -13,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .cdga import _decimal
 from .errors import DegreeMismatch, UnknownCatalogName
 from .models import GroupData, RestrictionMap
 
@@ -78,6 +80,10 @@ _FACTOR = re.compile(r"^(?P<base>[A-Za-z0-9()]+?)(?:\^(?P<power>\d+))?$")
 
 _ALIASES = {"S1": "T1", "S^1": "T1"}
 
+# Largest rank of a product group: above the 5,000-generator models that
+# report, and small enough that a product's degree list fits in memory.
+MAX_PRODUCT_RANK = 10_000
+
 
 def resolve(name: str) -> CatalogEntry:
     """Resolve a catalog name, including products like ``SU(2)^2xT1``."""
@@ -90,15 +96,23 @@ def resolve(name: str) -> CatalogEntry:
         match = _FACTOR.match(chunk)
         if not match or match.group("base") not in _BASE:
             raise UnknownCatalogName(f"unknown catalog group {name!r}")
-        factors.append((match.group("base"), int(match.group("power") or 1)))
+        try:
+            power = _decimal(match.group("power") or "1", "power")
+        except ValueError as exc:
+            raise UnknownCatalogName(f"unknown catalog group: {exc}") from None
+        if power < 1:
+            raise UnknownCatalogName(f"unknown catalog group {name!r}: power below 1")
+        factors.append((match.group("base"), power))
     if len(factors) == 1 and factors[0][1] == 1:
         raise UnknownCatalogName(f"unknown catalog group {name!r}")
-    rank = dimension = 0
+    rank = sum(_BASE[base][0].rank * power for base, power in factors)
+    if rank > MAX_PRODUCT_RANK:
+        raise UnknownCatalogName(f"product group {name!r} has rank above {MAX_PRODUCT_RANK}")
+    dimension = 0
     degrees: list[int] = []
     connected = pi1 = steinberg = True
     for base, power in factors:
         g = _BASE[base][0]
-        rank += g.rank * power
         dimension += g.dimension * power
         degrees.extend(g.exterior_degrees * power)
         connected &= g.connected

@@ -29,11 +29,13 @@ table.  Both ``betti_numbers`` and the direct check
 monomials whose positions are not pivot columns of the degree below,
 which together with the coboundaries, where d vanishes, span the degree.
 The direct check decides every parity it is asked in one walk of the
-target's chain.
+target's chain, and each degree it checks with one elimination: the
+rows ``(d m | f(m))`` of the source monomials, source columns first,
+with the target's coboundaries, so no source cocycle is built.
 Differential rows are sparse rows ``{position: coefficient}``, built by
 ``SullivanAlgebra._d_rows`` in one pass over a degree's packed
 monomials against the next degree's ``{packed monomial: position}``
-index, and reach the elimination kernel as they are; cocycles and class
+index, and reach the elimination kernel as they are; class
 representatives are primitive ``{position: int}`` vectors.
 """
 
@@ -43,7 +45,7 @@ from itertools import chain
 from typing import Sequence
 
 from . import linalg
-from .cdga import AlgebraElement, CdgaMorphism, SullivanAlgebra, _combination
+from .cdga import AlgebraElement, CdgaMorphism, SullivanAlgebra
 from .errors import CutoffExceeded, NotASubspace, NotPure
 
 
@@ -291,23 +293,26 @@ def surjectivity_by_parity(
 
     Returns one (verdict, smallest failing degree) per parity of
     ``parities``, in order.  Works by rank counting: the classes hit by
-    f span H^n(target) iff the f-images of source cocycles together with
-    the target coboundaries span the target cocycles.  The target's
-    ranks come from one walk of the cleared chain ``_echelons`` that
-    ``betti_numbers`` reads, which builds d_n's rows only for the
+    f span H^n(target) iff f(Z^n) + B^n, the f-images of the source
+    cocycles plus the target coboundaries, is all of Z^n(target).  The
+    target's ranks come from one walk of the cleared chain ``_echelons``
+    that ``betti_numbers`` reads, which builds d_n's rows only for the
     monomials that are not pivot columns of d_{n-1}: the cocycles number
-    dim C^n less the pivots of d_n, the coboundaries the pivots of
-    d_{n-1}, whose echelon rows are the coboundary basis the mapped
-    cocycles are eliminated with.  A degree is checked only while its
-    parity is asked and has not failed, and the walk stops once every
-    asked parity has failed; with one parity asked it stops at the last
-    degree of that parity.  The source cocycles are the kernel basis of
-    one elimination of the source's d rows; these integer cocycles are
-    mapped to sparse target rows through the morphism's cached monomial
-    images, with no element built.
+    dim C^n less the pivots of d_n, and d_{n-1}'s echelon rows are a
+    basis of B^n.  No source cocycle is built.  One elimination per
+    checked degree takes a row ``(d m | f(m))`` per source monomial m,
+    its source columns keyed ``~k`` for source position k so that they
+    sort first, and the rows ``(0 | b)`` of the coboundary basis.  The
+    row space meets the target columns alone in f(Z^n) + B^n, and the
+    echelon rows led by a target column are a basis of that meet (block
+    elimination, as in Zassenhaus' sum-and-intersection algorithm), so
+    H^n(f) is onto iff they number dim Z^n(target).  A degree is checked
+    only while its parity is asked and has not failed, and the walk
+    stops once every asked parity has failed; with one parity asked it
+    stops at the last degree of that parity.
     """
-    target = f.target
-    top = min(f.source.cutoff, target.cutoff)
+    source, target = f.source, f.target
+    top = min(source.cutoff, target.cutoff)
     if len(parities) == 1:
         top -= (top - parities[0]) % 2  # the chain stops at the last degree checked
     failing: dict[int, int] = {}  # parity -> its smallest failing degree
@@ -320,15 +325,14 @@ def surjectivity_by_parity(
         kernel_dim = len(index) - len(target_pivots)
         if kernel_dim == len(boundaries):
             continue  # H^n(target) = 0
-        echelon, pivots = linalg._echelon(linalg._transpose(_action_rows(f.source, n)))
-        monos, unpack = f.source._monomials(n), f.source._unpack
-        cocycles = linalg._kernel_vectors(echelon, pivots, len(monos))
         rows = list(boundaries)
-        for vec in cocycles:
-            image = _combination(((unpack(monos[p]), c) for p, c in vec.items()), f._monomial_terms)
-            if image:
-                rows.append({index[target._pack(m)]: c for m, c in image.items()})
-        if linalg.rank_rows(rows) != kernel_dim:
+        for p, d_row in zip(source._monomials(n), _action_rows(source, n)):
+            row = {~k: c for k, c in d_row.items()}  # source columns sort first
+            image = f._monomial_terms(source._unpack(p))
+            row.update((index[target._pack(m)], c) for m, c in image.items())
+            rows.append(row)
+        _, pivots = linalg._echelon(rows)
+        if sum(c >= 0 for c in pivots) != kernel_dim:
             failing[n % 2] = n
             if failing.keys() >= set(parities):
                 break

@@ -75,8 +75,9 @@ def ff_row_echelon(rows):
     """Fraction-free row echelon form of an integer matrix.
 
     Takes nonzero sparse rows ``{column: int}`` and works on copies, so
-    the caller's rows are not modified.  Rows are filed by leading column
-    and the columns taken in increasing order.  Column c's pivot row is
+    the caller's rows are not modified.  Column keys may be any ints,
+    negatives included; rows are filed by leading column, their smallest
+    key, and the columns taken in increasing order.  Column c's pivot row is
     the shortest row filed under c, the first on a tie, which keeps
     fill-in low (the row half of Markowitz pivoting).  Each other row
     there, with entry ``mic`` at c, becomes ``row*(piv//g) -

@@ -138,16 +138,22 @@ def random_sheared(rng: random.Random):
     return conjugated(core, forward, backward), core
 
 
-def sheared_pairs(seed: int, count: int) -> list:
-    """The first ``count`` (sheared, core) pairs ``random_sheared`` draws
-    from ``random.Random(seed)``."""
+def shears(seed: int, count: int) -> list:
+    """The first ``count`` (core, forward, backward) shears that
+    ``random_shear`` draws from ``random.Random(seed)``."""
     rng = random.Random(seed)
-    pairs = []
-    while len(pairs) < count:
-        pair = random_sheared(rng)
-        if pair is not None:
-            pairs.append(pair)
-    return pairs
+    drawn = []
+    while len(drawn) < count:
+        shear = random_shear(rng)
+        if shear is not None:
+            drawn.append(shear)
+    return drawn
+
+
+def sheared_pairs(seed: int, count: int) -> list:
+    """The (sheared, core) pairs of ``shears(seed, count)``: the first
+    ``count`` that ``random_sheared`` draws from ``random.Random(seed)``."""
+    return [(conjugated(*shear), shear[0]) for shear in shears(seed, count)]
 
 
 def conjugated(core: SullivanAlgebra, forward, backward) -> SullivanAlgebra:

@@ -7,6 +7,10 @@ reference here is the older route: the full kernel basis of the block
 over the space's positions, and its greedy complement of the handed-up
 coboundaries (``linalg._complement``).  Every block of every table must
 give equal representative dicts and equal handed-up coboundary tuples.
+
+The representatives' elements are checked too, against the route that
+built them over ``SullivanAlgebra._basis``, which unpacks every monomial
+of the degree; the table unpacks only the positions it writes.
 """
 
 import json
@@ -17,8 +21,8 @@ import pytest
 
 from instance_generators import k_pair_model, random_pure_elliptic, random_sheared
 from sullivan import cohomology, linalg
-from sullivan.cdga import SullivanAlgebra
-from sullivan.documents import run_analysis
+from sullivan.cdga import AlgebraElement, SullivanAlgebra
+from sullivan.documents import load_model, run_analysis
 from sullivan.errors import NotASubspace
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -81,6 +85,35 @@ class TestAgainstKernelComplement:
         document = json.loads((GOLDEN / f"{name}.json").read_text(encoding="ascii"))["input"]
         run_analysis(document)
         assert compared["with_classes"]  # the biquotient stops below its first coboundary
+
+
+def assert_representatives_match_basis_route(table):
+    """Each degree's representatives equal, term for term and in order,
+    the elements of the scaled kernel vectors written over ``_basis``."""
+    a = table.algebra
+    for n in range(table.cutoff + 1):
+        basis = a._basis(n)
+        expected = [
+            AlgebraElement(a, {basis[p]: c for p, c in linalg._unit_scaled(v).items()})
+            for v in table._spaces[n].reps
+        ]
+        got = table.representatives(n)
+        assert [list(e.terms.items()) for e in got] == [list(e.terms.items()) for e in expected], n
+
+
+class TestRepresentativesAgainstBasisRoute:
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_k_pair_models(self, k):
+        table = cohomology.cohomology(k_pair_model(k, 14))
+        assert sum(table.betti) == 2**k
+        assert_representatives_match_basis_route(table)
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("model-*.json")))
+    def test_model_goldens(self, name):
+        document = json.loads((GOLDEN / f"{name}.json").read_text(encoding="ascii"))["input"]
+        table = cohomology.cohomology(load_model(document))
+        assert sum(table.betti) > 1
+        assert_representatives_match_basis_route(table)
 
 
 class TestSubspaceCheck:

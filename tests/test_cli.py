@@ -76,6 +76,46 @@ class TestCatalog:
         assert code == 0 and out == ""
         assert target.read_text(encoding="ascii") == shown
 
+    @pytest.mark.parametrize(
+        "power, message",
+        [
+            ("999999999", "product group 'SU(2)^999999999' has rank above 10000"),
+            ("10000000", "product group 'SU(2)^10000000' has rank above 10000"),
+            (
+                "7" * (sys.get_int_max_str_digits() + 1),
+                f"unknown catalog group: power has more than {sys.get_int_max_str_digits()} digits",
+            ),
+            ("0", "unknown catalog group 'SU(2)^0': power below 1"),
+        ],
+        ids=["billion", "ten-million", "over-long", "zero"],
+    )
+    def test_product_power_out_of_range(self, power, message):
+        # its own process, limited in time and to 1 GiB of address space,
+        # so that a product built in full fails alone instead of taking
+        # the run down
+        import subprocess
+
+        import sullivan
+
+        limited_main = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from sullivan.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        src = Path(sullivan.__file__).parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", limited_main, "catalog", "show", f"SU(2)^{power}"],
+            capture_output=True,
+            timeout=20,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src)},
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode() == f"error: {message}\n"
+
+    def test_product_at_the_rank_limit(self, capsys):
+        code, out, _ = run(capsys, "catalog", "show", "SU(2)^10000", "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["group"]["degrees"] == [3] * 10_000
+
 
 class TestModelAndCohomology:
     def test_build_from_catalog(self, capsys):

@@ -8,7 +8,14 @@ from operator import mul
 import pytest
 
 from induced_reference import induced_map, uncleared_betti_numbers, uncleared_surjectivity_by_parity
-from instance_generators import borel_packages, k_pair_model, random_degree_algebras, sheared_pairs
+from instance_generators import (
+    borel_packages,
+    conjugated,
+    k_pair_model,
+    random_degree_algebras,
+    sheared_pairs,
+    shears,
+)
 from sullivan import linalg
 from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cdga import CdgaMorphism, SullivanAlgebra
@@ -246,6 +253,25 @@ class TestBackSubstitutionCount:
         table = cohomology(cohomogeneity_one_model(load_diagram(DIAGRAM_PRESETS[name])))
         assert len(back_substitutions) == sum(table.betti) > 0
 
+    def test_direct_check_back_substitutes_nothing(self, monkeypatch):
+        # one elimination per checked degree builds no source cocycle
+        morphisms = [package.forgetful for _, package in borel_packages()]
+        for sheared, core in sheared_pairs(1013, 20):
+            evens = [g.name for g in core.generators if not g.is_odd]
+            morphisms += [even_subalgebra_inclusion(a, evens) for a in (sheared, core)]
+        calls = []
+        for name in ("_back_substitute", "_kernel_vectors", "_transpose"):
+            original = getattr(linalg, name)
+
+            def recording(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(linalg, name, recording)
+        for f in morphisms:
+            surjectivity_by_parity(f, (0, 1))
+        assert calls == []
+
 
 class TestEvenSubalgebraImage:
     def test_s2_even_coverage(self, s2):
@@ -393,6 +419,65 @@ class TestClearedChain:
     def test_borel_packages(self, name, package):
         assert_chain_matches(package.borel)
         assert_verdicts_match(package.forgetful)
+
+
+def non_monomial_cocycle_degrees(a):
+    """The degrees whose cocycles the closed monomials do not span."""
+    degrees = []
+    for n in range(a.cutoff + 1):
+        rows = _action_rows(a, n)
+        if len(rows) - linalg.rank_rows(rows) > sum(not row for row in rows):
+            degrees.append(n)
+    return degrees
+
+
+class TestDirectCheckOnCocycles:
+    """The direct check against the reference on morphisms whose sources
+    have cocycles that are not sums of closed monomials, or whose images
+    have fractional coefficients."""
+
+    @pytest.mark.parametrize("seed, sources", [(4243, 87), (1013, 78)])
+    def test_shear_isomorphisms(self, seed, sources):
+        # the shear sheared -> core and its inverse core -> sheared are
+        # isomorphisms, so every degree is onto
+        with_cocycles = 0
+        for core, forward, backward in shears(seed, 60):
+            sheared = conjugated(core, forward, backward)
+            for source, target, shear in ((sheared, core, forward), (core, sheared, backward)):
+                images = {g.name: shear.get(g.name, core.gen(g.name)) for g in core.generators}
+                f = CdgaMorphism(source, target, images)
+                assert assert_verdicts_match(f) == [(True, None), (True, None)]
+                with_cocycles += bool(non_monomial_cocycle_degrees(source))
+        assert with_cocycles == sources
+
+    @staticmethod
+    def fractional_morphism():
+        """The 2-pair model into cp2sum with a free degree-3 generator q,
+        x1 -> (x+y)/2 and x2 -> (x-y)/2: both degree-2 classes and the
+        degree-4 class are hit, and [q] is not."""
+        source = k_pair_model(2, 8)
+        target = SullivanAlgebra.build(
+            [("x", 2), ("y", 2), ("n", 3), ("m", 3), ("q", 3)],
+            {"n": "x^2+y^2", "m": "x*y"},
+            cutoff=8,
+        )
+        images = {"x1": "1/2*x+1/2*y", "x2": "1/2*x-1/2*y", "a1": "1/4*n+1/2*m", "a2": "1/4*n-1/2*m"}
+        return CdgaMorphism(source, target, {g: target.parse(e) for g, e in images.items()})
+
+    def test_both_outcomes_in_both_parities(self):
+        # the inclusions fail in even degree 2 and the fractional map in
+        # odd degree 3; the other parity of each holds
+        with_cocycles = []
+        for k in range(1, 5):
+            source, target = k_pair_model(k, 10), k_pair_model(k + 1, 10)
+            f = CdgaMorphism(source, target, {g.name: target.gen(g.name) for g in source.generators})
+            # [x_{k+1}] is not hit; the (k+1)-pair model has no odd classes
+            assert assert_verdicts_match(f) == [(False, 2), (True, None)]
+            with_cocycles.append(non_monomial_cocycle_degrees(source))
+        assert with_cocycles == [[], [7, 9], [7, 9, 10], [7, 9, 10]]
+        f = self.fractional_morphism()
+        assert non_monomial_cocycle_degrees(f.source) == [7]
+        assert assert_verdicts_match(f) == [(True, None), (False, 3)]
 
 
 class TestClearedWork:

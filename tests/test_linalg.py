@@ -300,6 +300,22 @@ class TestEchelon:
             assert rows == snapshot
         assert negative_leads >= 30
 
+    def test_shifted_keys_shift_the_pivots(self):
+        # column keys are any ints taken in increasing order, so shifting
+        # every key by a constant, into the negatives too, shifts the
+        # pivots and the echelon rows' keys by that constant
+        rng = random.Random(47)
+        for _ in range(40):
+            matrix = _random_int_matrix(rng, rng.randint(1, 8), rng.randint(1, 12), 0.4)
+            rows = _sparse(matrix)
+            echelon, pivots = linalg.ff_row_echelon(rows)
+            for shift in (-100, -3, 7):
+                shifted = [{j + shift: x for j, x in row.items()} for row in rows]
+                assert linalg.ff_row_echelon(shifted) == (
+                    [{j + shift: x for j, x in row.items()} for row in echelon],
+                    [p + shift for p in pivots],
+                )
+
     def test_shortest_row_is_the_pivot(self):
         # the two-entry row pivots on column 0, though dense Bareiss takes
         # the first row; the other becomes 2*row - pivot_row
