@@ -12,7 +12,7 @@ generator of an SU(2)-type factor to a weight-w circle is -w^2 u^2).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cdga import _decimal
 from .errors import DegreeMismatch, UnknownCatalogName
@@ -69,8 +69,7 @@ _register(
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     group: GroupData
     factors: tuple[tuple[str, int], ...]
     description: str

@@ -51,10 +51,9 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, lshift, mul
-from typing import Iterable, Mapping, Sequence
+from operator import add, attrgetter, lshift, mul
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CutoffExceeded,
@@ -69,6 +68,7 @@ from .errors import (
 
 # A generator name: the name token of the polynomial grammar.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_TOKEN = re.compile(_NAME)
 
 Monomial = tuple[int, ...]
 # One term of a stored image: monomial, odd-generator mask, coefficient.
@@ -127,18 +127,22 @@ def _add_products(out: dict, m1: Monomial, mask1: int, c1, right: Iterable[Term]
             out[mono] = out.get(mono, 0) + sign * c1 * c2
 
 
-@dataclass(frozen=True)
-class Generator:
+class _GeneratorFields(NamedTuple):
     name: str
     degree: int
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not re.fullmatch(_NAME, self.name):
+
+class Generator(_GeneratorFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, degree: int):
+        if not isinstance(name, str) or not _NAME_TOKEN.fullmatch(name):
             raise ValidationError(
-                f"generator name {self.name!r} does not match the polynomial name token {_NAME}"
+                f"generator name {name!r} does not match the polynomial name token {_NAME}"
             )
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 1:
-            raise InvalidDegrees(f"generator {self.name!r} must have positive degree")
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+            raise InvalidDegrees(f"generator {name!r} must have positive degree")
+        return tuple.__new__(cls, (name, degree))
 
     @property
     def is_odd(self) -> bool:
@@ -751,25 +755,35 @@ class SullivanAlgebra:
         return f"SullivanAlgebra({gens}; cutoff={self.cutoff})"
 
 
-@dataclass(frozen=True)
+_morphism_fields = attrgetter("_source", "_target", "_assignment")
+
+
 class CdgaMorphism:
     """Algebra morphism determined by generator images; must commute with
-    the differentials (checked on every generator)."""
+    the differentials (checked on every generator).  Immutable: source,
+    target and assignment are read-only."""
 
-    source: SullivanAlgebra
-    target: SullivanAlgebra
-    assignment: Mapping[str, AlgebraElement]
+    __slots__ = ("_source", "_target", "_assignment", "_images", "_mono_cache")
 
-    def __post_init__(self):
+    source = property(attrgetter("_source"))
+    target = property(attrgetter("_target"))
+    assignment = property(attrgetter("_assignment"))
+
+    def __init__(
+        self,
+        source: SullivanAlgebra,
+        target: SullivanAlgebra,
+        assignment: Mapping[str, AlgebraElement],
+    ):
         images: dict[str, AlgebraElement] = {}
         terms = []  # the images as stored terms of the target, in source order
-        for g in self.source.generators:
-            if g.name not in self.assignment:
+        for g in source.generators:
+            if g.name not in assignment:
                 raise UnknownGenerator(f"morphism misses generator {g.name!r}")
-            img = self.assignment[g.name]
-            if img.algebra.signature != self.target.signature:
+            img = assignment[g.name]
+            if img.algebra.signature != target.signature:
                 raise UnknownGenerator(f"image of {g.name!r} is not in the target algebra")
-            img = AlgebraElement(self.target, img.terms)
+            img = AlgebraElement(target, img.terms)
             if not img.is_homogeneous:
                 raise DegreeMismatch(f"image of {g.name!r} is not homogeneous")
             if not img.is_zero and img.degree != g.degree:
@@ -777,14 +791,24 @@ class CdgaMorphism:
                     f"image of {g.name!r} has degree {img.degree}, expected {g.degree}"
                 )
             images[g.name] = img
-            terms.append(self.target._image_terms(img.terms))
-        object.__setattr__(self, "assignment", images)
-        object.__setattr__(self, "_images", tuple(terms))
-        object.__setattr__(self, "_mono_cache", {})
-        for g, d_g, image in zip(self.source.generators, self.source._images, self._images):
+            terms.append(target._image_terms(img.terms))
+        self._source, self._target, self._assignment = source, target, images
+        self._images = tuple(terms)
+        self._mono_cache = {}
+        for g, d_g, image in zip(source.generators, source._images, self._images):
             f_of_d = _combination(((m, c) for m, _, c in d_g), self._monomial_terms)
-            if f_of_d != self.target._d_sum((m, c) for m, _, c in image):
+            if f_of_d != target._d_sum((m, c) for m, _, c in image):
                 raise NotAChainMap(f"morphism does not commute with d on {g.name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _morphism_fields(self) == _morphism_fields(other)
+
+    def __repr__(self):
+        return "CdgaMorphism(source={!r}, target={!r}, assignment={!r})".format(
+            *_morphism_fields(self)
+        )
 
     def apply(self, e: AlgebraElement) -> AlgebraElement:
         if e.algebra.signature != self.source.signature:
@@ -795,7 +819,7 @@ class CdgaMorphism:
         """The image of a source monomial, the product of the generator
         images ``_images`` (stored terms of the target), as ``{monomial:
         coefficient}``; cached per monomial."""
-        cache = self._mono_cache  # type: ignore[attr-defined]
+        cache = self._mono_cache
         cached = cache.get(mono)
         if cached is None:
             cached = cache[mono] = self.target._product_terms(mono, self._images)

@@ -23,7 +23,7 @@ walks the space model's cleared chain once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cohomology as ch
 from . import linalg
@@ -71,8 +71,7 @@ _NO_QUOTIENT = (
 )
 
 
-@dataclass(frozen=True)
-class SurjectivityVerdict:
+class SurjectivityVerdict(NamedTuple):
     """Outcome of one surjectivity question, decided twice."""
 
     context: str
@@ -88,8 +87,7 @@ class SurjectivityVerdict:
     citation: str = ""
 
 
-@dataclass(frozen=True)
-class FormalityVerdict:
+class FormalityVerdict(NamedTuple):
     """Splitting invariants of a pure elliptic algebra: the number of
     free odd generators that split off and the minimal number of
     generators of the relation ideal."""
@@ -232,8 +230,7 @@ def cohomogeneity_one_analysis(
 # -- pure-algebra criteria ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvenCoverageReport:
+class EvenCoverageReport(NamedTuple):
     """Both sides of the even-coverage equivalence for a pure elliptic
     algebra, computed independently."""
 
@@ -332,8 +329,7 @@ def even_subalgebra_inclusion(a: SullivanAlgebra, names: list[str]) -> CdgaMorph
 # -- diagram-level reports ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     chi_m: int
     chi_orbit_minus: int
     chi_orbit_plus: int
@@ -377,8 +373,7 @@ def euler_characteristic_relations(
     return EulerReport(chi_m, chi_minus, chi_plus, chi_h, identity, positivity)
 
 
-@dataclass(frozen=True)
-class ApplicabilityReport:
+class ApplicabilityReport(NamedTuple):
     """Which main-theorem clauses a diagram satisfies, from flags and
     ranks alone; no geometry is computed."""
 

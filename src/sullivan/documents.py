@@ -21,7 +21,6 @@ structured reports.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from . import catalog, criteria, ktheory
 from . import cohomology as ch
@@ -344,7 +343,7 @@ def _analyze_model(a: SullivanAlgebra) -> dict:
                 "chi_pi": coverage.chi_pi,
                 "first_uncovered_degree": coverage.first_uncovered_degree,
             }
-            report["formality"] = asdict(formality)
+            report["formality"] = formality._asdict()
             citations.append(coverage.citation)
     report["citations"] = sorted(set(citations))
     return report
@@ -372,8 +371,8 @@ def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) ->
             "model": model_document(package.borel),
             "betti": list(ch.betti_numbers(package.borel)),
         },
-        "euler_relations": asdict(euler),
-        "theorem_applicability": asdict(criteria.theorem_a_applicability(diagram)),
+        "euler_relations": euler._asdict(),
+        "theorem_applicability": criteria.theorem_a_applicability(diagram)._asdict(),
     }
     return _verdict_report("diagram", input_doc, table, verdict, flags, sections, (euler.citation,))
 
@@ -382,12 +381,12 @@ def _verdict_report(kind, input_doc, table, verdict, flags, sections=None, citat
     """The report of a space with a verdict: its input, space summary,
     verdict, the kind's own ``sections``, K-theory, and the citations of
     the verdict, the K-theory and ``citations``."""
-    k_report = asdict(ktheory.stabilization_report(verdict, flags, table.betti))
+    k_report = ktheory.stabilization_report(verdict, flags, table.betti)._asdict()
     return {
         "kind": kind,
         "input": input_doc,
         "space": _space_summary(table),
-        "verdict": asdict(verdict),
+        "verdict": verdict._asdict(),
         **(sections or {}),
         "ktheory": k_report,
         "citations": sorted({verdict.citation, *citations, *k_report["citations"]}),

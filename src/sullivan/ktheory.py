@@ -11,8 +11,7 @@ which criterion fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .criteria import SurjectivityVerdict
 from .models import GroupData, GroupDiagram
@@ -46,8 +45,7 @@ RATIONAL = "rational-q-and-k"
 NONE = "none"
 
 
-@dataclass(frozen=True)
-class RationalKReport:
+class RationalKReport(NamedTuple):
     k0_dim: int
     k1_dim: int
     ko_dim: int
@@ -73,8 +71,7 @@ def stable_class_infinitude(betti: Sequence[int]) -> bool:
     return any(b for n, b in enumerate(betti) if n > 0 and n % 4 == 0)
 
 
-@dataclass(frozen=True)
-class StabilizationFlags:
+class StabilizationFlags(NamedTuple):
     """User-asserted hypotheses gating the integral conclusions."""
 
     connected: bool

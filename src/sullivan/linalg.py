@@ -17,11 +17,10 @@ the public functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotASubspace
 
@@ -128,16 +127,21 @@ def ff_row_echelon(rows):
     return echelon, pivots
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable matrix with exact rational entries."""
-
+class _MatrixFields(NamedTuple):
     entries: tuple[Vector, ...]
 
-    def __post_init__(self):
+
+class RationalMatrix(_MatrixFields):
+    """Immutable matrix with exact rational entries."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         widths = {len(row) for row in self.entries}
         if len(widths) > 1:
             raise DimensionMismatch("rows of unequal length")
+        return self
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -152,14 +156,18 @@ class RationalMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """A list of linearly independent vectors in Q^ambient_dim."""
-
+class _BasisFields(NamedTuple):
     ambient_dim: int
     vectors: tuple[Vector, ...]
 
-    def __post_init__(self):
+
+class SubspaceBasis(_BasisFields):
+    """A list of linearly independent vectors in Q^ambient_dim."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for v in self.vectors:
             if len(v) != self.ambient_dim:
                 raise DimensionMismatch(
@@ -167,6 +175,7 @@ class SubspaceBasis:
                 )
         if self.vectors and rank_rows(self.vectors) != len(self.vectors):
             raise DimensionMismatch("basis vectors are linearly dependent")
+        return self
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Iterable]) -> "SubspaceBasis":

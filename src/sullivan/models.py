@@ -19,8 +19,7 @@ the relation generator is ``n``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .cdga import AlgebraElement, CdgaMorphism, Generator, SullivanAlgebra
 from .errors import (
@@ -37,12 +36,7 @@ EULER_MINUS = "em"
 RELATION_GENERATOR = "n"
 
 
-@dataclass(frozen=True)
-class GroupData:
-    """Cohomological presentation of a compact group: the degrees of the
-    exterior generators of H*(G;Q), plus hypothesis flags that are
-    asserted by the user, never verified here."""
-
+class _GroupFields(NamedTuple):
     name: str
     rank: int
     dimension: int
@@ -51,7 +45,16 @@ class GroupData:
     pi1_torsion_free: bool = False
     steinberg: bool = False
 
-    def __post_init__(self):
+
+class GroupData(_GroupFields):
+    """Cohomological presentation of a compact group: the degrees of the
+    exterior generators of H*(G;Q), plus hypothesis flags that are
+    asserted by the user, never verified here."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.exterior_degrees) != self.rank:
             raise InvalidDegrees(
                 f"{self.name}: {len(self.exterior_degrees)} degrees for rank {self.rank}"
@@ -64,6 +67,7 @@ class GroupData:
         for d in self.exterior_degrees:
             if d % 2 == 0:
                 raise InvalidDegrees(f"{self.name}: exterior degree {d} is even")
+        return self
 
     @property
     def is_trivial(self) -> bool:
@@ -82,34 +86,34 @@ class GroupData:
         return tuple(d + 1 for d in self.exterior_degrees)
 
 
-@dataclass(frozen=True)
-class RestrictionMap:
+class _RestrictionFields(NamedTuple):
+    source: GroupData
+    target: GroupData
+    assignment: Mapping[str, str]
+    right_assignment: Mapping[str, str] | None = None
+
+
+class RestrictionMap(_RestrictionFields):
     """Induced map H*(B source) -> H*(B target) of a subgroup inclusion,
     given per classifying-space generator as a polynomial string over the
     target's generators.  ``assignment`` is the left-translation copy
-    (it alone presents a homogeneous space); genuine biquotients supply
-    ``right_assignment`` as well."""
+    (it alone presents a homogeneous space) and defaults to a new empty
+    map; genuine biquotients supply ``right_assignment`` as well."""
 
-    source: GroupData
-    target: GroupData
-    assignment: Mapping[str, str] = field(default_factory=dict)
-    right_assignment: Mapping[str, str] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for key in list(self.assignment) + list(self.right_assignment or {}):
-            if key not in self.source.bg_names:
+    def __new__(cls, source: GroupData, target: GroupData, assignment=None, right_assignment=None):
+        if assignment is None:
+            assignment = {}
+        for key in list(assignment) + list(right_assignment or {}):
+            if key not in source.bg_names:
                 raise UnknownGenerator(
-                    f"{key!r} is not a classifying-space generator of {self.source.name}"
+                    f"{key!r} is not a classifying-space generator of {source.name}"
                 )
+        return tuple.__new__(cls, (source, target, assignment, right_assignment))
 
 
-@dataclass(frozen=True)
-class GroupDiagram:
-    """Cohomogeneity-one group diagram (G, H, K-, K+) with K±/H odd
-    spheres.  The restriction maps H*(BG) -> H*(BK±) are written in the
-    presentation H*(BK±) = H*(BH)[e±] with the sphere classes named
-    ``ep``/``em``; the maps H*(BK±) -> H*(BH) are then e± -> 0."""
-
+class _DiagramFields(NamedTuple):
     g: GroupData
     h: GroupData
     k_minus: GroupData
@@ -118,7 +122,17 @@ class GroupDiagram:
     restriction_plus: Mapping[str, str]
     sphere_dims: tuple[int, int]
 
-    def __post_init__(self):
+
+class GroupDiagram(_DiagramFields):
+    """Cohomogeneity-one group diagram (G, H, K-, K+) with K±/H odd
+    spheres.  The restriction maps H*(BG) -> H*(BK±) are written in the
+    presentation H*(BK±) = H*(BH)[e±] with the sphere classes named
+    ``ep``/``em``; the maps H*(BK±) -> H*(BH) are then e± -> 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         l_minus, l_plus = self.sphere_dims
         for side, k, l in (("-", self.k_minus, l_minus), ("+", self.k_plus, l_plus)):
             if l % 2 == 0:
@@ -139,6 +153,7 @@ class GroupDiagram:
                 )
         if {EULER_PLUS, EULER_MINUS, RELATION_GENERATOR} & set(self.h.bg_names):
             raise InvalidDiagram("principal isotropy generators shadow ep/em/n")
+        return self
 
     @property
     def rank_gap(self) -> int:
@@ -154,8 +169,7 @@ class GroupDiagram:
         return (self.g, self.h, self.k_minus, self.k_plus)
 
 
-@dataclass(frozen=True)
-class BorelPackage:
+class BorelPackage(NamedTuple):
     """A space model, the matching Borel-construction model, and the
     morphism between them that induces the forgetful map in cohomology."""
 

@@ -225,7 +225,7 @@ class TestOneBorelPackagePerReport:
     def builds(self, monkeypatch):
         counts = {"signatures": [], "morphisms": 0, "betti_numbers": 0, "parses": 0}
         init = SullivanAlgebra.__init__
-        post_init = CdgaMorphism.__post_init__
+        morphism_init = CdgaMorphism.__init__
         betti_numbers = ch.betti_numbers
         parse = SullivanAlgebra.parse
 
@@ -233,9 +233,9 @@ class TestOneBorelPackagePerReport:
             init(self, *args, **kwargs)
             counts["signatures"].append(self.signature)
 
-        def counting_post_init(self):
+        def counting_morphism_init(self, *args, **kwargs):
             counts["morphisms"] += 1
-            post_init(self)
+            morphism_init(self, *args, **kwargs)
 
         def counting_betti(*args, **kwargs):
             counts["betti_numbers"] += 1
@@ -247,7 +247,7 @@ class TestOneBorelPackagePerReport:
 
         monkeypatch.setattr(SullivanAlgebra, "__init__", counting_init)
         monkeypatch.setattr(SullivanAlgebra, "parse", counting_parse)
-        monkeypatch.setattr(CdgaMorphism, "__post_init__", counting_post_init)
+        monkeypatch.setattr(CdgaMorphism, "__init__", counting_morphism_init)
         monkeypatch.setattr(ch, "betti_numbers", counting_betti)
         return counts
 
