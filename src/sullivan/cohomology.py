@@ -7,9 +7,17 @@ column of its block's echelon that no coboundary ends on, which is the
 complement of the coboundaries that a greedy pass over the kernel basis
 in order would pick, so repeated runs give identical tables.
 
-The algebra's cutoff is the only cutoff: every function here runs to
-it, and one on a map runs to the smaller cutoff of its two sides, so
-``SullivanAlgebra.with_cutoff`` is how to stop lower.
+Every function here runs to the algebra's cutoff, and one on a map to
+the smaller cutoff of its two sides, so ``SullivanAlgebra.with_cutoff``
+is how to stop lower, with one exception, the window rule.  A pure
+algebra of formal dimension N >= 0 and largest generator degree w whose
+cohomology vanishes in the window N + 1..N + w is elliptic, and then
+H^n = 0 for every n > N.  So ``CohomologyTable`` and the direct check,
+on such an algebra cut off above N + w, walk through N + w, read the
+window's Betti numbers from their own ranks, and stop there if they are
+all zero; the table's degrees above are empty.  Where the window has a
+class the walk goes on to the cutoff.  ``betti_numbers`` and ``h0_dims``,
+the independent references, always run to the cutoff.
 
 ``CohomologyTable`` eliminates each degree block by block, once.  For
 pure algebras the differential drops the odd word length of a monomial
@@ -108,6 +116,26 @@ def _element(a: SullivanAlgebra, v: dict[int, int], degree: int) -> AlgebraEleme
     return a.element_from_coordinates(linalg._unit_scaled(v), degree)
 
 
+def _formal_dimension(a: SullivanAlgebra) -> int:
+    """The formal dimension of a pure algebra with finite-dimensional
+    cohomology: the sum of the odd degrees minus the sum of the even
+    degrees less one."""
+    return sum(g.degree if g.is_odd else 1 - g.degree for g in a.generators)
+
+
+def _window(a: SullivanAlgebra, top: int) -> range:
+    """The degrees N + 1..N + w of the window rule when ``a`` is pure, of
+    formal dimension N >= 0 and largest generator degree w, and a walk to
+    ``top`` passes N + w; otherwise empty.  If H vanishes there, ``a`` is
+    elliptic (``criteria._elliptic`` gives the argument), so H^n = 0 for
+    every n > N and the walk may stop after N + w."""
+    if a.is_pure():
+        n, w = _formal_dimension(a), max((g.degree for g in a.generators), default=0)
+        if n >= 0 and top > n + w:
+            return range(n + 1, n + w + 1)
+    return range(0)
+
+
 def _echelons(a: SullivanAlgebra, top: int):
     """Yield ``(echelon, pivots)`` of d_n for n = 0..top in increasing
     degree, with d_n's rows built only for the degree-n monomials whose
@@ -169,13 +197,15 @@ class CohomologyTable:
     key 0, per degree.  The strands' column spaces are independent, so a
     degree's pivots, kernel vectors and classes are those of its blocks
     embedded with zeros, and its representatives are theirs in the order
-    of their free columns.
+    of their free columns.  Under the window rule (module docstring) the
+    degrees above N + w get no elimination and no classes.
     """
 
     def __init__(self, algebra: SullivanAlgebra):
         self.algebra = algebra
         self.cutoff = algebra.cutoff
         odd = algebra._odd_bits if algebra.is_pure() else 0  # one block per degree if not pure
+        window = _window(algebra, algebra.cutoff)
         self._spaces = []
         images: dict[int, tuple] = {}  # block key -> coboundaries handed up from below
         for n in range(algebra.cutoff + 1):
@@ -190,6 +220,9 @@ class CohomologyTable:
                 )
             self._spaces.append(_DegreeSpace(algebra, n, block_reps))
             images = next_images
+            if window and n == window[-1] and not any(self._spaces[k].betti for k in window):
+                break  # elliptic: no classes above the formal dimension
+        self._spaces += [_DegreeSpace(algebra, n, {}) for n in range(len(self._spaces), self.cutoff + 1)]
         self.betti = tuple(space.betti for space in self._spaces)
 
     def representatives(self, degree: int) -> tuple[AlgebraElement, ...]:
@@ -309,22 +342,29 @@ def surjectivity_by_parity(
     H^n(f) is onto iff they number dim Z^n(target).  A degree is checked
     only while its parity is asked and has not failed, and the walk
     stops once every asked parity has failed; with one parity asked it
-    stops at the last degree of that parity.
+    stops at the last degree of that parity.  On a target that the
+    window rule shows elliptic it stops after the window, as every
+    degree above is H^n(target) = 0.
     """
     source, target = f.source, f.target
     top = min(source.cutoff, target.cutoff)
     if len(parities) == 1:
         top -= (top - parities[0]) % 2  # the chain stops at the last degree checked
     failing: dict[int, int] = {}  # parity -> its smallest failing degree
+    window = _window(target, top)
+    vanishing = True  # no class of the target in the window so far
     below: list[dict] = []
     for n, (target_echelon, target_pivots) in enumerate(_echelons(target, top)):
         boundaries, below = below, target_echelon  # d_{n-1}'s echelon, a basis of B^n
-        if n % 2 not in parities or n % 2 in failing:
-            continue
         index = target._positions(n)
         kernel_dim = len(index) - len(target_pivots)
-        if kernel_dim == len(boundaries):
-            continue  # H^n(target) = 0
+        if kernel_dim == len(boundaries):  # H^n(target) = 0
+            if window and n == window[-1] and vanishing:
+                break  # elliptic target: no classes above its formal dimension
+            continue
+        vanishing = vanishing and n not in window
+        if n % 2 not in parities or n % 2 in failing:
+            continue
         rows = list(boundaries)
         for p, d_row in zip(source._monomials(n), _action_rows(source, n)):
             row = {~k: c for k, c in d_row.items()}  # source columns sort first

@@ -117,7 +117,7 @@ def _verdict_from_package(
     cutoff = package.space.cutoff
     (direct, failing), (odd_direct, odd_failing) = ch.surjectivity_by_parity(package.forgetful, (0, 1))
     if hypotheses_hold and direct != (rank_gap <= 1):
-        top = _formal_dimension(package.space)
+        top = ch._formal_dimension(package.space)
         if direct and cutoff < top:
             raise CutoffExceeded(
                 f"{context}: cutoff {cutoff} is below the formal dimension {top}, "
@@ -142,13 +142,6 @@ def _verdict_from_package(
     )
 
 
-def _formal_dimension(a: SullivanAlgebra) -> int:
-    """The formal dimension of a pure algebra with finite-dimensional
-    cohomology: the sum of the odd degrees minus the sum of the even
-    degrees less one."""
-    return sum(g.degree if g.is_odd else 1 - g.degree for g in a.generators)
-
-
 def _elliptic(a: SullivanAlgebra, top: int) -> bool:
     """Whether a pure algebra of formal dimension ``top`` has
     finite-dimensional cohomology: exactly when it vanishes in the window
@@ -164,7 +157,7 @@ def space_table(package: BorelPackage, context: str) -> ch.CohomologyTable:
     dimension, so a table that reaches that degree and fails duality
     there raises NotElliptic; a table cut off below it is not checked."""
     table = ch.cohomology(package.space)
-    top = _formal_dimension(package.space)
+    top = ch._formal_dimension(package.space)
     if table.cutoff >= top and not ch.poincare_duality_holds(table.betti, top):
         raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
     return table

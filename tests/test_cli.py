@@ -604,3 +604,31 @@ class TestManyGenerators:
         # 1 + 400 + 400*399/2 monomials through degree 2, the cutoff + 1
         assert [len(monos) for monos in a._bases] == [1, 400, 79_800]
         assert sum(map(len, a._bases)) == 80_201
+
+
+class TestAboveTheWindow:
+    def test_elliptic_space_far_above_its_window(self, tmp_path):
+        # SU(4)/T3 has formal dimension 12 and generators up to degree 7:
+        # its table and direct check stop after degree 19, so cutoff 400
+        # answers at once; run in its own process, limited in time and to
+        # 1 GiB of address space
+        import subprocess
+
+        import sullivan
+
+        limited_main = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from sullivan.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        path = tmp_path / "su4.json"
+        path.write_text(json.dumps({"kind": "homogeneous", "G": "SU(4)", "H": "T3", "cutoff": 400}))
+        result = subprocess.run(
+            [sys.executable, "-c", limited_main, "report", "--file", str(path), "--format", "structured"],
+            capture_output=True,
+            timeout=20,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(sullivan.__file__).parent.parent)},
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        report = json.loads(result.stdout)
+        assert report["space"]["betti"] == [1, 0, 3, 0, 5, 0, 6, 0, 5, 0, 3, 0, 1] + [0] * 388
+        assert report["verdict"]["cutoff"] == 400

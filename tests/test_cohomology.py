@@ -17,11 +17,13 @@ from instance_generators import (
     shears,
 )
 from sullivan import linalg
-from sullivan.catalog import DIAGRAM_PRESETS
+from sullivan.catalog import _TORUS_DATA, DIAGRAM_PRESETS, resolve, standard_restriction
 from sullivan.cdga import CdgaMorphism, SullivanAlgebra
 from sullivan.cohomology import (
+    LowerGradedTable,
     _action_rows,
     _echelons,
+    _formal_dimension,
     betti_numbers,
     cohomology,
     euler_characteristic,
@@ -35,7 +37,11 @@ from sullivan.cohomology import (
 from sullivan.criteria import even_subalgebra_inclusion
 from sullivan.documents import load_diagram
 from sullivan.errors import InvalidDifferential, NotPure
-from sullivan.models import cohomogeneity_one_model
+from sullivan.models import (
+    borel_model_cohomogeneity_one,
+    borel_model_homogeneous,
+    cohomogeneity_one_model,
+)
 
 
 @pytest.fixture
@@ -222,6 +228,36 @@ class TestEliminationCount:
         )
         assert blocks == 18
         assert 0 < len(eliminations) <= 2 * blocks
+
+    def test_elliptic_table_stops_after_the_window(self, monkeypatch):
+        """x, y, z / a, b, c has formal dimension 6 and generators up to
+        degree 3, so at cutoff 12 its table hands ``ff_row_echelon`` no
+        block above degree 9 and reads degrees 10..12 as zero."""
+        from sullivan import cohomology as ch
+
+        degree, eliminated = [None], []
+        action_rows, echelon = ch._action_rows, linalg.ff_row_echelon
+
+        def recording_action_rows(a, n):
+            degree[0] = n
+            return action_rows(a, n)
+
+        def recording_echelon(rows):
+            eliminated.append(degree[0])
+            return echelon(rows)
+
+        monkeypatch.setattr(ch, "_action_rows", recording_action_rows)
+        monkeypatch.setattr(linalg, "ff_row_echelon", recording_echelon)
+        a = SullivanAlgebra.build(
+            [("x", 2), ("y", 2), ("z", 2), ("a", 3), ("b", 3), ("c", 3)],
+            {"a": "x^2", "b": "y^2", "c": "z^2"},
+            cutoff=12,
+        )
+        table = cohomology(a)
+        assert table.cutoff == 12
+        assert table.betti == (1, 0, 3, 0, 3, 0, 1) + (0,) * 6
+        assert max(eliminated) == 9
+        assert all(table.representatives(n) == () for n in range(7, 13))
 
 
 class TestBackSubstitutionCount:
@@ -536,3 +572,97 @@ class TestClearedWork:
     def test_borel_packages(self, name, package, monkeypatch):
         a = package.borel
         self.assert_dependent_at_most_betti(a, self.work(a, monkeypatch))
+
+
+def _above_window():
+    """(name, Borel package) of every catalog maximal-torus pair and every
+    diagram preset, its space model cut off at N + 2w for formal
+    dimension N and largest generator degree w."""
+    builds = {
+        name: lambda cutoff, name=name: borel_model_cohomogeneity_one(
+            load_diagram(DIAGRAM_PRESETS[name]), cutoff
+        )
+        for name in DIAGRAM_PRESETS
+    }
+    for g in _TORUS_DATA:
+        r = standard_restriction(g, f"T{resolve(g).group.rank}", "maximal-torus")
+        builds[f"{r.source.name}/{r.target.name}"] = lambda cutoff, r=r: borel_model_homogeneous(
+            r.source, r.target, r, cutoff
+        )
+    for name, build in sorted(builds.items()):
+        space = build(None).space
+        yield name, build(_formal_dimension(space) + 2 * max(g.degree for g in space.generators))
+
+
+class TestWindowRule:
+    """The table and the direct check stop after the window N + 1..N + w
+    of an elliptic pure algebra; with the window helper emptied they run
+    to the cutoff, and both walks must give the same answers."""
+
+    @staticmethod
+    def walks(package, monkeypatch):
+        """Everything the two walks give on a package, and the degrees of
+        the d rows they build."""
+        from sullivan import cohomology as ch
+
+        degrees = []
+        action_rows = ch._action_rows
+
+        def recording(a, n):
+            degrees.append(n)
+            return action_rows(a, n)
+
+        monkeypatch.setattr(ch, "_action_rows", recording)
+        table = cohomology(package.space)
+        strands = LowerGradedTable(table)
+        answers = (
+            table.betti,
+            [table.representatives(n) for n in range(table.cutoff + 1)],
+            [strands.dims(n) for n in range(table.cutoff + 1)],
+            surjectivity_by_parity(package.forgetful, (0, 1)),
+        )
+        monkeypatch.setattr(ch, "_action_rows", action_rows)
+        return answers, max(degrees)
+
+    @pytest.mark.parametrize("name, package", list(_above_window()))
+    def test_capped_walks_match_uncapped(self, name, package, monkeypatch):
+        from sullivan import cohomology as ch
+
+        space = package.space
+        window = ch._window(space, space.cutoff)
+        assert window
+        capped, capped_top = self.walks(package, monkeypatch)
+        assert capped_top == window[-1]  # the rule fired
+        assert capped[0] == betti_numbers(space)
+        monkeypatch.setattr(ch, "_window", lambda a, top: range(0))
+        uncapped, uncapped_top = self.walks(package, monkeypatch)
+        assert uncapped_top == space.cutoff
+        assert capped == uncapped
+
+    def test_non_elliptic_model_eliminates_as_uncapped(self, monkeypatch):
+        """x, y / a with d a = xy has formal dimension 1 but classes x^n
+        in every even degree, so both walks run to the cutoff and hand
+        ``ff_row_echelon`` the same rows as with the window emptied."""
+        from sullivan import cohomology as ch
+
+        a = SullivanAlgebra.build([("x", 2), ("y", 2), ("a", 3)], {"a": "x*y"}, cutoff=12)
+        f = even_subalgebra_inclusion(a, ["x", "y"])
+        assert ch._window(a, a.cutoff) == range(2, 5)
+
+        def eliminations():
+            calls = []
+            echelon = linalg.ff_row_echelon
+
+            def counting(rows):
+                calls.append(len(rows))
+                return echelon(rows)
+
+            monkeypatch.setattr(linalg, "ff_row_echelon", counting)
+            answers = cohomology(a).betti, surjectivity_by_parity(f, (0, 1))
+            monkeypatch.setattr(linalg, "ff_row_echelon", echelon)
+            return answers, calls
+
+        capped = eliminations()
+        monkeypatch.setattr(ch, "_window", lambda a, top: range(0))
+        assert eliminations() == capped
+        assert capped[0][0] == betti_numbers(a) == (1, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2)

@@ -22,6 +22,7 @@ from instance_generators import (
 from sullivan import linalg
 from sullivan.cdga import AlgebraElement, CdgaMorphism, SullivanAlgebra
 from sullivan.cohomology import (
+    _formal_dimension,
     betti_numbers,
     cohomology,
     even_degree_surjectivity,
@@ -32,7 +33,6 @@ from sullivan.cohomology import (
 from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.criteria import (
     FormalityVerdict,
-    _formal_dimension,
     even_subalgebra_inclusion,
     pure_formality,
 )
