@@ -9,15 +9,18 @@ in order would pick, so repeated runs give identical tables.
 
 Every function here runs to the algebra's cutoff, and one on a map to
 the smaller cutoff of its two sides, so ``SullivanAlgebra.with_cutoff``
-is how to stop lower, with one exception, the window rule.  A pure
-algebra of formal dimension N >= 0 and largest generator degree w whose
-cohomology vanishes in the window N + 1..N + w is elliptic, and then
-H^n = 0 for every n > N.  So ``CohomologyTable`` and the direct check,
-on such an algebra cut off above N + w, walk through N + w, read the
-window's Betti numbers from their own ranks, and stop there if they are
-all zero; the table's degrees above are empty.  Where the window has a
-class the walk goes on to the cutoff.  ``betti_numbers`` and ``h0_dims``,
-the independent references, always run to the cutoff.
+is how to stop lower, with one exception, the H_0 rule.  A pure algebra
+(ΛQ ⊗ ΛP, d) of formal dimension N >= 0 and largest even generator
+degree w_Q is elliptic when H_0 = ΛQ/(dP) vanishes on N + 1..N + w_Q:
+every monomial of ΛQ above N + w_Q is x_i times one above N, so H_0 is
+finite, and each H_k is a finitely generated ΛQ-module annihilated by
+(dP), so H is finite too (Halperin), and H^n = 0 for every n > N.  So
+``CohomologyTable`` and the direct check, on a walk that reaches
+N + w_Q, first take one rank per even degree of that window
+(``_elliptic_top``), and if H_0 vanishes there they stop at N; the
+table's degrees above are empty.  Otherwise they run to the cutoff.
+``betti_numbers`` and ``h0_dims``, the independent references, always
+run to the cutoff.
 
 ``CohomologyTable`` eliminates each degree block by block, once.  For
 pure algebras the differential drops the odd word length of a monomial
@@ -123,17 +126,29 @@ def _formal_dimension(a: SullivanAlgebra) -> int:
     return sum(g.degree if g.is_odd else 1 - g.degree for g in a.generators)
 
 
-def _window(a: SullivanAlgebra, top: int) -> range:
-    """The degrees N + 1..N + w of the window rule when ``a`` is pure, of
-    formal dimension N >= 0 and largest generator degree w, and a walk to
-    ``top`` passes N + w; otherwise empty.  If H vanishes there, ``a`` is
-    elliptic (``criteria._elliptic`` gives the argument), so H^n = 0 for
-    every n > N and the walk may stop after N + w."""
-    if a.is_pure():
-        n, w = _formal_dimension(a), max((g.degree for g in a.generators), default=0)
-        if n >= 0 and top > n + w:
-            return range(n + 1, n + w + 1)
-    return range(0)
+def _elliptic_top(a: SullivanAlgebra, top: int) -> int:
+    """The last degree a walk to ``top`` must eliminate: the formal
+    dimension N when ``a`` is pure, N >= 0, N + w_Q <= top for w_Q its
+    largest even generator degree, and H_0 vanishes on N + 1..N + w_Q,
+    which makes ``a`` elliptic (module docstring); otherwise ``top``.
+    H_0 in an even degree n is the count of strand-0 monomials less the
+    rank of d on the strand-1 monomials of degree n - 1, so this takes
+    one elimination per even n of the window, up to the first with a
+    class."""
+    if not a.is_pure():
+        return top
+    n = _formal_dimension(a)
+    width = max((g.degree for g in a.generators if not g.is_odd), default=0)
+    if n < 0 or n + width > top:
+        return top
+    odd = a._odd_bits
+    for k in range(n + 2 - n % 2, n + width + 1, 2):
+        strand0 = [p for p in a._positions(k) if not p & odd]
+        strand1 = [p for p in a._monomials(k - 1) if (p & odd).bit_count() == 1]
+        rows = a._d_rows(strand1, {p: i for i, p in enumerate(strand0)})
+        if linalg.rank_rows(rows) < len(strand0):
+            return top
+    return n
 
 
 def _echelons(a: SullivanAlgebra, top: int):
@@ -197,18 +212,17 @@ class CohomologyTable:
     key 0, per degree.  The strands' column spaces are independent, so a
     degree's pivots, kernel vectors and classes are those of its blocks
     embedded with zeros, and its representatives are theirs in the order
-    of their free columns.  Under the window rule (module docstring) the
-    degrees above N + w get no elimination and no classes.
+    of their free columns.  Under the H_0 rule (module docstring) the
+    degrees above the formal dimension get no elimination and no classes.
     """
 
     def __init__(self, algebra: SullivanAlgebra):
         self.algebra = algebra
         self.cutoff = algebra.cutoff
         odd = algebra._odd_bits if algebra.is_pure() else 0  # one block per degree if not pure
-        window = _window(algebra, algebra.cutoff)
         self._spaces = []
         images: dict[int, tuple] = {}  # block key -> coboundaries handed up from below
-        for n in range(algebra.cutoff + 1):
+        for n in range(_elliptic_top(algebra, algebra.cutoff) + 1):
             rows = _action_rows(algebra, n)
             blocks: dict[int, list[int]] = {}
             for j, p in enumerate(algebra._positions(n)):
@@ -220,8 +234,6 @@ class CohomologyTable:
                 )
             self._spaces.append(_DegreeSpace(algebra, n, block_reps))
             images = next_images
-            if window and n == window[-1] and not any(self._spaces[k].betti for k in window):
-                break  # elliptic: no classes above the formal dimension
         self._spaces += [_DegreeSpace(algebra, n, {}) for n in range(len(self._spaces), self.cutoff + 1)]
         self.betti = tuple(space.betti for space in self._spaces)
 
@@ -343,26 +355,21 @@ def surjectivity_by_parity(
     only while its parity is asked and has not failed, and the walk
     stops once every asked parity has failed; with one parity asked it
     stops at the last degree of that parity.  On a target that the
-    window rule shows elliptic it stops after the window, as every
+    H_0 rule shows elliptic it stops at the formal dimension, as every
     degree above is H^n(target) = 0.
     """
     source, target = f.source, f.target
-    top = min(source.cutoff, target.cutoff)
+    top = _elliptic_top(target, min(source.cutoff, target.cutoff))
     if len(parities) == 1:
         top -= (top - parities[0]) % 2  # the chain stops at the last degree checked
     failing: dict[int, int] = {}  # parity -> its smallest failing degree
-    window = _window(target, top)
-    vanishing = True  # no class of the target in the window so far
     below: list[dict] = []
     for n, (target_echelon, target_pivots) in enumerate(_echelons(target, top)):
         boundaries, below = below, target_echelon  # d_{n-1}'s echelon, a basis of B^n
         index = target._positions(n)
         kernel_dim = len(index) - len(target_pivots)
-        if kernel_dim == len(boundaries):  # H^n(target) = 0
-            if window and n == window[-1] and vanishing:
-                break  # elliptic target: no classes above its formal dimension
-            continue
-        vanishing = vanishing and n not in window
+        if kernel_dim == len(boundaries):
+            continue  # H^n(target) = 0
         if n % 2 not in parities or n % 2 in failing:
             continue
         rows = list(boundaries)

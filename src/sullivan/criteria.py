@@ -144,11 +144,13 @@ def _verdict_from_package(
 
 def _elliptic(a: SullivanAlgebra, top: int) -> bool:
     """Whether a pure algebra of formal dimension ``top`` has
-    finite-dimensional cohomology: exactly when it vanishes in the window
-    of the largest generator degree above ``top``, as otherwise the
-    even-subalgebra image has classes in every such window."""
-    wide = a.with_cutoff(max(top, 0) + max((g.degree for g in a.generators), default=0))
-    return ch.top_window_vanishes(wide, ch.betti_numbers(wide))
+    finite-dimensional cohomology: exactly when H_0 = ΛQ/(dP) vanishes on
+    top + 1..top + w_Q, for w_Q the largest even generator degree.  If it
+    does, ``cohomology._elliptic_top`` gives the argument.  If not, H_0,
+    a summand of H, has a class above ``top``, which a finite H, of
+    formal dimension ``top``, does not."""
+    wide = max(top, 0) + max((g.degree for g in a.generators if not g.is_odd), default=0)
+    return ch._elliptic_top(a.with_cutoff(wide), wide) == top
 
 
 def space_table(package: BorelPackage, context: str) -> ch.CohomologyTable:

@@ -80,6 +80,23 @@ def random_pure_elliptic(
     return algebra
 
 
+def random_pure(rng: random.Random):
+    """A random pure algebra of formal dimension N >= 0, cut off at 0,
+    whose odd generators' differentials are random even elements, so
+    that many draws are not elliptic.  Returns None when N < 0 or N plus
+    the largest generator degree exceeds 16."""
+    even_degrees = sorted(rng.choice([2, 2, 4]) for _ in range(rng.randint(0, 3)))
+    odd_degrees = [rng.choice([1, 3, 3, 5, 7]) for _ in range(rng.randint(1, 3))]
+    fdim = sum(odd_degrees) - sum(e - 1 for e in even_degrees)
+    if fdim < 0 or fdim + max(even_degrees + odd_degrees) > 16:
+        return None
+    gens = [Generator(f"a{i + 1}", d) for i, d in enumerate(even_degrees)]
+    gens += [Generator(f"b{i + 1}", d) for i, d in enumerate(odd_degrees)]
+    draft = SullivanAlgebra(gens, 0)
+    differential = {f"b{i + 1}": _random_even_element(rng, draft, o + 1) for i, o in enumerate(odd_degrees)}
+    return SullivanAlgebra(gens, 0, differential)
+
+
 def random_shear(rng: random.Random):
     """A pure elliptic core and a shearing automorphism of it,
     v_t -> v_t + c * m * v_a v_b v_c, as the assignments ``(core,

@@ -230,9 +230,11 @@ class TestEliminationCount:
         assert 0 < len(eliminations) <= 2 * blocks
 
     def test_elliptic_table_stops_after_the_window(self, monkeypatch):
-        """x, y, z / a, b, c has formal dimension 6 and generators up to
-        degree 3, so at cutoff 12 its table hands ``ff_row_echelon`` no
-        block above degree 9 and reads degrees 10..12 as zero."""
+        """x, y, z / a, b, c has formal dimension 6 and even generators of
+        degree 2, and its H_0 vanishes in degree 8, so at cutoff 12 its
+        table hands ``ff_row_echelon`` one H_0 rank of degree 8, before
+        any d rows, and no block above degree 6, and reads degrees 7..12
+        as zero."""
         from sullivan import cohomology as ch
 
         degree, eliminated = [None], []
@@ -256,7 +258,8 @@ class TestEliminationCount:
         table = cohomology(a)
         assert table.cutoff == 12
         assert table.betti == (1, 0, 3, 0, 3, 0, 1) + (0,) * 6
-        assert max(eliminated) == 9
+        assert eliminated.count(None) == 1  # the H_0 rank builds no d rows of the table
+        assert max(n for n in eliminated if n is not None) == 6
         assert all(table.representatives(n) == () for n in range(7, 13))
 
 
@@ -574,10 +577,10 @@ class TestClearedWork:
         self.assert_dependent_at_most_betti(a, self.work(a, monkeypatch))
 
 
-def _above_window():
+def _space_packages(margin):
     """(name, Borel package) of every catalog maximal-torus pair and every
-    diagram preset, its space model cut off at N + 2w for formal
-    dimension N and largest generator degree w."""
+    diagram preset, its space model cut off at N + ``margin(space)`` for
+    formal dimension N."""
     builds = {
         name: lambda cutoff, name=name: borel_model_cohomogeneity_one(
             load_diagram(DIAGRAM_PRESETS[name]), cutoff
@@ -591,18 +594,19 @@ def _above_window():
         )
     for name, build in sorted(builds.items()):
         space = build(None).space
-        yield name, build(_formal_dimension(space) + 2 * max(g.degree for g in space.generators))
+        yield name, build(_formal_dimension(space) + margin(space))
 
 
 class TestWindowRule:
-    """The table and the direct check stop after the window N + 1..N + w
-    of an elliptic pure algebra; with the window helper emptied they run
-    to the cutoff, and both walks must give the same answers."""
+    """The table and the direct check stop at the formal dimension N of a
+    pure algebra whose H_0 vanishes on N + 1..N + w_Q; with the helper
+    ``_elliptic_top`` patched out they run to the cutoff, and both walks
+    must give the same answers."""
 
     @staticmethod
-    def walks(package, monkeypatch):
-        """Everything the two walks give on a package, and the degrees of
-        the d rows they build."""
+    def walks(algebra, morphism, monkeypatch):
+        """Everything the two walks give on an algebra and a morphism into
+        it, and the largest degree of the d rows they build."""
         from sullivan import cohomology as ch
 
         degrees = []
@@ -613,41 +617,60 @@ class TestWindowRule:
             return action_rows(a, n)
 
         monkeypatch.setattr(ch, "_action_rows", recording)
-        table = cohomology(package.space)
+        table = cohomology(algebra)
         strands = LowerGradedTable(table)
         answers = (
             table.betti,
             [table.representatives(n) for n in range(table.cutoff + 1)],
             [strands.dims(n) for n in range(table.cutoff + 1)],
-            surjectivity_by_parity(package.forgetful, (0, 1)),
+            surjectivity_by_parity(morphism, (0, 1)),
         )
         monkeypatch.setattr(ch, "_action_rows", action_rows)
         return answers, max(degrees)
 
-    @pytest.mark.parametrize("name, package", list(_above_window()))
-    def test_capped_walks_match_uncapped(self, name, package, monkeypatch):
+    def assert_capped_matches_uncapped(self, algebra, morphism, monkeypatch):
         from sullivan import cohomology as ch
 
-        space = package.space
-        window = ch._window(space, space.cutoff)
-        assert window
-        capped, capped_top = self.walks(package, monkeypatch)
-        assert capped_top == window[-1]  # the rule fired
-        assert capped[0] == betti_numbers(space)
-        monkeypatch.setattr(ch, "_window", lambda a, top: range(0))
-        uncapped, uncapped_top = self.walks(package, monkeypatch)
-        assert uncapped_top == space.cutoff
+        capped, capped_top = self.walks(algebra, morphism, monkeypatch)
+        assert capped_top == _formal_dimension(algebra) < algebra.cutoff  # the rule fired
+        assert capped[0] == betti_numbers(algebra)
+        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: top)
+        uncapped, uncapped_top = self.walks(algebra, morphism, monkeypatch)
+        monkeypatch.undo()
+        assert uncapped_top == algebra.cutoff
         assert capped == uncapped
+
+    @pytest.mark.parametrize(
+        "name, package", list(_space_packages(lambda a: 2 * max(g.degree for g in a.generators)))
+    )
+    def test_capped_walks_match_uncapped(self, name, package, monkeypatch):
+        self.assert_capped_matches_uncapped(package.space, package.forgetful, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "name, package",
+        list(_space_packages(lambda a: max(g.degree for g in a.generators if not g.is_odd))),
+    )
+    def test_capped_walks_match_uncapped_at_the_window(self, name, package, monkeypatch):
+        self.assert_capped_matches_uncapped(package.space, package.forgetful, monkeypatch)
+
+    def test_sheared_cores(self, monkeypatch):
+        """The pure elliptic cores of criterion 5's sheared pairs, each cut
+        off at N + w, against the inclusion of their even generators."""
+        for _, core in sheared_pairs(1013, 20):
+            evens = [g.name for g in core.generators if not g.is_odd]
+            inclusion = even_subalgebra_inclusion(core, evens)
+            self.assert_capped_matches_uncapped(core, inclusion, monkeypatch)
 
     def test_non_elliptic_model_eliminates_as_uncapped(self, monkeypatch):
         """x, y / a with d a = xy has formal dimension 1 but classes x^n
         in every even degree, so both walks run to the cutoff and hand
-        ``ff_row_echelon`` the same rows as with the window emptied."""
+        ``ff_row_echelon`` the same rows as with the helper patched out.
+        The helper builds no rows, as strand 1 of degree 1 is empty."""
         from sullivan import cohomology as ch
 
         a = SullivanAlgebra.build([("x", 2), ("y", 2), ("a", 3)], {"a": "x*y"}, cutoff=12)
         f = even_subalgebra_inclusion(a, ["x", "y"])
-        assert ch._window(a, a.cutoff) == range(2, 5)
+        assert ch._elliptic_top(a, a.cutoff) == a.cutoff
 
         def eliminations():
             calls = []
@@ -663,6 +686,6 @@ class TestWindowRule:
             return answers, calls
 
         capped = eliminations()
-        monkeypatch.setattr(ch, "_window", lambda a, top: range(0))
+        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: top)
         assert eliminations() == capped
         assert capped[0][0] == betti_numbers(a) == (1, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2)

@@ -1,11 +1,22 @@
 """Decision layer: rank criteria against direct checks, formality,
 Euler identities, theorem applicability."""
 
+import random
+
 import pytest
+
+from instance_generators import random_pure
 
 from sullivan.catalog import lookup, standard_restriction
 from sullivan.cdga import SullivanAlgebra
-from sullivan.cohomology import cohomology
+from sullivan.cohomology import (
+    _elliptic_top,
+    _formal_dimension,
+    betti_numbers,
+    cohomology,
+    h0_dims,
+    top_window_vanishes,
+)
 from sullivan.criteria import (
     CriterionDisagreement,
     biquotient_surjectivity,
@@ -86,6 +97,33 @@ class TestHomogeneous:
         for gens, d, elliptic in cases:
             top = sum(deg if deg % 2 else 1 - deg for _, deg in gens)
             assert _elliptic(SullivanAlgebra.build(gens, d, cutoff=2), top) is elliptic
+
+    def test_elliptic_agrees_with_the_betti_and_h0_windows(self):
+        """On random pure algebras, elliptic or not, the H_0 test agrees
+        with H vanishing on N + 1..N + w, for w the largest generator
+        degree, and with ``h0_dims`` vanishing on N + 1..N + w_Q, for w_Q
+        the largest even one."""
+        from sullivan.criteria import _elliptic
+
+        rng = random.Random(307)
+        algebras = [SullivanAlgebra.build([("x", 2), ("y", 2), ("a", 3)], {"a": "x*y"}, cutoff=0)]
+        while len(algebras) < 60:
+            algebra = random_pure(rng)
+            if algebra is not None:
+                algebras.append(algebra)
+        verdicts = []
+        for a in algebras:
+            n = _formal_dimension(a)
+            w_q = max((g.degree for g in a.generators if not g.is_odd), default=0)
+            wide = a.with_cutoff(n + max(g.degree for g in a.generators))
+            elliptic = top_window_vanishes(wide, betti_numbers(wide))
+            h0 = h0_dims(a.with_cutoff(n + w_q))
+            assert elliptic == all(h0[k] == 0 for k in h0 if k > n)
+            assert _elliptic(a, n) is elliptic
+            assert _elliptic_top(wide, wide.cutoff) == (n if elliptic else wide.cutoff)
+            verdicts.append(elliptic)
+        assert not verdicts[0]
+        assert 10 < sum(verdicts) < len(verdicts) - 10
 
     def test_disconnected_rejected(self):
         z2 = lookup("Z2")

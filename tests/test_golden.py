@@ -20,6 +20,8 @@ DOCUMENTS = {
     "homogeneous-SU4-T3": {"kind": "homogeneous", "G": "SU(4)", "H": "T3", "embedding": "maximal-torus"},
     # far above the window 13..19 past the formal dimension 12
     "homogeneous-SU4-T3-cutoff60": {"kind": "homogeneous", "G": "SU(4)", "H": "T3", "cutoff": 60},
+    # at the window's end: H_0 vanishes on 13..14, so the walks stop at 12
+    "homogeneous-SU4-T3-cutoff19": {"kind": "homogeneous", "G": "SU(4)", "H": "T3", "cutoff": 19},
     "biquotient-readme": {
         "kind": "biquotient",
         "G": "SU(2)",
