@@ -42,6 +42,20 @@ DOCUMENTS = {
         "differential": {"a": "x^2", "b": "y^2", "c": "z^2"},
         "cutoff": 12,
     },
+    # the first non-pure draw of sheared_pairs(1013, 10), at N + w = 7 + 7:
+    # its associated pure algebra passes the H_0 rule, so the walks stop at 7
+    "model-sheared-cutoff14": {
+        "kind": "model",
+        "generators": [["a1", 2], ["a2", 2], ["a3", 4], ["b1", 1], ["b2", 7], ["b3", 3], ["b4", 1]],
+        "differential": {
+            "b1": "a2 + a1",
+            "b2": "2*a2^4 + 8*a1*a3*b1*b4 - 2*a1*a2*b3*b4 - 4*a1*a2*b1*b3 + 2*a1*a2*a3"
+            " + a1*a2^3 - 2*a1^2*b3*b4 - 4*a1^2*b1*b3 + 3*a1^2*a3 + 2*a1^2*a2^2 - 4*a1^3*b1*b4",
+            "b3": "4*a3 - 2*a1^2",
+            "b4": "2*a2 + 2*a1",
+        },
+        "cutoff": 14,
+    },
 }
 
 PRESETS = {f"preset-{p}": ("--preset", p) for p in DIAGRAM_PRESETS}
