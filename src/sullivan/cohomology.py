@@ -14,11 +14,21 @@ is how to stop lower, with one exception, the H_0 rule.  A pure algebra
 degree w_Q is elliptic when H_0 = ΛQ/(dP) vanishes on N + 1..N + w_Q:
 every monomial of ΛQ above N + w_Q is x_i times one above N, so H_0 is
 finite, and each H_k is a finitely generated ΛQ-module annihilated by
-(dP), so H is finite too (Halperin), and H^n = 0 for every n > N.  So
-``CohomologyTable`` and the direct check, on a walk that reaches
-N + w_Q, first take one rank per even degree of that window
-(``_elliptic_top``), and if H_0 vanishes there they stop at N; the
-table's degrees above are empty.  Otherwise they run to the cutoff.
+(dP), so H is finite too (Halperin), and H^n = 0 for every n > N.  Any
+other algebra (ΛV, d) is read through its associated pure algebra
+(ΛV, d_σ), with d_σ = 0 on even generators and d_σ y the ΛQ part of
+d y for odd y; N and w_Q are the same for both.  Filter ΛV by degree
+plus odd word length.  On generators d changes the odd word length by
+-1, which is d_σ, or by an odd number >= 1, so d keeps the filtration
+and d_σ is its associated graded differential.  In each degree the
+filtration is finite, so its spectral sequence has E_1 = H(ΛV, d_σ) and
+converges to H(ΛV, d): if H^n(ΛV, d_σ) = 0 for every n > N, then
+H^n(ΛV, d) = 0 too (Halperin; Félix–Halperin–Thomas §32), with no
+minimality needed.  So ``CohomologyTable`` and the direct check, on a
+walk that reaches N + w_Q, first take one rank of d_σ per even degree of
+that window (``_elliptic_top``), and if H_0 of d_σ vanishes there they
+stop at N; the table's degrees above are empty.  Otherwise they run to
+the cutoff.
 ``betti_numbers`` and ``h0_dims``, the independent references, always
 run to the cutoff.
 
@@ -128,19 +138,22 @@ def _formal_dimension(a: SullivanAlgebra) -> int:
 
 def _elliptic_top(a: SullivanAlgebra, top: int) -> int:
     """The last degree a walk to ``top`` must eliminate: the formal
-    dimension N when ``a`` is pure, N >= 0, N + w_Q <= top for w_Q its
-    largest even generator degree, and H_0 vanishes on N + 1..N + w_Q,
-    which makes ``a`` elliptic (module docstring); otherwise ``top``.
-    H_0 in an even degree n is the count of strand-0 monomials less the
-    rank of d on the strand-1 monomials of degree n - 1, so this takes
-    one elimination per even n of the window, up to the first with a
-    class."""
-    if not a.is_pure():
-        return top
+    dimension N when N >= 0, N + w_Q <= top for w_Q the largest even
+    generator degree, and H_0 of ``a``'s associated pure algebra
+    (ΛV, d_σ), which is ``a`` itself when ``a`` is pure, vanishes on
+    N + 1..N + w_Q; otherwise ``top``.  Then (ΛV, d_σ) is elliptic and
+    H^n(ΛV, d) = 0 for n > N (module docstring).  N and w_Q depend on
+    the generator degrees only, so d_σ is built only once they allow the
+    test.  H_0 in an even degree n is the count of strand-0 monomials
+    less the rank of d_σ on the strand-1 monomials of degree n - 1, so
+    this takes one elimination per even n of the window, up to the first
+    with a class."""
     n = _formal_dimension(a)
     width = max((g.degree for g in a.generators if not g.is_odd), default=0)
     if n < 0 or n + width > top:
         return top
+    if not a.is_pure():
+        a = a.associated_pure()
     odd = a._odd_bits
     for k in range(n + 2 - n % 2, n + width + 1, 2):
         strand0 = [p for p in a._positions(k) if not p & odd]
@@ -212,8 +225,10 @@ class CohomologyTable:
     key 0, per degree.  The strands' column spaces are independent, so a
     degree's pivots, kernel vectors and classes are those of its blocks
     embedded with zeros, and its representatives are theirs in the order
-    of their free columns.  Under the H_0 rule (module docstring) the
-    degrees above the formal dimension get no elimination and no classes.
+    of their free columns.  Under the H_0 rule (module docstring), which
+    reads an algebra that is not pure through its associated pure
+    algebra, the degrees above the formal dimension get no elimination
+    and no classes.
     """
 
     def __init__(self, algebra: SullivanAlgebra):
@@ -354,9 +369,10 @@ def surjectivity_by_parity(
     H^n(f) is onto iff they number dim Z^n(target).  A degree is checked
     only while its parity is asked and has not failed, and the walk
     stops once every asked parity has failed; with one parity asked it
-    stops at the last degree of that parity.  On a target that the
-    H_0 rule shows elliptic it stops at the formal dimension, as every
-    degree above is H^n(target) = 0.
+    stops at the last degree of that parity.  On a target whose
+    associated pure algebra (the target itself when it is pure) the H_0
+    rule shows elliptic it stops at the formal dimension, as every degree
+    above is H^n(target) = 0.
     """
     source, target = f.source, f.target
     top = _elliptic_top(target, min(source.cutoff, target.cutoff))

@@ -148,7 +148,10 @@ def _elliptic(a: SullivanAlgebra, top: int) -> bool:
     top + 1..top + w_Q, for w_Q the largest even generator degree.  If it
     does, ``cohomology._elliptic_top`` gives the argument.  If not, H_0,
     a summand of H, has a class above ``top``, which a finite H, of
-    formal dimension ``top``, does not."""
+    formal dimension ``top``, does not.  H_0 is a summand of H only for
+    a pure algebra, so this is called only on the pure space models of
+    Borel packages; on any other algebra the helper reads the H_0 of its
+    associated pure algebra, and a class there does not show H infinite."""
     wide = max(top, 0) + max((g.degree for g in a.generators if not g.is_odd), default=0)
     return ch._elliptic_top(a.with_cutoff(wide), wide) == top
 

@@ -607,11 +607,10 @@ class TestManyGenerators:
 
 
 class TestAboveTheWindow:
-    def test_elliptic_space_far_above_its_window(self, tmp_path):
-        # SU(4)/T3 has formal dimension 12 and generators up to degree 7:
-        # its table and direct check stop after degree 19, so cutoff 400
-        # answers at once; run in its own process, limited in time and to
-        # 1 GiB of address space
+    @staticmethod
+    def _limited_report(tmp_path, document: dict) -> dict:
+        """The structured report of a document, run in its own process,
+        limited in time and to 1 GiB of address space."""
         import subprocess
 
         import sullivan
@@ -620,8 +619,8 @@ class TestAboveTheWindow:
             "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from sullivan.cli import main; sys.exit(main(sys.argv[1:]))"
         )
-        path = tmp_path / "su4.json"
-        path.write_text(json.dumps({"kind": "homogeneous", "G": "SU(4)", "H": "T3", "cutoff": 400}))
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps(document))
         result = subprocess.run(
             [sys.executable, "-c", limited_main, "report", "--file", str(path), "--format", "structured"],
             capture_output=True,
@@ -629,6 +628,22 @@ class TestAboveTheWindow:
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(sullivan.__file__).parent.parent)},
         )
         assert result.returncode == 0, result.stderr.decode()
-        report = json.loads(result.stdout)
+        return json.loads(result.stdout)
+
+    def test_elliptic_space_far_above_its_window(self, tmp_path):
+        # SU(4)/T3 has formal dimension 12 and generators up to degree 7:
+        # its table and direct check stop after degree 19, so cutoff 400
+        # answers at once
+        document = {"kind": "homogeneous", "G": "SU(4)", "H": "T3", "cutoff": 400}
+        report = self._limited_report(tmp_path, document)
         assert report["space"]["betti"] == [1, 0, 3, 0, 5, 0, 6, 0, 5, 0, 3, 0, 1] + [0] * 388
         assert report["verdict"]["cutoff"] == 400
+
+    def test_sheared_model_far_above_its_window(self, tmp_path):
+        # the golden's non-pure model has formal dimension 7, and its
+        # associated pure algebra passes the H_0 rule, so its table stops
+        # at 7 and cutoff 400 answers at once
+        document = json.loads((GOLDEN / "model-sheared-cutoff14.json").read_text())["input"]
+        report = self._limited_report(tmp_path, {**document, "cutoff": 400})
+        assert report["space"]["betti"] == [1] * 8 + [0] * 393
+        assert report["space"]["formal_dimension"] == 7

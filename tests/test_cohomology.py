@@ -598,10 +598,10 @@ def _space_packages(margin):
 
 
 class TestWindowRule:
-    """The table and the direct check stop at the formal dimension N of a
-    pure algebra whose H_0 vanishes on N + 1..N + w_Q; with the helper
-    ``_elliptic_top`` patched out they run to the cutoff, and both walks
-    must give the same answers."""
+    """The table and the direct check stop at the formal dimension N of an
+    algebra whose associated pure algebra has H_0 vanishing on
+    N + 1..N + w_Q; with the helper ``_elliptic_top`` patched out they run
+    to the cutoff, and both walks must give the same answers."""
 
     @staticmethod
     def walks(algebra, morphism, monkeypatch):
@@ -618,11 +618,11 @@ class TestWindowRule:
 
         monkeypatch.setattr(ch, "_action_rows", recording)
         table = cohomology(algebra)
-        strands = LowerGradedTable(table)
+        strands = LowerGradedTable(table) if algebra.is_pure() else None
         answers = (
             table.betti,
             [table.representatives(n) for n in range(table.cutoff + 1)],
-            [strands.dims(n) for n in range(table.cutoff + 1)],
+            [strands.dims(n) for n in range(table.cutoff + 1)] if strands else None,
             surjectivity_by_parity(morphism, (0, 1)),
         )
         monkeypatch.setattr(ch, "_action_rows", action_rows)
@@ -660,6 +660,108 @@ class TestWindowRule:
             evens = [g.name for g in core.generators if not g.is_odd]
             inclusion = even_subalgebra_inclusion(core, evens)
             self.assert_capped_matches_uncapped(core, inclusion, monkeypatch)
+
+    def test_sheared_targets(self, monkeypatch):
+        """The non-pure draws of criterion 5's sheared pairs, each cut off
+        at N + w, against the inclusion of their even generators: the
+        helper, run on the associated pure algebra, returns N, and the
+        uncapped ``betti_numbers`` vanish above N, as the filtration by
+        degree plus odd word length says they must."""
+        from sullivan import cohomology as ch
+
+        targets = [sheared for sheared, _ in sheared_pairs(1013, 60) if not sheared.is_pure()]
+        assert len(targets) == 42
+        for a in targets:
+            n = _formal_dimension(a)
+            assert a.cutoff == n + max(g.degree for g in a.generators)
+            assert ch._elliptic_top(a, a.cutoff) == n
+            assert not any(betti_numbers(a)[n + 1 :])
+            evens = [g.name for g in a.generators if not g.is_odd]
+            self.assert_capped_matches_uncapped(a, even_subalgebra_inclusion(a, evens), monkeypatch)
+
+    @staticmethod
+    def checked_degrees(f, monkeypatch):
+        """The even-degree direct check of f and the degrees of the
+        target's chain ``_echelons`` that it walks."""
+        from sullivan import cohomology as ch
+
+        degrees = []
+        echelons = ch._echelons
+
+        def recording(a, top):
+            for n, item in enumerate(echelons(a, top)):
+                degrees.append(n)
+                yield item
+
+        monkeypatch.setattr(ch, "_echelons", recording)
+        answer = even_degree_surjectivity(f)
+        monkeypatch.setattr(ch, "_echelons", echelons)
+        return answer, degrees
+
+    def test_sheared_direct_check_stops_at_the_formal_dimension(self, monkeypatch):
+        """The first non-pure draw of ``sheared_pairs(1013, 10)``, the
+        golden ``model-sheared-cutoff14``, has formal dimension 7: its
+        even-degree direct check walks the chain to 6, the last even
+        degree at most 7, and with the helper patched out to its cutoff
+        14, for the same verdict."""
+        from sullivan import cohomology as ch
+
+        a = next(sheared for sheared, _ in sheared_pairs(1013, 10) if not sheared.is_pure())
+        assert (_formal_dimension(a), a.cutoff) == (7, 14)
+        f = even_subalgebra_inclusion(a, [g.name for g in a.generators if not g.is_odd])
+        capped, degrees = self.checked_degrees(f, monkeypatch)
+        assert degrees == list(range(7))
+        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: top)
+        uncapped, degrees = self.checked_degrees(f, monkeypatch)
+        assert degrees == list(range(15))
+        assert capped == uncapped == (True, None)
+
+    def test_non_elliptic_associated_pure_eliminates_as_uncapped(self, monkeypatch):
+        """x, y / a, b / c with d c = x^3 + ab is not pure, and its
+        associated pure algebra, d_σ c = x^3, has classes y^n in every
+        even degree, so the helper's one rank in degree 10, the window
+        10..11 past N = 9, falls short and both walks run to the cutoff.
+        Apart from that rank, one per walk, ``ff_row_echelon`` receives
+        the same rows as with the helper patched out."""
+        from sullivan import cohomology as ch
+
+        a = SullivanAlgebra.build(
+            [("x", 2), ("y", 2), ("a", 3), ("b", 3), ("c", 5)], {"c": "x^3+a*b"}, cutoff=14
+        )
+        assert not a.is_pure() and _formal_dimension(a) == 9
+        assert ch._elliptic_top(a, a.cutoff) == a.cutoff
+        f = even_subalgebra_inclusion(a, ["x", "y"])
+
+        def eliminations():
+            """The answers, and the rows each elimination receives,
+            outside the helper and inside it."""
+            walks, helper, inside = [], [], [False]
+            echelon, elliptic_top = linalg.ff_row_echelon, ch._elliptic_top
+
+            def recording(rows):
+                (helper if inside[0] else walks).append([dict(row) for row in rows])
+                return echelon(rows)
+
+            def marked(a, top):
+                inside[0] = True
+                result = elliptic_top(a, top)
+                inside[0] = False
+                return result
+
+            monkeypatch.setattr(linalg, "ff_row_echelon", recording)
+            monkeypatch.setattr(ch, "_elliptic_top", marked)
+            answers = cohomology(a).betti, surjectivity_by_parity(f, (0, 1))
+            monkeypatch.setattr(linalg, "ff_row_echelon", echelon)
+            monkeypatch.setattr(ch, "_elliptic_top", elliptic_top)
+            return answers, walks, helper
+
+        capped = eliminations()
+        assert [len(rows) for rows in capped[2]] == [3, 3]  # d_σ of c x^2, c xy, c y^2; the rows of a, b vanish
+        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: top)
+        uncapped = eliminations()
+        assert uncapped[2] == []
+        assert capped[:2] == uncapped[:2]
+        assert capped[0][0] == betti_numbers(a)
 
     def test_non_elliptic_model_eliminates_as_uncapped(self, monkeypatch):
         """x, y / a with d a = xy has formal dimension 1 but classes x^n
