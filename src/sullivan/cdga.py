@@ -295,7 +295,7 @@ class SullivanAlgebra:
             images.append(self._image_terms(value.terms))
         self._images = tuple(images)  # used by the d-squared check below
         for g, image in zip(self.generators, self._images):
-            if not self._closed(image):
+            if image and not self._closed(image):
                 raise InvalidDifferential(f"d(d({g.name})) != 0")
         return self._images
 

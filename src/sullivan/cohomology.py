@@ -9,26 +9,31 @@ in order would pick, so repeated runs give identical tables.
 
 Every function here runs to the algebra's cutoff, and one on a map to
 the smaller cutoff of its two sides, so ``SullivanAlgebra.with_cutoff``
-is how to stop lower, with one exception, the H_0 rule.  A pure algebra
-(ΛQ ⊗ ΛP, d) of formal dimension N >= 0 and largest even generator
-degree w_Q is elliptic when H_0 = ΛQ/(dP) vanishes on N + 1..N + w_Q:
-every monomial of ΛQ above N + w_Q is x_i times one above N, so H_0 is
-finite, and each H_k is a finitely generated ΛQ-module annihilated by
-(dP), so H is finite too (Halperin), and H^n = 0 for every n > N.  Any
-other algebra (ΛV, d) is read through its associated pure algebra
-(ΛV, d_σ), with d_σ = 0 on even generators and d_σ y the ΛQ part of
-d y for odd y; N and w_Q are the same for both.  Filter ΛV by degree
-plus odd word length.  On generators d changes the odd word length by
--1, which is d_σ, or by an odd number >= 1, so d keeps the filtration
-and d_σ is its associated graded differential.  In each degree the
-filtration is finite, so its spectral sequence has E_1 = H(ΛV, d_σ) and
-converges to H(ΛV, d): if H^n(ΛV, d_σ) = 0 for every n > N, then
-H^n(ΛV, d) = 0 too (Halperin; Félix–Halperin–Thomas §32), with no
-minimality needed.  So ``CohomologyTable`` and the direct check, on a
-walk that reaches N + w_Q, first take one rank of d_σ per even degree of
-that window (``_elliptic_top``), and if H_0 of d_σ vanishes there they
-stop at N; the table's degrees above are empty.  Otherwise they run to
-the cutoff.
+is how to stop lower, with one exception, the H_0 rule.  Write ΛV =
+ΛQ ⊗ ΛP for the even generators x_i and the odd ones y_j, f_j for the
+part of d y_j in ΛQ (its terms with no odd factor), N for the formal
+dimension and w_Q for the largest even generator degree.  The pure
+algebra (ΛV, d_σ), with d_σ x_i = 0 and d_σ y_j = f_j, is the
+associated pure algebra of (ΛV, d), and (ΛV, d) itself when that is
+pure; its H_0 is ΛQ/(f_j).  Suppose N >= 0 and the ideal (f_j) is all
+of ΛQ^n for every n in N + 1..N + w_Q.  Every monomial of ΛQ above
+N + w_Q is some x_i times one above N, so (f_j) holds all of ΛQ above
+N and H_0 is finite; each H_k of d_σ is a finitely generated
+ΛQ-module annihilated by (f_j), so H(ΛV, d_σ) is finite too
+(Halperin), and H^n(ΛV, d_σ) = 0 for every n > N.  Then H^n(ΛV, d) = 0
+for every n > N as well.  Filter ΛV by degree plus odd word length.  On
+generators d changes the odd word length by -1, which is d_σ, or by an
+odd number >= 1, so d keeps the filtration and d_σ is its associated
+graded differential.  In each degree the filtration is finite, so its
+spectral sequence has E_1 = H(ΛV, d_σ) and converges to H(ΛV, d)
+(Halperin; Félix–Halperin–Thomas §32), with no minimality needed.
+``_elliptic_top`` decides the ideal question in ΛQ alone, with one
+rank per even degree of the window.  ``CohomologyTable``, on an
+algebra cut off at N + w_Q or above, asks it first, and if the answer
+is yes stops at N; its degrees above are empty.  The direct check asks
+it only once its walk has finished the last degree at most N of a
+parity it checks, and if the answer is yes stops there.  Otherwise
+both run to the cutoff.
 ``betti_numbers`` and ``h0_dims``, the independent references, always
 run to the cutoff.
 
@@ -139,27 +144,33 @@ def _formal_dimension(a: SullivanAlgebra) -> int:
 def _elliptic_top(a: SullivanAlgebra, top: int) -> int:
     """The last degree a walk to ``top`` must eliminate: the formal
     dimension N when N >= 0, N + w_Q <= top for w_Q the largest even
-    generator degree, and H_0 of ``a``'s associated pure algebra
-    (ΛV, d_σ), which is ``a`` itself when ``a`` is pure, vanishes on
-    N + 1..N + w_Q; otherwise ``top``.  Then (ΛV, d_σ) is elliptic and
-    H^n(ΛV, d) = 0 for n > N (module docstring).  N and w_Q depend on
-    the generator degrees only, so d_σ is built only once they allow the
-    test.  H_0 in an even degree n is the count of strand-0 monomials
-    less the rank of d_σ on the strand-1 monomials of degree n - 1, so
-    this takes one elimination per even n of the window, up to the first
-    with a class."""
+    generator degree, and the ideal (f_j) of ΛQ, for f_j the part of
+    d y_j with no odd factor, is all of ΛQ^n for n in N + 1..N + w_Q;
+    otherwise ``top``.  Then H_0 = ΛQ/(f_j) of ``a``'s associated pure
+    algebra vanishes above N, and H^n(a) = 0 for n > N (module
+    docstring).  N and w_Q depend on the generator degrees only, so
+    ΛQ, the even generators with no differential up to N + w_Q, is built
+    only once they allow the test; neither ``a``'s bases nor its
+    associated pure algebra are read.  In each even degree k of the
+    window one rank runs over the rows f_j m, m a monomial of ΛQ of
+    degree k - |y_j| - 1, each column a packed monomial of ΛQ^k, up to
+    the first k they do not span.  These are the d_σ images of the
+    strand-1 monomials y_j m of degree k - 1, so each rank is that of
+    d_σ there."""
     n = _formal_dimension(a)
-    width = max((g.degree for g in a.generators if not g.is_odd), default=0)
+    evens = [i for i, g in enumerate(a.generators) if not g.is_odd]
+    width = max((a.generators[i].degree for i in evens), default=0)
     if n < 0 or n + width > top:
         return top
-    if not a.is_pure():
-        a = a.associated_pure()
-    odd = a._odd_bits
+    q = SullivanAlgebra([a.generators[i] for i in evens], n + width)
+    ideal = []  # (|y_j| + 1, the packed terms of f_j)
+    for g, image in zip(a.generators, a._images):
+        f = [(q._pack(map(m.__getitem__, evens)), c) for m, mask, c in image if not mask]
+        if g.is_odd and f:
+            ideal.append((g.degree + 1, f))
     for k in range(n + 2 - n % 2, n + width + 1, 2):
-        strand0 = [p for p in a._positions(k) if not p & odd]
-        strand1 = [p for p in a._monomials(k - 1) if (p & odd).bit_count() == 1]
-        rows = a._d_rows(strand1, {p: i for i, p in enumerate(strand0)})
-        if linalg.rank_rows(rows) < len(strand0):
+        rows = [{p + t: c for t, c in f} for d, f in ideal if d <= k for p in q._monomials(k - d)]
+        if linalg.rank_rows(rows) < len(q._monomials(k)):
             return top
     return n
 
@@ -225,10 +236,10 @@ class CohomologyTable:
     key 0, per degree.  The strands' column spaces are independent, so a
     degree's pivots, kernel vectors and classes are those of its blocks
     embedded with zeros, and its representatives are theirs in the order
-    of their free columns.  Under the H_0 rule (module docstring), which
-    reads an algebra that is not pure through its associated pure
-    algebra, the degrees above the formal dimension get no elimination
-    and no classes.
+    of their free columns.  Under the H_0 rule (module docstring), an
+    ideal question in the polynomial ring ΛQ of the even generators, the
+    degrees above the formal dimension get no elimination and no
+    classes.
     """
 
     def __init__(self, algebra: SullivanAlgebra):
@@ -369,18 +380,26 @@ def surjectivity_by_parity(
     H^n(f) is onto iff they number dim Z^n(target).  A degree is checked
     only while its parity is asked and has not failed, and the walk
     stops once every asked parity has failed; with one parity asked it
-    stops at the last degree of that parity.  On a target whose
-    associated pure algebra (the target itself when it is pure) the H_0
-    rule shows elliptic it stops at the formal dimension, as every degree
-    above is H^n(target) = 0.
+    stops at the last degree of that parity.  The H_0 rule (module
+    docstring) is asked, with the smaller cutoff, only when the walk has
+    finished the last degree at most the target's formal dimension N of
+    an asked parity and would go on; if it shows H^n(target) = 0 for
+    every n > N, the walk stops there.  A walk whose asked parities all
+    fail at or below N never asks it.
     """
     source, target = f.source, f.target
-    top = _elliptic_top(target, min(source.cutoff, target.cutoff))
-    if len(parities) == 1:
-        top -= (top - parities[0]) % 2  # the chain stops at the last degree checked
+    cutoff = min(source.cutoff, target.cutoff)
+    formal = _formal_dimension(target)
+    # The last degree of an asked parity at most the cutoff, where the
+    # chain stops, and at most N, after which the H_0 rule is asked.
+    top, ask = (max(d - (d - p) % 2 for p in parities) for d in (cutoff, formal))
     failing: dict[int, int] = {}  # parity -> its smallest failing degree
     below: list[dict] = []
-    for n, (target_echelon, target_pivots) in enumerate(_echelons(target, top)):
+    chain = _echelons(target, top)
+    for n in range(top + 1):
+        if n == ask + 1 and _elliptic_top(target, cutoff) == formal:
+            break  # H^n(target) = 0 for every n > N
+        target_echelon, target_pivots = next(chain)
         boundaries, below = below, target_echelon  # d_{n-1}'s echelon, a basis of B^n
         index = target._positions(n)
         kernel_dim = len(index) - len(target_pivots)

@@ -151,9 +151,11 @@ def _elliptic(a: SullivanAlgebra, top: int) -> bool:
     formal dimension ``top``, does not.  H_0 is a summand of H only for
     a pure algebra, so this is called only on the pure space models of
     Borel packages; on any other algebra the helper reads the H_0 of its
-    associated pure algebra, and a class there does not show H infinite."""
+    associated pure algebra, and a class there does not show H infinite.
+    The helper builds ΛQ up to top + w_Q itself and reads none of
+    ``a``'s bases, so ``a`` may be cut off anywhere."""
     wide = max(top, 0) + max((g.degree for g in a.generators if not g.is_odd), default=0)
-    return ch._elliptic_top(a.with_cutoff(wide), wide) == top
+    return ch._elliptic_top(a, wide) == top
 
 
 def space_table(package: BorelPackage, context: str) -> ch.CohomologyTable:

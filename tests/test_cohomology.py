@@ -2,6 +2,7 @@
 the last against the reference matrices of ``induced_reference``, and
 the cleared rank chain against its uncleared rank counts."""
 
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -13,6 +14,7 @@ from instance_generators import (
     conjugated,
     k_pair_model,
     random_degree_algebras,
+    random_pure,
     sheared_pairs,
     shears,
 )
@@ -791,3 +793,127 @@ class TestWindowRule:
         monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: top)
         assert eliminations() == capped
         assert capped[0][0] == betti_numbers(a) == (1, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2)
+
+    @staticmethod
+    def strand_test(a):
+        """The reference strand test of the H_0 rule: N >= 0 and
+        ``h0_dims`` of the associated pure algebra, cut off at N + w_Q,
+        vanish on N + 1..N + w_Q."""
+        n = _formal_dimension(a)
+        w_q = max((g.degree for g in a.generators if not g.is_odd), default=0)
+        if n < 0:
+            return False
+        h0 = h0_dims(a.associated_pure().with_cutoff(n + w_q))
+        return not any(h0[k] for k in h0 if k > n)
+
+    def test_ideal_test_matches_strand_test(self, monkeypatch):
+        """The ideal test in ΛQ agrees with the strand test on random pure
+        algebras, elliptic or not, on the non-pure draws of criterion 5's
+        sheared pairs and on x, y / a, b / c with d c = x^3 + ab.  It
+        never builds an associated pure algebra or reads the bases of the
+        algebra it is asked about, whatever its cutoff."""
+        from sullivan import cohomology as ch
+
+        rng = random.Random(409)
+        pures = []
+        while len(pures) < 60:
+            algebra = random_pure(rng)
+            if algebra is not None:
+                pures.append(algebra)
+        sheared = [a for a, _ in sheared_pairs(1013, 60) if not a.is_pure()]
+        mixed = SullivanAlgebra.build(
+            [("x", 2), ("y", 2), ("a", 3), ("b", 3), ("c", 5)], {"c": "x^3+a*b"}, cutoff=0
+        )
+        cases = [(a, self.strand_test(a)) for a in pures + sheared + [mixed]]
+        assert len(sheared) == 42
+        assert 10 < sum(passes for a, passes in cases[:60]) < 50
+        assert all(passes for a, passes in cases[60:102]) and not cases[102][1]
+
+        read = []
+        for name in ("_monomials", "_positions"):
+            original = getattr(SullivanAlgebra, name)
+
+            def recording(self, degree, _original=original):
+                read.append(self)
+                return _original(self, degree)
+
+            monkeypatch.setattr(SullivanAlgebra, name, recording)
+
+        def no_associated_pure(self):
+            raise AssertionError("the helper built an associated pure algebra")
+
+        monkeypatch.setattr(SullivanAlgebra, "associated_pure", no_associated_pure)
+        for a, passes in cases:
+            n = _formal_dimension(a)
+            w_q = max((g.degree for g in a.generators if not g.is_odd), default=0)
+            for top in (n + w_q, n + w_q + 3):
+                assert ch._elliptic_top(a, top) == (n if passes else top)
+            assert ch._elliptic_top(a, n + w_q - 1) == n + w_q - 1  # the window does not fit
+            assert all(b is not a for b in read)
+
+    @staticmethod
+    def criterion_5_checks():
+        """Criterion 5's checks on ``sheared_pairs(1013, 60)``: for each
+        sheared algebra, the inclusion of its even generators into its
+        associated pure algebra (the hypothesis) and into itself (the
+        conclusion)."""
+        for a, _ in sheared_pairs(1013, 60):
+            evens = [g.name for g in a.generators if not g.is_odd]
+            yield even_subalgebra_inclusion(a.associated_pure(), evens), even_subalgebra_inclusion(a, evens)
+
+    def test_failing_walks_never_ask_the_helper(self, monkeypatch):
+        """Every failing hypothesis check fails at or below N, so it never
+        asks ``_elliptic_top``, and its verdict is the uncleared loop's."""
+        from sullivan import cohomology as ch
+
+        calls = []
+        elliptic_top = ch._elliptic_top
+        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: calls.append(a) or elliptic_top(a, top))
+        failing = 0
+        for f, _ in self.criterion_5_checks():
+            del calls[:]
+            verdict = even_degree_surjectivity(f)
+            if not verdict[0]:
+                failing += 1
+                assert calls == []
+                assert verdict == uncleared_surjectivity_by_parity(f, 0)
+        assert failing == 39
+
+    def test_passing_walks_walk_the_eager_degrees(self, monkeypatch):
+        """A passing hypothesis check, and the conclusion check that
+        follows it, walk the target's chain through the last even degree
+        at most the helper's answer for the cutoff: the degrees of a walk
+        that asks the helper before it starts."""
+        from sullivan import cohomology as ch
+
+        passing = 0
+        for hypothesis, conclusion in self.criterion_5_checks():
+            if not even_degree_surjectivity(hypothesis)[0]:
+                continue
+            passing += 1
+            for f in (hypothesis, conclusion):
+                _, degrees = self.checked_degrees(f, monkeypatch)
+                top = ch._elliptic_top(f.target, min(f.source.cutoff, f.target.cutoff))
+                assert degrees == list(range(top - top % 2 + 1))
+        assert passing == 21
+
+    @pytest.mark.parametrize("parities, walked", [((1,), []), ((0,), [0]), ((0, 1), [0])])
+    def test_formal_dimension_zero(self, parities, walked, monkeypatch):
+        """x (2), y (1) with d y = x has N = 0: the odd-degree check has no
+        degree at most N and asks the helper before degree 0, which stops
+        it there; the even-degree one walks degree 0 alone."""
+        from sullivan import cohomology as ch
+
+        a = SullivanAlgebra.build([("x", 2), ("y", 1)], {"y": "x"}, cutoff=6)
+        f = even_subalgebra_inclusion(a, ["x"])
+        degrees = []
+        echelons = ch._echelons
+
+        def recording(a, top):
+            for n, item in enumerate(echelons(a, top)):
+                degrees.append(n)
+                yield item
+
+        monkeypatch.setattr(ch, "_echelons", recording)
+        assert surjectivity_by_parity(f, parities) == ((True, None),) * len(parities)
+        assert degrees == walked
