@@ -22,6 +22,8 @@ DOCUMENTS = {
     "homogeneous-SU4-T3-cutoff60": {"kind": "homogeneous", "G": "SU(4)", "H": "T3", "cutoff": 60},
     # at the window's end: H_0 vanishes on 13..14, so the walks stop at 12
     "homogeneous-SU4-T3-cutoff19": {"kind": "homogeneous", "G": "SU(4)", "H": "T3", "cutoff": 19},
+    # inside the window: N = 12 < 13 < N + w_Q = 14, and the walks stop at 12
+    "homogeneous-SU4-T3-cutoff13": {"kind": "homogeneous", "G": "SU(4)", "H": "T3", "cutoff": 13},
     "biquotient-readme": {
         "kind": "biquotient",
         "G": "SU(2)",
