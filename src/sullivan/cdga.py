@@ -22,10 +22,10 @@ of the signed terms of each generator's image against each odd mask;
 ``_d_sum`` (and ``_d_terms`` for one monomial) is its output for a
 combination of monomials, unpacked back to exponent tuples.  Algebra
 maps work on the stored terms: a ``CdgaMorphism`` stores its generator
-images so, multiplies them out per monomial with ``_product_terms`` and
-caches the result, and ``substitute`` does the same for an
-endomorphism; ``_combination`` extends a map linearly.  The algebra
-holds no element of its own, so it is freed by reference counting.
+images so and multiplies them out per monomial with ``_product_terms``,
+and ``substitute`` does the same for an endomorphism; ``_combination``
+extends a map linearly.  The algebra holds no element of its own, so it
+is freed by reference counting.
 
 ``AlgebraElement`` values appear only where elements are read or
 written: parsed polynomials (``parse`` adds each term's exponents,
@@ -763,7 +763,7 @@ class CdgaMorphism:
     the differentials (checked on every generator).  Immutable: source,
     target and assignment are read-only."""
 
-    __slots__ = ("_source", "_target", "_assignment", "_images", "_mono_cache")
+    __slots__ = ("_source", "_target", "_assignment", "_images")
 
     source = property(attrgetter("_source"))
     target = property(attrgetter("_target"))
@@ -794,7 +794,6 @@ class CdgaMorphism:
             terms.append(target._image_terms(img.terms))
         self._source, self._target, self._assignment = source, target, images
         self._images = tuple(terms)
-        self._mono_cache = {}
         for g, d_g, image in zip(source.generators, source._images, self._images):
             f_of_d = _combination(((m, c) for m, _, c in d_g), self._monomial_terms)
             if f_of_d != target._d_sum((m, c) for m, _, c in image):
@@ -818,9 +817,5 @@ class CdgaMorphism:
     def _monomial_terms(self, mono: Monomial) -> dict:
         """The image of a source monomial, the product of the generator
         images ``_images`` (stored terms of the target), as ``{monomial:
-        coefficient}``; cached per monomial."""
-        cache = self._mono_cache
-        cached = cache.get(mono)
-        if cached is None:
-            cached = cache[mono] = self.target._product_terms(mono, self._images)
-        return cached
+        coefficient}``."""
+        return self.target._product_terms(mono, self._images)

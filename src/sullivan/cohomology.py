@@ -27,13 +27,14 @@ odd number >= 1, so d keeps the filtration and d_σ is its associated
 graded differential.  In each degree the filtration is finite, so its
 spectral sequence has E_1 = H(ΛV, d_σ) and converges to H(ΛV, d)
 (Halperin; Félix–Halperin–Thomas §32), with no minimality needed.
-``_elliptic_top`` decides the ideal question in ΛQ alone, with one
-rank per even degree of the window.  ``CohomologyTable``, on an
-algebra cut off at N + w_Q or above, asks it first, and if the answer
-is yes stops at N; its degrees above are empty.  The direct check asks
-it only once its walk has finished the last degree at most N of a
-parity it checks, and if the answer is yes stops there.  Otherwise
-both run to the cutoff.
+``_elliptic`` decides the ideal question from the generator degrees
+and the f_j alone, whatever the algebra's cutoff, with one rank per
+even degree of the window over the rows f_j m of ``_ideal_rows``.
+``CohomologyTable``, on an algebra cut off above N, asks it first, and
+if the answer is yes stops at N; its degrees above are empty.  The
+direct check asks it only once its walk has finished the last degree
+at most N of a parity it checks, and if the answer is yes stops there.
+Otherwise both run to the cutoff.
 ``betti_numbers`` and ``h0_dims``, the independent references, always
 run to the cutoff.
 
@@ -42,12 +43,13 @@ pure algebras the differential drops the odd word length of a monomial
 by exactly one, so the cochain complex splits into strands of odd word
 length, and these are the blocks; any other algebra has one block per
 degree.  The odd word length of a packed monomial p is
-``(p & _odd_bits).bit_count()``, the one rule by which the table,
-``h0_dims`` and the formality count of ``criteria`` read strands.  The
-table's strands are the lower grading, which ``LowerGradedTable`` reads
-without eliminating again; its index-0 strand H_0 is the image of the
-even subalgebra in cohomology.  Parity-wise surjectivity of a morphism,
-by rank counting, completes the module.
+``(p & _odd_bits).bit_count()``, the one rule by which the table and
+``h0_dims`` read strands.  The table's strands are the lower grading,
+which ``LowerGradedTable`` reads without eliminating again; its
+index-0 strand H_0 is the image of the even subalgebra in cohomology.
+The formality count of ``criteria`` reads the rows f_j m of
+``_ideal_rows``, not the strands.  Parity-wise surjectivity of a
+morphism, by rank counting, completes the module.
 ``betti_numbers`` and ``h0_dims`` count ranks independently of the
 table.  Both ``betti_numbers`` and the direct check
 ``surjectivity_by_parity`` read one chain of eliminations,
@@ -141,38 +143,44 @@ def _formal_dimension(a: SullivanAlgebra) -> int:
     return sum(g.degree if g.is_odd else 1 - g.degree for g in a.generators)
 
 
-def _elliptic_top(a: SullivanAlgebra, top: int) -> int:
-    """The last degree a walk to ``top`` must eliminate: the formal
-    dimension N when N >= 0, N + w_Q <= top for w_Q the largest even
-    generator degree, and the ideal (f_j) of ΛQ, for f_j the part of
-    d y_j with no odd factor, is all of ΛQ^n for n in N + 1..N + w_Q;
-    otherwise ``top``.  Then H_0 = ΛQ/(f_j) of ``a``'s associated pure
-    algebra vanishes above N, and H^n(a) = 0 for n > N (module
-    docstring).  N and w_Q depend on the generator degrees only, so
-    ΛQ, the even generators with no differential up to N + w_Q, is built
-    only once they allow the test; neither ``a``'s bases nor its
-    associated pure algebra are read.  In each even degree k of the
-    window one rank runs over the rows f_j m, m a monomial of ΛQ of
-    degree k - |y_j| - 1, each column a packed monomial of ΛQ^k, up to
-    the first k they do not span.  These are the d_σ images of the
-    strand-1 monomials y_j m of degree k - 1, so each rank is that of
-    d_σ there."""
-    n = _formal_dimension(a)
+def _ideal_rows(a: SullivanAlgebra, degrees: range):
+    """Yield, for each even degree k of ``degrees`` in order, the rows
+    f_j m that span the degree-k part of the ideal (f_j) of ΛQ, for f_j
+    the part of d y_j with no odd factor: m runs over the monomials of
+    ΛQ of degree k - |y_j| - 1, each column is a packed monomial of
+    ΛQ^k, and the products, m != 1, come first, then the bare f_j.  Each
+    is yielded as ``(rows, the number of products, dim ΛQ^k)``.  These
+    are the d_σ images of the strand-1 monomials y_j m of degree k - 1.
+    ΛQ, the even generators with no differential, is built once, cut off
+    at the last degree read, so the packed f_j are never re-packed;
+    neither ``a``'s bases nor its associated pure algebra are read."""
     evens = [i for i, g in enumerate(a.generators) if not g.is_odd]
-    width = max((a.generators[i].degree for i in evens), default=0)
-    if n < 0 or n + width > top:
-        return top
-    q = SullivanAlgebra([a.generators[i] for i in evens], n + width)
+    q = SullivanAlgebra([a.generators[i] for i in evens], max(degrees, default=0))
     ideal = []  # (|y_j| + 1, the packed terms of f_j)
     for g, image in zip(a.generators, a._images):
         f = [(q._pack(map(m.__getitem__, evens)), c) for m, mask, c in image if not mask]
         if g.is_odd and f:
             ideal.append((g.degree + 1, f))
-    for k in range(n + 2 - n % 2, n + width + 1, 2):
-        rows = [{p + t: c for t, c in f} for d, f in ideal if d <= k for p in q._monomials(k - d)]
-        if linalg.rank_rows(rows) < len(q._monomials(k)):
-            return top
-    return n
+    for k in degrees:
+        rows = [{p + t: c for t, c in f} for d, f in ideal if d < k for p in q._monomials(k - d)]
+        products = len(rows)
+        rows += [dict(f) for d, f in ideal if d == k]
+        yield rows, products, len(q._monomials(k))
+
+
+def _elliptic(a: SullivanAlgebra) -> bool:
+    """Whether the formal dimension N is >= 0 and the ideal (f_j) is all
+    of ΛQ^n for every n in N + 1..N + w_Q, for w_Q the largest even
+    generator degree; then H^n(a) = 0 for every n > N (module
+    docstring).  One rank of the rows of ``_ideal_rows`` per even degree
+    of the window, up to the first that falls short.  It reads the
+    generator degrees and images only, so ``a``'s cutoff plays no part."""
+    n = _formal_dimension(a)
+    w_q = max((g.degree for g in a.generators if not g.is_odd), default=0)
+    return n >= 0 and all(
+        linalg.rank_rows(rows) == size
+        for rows, _, size in _ideal_rows(a, range(n + 2 - n % 2, n + w_q + 1, 2))
+    )
 
 
 def _echelons(a: SullivanAlgebra, top: int):
@@ -211,21 +219,6 @@ def betti_numbers(a: SullivanAlgebra) -> tuple[int, ...]:
     return tuple(betti)
 
 
-class _DegreeSpace:
-    """Class representatives ``reps`` (kernel vectors, by free column) in
-    one degree, and ``blocks``, the representatives of each block by
-    block key."""
-
-    def __init__(self, algebra: SullivanAlgebra, degree: int, blocks: dict):
-        self.blocks = blocks
-        self.reps = tuple(sorted(chain.from_iterable(blocks.values()), key=max))
-        self.elements = tuple(_element(algebra, v, degree) for v in self.reps)
-
-    @property
-    def betti(self) -> int:
-        return len(self.reps)
-
-
 class CohomologyTable:
     """Per-degree bases of cohomology classes with explicit representatives.
 
@@ -236,8 +229,11 @@ class CohomologyTable:
     key 0, per degree.  The strands' column spaces are independent, so a
     degree's pivots, kernel vectors and classes are those of its blocks
     embedded with zeros, and its representatives are theirs in the order
-    of their free columns.  Under the H_0 rule (module docstring), an
-    ideal question in the polynomial ring ΛQ of the even generators, the
+    of their free columns.  ``_blocks`` holds each degree's
+    representatives (kernel vectors) by block key; the Betti numbers are
+    read from it, and the elements of a degree's representatives are
+    built when asked.  Under the H_0 rule (module docstring), an ideal
+    question in the polynomial ring ΛQ of the even generators, the
     degrees above the formal dimension get no elimination and no
     classes.
     """
@@ -245,10 +241,12 @@ class CohomologyTable:
     def __init__(self, algebra: SullivanAlgebra):
         self.algebra = algebra
         self.cutoff = algebra.cutoff
+        formal = _formal_dimension(algebra)
+        top = formal if formal < self.cutoff and _elliptic(algebra) else self.cutoff
         odd = algebra._odd_bits if algebra.is_pure() else 0  # one block per degree if not pure
-        self._spaces = []
+        self._blocks: list[dict[int, tuple]] = []
         images: dict[int, tuple] = {}  # block key -> coboundaries handed up from below
-        for n in range(_elliptic_top(algebra, algebra.cutoff) + 1):
+        for n in range(top + 1):
             rows = _action_rows(algebra, n)
             blocks: dict[int, list[int]] = {}
             for j, p in enumerate(algebra._positions(n)):
@@ -258,15 +256,19 @@ class CohomologyTable:
                 block_reps[i], next_images[i - 1 if odd else 0] = _classes(
                     rows, block, images.get(i, ())
                 )
-            self._spaces.append(_DegreeSpace(algebra, n, block_reps))
+            self._blocks.append(block_reps)
             images = next_images
-        self._spaces += [_DegreeSpace(algebra, n, {}) for n in range(len(self._spaces), self.cutoff + 1)]
-        self.betti = tuple(space.betti for space in self._spaces)
+        self._blocks += [{} for _ in range(top, self.cutoff)]
+        self.betti = tuple(sum(map(len, blocks.values())) for blocks in self._blocks)
+
+    def _reps(self, degree: int) -> list[dict[int, int]]:
+        """The degree's representatives (kernel vectors) by free column."""
+        return sorted(chain.from_iterable(self._blocks[degree].values()), key=max)
 
     def representatives(self, degree: int) -> tuple[AlgebraElement, ...]:
         if not 0 <= degree <= self.cutoff:
             raise CutoffExceeded(f"degree {degree} outside table range 0..{self.cutoff}")
-        return self._spaces[degree].elements
+        return tuple(_element(self.algebra, v, degree) for v in self._reps(degree))
 
     def formal_dimension(self) -> int:
         """Top degree with nonzero cohomology inside the table (the unit
@@ -318,7 +320,7 @@ class LowerGradedTable:
         self.cutoff = table.cutoff
 
     def _strands(self, degree: int) -> dict[int, tuple]:
-        return self.table._spaces[degree].blocks if 0 <= degree <= self.cutoff else {}
+        return self.table._blocks[degree] if 0 <= degree <= self.cutoff else {}
 
     def dim(self, degree: int, index: int) -> int:
         return len(self._strands(degree).get(index, ()))
@@ -381,11 +383,11 @@ def surjectivity_by_parity(
     only while its parity is asked and has not failed, and the walk
     stops once every asked parity has failed; with one parity asked it
     stops at the last degree of that parity.  The H_0 rule (module
-    docstring) is asked, with the smaller cutoff, only when the walk has
-    finished the last degree at most the target's formal dimension N of
-    an asked parity and would go on; if it shows H^n(target) = 0 for
-    every n > N, the walk stops there.  A walk whose asked parities all
-    fail at or below N never asks it.
+    docstring) is asked only when the walk has finished the last degree
+    at most the target's formal dimension N of an asked parity and would
+    go on; if it shows H^n(target) = 0 for every n > N, the walk stops
+    there.  A walk whose asked parities all fail at or below N never
+    asks it.
     """
     source, target = f.source, f.target
     cutoff = min(source.cutoff, target.cutoff)
@@ -397,7 +399,7 @@ def surjectivity_by_parity(
     below: list[dict] = []
     chain = _echelons(target, top)
     for n in range(top + 1):
-        if n == ask + 1 and _elliptic_top(target, cutoff) == formal:
+        if n == ask + 1 and _elliptic(target):
             break  # H^n(target) = 0 for every n > N
         target_echelon, target_pivots = next(chain)
         boundaries, below = below, target_echelon  # d_{n-1}'s echelon, a basis of B^n

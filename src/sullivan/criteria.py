@@ -123,7 +123,9 @@ def _verdict_from_package(
                 f"{context}: cutoff {cutoff} is below the formal dimension {top}, "
                 "so the direct check cannot confirm surjectivity"
             )
-        if not _elliptic(package.space, top):
+        # The H_0 rule fails: the space model is pure, so H_0 is a summand
+        # of H, which then has a class above N and is infinite.
+        if not ch._elliptic(package.space):
             raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
     return _reconcile(
         SurjectivityVerdict(
@@ -140,22 +142,6 @@ def _verdict_from_package(
             citation=citation,
         )
     )
-
-
-def _elliptic(a: SullivanAlgebra, top: int) -> bool:
-    """Whether a pure algebra of formal dimension ``top`` has
-    finite-dimensional cohomology: exactly when H_0 = ΛQ/(dP) vanishes on
-    top + 1..top + w_Q, for w_Q the largest even generator degree.  If it
-    does, ``cohomology._elliptic_top`` gives the argument.  If not, H_0,
-    a summand of H, has a class above ``top``, which a finite H, of
-    formal dimension ``top``, does not.  H_0 is a summand of H only for
-    a pure algebra, so this is called only on the pure space models of
-    Borel packages; on any other algebra the helper reads the H_0 of its
-    associated pure algebra, and a class there does not show H infinite.
-    The helper builds ΛQ up to top + w_Q itself and reads none of
-    ``a``'s bases, so ``a`` may be cut off anywhere."""
-    wide = max(top, 0) + max((g.degree for g in a.generators if not g.is_odd), default=0)
-    return ch._elliptic_top(a, wide) == top
 
 
 def space_table(package: BorelPackage, context: str) -> ch.CohomologyTable:
@@ -275,19 +261,17 @@ def pure_h0_equals_heven(table: ch.CohomologyTable) -> EvenCoverageReport:
 def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
     """Splitting invariants by graded Nakayama count.
 
-    mu is the minimal number of generators of the ideal I that the odd
-    differentials generate inside the even subalgebra: the dimension of
-    I modulo its decomposable part, degree by degree.  In a pure algebra
-    d(x^a*y) = x^a*dy, so I in degree n is d of the strand of odd word
-    length one in degree n - 1, and its decomposable part is d of that
-    strand's products, the x^a*y with a != 0.  One echelon per even
-    degree, with a column per strand monomial, products first and the
-    bare odd generators last, has as pivots among the bare generators
-    those independent of the products and of each other: their number
-    is that degree's share of mu.  k = dim V^odd - mu odd generators
-    split off freely, and the algebra is formal iff mu = dim V^even.
-    The table's Betti numbers must vanish in the top window
-    (ellipticity).
+    mu is the minimal number of generators of the ideal I = (f_j) that
+    the odd differentials generate inside the even subalgebra ΛQ: the
+    dimension of I modulo its decomposable part, degree by degree.  I in
+    degree n is spanned by the rows f_j m of ``cohomology._ideal_rows``,
+    and its decomposable part by the products among them, m != 1.  One
+    echelon per even degree, with a column per row, products first and
+    the bare f_j last, has as pivots among the bare f_j those
+    independent of the products and of each other: their number is that
+    degree's share of mu.  k = dim V^odd - mu odd generators split off
+    freely, and the algebra is formal iff mu = dim V^even.  The table's
+    Betti numbers must vanish in the top window (ellipticity).
     """
     a = table.algebra
     if not a.is_pure():
@@ -296,18 +280,11 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
         raise NotElliptic("cohomology does not vanish in the top window below the cutoff")
     top = max((g.degree + 1 for g, image in zip(a.generators, a._images) if image), default=0)
     mu = 0
-    for n in range(2, top + 1, 2):
-        index = a._positions(n)  # fits the packed fields to degree n
-        odd = a._odd_bits
-        strand0 = {p: i for i, p in enumerate(q for q in index if not q & odd)}
-        strand1 = [p for p in a._positions(n - 1) if (p & odd).bit_count() == 1]
-        products = [p for p in strand1 if p & ~odd]
-        bare = [p for p in strand1 if not p & ~odd]
-        rows = a._d_rows(products + bare, strand0)
+    for rows, products, _ in ch._ideal_rows(a, range(2, top + 1, 2)):
         # Each row in order independent of those before it: the pivot
         # columns of one echelon with a column per row.
         _, pivots = linalg._echelon(linalg._transpose(rows))
-        mu += sum(c >= len(products) for c in pivots)
+        mu += sum(c >= products for c in pivots)
     odd_count = len(a._odd)
     return FormalityVerdict(odd_count - mu, mu, mu == len(a.generators) - odd_count)
 

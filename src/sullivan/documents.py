@@ -302,6 +302,8 @@ def run_analysis(doc: dict, cutoff: int | None = None) -> dict:
     if cutoff is None:
         cutoff = doc.get("cutoff")
     if kind == "betti":
+        if cutoff is not None:
+            raise SchemaError("a betti document takes no cutoff")
         return {
             "kind": kind,
             "input": {"kind": "betti", "betti": list(payload)},

@@ -29,7 +29,7 @@ def class_coordinates(table, e, degree):
     """Coordinates of the class of the cocycle ``e`` of the given degree
     over the table's representatives, each scaled to 1 at its free
     column."""
-    reps = table._spaces[degree].reps
+    reps = table._reps(degree)
     boundaries = _action_rows(table.algebra, degree - 1) if degree else []
     coeffs = linalg.solve([*boundaries, *reps], table.algebra.coordinates(e, degree))
     if coeffs is None:

@@ -95,7 +95,7 @@ def assert_representatives_match_basis_route(table):
         basis = a._basis(n)
         expected = [
             AlgebraElement(a, {basis[p]: c for p, c in linalg._unit_scaled(v).items()})
-            for v in table._spaces[n].reps
+            for v in table._reps(n)
         ]
         got = table.representatives(n)
         assert [list(e.terms.items()) for e in got] == [list(e.terms.items()) for e in expected], n

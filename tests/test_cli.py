@@ -10,6 +10,7 @@ import pytest
 from sullivan import criteria, documents
 from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cli import build_parser, main
+from sullivan.errors import SchemaError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -381,6 +382,21 @@ class TestKTheoryAndReport:
         assert report["ktheory"]["k0_dim"] == 3
         assert report["ktheory"]["k1_dim"] == 0
         assert report["ktheory"]["infinite_stable_classes"] is True
+
+    @pytest.mark.parametrize("cutoff", ["-3", "4"])
+    def test_betti_file_rejects_a_cutoff(self, capsys, tmp_path, cutoff):
+        # a Betti table has no degrees to cut off, so a cutoff is an error
+        # on the command line, as the key is inside the document
+        path = tmp_path / "betti.json"
+        path.write_text(json.dumps({"kind": "betti", "betti": [1, 0, 1]}))
+        code, out, err = run(capsys, "ktheory", "--file", str(path), "--cutoff", cutoff)
+        assert (code, out) == (1, "")
+        assert err == "error: a betti document takes no cutoff\n"
+        with pytest.raises(SchemaError):
+            documents.run_analysis({"kind": "betti", "betti": [1]}, 2)
+        path.write_text(json.dumps({"kind": "betti", "betti": [1], "cutoff": 2}))
+        code, _, err = run(capsys, "ktheory", "--file", str(path))
+        assert code == 1 and "unknown key" in err
 
     def test_report_structured_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "report", "--preset", "cp2-sum", "--format", "structured")

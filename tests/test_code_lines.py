@@ -42,3 +42,10 @@ def test_main_sums_the_tree(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n")
     assert code_lines.main(["code_lines.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "8\n"
+
+
+def test_main_counts_a_file(tmp_path, capsys):
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE)
+    assert code_lines.main(["code_lines.py", str(path)]) == 0
+    assert capsys.readouterr().out == "7\n"

@@ -602,7 +602,7 @@ def _space_packages(margin):
 class TestWindowRule:
     """The table and the direct check stop at the formal dimension N of an
     algebra whose associated pure algebra has H_0 vanishing on
-    N + 1..N + w_Q; with the helper ``_elliptic_top`` patched out they run
+    N + 1..N + w_Q; with the helper ``_elliptic`` patched out they run
     to the cutoff, and both walks must give the same answers."""
 
     @staticmethod
@@ -636,7 +636,7 @@ class TestWindowRule:
         capped, capped_top = self.walks(algebra, morphism, monkeypatch)
         assert capped_top == _formal_dimension(algebra) < algebra.cutoff  # the rule fired
         assert capped[0] == betti_numbers(algebra)
-        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: top)
+        monkeypatch.setattr(ch, "_elliptic", lambda a: False)
         uncapped, uncapped_top = self.walks(algebra, morphism, monkeypatch)
         monkeypatch.undo()
         assert uncapped_top == algebra.cutoff
@@ -654,6 +654,28 @@ class TestWindowRule:
     )
     def test_capped_walks_match_uncapped_at_the_window(self, name, package, monkeypatch):
         self.assert_capped_matches_uncapped(package.space, package.forgetful, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "name, package",
+        list(_space_packages(lambda a: max(g.degree for g in a.generators if not g.is_odd) - 1)),
+    )
+    def test_capped_walks_match_uncapped_inside_the_window(self, name, package, monkeypatch):
+        """Cut off in N + 1..N + w_Q - 1, where H_0 on the window is not
+        all inside the cutoff, the walks still stop at N."""
+        self.assert_capped_matches_uncapped(package.space, package.forgetful, monkeypatch)
+
+    def test_su4_t3_inside_the_window(self, monkeypatch):
+        """SU(4)/T3 has N = 12 and w_Q = 2.  Cut off at 13, as the golden
+        ``homogeneous-SU4-T3-cutoff13``, its table builds no d rows above
+        degree 12 and its direct check walks the chain to 12, not 13."""
+        r = standard_restriction("SU(4)", "T3", "maximal-torus")
+        package = borel_model_homogeneous(r.source, r.target, r, 13)
+        assert _formal_dimension(package.space) == 12
+        (betti, *_), top = self.walks(package.space, package.forgetful, monkeypatch)
+        assert top == 12 and betti[12:] == (1, 0)
+        answer, degrees = self.checked_degrees(package.forgetful, monkeypatch, (0, 1))
+        assert degrees == list(range(13))
+        assert answer == ((True, None), (True, None))
 
     def test_sheared_cores(self, monkeypatch):
         """The pure elliptic cores of criterion 5's sheared pairs, each cut
@@ -676,15 +698,16 @@ class TestWindowRule:
         for a in targets:
             n = _formal_dimension(a)
             assert a.cutoff == n + max(g.degree for g in a.generators)
-            assert ch._elliptic_top(a, a.cutoff) == n
+            assert ch._elliptic(a)
             assert not any(betti_numbers(a)[n + 1 :])
             evens = [g.name for g in a.generators if not g.is_odd]
             self.assert_capped_matches_uncapped(a, even_subalgebra_inclusion(a, evens), monkeypatch)
 
     @staticmethod
-    def checked_degrees(f, monkeypatch):
-        """The even-degree direct check of f and the degrees of the
-        target's chain ``_echelons`` that it walks."""
+    def checked_degrees(f, monkeypatch, parities=(0,)):
+        """The direct check of f on ``parities`` (by default the
+        even-degree check) and the degrees of the target's chain
+        ``_echelons`` that it walks."""
         from sullivan import cohomology as ch
 
         degrees = []
@@ -696,7 +719,7 @@ class TestWindowRule:
                 yield item
 
         monkeypatch.setattr(ch, "_echelons", recording)
-        answer = even_degree_surjectivity(f)
+        answer = surjectivity_by_parity(f, parities)
         monkeypatch.setattr(ch, "_echelons", echelons)
         return answer, degrees
 
@@ -713,10 +736,10 @@ class TestWindowRule:
         f = even_subalgebra_inclusion(a, [g.name for g in a.generators if not g.is_odd])
         capped, degrees = self.checked_degrees(f, monkeypatch)
         assert degrees == list(range(7))
-        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: top)
+        monkeypatch.setattr(ch, "_elliptic", lambda a: False)
         uncapped, degrees = self.checked_degrees(f, monkeypatch)
         assert degrees == list(range(15))
-        assert capped == uncapped == (True, None)
+        assert capped == uncapped == ((True, None),)
 
     def test_non_elliptic_associated_pure_eliminates_as_uncapped(self, monkeypatch):
         """x, y / a, b / c with d c = x^3 + ab is not pure, and its
@@ -731,35 +754,35 @@ class TestWindowRule:
             [("x", 2), ("y", 2), ("a", 3), ("b", 3), ("c", 5)], {"c": "x^3+a*b"}, cutoff=14
         )
         assert not a.is_pure() and _formal_dimension(a) == 9
-        assert ch._elliptic_top(a, a.cutoff) == a.cutoff
+        assert not ch._elliptic(a)
         f = even_subalgebra_inclusion(a, ["x", "y"])
 
         def eliminations():
             """The answers, and the rows each elimination receives,
             outside the helper and inside it."""
             walks, helper, inside = [], [], [False]
-            echelon, elliptic_top = linalg.ff_row_echelon, ch._elliptic_top
+            echelon, elliptic = linalg.ff_row_echelon, ch._elliptic
 
             def recording(rows):
                 (helper if inside[0] else walks).append([dict(row) for row in rows])
                 return echelon(rows)
 
-            def marked(a, top):
+            def marked(a):
                 inside[0] = True
-                result = elliptic_top(a, top)
+                result = elliptic(a)
                 inside[0] = False
                 return result
 
             monkeypatch.setattr(linalg, "ff_row_echelon", recording)
-            monkeypatch.setattr(ch, "_elliptic_top", marked)
+            monkeypatch.setattr(ch, "_elliptic", marked)
             answers = cohomology(a).betti, surjectivity_by_parity(f, (0, 1))
             monkeypatch.setattr(linalg, "ff_row_echelon", echelon)
-            monkeypatch.setattr(ch, "_elliptic_top", elliptic_top)
+            monkeypatch.setattr(ch, "_elliptic", elliptic)
             return answers, walks, helper
 
         capped = eliminations()
         assert [len(rows) for rows in capped[2]] == [3, 3]  # d_σ of c x^2, c xy, c y^2; the rows of a, b vanish
-        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: top)
+        monkeypatch.setattr(ch, "_elliptic", lambda a: False)
         uncapped = eliminations()
         assert uncapped[2] == []
         assert capped[:2] == uncapped[:2]
@@ -774,7 +797,7 @@ class TestWindowRule:
 
         a = SullivanAlgebra.build([("x", 2), ("y", 2), ("a", 3)], {"a": "x*y"}, cutoff=12)
         f = even_subalgebra_inclusion(a, ["x", "y"])
-        assert ch._elliptic_top(a, a.cutoff) == a.cutoff
+        assert not ch._elliptic(a)
 
         def eliminations():
             calls = []
@@ -790,7 +813,7 @@ class TestWindowRule:
             return answers, calls
 
         capped = eliminations()
-        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: top)
+        monkeypatch.setattr(ch, "_elliptic", lambda a: False)
         assert eliminations() == capped
         assert capped[0][0] == betti_numbers(a) == (1, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2)
 
@@ -846,10 +869,9 @@ class TestWindowRule:
         for a, passes in cases:
             n = _formal_dimension(a)
             w_q = max((g.degree for g in a.generators if not g.is_odd), default=0)
-            for top in (n + w_q, n + w_q + 3):
-                assert ch._elliptic_top(a, top) == (n if passes else top)
-            assert ch._elliptic_top(a, n + w_q - 1) == n + w_q - 1  # the window does not fit
-            assert all(b is not a for b in read)
+            for b in (a, a.with_cutoff(max(n + w_q - 1, 0)), a.with_cutoff(n + w_q + 3)):
+                assert ch._elliptic(b) is passes
+                assert all(c is not b for c in read)
 
     @staticmethod
     def criterion_5_checks():
@@ -863,12 +885,12 @@ class TestWindowRule:
 
     def test_failing_walks_never_ask_the_helper(self, monkeypatch):
         """Every failing hypothesis check fails at or below N, so it never
-        asks ``_elliptic_top``, and its verdict is the uncleared loop's."""
+        asks ``_elliptic``, and its verdict is the uncleared loop's."""
         from sullivan import cohomology as ch
 
         calls = []
-        elliptic_top = ch._elliptic_top
-        monkeypatch.setattr(ch, "_elliptic_top", lambda a, top: calls.append(a) or elliptic_top(a, top))
+        elliptic = ch._elliptic
+        monkeypatch.setattr(ch, "_elliptic", lambda a: calls.append(a) or elliptic(a))
         failing = 0
         for f, _ in self.criterion_5_checks():
             del calls[:]
@@ -882,8 +904,8 @@ class TestWindowRule:
     def test_passing_walks_walk_the_eager_degrees(self, monkeypatch):
         """A passing hypothesis check, and the conclusion check that
         follows it, walk the target's chain through the last even degree
-        at most the helper's answer for the cutoff: the degrees of a walk
-        that asks the helper before it starts."""
+        at most N if the helper passes, and otherwise the cutoff: the
+        degrees of a walk that asks the helper before it starts."""
         from sullivan import cohomology as ch
 
         passing = 0
@@ -893,7 +915,8 @@ class TestWindowRule:
             passing += 1
             for f in (hypothesis, conclusion):
                 _, degrees = self.checked_degrees(f, monkeypatch)
-                top = ch._elliptic_top(f.target, min(f.source.cutoff, f.target.cutoff))
+                cutoff = min(f.source.cutoff, f.target.cutoff)
+                top = _formal_dimension(f.target) if ch._elliptic(f.target) else cutoff
                 assert degrees == list(range(top - top % 2 + 1))
         assert passing == 21
 

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from instance_generators import random_pure
+from instance_generators import random_pure, random_pure_elliptic
 
+from sullivan import linalg
 from sullivan.catalog import lookup, standard_restriction
 from sullivan.cdga import SullivanAlgebra
 from sullivan.cohomology import (
-    _elliptic_top,
+    _elliptic,
     _formal_dimension,
     betti_numbers,
     cohomology,
@@ -84,8 +85,6 @@ class TestHomogeneous:
                 check(t2, t2, RestrictionMap(t2, t2, {}), cutoff=2)
 
     def test_elliptic_against_known_models(self):
-        from sullivan.criteria import _elliptic
-
         cases = [
             ([("u", 2), ("q", 3)], {"q": "u^2"}, True),
             ([("u", 4), ("q", 7)], {"q": "u^2"}, True),
@@ -95,16 +94,13 @@ class TestHomogeneous:
             ([("u", 2), ("v", 4), ("q", 3), ("r", 7)], {"q": "u^2", "r": "u^4"}, False),
         ]
         for gens, d, elliptic in cases:
-            top = sum(deg if deg % 2 else 1 - deg for _, deg in gens)
-            assert _elliptic(SullivanAlgebra.build(gens, d, cutoff=2), top) is elliptic
+            assert _elliptic(SullivanAlgebra.build(gens, d, cutoff=2)) is elliptic
 
     def test_elliptic_agrees_with_the_betti_and_h0_windows(self):
         """On random pure algebras, elliptic or not, the H_0 test agrees
         with H vanishing on N + 1..N + w, for w the largest generator
         degree, and with ``h0_dims`` vanishing on N + 1..N + w_Q, for w_Q
-        the largest even one."""
-        from sullivan.criteria import _elliptic
-
+        the largest even one, whatever the algebra's cutoff."""
         rng = random.Random(307)
         algebras = [SullivanAlgebra.build([("x", 2), ("y", 2), ("a", 3)], {"a": "x*y"}, cutoff=0)]
         while len(algebras) < 60:
@@ -119,8 +115,7 @@ class TestHomogeneous:
             elliptic = top_window_vanishes(wide, betti_numbers(wide))
             h0 = h0_dims(a.with_cutoff(n + w_q))
             assert elliptic == all(h0[k] == 0 for k in h0 if k > n)
-            assert _elliptic(a, n) is elliptic
-            assert _elliptic_top(wide, wide.cutoff) == (n if elliptic else wide.cutoff)
+            assert _elliptic(a) is _elliptic(wide) is elliptic
             verdicts.append(elliptic)
         assert not verdicts[0]
         assert 10 < sum(verdicts) < len(verdicts) - 10
@@ -272,6 +267,75 @@ class TestEvenCoverage:
         a = SullivanAlgebra.build([("u", 2)], cutoff=6)
         with pytest.raises(NotElliptic):
             pure_h0_equals_heven(cohomology(a))
+
+
+def strand_formality(a):
+    """The reference formality count (k, mu) over ΛV's strands: in each
+    even degree n up to the largest |y_j| + 1, the d rows of the
+    strand-1 monomials of degree n - 1, the products x^a*y (a != 0)
+    first and the bare odd generators last, over the strand-0 monomials
+    of degree n; mu adds the bare rows independent of those before
+    them."""
+    top = max((g.degree + 1 for g, image in zip(a.generators, a._images) if image), default=0)
+    mu = 0
+    for n in range(2, top + 1, 2):
+        index = a._positions(n)  # fits the packed fields to degree n
+        odd = a._odd_bits
+        strand0 = {p: i for i, p in enumerate(q for q in index if not q & odd)}
+        strand1 = [p for p in a._positions(n - 1) if (p & odd).bit_count() == 1]
+        products = [p for p in strand1 if p & ~odd]
+        bare = [p for p in strand1 if not p & ~odd]
+        _, pivots = linalg._echelon(linalg._transpose(a._d_rows(products + bare, strand0)))
+        mu += sum(c >= len(products) for c in pivots)
+    return len(a._odd) - mu, mu
+
+
+# The pure models of ``TestFormality``: generators, differential, cutoff.
+FORMALITY_MODELS = {
+    "cp2sum": ([("x", 2), ("y", 2), ("n", 3), ("m", 3)], {"n": "x^2+y^2", "m": "x*y"}, 7),
+    "odd-sphere": ([("q", 3)], {}, 6),
+    "three-strands": (
+        [("u", 2), ("q1", 3), ("q2", 3), ("q3", 3)],
+        {"q1": "u^2", "q2": "u^2", "q3": "u^2"},
+        11,
+    ),
+    "nonformal-chi-one": (
+        [("u", 2), ("v", 2), ("q1", 3), ("q2", 3), ("q3", 3)],
+        {"q1": "u^2", "q2": "u*v", "q3": "v^2"},
+        10,
+    ),
+    "redundant-relation": ([("u", 2), ("q1", 3), ("q2", 5)], {"q1": "u^2", "q2": "u^3"}, 12),
+    "six-generators": (
+        [("x", 2), ("y", 2), ("z", 2), ("a", 3), ("b", 3), ("c", 3)],
+        {"a": "x^2", "b": "y^2", "c": "z^2"},
+        14,
+    ),
+}
+
+
+class TestFormalityAgainstStrands:
+    """``pure_formality`` reads the rows f_j m of ΛQ; the reference count
+    reads the same rows as d of ΛV's strand-1 monomials."""
+
+    @staticmethod
+    def assert_matches(a):
+        verdict = pure_formality(cohomology(a))
+        assert (verdict.split_k, verdict.minimal_generators_mu) == strand_formality(a)
+
+    @pytest.mark.parametrize("name", sorted(FORMALITY_MODELS))
+    def test_formality_models(self, name):
+        gens, d, cutoff = FORMALITY_MODELS[name]
+        self.assert_matches(SullivanAlgebra.build(gens, d, cutoff=cutoff))
+
+    def test_random_pure_elliptic(self):
+        rng = random.Random(521)
+        counts = []
+        while len(counts) < 40:
+            a = random_pure_elliptic(rng, max_cutoff=16)
+            if a is not None:
+                self.assert_matches(a)
+                counts.append(strand_formality(a))
+        assert any(k for k, _ in counts) and any(mu > 1 for _, mu in counts)
 
 
 class TestFormality:

@@ -4,10 +4,11 @@ A code line holds at least one token that is not a comment, and is not
 part of a docstring (the leading string of a module, class or function).
 Blank lines and comment-only lines are not counted.  Run from anywhere:
 
-    python3 tools/code_lines.py [SRC_DIR]
+    python3 tools/code_lines.py [PATH]
 
-which prints the total for every ``*.py`` file under SRC_DIR (default:
-the ``src`` directory next to this script's parent).
+which prints the total for every ``*.py`` file under PATH, or for PATH
+itself when it is a file (default: the ``src`` directory next to this
+script's parent).
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
-    print(sum(code_lines(path) for path in sorted(root.rglob("*.py"))))
+    paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
+    print(sum(map(code_lines, paths)))
     return 0
 
 
