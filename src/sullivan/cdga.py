@@ -244,6 +244,9 @@ class SullivanAlgebra:
         self._width = 0
         self._fit(cutoff + 1)
         self._images = self._validate_differential(differential or {})
+        # The H_0 rule's answer once asked (``cohomology._elliptic``),
+        # shared with the algebras that keep the generators and the f_j.
+        self._h0_answer: list[bool] = []
 
     # -- construction -------------------------------------------------
 
@@ -269,7 +272,13 @@ class SullivanAlgebra:
     def with_cutoff(self, cutoff: int) -> "SullivanAlgebra":
         """The same generators and differential up to another cutoff."""
         images = {g.name: image for g, image in zip(self.generators, self.differential)}
-        return SullivanAlgebra(self.generators, cutoff, images)
+        return self._sharing_h0_answer(SullivanAlgebra(self.generators, cutoff, images))
+
+    def _sharing_h0_answer(self, other: "SullivanAlgebra") -> "SullivanAlgebra":
+        """``other``, with the same generators and f_j, given this
+        algebra's slot for the answer of the H_0 rule."""
+        other._h0_answer = self._h0_answer
+        return other
 
     def _validate_differential(self, diff: Mapping[str, AlgebraElement]) -> tuple[tuple[Term, ...], ...]:
         images = []
@@ -592,7 +601,7 @@ class SullivanAlgebra:
             for g, image in zip(self.generators, self._images)
             if g.is_odd
         }
-        return SullivanAlgebra(self.generators, self.cutoff, diff)
+        return self._sharing_h0_answer(SullivanAlgebra(self.generators, self.cutoff, diff))
 
     def homotopy_euler_characteristic(self) -> int:
         odd = len(self._odd)

@@ -29,16 +29,32 @@ spectral sequence has E_1 = H(ΛV, d_σ) and converges to H(ΛV, d)
 (Halperin; Félix–Halperin–Thomas §32), with no minimality needed.
 ``_elliptic`` decides the ideal question from the generator degrees
 and the f_j alone, whatever the algebra's cutoff, with one rank per
-even degree of the window over the rows f_j m of ``_ideal_rows``.
-``CohomologyTable``, on an algebra cut off above N, asks it first, and
-if the answer is yes stops at N; its degrees above are empty.  The
-direct check asks it only once its walk has finished the last degree
-at most N of a parity it checks, and if the answer is yes stops there.
-Otherwise both run to the cutoff.
-``betti_numbers`` and ``h0_dims``, the independent references, always
-run to the cutoff.
+even degree of the window over the rows f_j m of ``_ideal_rows``, and
+keeps its answer per algebra (``SullivanAlgebra._h0_answer``).
 
-``CohomologyTable`` eliminates each degree block by block, once.  For
+How far a table runs.  A pure algebra with χ_π = 0 (as many odd
+generators as even), cut off at N or above, that passes the H_0 rule
+has H = H_0 = ΛQ/(f_j), all in even degrees: its cohomology is finite,
+so the f_j are a regular sequence in ΛQ, and the lower grading has
+nothing above index 0 (Halperin; Félix–Halperin–Thomas §32).  Its
+table is read from ΛQ alone (``_h0_blocks``): one pass of
+``_ideal_rows`` through N + w_Q eliminates each even degree once, with
+the columns in reverse basis order.  The degrees N + 1..N + w_Q decide
+the H_0 rule, and each even degree k <= N has as classes the monomials
+of ΛQ^k that are not pivots, the standard monomials of (f_j) for lex
+order; these are the strand-0 classes that the ΛV elimination picks.
+Every other table walks ΛV.  On an algebra cut off above N it asks the
+H_0 rule first, and if the answer is yes stops at N; its degrees above
+are empty.  Below N, or without the rule, it runs to the cutoff, and a
+table cut off below N builds no ΛQ.  The direct check asks the rule
+only once its walk has finished the last degree at most N of a parity
+it checks, and if the answer is yes stops there; otherwise it runs to
+the cutoff.  ``betti_numbers``, ``h0_dims`` and
+``surjectivity_by_parity`` read no table, and the two references
+``betti_numbers`` and ``h0_dims`` always run to the cutoff.
+
+Walking ΛV, ``CohomologyTable`` eliminates each degree block by block,
+once.  For
 pure algebras the differential drops the odd word length of a monomial
 by exactly one, so the cochain complex splits into strands of odd word
 length, and these are the blocks; any other algebra has one block per
@@ -63,8 +79,8 @@ with the target's coboundaries, so no source cocycle is built.
 Differential rows are sparse rows ``{position: coefficient}``, built by
 ``SullivanAlgebra._d_rows`` in one pass over a degree's packed
 monomials against the next degree's ``{packed monomial: position}``
-index, and reach the elimination kernel as they are; class
-representatives are primitive ``{position: int}`` vectors.
+index, and reach the elimination kernel as they are; a table keeps its
+class representatives as primitive ``{exponent tuple: int}`` vectors.
 """
 
 from __future__ import annotations
@@ -131,9 +147,9 @@ def _classes(rows: list, block: list[int], image: tuple) -> tuple[tuple, tuple]:
     return tuple(reps), tuple(rows[block[c]] for c in pivots)
 
 
-def _element(a: SullivanAlgebra, v: dict[int, int], degree: int) -> AlgebraElement:
+def _element(a: SullivanAlgebra, v: dict) -> AlgebraElement:
     """The element of a representative scaled to 1 at its free column."""
-    return a.element_from_coordinates(linalg._unit_scaled(v), degree)
+    return AlgebraElement(a, linalg._unit_scaled(v))
 
 
 def _formal_dimension(a: SullivanAlgebra) -> int:
@@ -147,40 +163,98 @@ def _ideal_rows(a: SullivanAlgebra, degrees: range):
     """Yield, for each even degree k of ``degrees`` in order, the rows
     f_j m that span the degree-k part of the ideal (f_j) of ΛQ, for f_j
     the part of d y_j with no odd factor: m runs over the monomials of
-    ΛQ of degree k - |y_j| - 1, each column is a packed monomial of
-    ΛQ^k, and the products, m != 1, come first, then the bare f_j.  Each
-    is yielded as ``(rows, the number of products, dim ΛQ^k)``.  These
-    are the d_σ images of the strand-1 monomials y_j m of degree k - 1.
+    ΛQ of degree k - |y_j| - 1, and the products, m != 1, come first,
+    then the bare f_j.  Each is yielded as ``(rows, the number of
+    products, the packed monomials of ΛQ^k, ΛQ's unpack)``.  These are
+    the d_σ images of the strand-1 monomials y_j m of degree k - 1.
+
     ΛQ, the even generators with no differential, is built once, cut off
     at the last degree read, so the packed f_j are never re-packed;
-    neither ``a``'s bases nor its associated pure algebra are read."""
-    evens = [i for i, g in enumerate(a.generators) if not g.is_odd]
+    neither ``a``'s bases nor its associated pure algebra are read.  Its
+    generators run in reverse order, so its last generator has the lowest
+    field and its first the highest: the packed monomials of one degree
+    then sort as their exponent tuples over ``a``, which is the order of
+    ``a``'s strand-0 basis.  A row's column keys are its monomials
+    packed and negated, so ``ff_row_echelon``, which leads with the
+    smallest key, leads with the last monomial in that order: the
+    columns in reverse basis order."""
+    evens = [i for i, g in enumerate(a.generators) if not g.is_odd][::-1]
     q = SullivanAlgebra([a.generators[i] for i in evens], max(degrees, default=0))
-    ideal = []  # (|y_j| + 1, the packed terms of f_j)
+    ideal = []  # (|y_j| + 1, the negated packed terms of f_j)
     for g, image in zip(a.generators, a._images):
-        f = [(q._pack(map(m.__getitem__, evens)), c) for m, mask, c in image if not mask]
+        f = [(-q._pack(map(m.__getitem__, evens)), c) for m, mask, c in image if not mask]
         if g.is_odd and f:
             ideal.append((g.degree + 1, f))
     for k in degrees:
-        rows = [{p + t: c for t, c in f} for d, f in ideal if d < k for p in q._monomials(k - d)]
+        rows = [{t - p: c for t, c in f} for d, f in ideal if d < k for p in q._monomials(k - d)]
         products = len(rows)
         rows += [dict(f) for d, f in ideal if d == k]
-        yield rows, products, len(q._monomials(k))
+        yield rows, products, q._monomials(k), q._unpack
+
+
+def _largest_even_degree(a: SullivanAlgebra) -> int:
+    """w_Q, the largest even generator degree (0 if there is none)."""
+    return max((g.degree for g in a.generators if not g.is_odd), default=0)
 
 
 def _elliptic(a: SullivanAlgebra) -> bool:
     """Whether the formal dimension N is >= 0 and the ideal (f_j) is all
-    of ΛQ^n for every n in N + 1..N + w_Q, for w_Q the largest even
-    generator degree; then H^n(a) = 0 for every n > N (module
-    docstring).  One rank of the rows of ``_ideal_rows`` per even degree
-    of the window, up to the first that falls short.  It reads the
-    generator degrees and images only, so ``a``'s cutoff plays no part."""
+    of ΛQ^n for every n in N + 1..N + w_Q; then H^n(a) = 0 for every
+    n > N (module docstring).  One rank of the rows of ``_ideal_rows``
+    per even degree of the window, up to the first that falls short.  It
+    reads the generator degrees and images only, so ``a``'s cutoff plays
+    no part, and it ranks once per algebra: the answer is kept in
+    ``a._h0_answer``, which ``with_cutoff`` and ``associated_pure``
+    share, as they keep the generators and the f_j, and which
+    ``_h0_blocks`` fills too."""
+    if not a._h0_answer:
+        n = _formal_dimension(a)
+        window = range(n + 2 - n % 2, n + _largest_even_degree(a) + 1, 2)
+        a._h0_answer.append(
+            n >= 0
+            and all(linalg.rank_rows(rows) == len(monos) for rows, _, monos, _ in _ideal_rows(a, window))
+        )
+    return a._h0_answer[0]
+
+
+def _h0_blocks(a: SullivanAlgebra) -> list[dict[int, tuple]] | None:
+    """The table's blocks in degrees 0..N, read from ΛQ alone, when
+    ``a`` is pure, χ_π = 0, its formal dimension N is in 0..cutoff and
+    it passes the H_0 rule; otherwise None.
+
+    Then H = H_0 = ΛQ/(f_j), all in even degrees (Halperin; FHT §32).
+    In the strand table, the strand-0 block of an even degree k has no d
+    rows, so its classes are the unit vectors of the monomials whose
+    columns, reversed, are not pivots of the coboundaries d_σ(y_j m) =
+    f_j m handed up to it, and no other strand has a class.  These are
+    the rows of ``_ideal_rows``, whose column keys run in reverse basis
+    order, and pivots depend only on the span: the classes are the
+    monomials of ΛQ^k that no pivot names, the standard monomials of the
+    ideal for lex order, padded with zero odd exponents.  One pass of
+    ``_ideal_rows`` through N + w_Q eliminates each even degree once;
+    the degrees of the window N + 1..N + w_Q decide the H_0 rule, unless
+    ``a._h0_answer`` already holds its answer, and the pass fills it."""
     n = _formal_dimension(a)
-    w_q = max((g.degree for g in a.generators if not g.is_odd), default=0)
-    return n >= 0 and all(
-        linalg.rank_rows(rows) == size
-        for rows, _, size in _ideal_rows(a, range(n + 2 - n % 2, n + w_q + 1, 2))
-    )
+    pure_chi_zero = a.is_pure() and a.homotopy_euler_characteristic() == 0
+    if not pure_chi_zero or not 0 <= n <= a.cutoff or a._h0_answer == [False]:
+        return None
+    known = bool(a._h0_answer)
+    degrees = range(0, n + (0 if known else _largest_even_degree(a)) + 1, 2)
+    blocks: list[dict[int, tuple]] = []
+    for k, (rows, _, monos, unpack) in zip(degrees, _ideal_rows(a, degrees)):
+        _, pivots = linalg._echelon(rows)
+        if k <= n:
+            reps = []
+            for p in sorted(set(monos).difference(-c for c in pivots)):
+                exponents = reversed(unpack(p))
+                reps.append({tuple(0 if g.is_odd else next(exponents) for g in a.generators): 1})
+            blocks += [{0: tuple(reps)}, {}]
+        elif len(pivots) < len(monos):
+            a._h0_answer.append(False)
+            return None
+    if not known:
+        a._h0_answer.append(True)
+    return blocks[: n + 1]
 
 
 def _echelons(a: SullivanAlgebra, top: int):
@@ -219,56 +293,82 @@ def betti_numbers(a: SullivanAlgebra) -> tuple[int, ...]:
     return tuple(betti)
 
 
+def _strand_blocks(a: SullivanAlgebra) -> list[dict[int, tuple]]:
+    """The table's blocks in ΛV, each degree eliminated block by block,
+    through the formal dimension N if ``a`` is cut off above it and
+    passes the H_0 rule, and otherwise through the cutoff.  Each
+    representative is written over the exponent tuples of its monomials."""
+    formal = _formal_dimension(a)
+    top = formal if formal < a.cutoff and _elliptic(a) else a.cutoff
+    odd = a._odd_bits if a.is_pure() else 0  # one block per degree if not pure
+    blocks_by_degree: list[dict[int, tuple]] = []
+    images: dict[int, tuple] = {}  # block key -> coboundaries handed up from below
+    for n in range(top + 1):
+        rows = _action_rows(a, n)
+        monos = a._monomials(n)
+        blocks: dict[int, list[int]] = {}
+        for j, p in enumerate(monos):
+            blocks.setdefault((p & odd).bit_count(), []).append(j)
+        block_reps, next_images = {}, {}
+        for i, block in sorted(blocks.items()):
+            reps, next_images[i - 1 if odd else 0] = _classes(rows, block, images.get(i, ()))
+            block_reps[i] = tuple({a._unpack(monos[p]): x for p, x in v.items()} for v in reps)
+        blocks_by_degree.append(block_reps)
+        images = next_images
+    return blocks_by_degree
+
+
 class CohomologyTable:
     """Per-degree bases of cohomology classes with explicit representatives.
 
-    Each degree is eliminated block by block.  The blocks of a pure
-    algebra are its strands of odd word length i, which d maps to strand
-    i - 1 of the next degree; the odd word length of a packed monomial is
-    the number of its odd fields set.  Any other algebra has one block,
-    key 0, per degree.  The strands' column spaces are independent, so a
-    degree's pivots, kernel vectors and classes are those of its blocks
-    embedded with zeros, and its representatives are theirs in the order
-    of their free columns.  ``_blocks`` holds each degree's
-    representatives (kernel vectors) by block key; the Betti numbers are
-    read from it, and the elements of a degree's representatives are
-    built when asked.  Under the H_0 rule (module docstring), an ideal
-    question in the polynomial ring ΛQ of the even generators, the
-    degrees above the formal dimension get no elimination and no
-    classes.
+    A pure algebra with χ_π = 0, cut off at or above its formal
+    dimension N, that passes the H_0 rule has H = H_0 = ΛQ/(f_j), all in
+    even degrees (Halperin; Félix–Halperin–Thomas §32): χ_π = 0 makes
+    the f_j a regular sequence in ΛQ once H is finite.  Its table is read
+    from ΛQ alone by ``_h0_blocks``, and no degree of ΛV is enumerated.
+    Every other algebra, and every cutoff below N, is eliminated in ΛV
+    by ``_strand_blocks``, degree by degree and block by block.  The
+    blocks of a pure algebra are its strands of odd word length i, which
+    d maps to strand i - 1 of the next degree; the odd word length of a
+    packed monomial is the number of its odd fields set.  Any other
+    algebra has one block, key 0, per degree.  The strands' column
+    spaces are independent, so a degree's pivots, kernel vectors and
+    classes are those of its blocks embedded with zeros, and its
+    representatives are theirs in the order of their free columns.
+    Under the H_0 rule (module docstring) the degrees above N get no
+    elimination and no classes.
+
+    ``_blocks`` holds each degree's representatives by block key, as
+    primitive integer vectors ``{exponent tuple: int}``, the same on
+    both routes: the ΛQ route gives block 0 the unit vectors of the
+    classes and other blocks nothing.  The Betti numbers are read from
+    it, and the elements of a degree's representatives are built when
+    asked.  Positions in the monomial basis run in lexicographic
+    exponent order, so a vector's free column is its largest key.
     """
 
     def __init__(self, algebra: SullivanAlgebra):
         self.algebra = algebra
         self.cutoff = algebra.cutoff
-        formal = _formal_dimension(algebra)
-        top = formal if formal < self.cutoff and _elliptic(algebra) else self.cutoff
-        odd = algebra._odd_bits if algebra.is_pure() else 0  # one block per degree if not pure
-        self._blocks: list[dict[int, tuple]] = []
-        images: dict[int, tuple] = {}  # block key -> coboundaries handed up from below
-        for n in range(top + 1):
-            rows = _action_rows(algebra, n)
-            blocks: dict[int, list[int]] = {}
-            for j, p in enumerate(algebra._positions(n)):
-                blocks.setdefault((p & odd).bit_count(), []).append(j)
-            block_reps, next_images = {}, {}
-            for i, block in sorted(blocks.items()):
-                block_reps[i], next_images[i - 1 if odd else 0] = _classes(
-                    rows, block, images.get(i, ())
-                )
-            self._blocks.append(block_reps)
-            images = next_images
-        self._blocks += [{} for _ in range(top, self.cutoff)]
+        blocks = _h0_blocks(algebra)
+        self._blocks = _strand_blocks(algebra) if blocks is None else blocks
+        self._blocks += [{} for _ in range(len(self._blocks), self.cutoff + 1)]
         self.betti = tuple(sum(map(len, blocks.values())) for blocks in self._blocks)
 
     def _reps(self, degree: int) -> list[dict[int, int]]:
-        """The degree's representatives (kernel vectors) by free column."""
+        """The degree's representatives (kernel vectors) by free column,
+        over the positions of the degree's monomial basis."""
+        index, pack = self.algebra._positions(degree), self.algebra._pack
+        return [{index[pack(m)]: x for m, x in v.items()} for v in self._ordered(degree)]
+
+    def _ordered(self, degree: int) -> list[dict]:
+        """The degree's representatives by free column, their largest key."""
         return sorted(chain.from_iterable(self._blocks[degree].values()), key=max)
 
     def representatives(self, degree: int) -> tuple[AlgebraElement, ...]:
         if not 0 <= degree <= self.cutoff:
             raise CutoffExceeded(f"degree {degree} outside table range 0..{self.cutoff}")
-        return tuple(_element(self.algebra, v, degree) for v in self._reps(degree))
+        return tuple(_element(self.algebra, v) for v in self._ordered(degree))
 
     def formal_dimension(self) -> int:
         """Top degree with nonzero cohomology inside the table (the unit
@@ -329,7 +429,7 @@ class LowerGradedTable:
         return {i: len(reps) for i, reps in self._strands(degree).items() if reps}
 
     def representatives(self, degree: int, index: int) -> tuple[AlgebraElement, ...]:
-        return tuple(_element(self.algebra, v, degree) for v in self._strands(degree).get(index, ()))
+        return tuple(_element(self.algebra, v) for v in self._strands(degree).get(index, ()))
 
 
 def lower_grading(a: SullivanAlgebra) -> LowerGradedTable:

@@ -280,7 +280,7 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
         raise NotElliptic("cohomology does not vanish in the top window below the cutoff")
     top = max((g.degree + 1 for g, image in zip(a.generators, a._images) if image), default=0)
     mu = 0
-    for rows, products, _ in ch._ideal_rows(a, range(2, top + 1, 2)):
+    for rows, products, _, _ in ch._ideal_rows(a, range(2, top + 1, 2)):
         # Each row in order independent of those before it: the pivot
         # columns of one echelon with a column per row.
         _, pivots = linalg._echelon(linalg._transpose(rows))

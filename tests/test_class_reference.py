@@ -54,10 +54,17 @@ def compared(monkeypatch):
 
 
 class TestAgainstKernelComplement:
+    """Tables with χ_π = 0 take the ΛQ route ``_h0_blocks``, which calls
+    no ``_classes``; those tests patch it out to check the ΛV walk."""
+
     @pytest.mark.parametrize("k, cutoff", [(2, 6), (3, 14), (4, 11), (5, 10)])
-    def test_k_pair_models(self, compared, k, cutoff):
+    def test_k_pair_models(self, compared, k, cutoff, monkeypatch):
+        routed = cohomology.cohomology(k_pair_model(k, cutoff))
+        assert compared == {"with_image": 0, "with_classes": 0}
+        monkeypatch.setattr(cohomology, "_h0_blocks", lambda a: None)
         table = cohomology.cohomology(k_pair_model(k, cutoff))
         assert sum(table.betti) == 2**k
+        assert table.betti == routed.betti
         assert compared["with_image"] and compared["with_classes"]
 
     def test_random_pure_elliptic(self, compared):
@@ -81,9 +88,13 @@ class TestAgainstKernelComplement:
         assert compared["with_image"] and compared["with_classes"]
 
     @pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.json")))
-    def test_golden_space_models(self, compared, name):
+    def test_golden_space_models(self, compared, name, monkeypatch):
         document = json.loads((GOLDEN / f"{name}.json").read_text(encoding="ascii"))["input"]
-        run_analysis(document)
+        report = run_analysis(document)
+        # a space with χ_π = 0 takes the ΛQ route, and only its table is built
+        assert bool(compared["with_classes"]) is (report["space"]["chi_pi"] != 0)
+        monkeypatch.setattr(cohomology, "_h0_blocks", lambda a: None)
+        assert run_analysis(document) == report
         assert compared["with_classes"]  # the biquotient stops below its first coboundary
 
 

@@ -236,8 +236,25 @@ class TestEliminationCount:
         degree 2, and its H_0 vanishes in degree 8, so at cutoff 12 its
         table hands ``ff_row_echelon`` one H_0 rank of degree 8, before
         any d rows, and no block above degree 6, and reads degrees 7..12
-        as zero."""
+        as zero.  That is its ΛV walk, with the ΛQ route patched out; on
+        the route it builds no d rows and eliminates the ideal rows of
+        degrees 4, 6 and 8 once each, for the same table."""
         from sullivan import cohomology as ch
+
+        def build():
+            return SullivanAlgebra.build(
+                [("x", 2), ("y", 2), ("z", 2), ("a", 3), ("b", 3), ("c", 3)],
+                {"a": "x^2", "b": "y^2", "c": "z^2"},
+                cutoff=12,
+            )
+
+        rows, echelon = [], linalg.ff_row_echelon
+        monkeypatch.setattr(ch, "_action_rows", None)
+        monkeypatch.setattr(linalg, "ff_row_echelon", lambda r: rows.append(len(r)) or echelon(r))
+        routed = cohomology(build())
+        assert rows == [3, 9, 18]  # f_j, then f_j times the monomials of degree 2 and 4
+        monkeypatch.undo()
+        monkeypatch.setattr(ch, "_h0_blocks", lambda a: None)
 
         degree, eliminated = [None], []
         action_rows, echelon = ch._action_rows, linalg.ff_row_echelon
@@ -252,17 +269,14 @@ class TestEliminationCount:
 
         monkeypatch.setattr(ch, "_action_rows", recording_action_rows)
         monkeypatch.setattr(linalg, "ff_row_echelon", recording_echelon)
-        a = SullivanAlgebra.build(
-            [("x", 2), ("y", 2), ("z", 2), ("a", 3), ("b", 3), ("c", 3)],
-            {"a": "x^2", "b": "y^2", "c": "z^2"},
-            cutoff=12,
-        )
-        table = cohomology(a)
+        table = cohomology(build())
         assert table.cutoff == 12
         assert table.betti == (1, 0, 3, 0, 3, 0, 1) + (0,) * 6
         assert eliminated.count(None) == 1  # the H_0 rank builds no d rows of the table
         assert max(n for n in eliminated if n is not None) == 6
         assert all(table.representatives(n) == () for n in range(7, 13))
+        assert routed.betti == table.betti
+        assert all(routed.representatives(n) == table.representatives(n) for n in range(13))
 
 
 class TestBackSubstitutionCount:
@@ -281,18 +295,34 @@ class TestBackSubstitutionCount:
         monkeypatch.setattr(linalg, "_back_substitute", counting)
         return calls
 
+    @staticmethod
+    def assert_one_per_class_in_lv(a, back_substitutions, monkeypatch):
+        """A table with χ_π = 0 that takes the ΛQ route back-substitutes
+        nothing; with the route patched out, its ΛV walk back-substitutes
+        once per class, as every other table does."""
+        from sullivan import cohomology as ch
+
+        routed = cohomology(a)
+        on_route = a.homotopy_euler_characteristic() == 0
+        assert len(back_substitutions) == (0 if on_route else sum(routed.betti))
+        del back_substitutions[:]
+        monkeypatch.setattr(ch, "_h0_blocks", lambda a: None)
+        table = cohomology(a)
+        assert table.betti == routed.betti
+        assert len(back_substitutions) == sum(table.betti) > 0
+        return table
+
     @pytest.mark.parametrize(
         "k, cutoff", [(2, 6), (2, 12), (3, 10), (3, 14), (4, 8), (4, 12), (5, 10), (5, 12)]
     )
-    def test_k_pair_models(self, back_substitutions, k, cutoff):
-        table = cohomology(k_pair_model(k, cutoff))
+    def test_k_pair_models(self, back_substitutions, k, cutoff, monkeypatch):
+        table = self.assert_one_per_class_in_lv(k_pair_model(k, cutoff), back_substitutions, monkeypatch)
         assert sum(table.betti) == 2**k
-        assert len(back_substitutions) == sum(table.betti)
 
     @pytest.mark.parametrize("name", sorted(DIAGRAM_PRESETS))
-    def test_diagram_preset_space_models(self, back_substitutions, name):
-        table = cohomology(cohomogeneity_one_model(load_diagram(DIAGRAM_PRESETS[name])))
-        assert len(back_substitutions) == sum(table.betti) > 0
+    def test_diagram_preset_space_models(self, back_substitutions, name, monkeypatch):
+        space = cohomogeneity_one_model(load_diagram(DIAGRAM_PRESETS[name]))
+        self.assert_one_per_class_in_lv(space, back_substitutions, monkeypatch)
 
     def test_direct_check_back_substitutes_nothing(self, monkeypatch):
         # one elimination per checked degree builds no source cocycle
@@ -631,9 +661,20 @@ class TestWindowRule:
         return answers, max(degrees)
 
     def assert_capped_matches_uncapped(self, algebra, morphism, monkeypatch):
+        """A table with χ_π = 0 takes the ΛQ route ``_h0_blocks``, and
+        no ΛV walk; patched out, it walks ΛV capped at N, as any other
+        table does, for the same answers."""
         from sullivan import cohomology as ch
 
+        walked = []
+        strand_blocks = ch._strand_blocks
+        monkeypatch.setattr(ch, "_strand_blocks", lambda a: walked.append(a) or strand_blocks(a))
+        routed, _ = self.walks(algebra, morphism, monkeypatch)
+        on_route = algebra.is_pure() and algebra.homotopy_euler_characteristic() == 0
+        assert walked == ([] if on_route else [algebra])
+        monkeypatch.setattr(ch, "_h0_blocks", lambda a: None)
         capped, capped_top = self.walks(algebra, morphism, monkeypatch)
+        assert capped == routed
         assert capped_top == _formal_dimension(algebra) < algebra.cutoff  # the rule fired
         assert capped[0] == betti_numbers(algebra)
         monkeypatch.setattr(ch, "_elliptic", lambda a: False)
@@ -747,15 +788,18 @@ class TestWindowRule:
         even degree, so the helper's one rank in degree 10, the window
         10..11 past N = 9, falls short and both walks run to the cutoff.
         Apart from that rank, one per walk, ``ff_row_echelon`` receives
-        the same rows as with the helper patched out."""
+        the same rows as with the helper patched out.  The helper keeps
+        its answer per algebra, so each walk gets an algebra of its own."""
         from sullivan import cohomology as ch
 
-        a = SullivanAlgebra.build(
-            [("x", 2), ("y", 2), ("a", 3), ("b", 3), ("c", 5)], {"c": "x^3+a*b"}, cutoff=14
-        )
+        def build():
+            return SullivanAlgebra.build(
+                [("x", 2), ("y", 2), ("a", 3), ("b", 3), ("c", 5)], {"c": "x^3+a*b"}, cutoff=14
+            )
+
+        a = build()
         assert not a.is_pure() and _formal_dimension(a) == 9
-        assert not ch._elliptic(a)
-        f = even_subalgebra_inclusion(a, ["x", "y"])
+        assert not ch._elliptic(build())
 
         def eliminations():
             """The answers, and the rows each elimination receives,
@@ -775,6 +819,7 @@ class TestWindowRule:
 
             monkeypatch.setattr(linalg, "ff_row_echelon", recording)
             monkeypatch.setattr(ch, "_elliptic", marked)
+            f = even_subalgebra_inclusion(build(), ["x", "y"])
             answers = cohomology(a).betti, surjectivity_by_parity(f, (0, 1))
             monkeypatch.setattr(linalg, "ff_row_echelon", echelon)
             monkeypatch.setattr(ch, "_elliptic", elliptic)
@@ -782,6 +827,9 @@ class TestWindowRule:
 
         capped = eliminations()
         assert [len(rows) for rows in capped[2]] == [3, 3]  # d_σ of c x^2, c xy, c y^2; the rows of a, b vanish
+        with monkeypatch.context() as m:  # asked again, through a copy, the helper ranks nothing
+            m.setattr(ch, "_ideal_rows", None)
+            assert not ch._elliptic(a.with_cutoff(3).associated_pure())
         monkeypatch.setattr(ch, "_elliptic", lambda a: False)
         uncapped = eliminations()
         assert uncapped[2] == []

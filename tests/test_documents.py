@@ -219,11 +219,13 @@ class TestRoundTrip:
 
 class TestOneBorelPackagePerReport:
     """A report builds its Borel package once: the verdict, the space's
-    table, the ``borel`` section and the Euler relations all read it."""
+    table, the ``borel`` section and the Euler relations all read it.
+    The bounds on algebra builds leave out the polynomial rings ΛQ of
+    ``cohomology._ideal_rows``, counted apart as ``rings``."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        counts = {"signatures": [], "morphisms": 0, "betti_numbers": 0, "parses": 0}
+        counts = {"signatures": [], "morphisms": 0, "betti_numbers": 0, "parses": 0, "rings": []}
         init = SullivanAlgebra.__init__
         morphism_init = CdgaMorphism.__init__
         betti_numbers = ch.betti_numbers
@@ -245,7 +247,13 @@ class TestOneBorelPackagePerReport:
             counts["parses"] += 1
             return parse(self, text)
 
+        def counting_ring(*args):
+            ring = SullivanAlgebra(*args)
+            counts["rings"].append(counts["signatures"].pop())
+            return ring
+
         monkeypatch.setattr(SullivanAlgebra, "__init__", counting_init)
+        monkeypatch.setattr(ch, "SullivanAlgebra", counting_ring)
         monkeypatch.setattr(SullivanAlgebra, "parse", counting_parse)
         monkeypatch.setattr(CdgaMorphism, "__init__", counting_morphism_init)
         monkeypatch.setattr(ch, "betti_numbers", counting_betti)
@@ -268,6 +276,9 @@ class TestOneBorelPackagePerReport:
         assert builds["betti_numbers"] == 4
         # each restriction string once for the manifold, once for the orbits
         assert builds["parses"] == 4 * diagram.g.rank
+        # the manifold's table builds at most one ΛQ; at the default cutoff N
+        # the direct check never asks the H_0 rule
+        assert len(builds["rings"]) <= 1
 
     @pytest.mark.parametrize(
         "doc",
@@ -281,6 +292,7 @@ class TestOneBorelPackagePerReport:
         assert builds["morphisms"] == 1
         # the space model's draft and final algebra and the Borel model
         assert len(builds["signatures"]) <= 3
+        assert len(builds["rings"]) <= 1  # the space's table, as above
 
 
 class TestReports:
