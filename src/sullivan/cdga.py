@@ -32,9 +32,9 @@ written: parsed polynomials (``parse`` adds each term's exponents,
 Koszul sign and coefficient straight into one ``{monomial: coefficient}``
 map and builds the element once) and the model builders' differentials, the
 ``differential`` property, the results of ``multiply``,
-``apply_differential``, ``substitute``, ``CdgaMorphism.apply`` and
-``element_from_coordinates`` (class representatives).  The chain-map
-check, the direct surjectivity check and the formality count build none.
+``apply_differential``, ``substitute`` and ``CdgaMorphism.apply``, and
+the cohomology table's class representatives.  The chain-map check, the
+direct surjectivity check and the formality count build none.
 
 A degree cutoff is fixed at construction: basis enumeration and the
 public differential are guarded by it (internal callers may go one
@@ -58,7 +58,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import (
     CutoffExceeded,
     DegreeMismatch,
-    DimensionMismatch,
     InvalidDegrees,
     InvalidDifferential,
     NotAChainMap,
@@ -749,15 +748,6 @@ class SullivanAlgebra:
                 )
             vec[p] = coeff
         return vec
-
-    def element_from_coordinates(self, coords: Mapping[int, Fraction], degree: int) -> AlgebraElement:
-        """The element with coefficient c at each basis position p of ``coords``."""
-        monos = self._monomials(degree)
-        if coords and not 0 <= min(coords) <= max(coords) < len(monos):
-            raise DimensionMismatch(
-                f"coordinate position outside a degree-{degree} basis of size {len(monos)}"
-            )
-        return AlgebraElement(self, {self._unpack(monos[p]): Fraction(c) for p, c in coords.items()})
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)

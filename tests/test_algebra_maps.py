@@ -7,6 +7,7 @@ powers per monomial, summed with ``Fraction`` coefficients.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,8 +33,8 @@ def reference_map(algebra, e, images):
 
 def basis_elements(algebra):
     for n in range(algebra.cutoff + 1):
-        for p in range(len(algebra.monomial_basis(n))):
-            yield algebra.element_from_coordinates({p: 1}, n)
+        for mono in algebra.monomial_basis(n):
+            yield cdga.AlgebraElement(algebra, {mono: Fraction(1)})
 
 
 def shears(seed, count):
