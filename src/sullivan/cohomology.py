@@ -33,25 +33,18 @@ even degree of the window over the rows f_j m of ``_ideal_rows``, and
 keeps its answer per algebra (``SullivanAlgebra._h0_answer``).
 
 How far a table runs.  A pure algebra with χ_π = 0 (as many odd
-generators as even), cut off at N or above, that passes the H_0 rule
+generators as even) that passes the H_0 rule, cut off at N or above,
 has H = H_0 = ΛQ/(f_j), all in even degrees: its cohomology is finite,
-so the f_j are a regular sequence in ΛQ, and the lower grading has
-nothing above index 0 (Halperin; Félix–Halperin–Thomas §32).  Its
-table is read from ΛQ alone (``_h0_blocks``): one pass of
-``_ideal_rows`` through N + w_Q eliminates each even degree once, with
-the columns in reverse basis order.  The degrees N + 1..N + w_Q decide
-the H_0 rule, and each even degree k <= N has as classes the monomials
-of ΛQ^k that are not pivots, the standard monomials of (f_j) for lex
-order; these are the strand-0 classes that the ΛV elimination picks.
-Every other table walks ΛV.  On an algebra cut off above N it asks the
-H_0 rule first, and if the answer is yes stops at N; its degrees above
-are empty.  Below N, or without the rule, it runs to the cutoff, and a
-table cut off below N builds no ΛQ.  The direct check asks the rule
-only once its walk has finished the last degree at most N of a parity
-it checks, and if the answer is yes stops there; otherwise it runs to
-the cutoff.  ``betti_numbers``, ``h0_dims`` and
-``surjectivity_by_parity`` read no table, and the two references
-``betti_numbers`` and ``h0_dims`` always run to the cutoff.
+so the f_j are a regular sequence (Halperin; Félix–Halperin–Thomas
+§32).  Its table is read from ΛQ alone by ``_h0_blocks``, whose one
+pass of ``_ideal_rows`` through N + w_Q also decides the rule.  Any
+other table walks ΛV: cut off above N it asks the rule first and, if
+the answer is yes, stops at N, with its degrees above empty; otherwise
+it runs to the cutoff.  The direct check asks the rule only once its
+walk has finished the last degree at most N of a parity it checks, and
+if the answer is yes stops there.  ``betti_numbers``, ``h0_dims`` and
+the direct check read no table, and the two references always run to
+the cutoff.
 
 Walking ΛV, ``CohomologyTable`` eliminates each degree block by block,
 once.  For
@@ -169,15 +162,12 @@ def _ideal_rows(a: SullivanAlgebra, degrees: range):
     the d_σ images of the strand-1 monomials y_j m of degree k - 1.
 
     ΛQ, the even generators with no differential, is built once, cut off
-    at the last degree read, so the packed f_j are never re-packed;
-    neither ``a``'s bases nor its associated pure algebra are read.  Its
-    generators run in reverse order, so its last generator has the lowest
-    field and its first the highest: the packed monomials of one degree
-    then sort as their exponent tuples over ``a``, which is the order of
-    ``a``'s strand-0 basis.  A row's column keys are its monomials
-    packed and negated, so ``ff_row_echelon``, which leads with the
-    smallest key, leads with the last monomial in that order: the
-    columns in reverse basis order."""
+    at the last degree read; neither ``a``'s bases nor its associated
+    pure algebra are read.  Its generators run in reverse order, so a
+    degree's packed monomials sort as their exponent tuples over ``a``,
+    the order of ``a``'s strand-0 basis, and each column key is a packed
+    monomial negated: ``ff_row_echelon``, which leads with the smallest
+    key, sees the columns in reverse basis order."""
     evens = [i for i, g in enumerate(a.generators) if not g.is_odd][::-1]
     q = SullivanAlgebra([a.generators[i] for i in evens], max(degrees, default=0))
     ideal = []  # (|y_j| + 1, the negated packed terms of f_j)
@@ -203,10 +193,8 @@ def _elliptic(a: SullivanAlgebra) -> bool:
     n > N (module docstring).  One rank of the rows of ``_ideal_rows``
     per even degree of the window, up to the first that falls short.  It
     reads the generator degrees and images only, so ``a``'s cutoff plays
-    no part, and it ranks once per algebra: the answer is kept in
-    ``a._h0_answer``, which ``with_cutoff`` and ``associated_pure``
-    share, as they keep the generators and the f_j, and which
-    ``_h0_blocks`` fills too."""
+    no part.  The answer is kept in ``a._h0_answer``, which the copies
+    with the same f_j share and ``_h0_blocks`` fills too."""
     if not a._h0_answer:
         n = _formal_dimension(a)
         window = range(n + 2 - n % 2, n + _largest_even_degree(a) + 1, 2)
@@ -218,22 +206,19 @@ def _elliptic(a: SullivanAlgebra) -> bool:
 
 
 def _h0_blocks(a: SullivanAlgebra) -> list[dict[int, tuple]] | None:
-    """The table's blocks in degrees 0..N, read from ΛQ alone, when
-    ``a`` is pure, χ_π = 0, its formal dimension N is in 0..cutoff and
-    it passes the H_0 rule; otherwise None.
+    """The table's blocks in degrees 0..N, read from ΛQ, when ``a`` is
+    pure, χ_π = 0, 0 <= N <= cutoff and ``a`` passes the H_0 rule;
+    otherwise None.
 
-    Then H = H_0 = ΛQ/(f_j), all in even degrees (Halperin; FHT §32).
-    In the strand table, the strand-0 block of an even degree k has no d
-    rows, so its classes are the unit vectors of the monomials whose
-    columns, reversed, are not pivots of the coboundaries d_σ(y_j m) =
-    f_j m handed up to it, and no other strand has a class.  These are
-    the rows of ``_ideal_rows``, whose column keys run in reverse basis
-    order, and pivots depend only on the span: the classes are the
-    monomials of ΛQ^k that no pivot names, the standard monomials of the
-    ideal for lex order, padded with zero odd exponents.  One pass of
-    ``_ideal_rows`` through N + w_Q eliminates each even degree once;
-    the degrees of the window N + 1..N + w_Q decide the H_0 rule, unless
-    ``a._h0_answer`` already holds its answer, and the pass fills it."""
+    In the ΛV walk an even degree k's strand-0 block has no d rows, so
+    its classes are the unit vectors of the monomials whose reversed
+    columns are not pivots of the coboundaries f_j m = d_σ(y_j m)
+    handed up to it, and no other strand has a class.  Those are the
+    rows of ``_ideal_rows``, and pivots depend only on the span, so the
+    classes are the monomials of ΛQ^k that no pivot names (the lex
+    standard monomials), padded with zero odd exponents.  The window
+    degrees N + 1..N + w_Q decide the rule and fill ``a._h0_answer``;
+    they are skipped when it is already known."""
     n = _formal_dimension(a)
     pure_chi_zero = a.is_pure() and a.homotopy_euler_characteristic() == 0
     if not pure_chi_zero or not 0 <= n <= a.cutoff or a._h0_answer == [False]:
@@ -321,30 +306,26 @@ def _strand_blocks(a: SullivanAlgebra) -> list[dict[int, tuple]]:
 class CohomologyTable:
     """Per-degree bases of cohomology classes with explicit representatives.
 
-    A pure algebra with χ_π = 0, cut off at or above its formal
-    dimension N, that passes the H_0 rule has H = H_0 = ΛQ/(f_j), all in
-    even degrees (Halperin; Félix–Halperin–Thomas §32): χ_π = 0 makes
-    the f_j a regular sequence in ΛQ once H is finite.  Its table is read
-    from ΛQ alone by ``_h0_blocks``, and no degree of ΛV is enumerated.
-    Every other algebra, and every cutoff below N, is eliminated in ΛV
-    by ``_strand_blocks``, degree by degree and block by block.  The
-    blocks of a pure algebra are its strands of odd word length i, which
-    d maps to strand i - 1 of the next degree; the odd word length of a
-    packed monomial is the number of its odd fields set.  Any other
-    algebra has one block, key 0, per degree.  The strands' column
-    spaces are independent, so a degree's pivots, kernel vectors and
-    classes are those of its blocks embedded with zeros, and its
-    representatives are theirs in the order of their free columns.
-    Under the H_0 rule (module docstring) the degrees above N get no
-    elimination and no classes.
+    A pure algebra with χ_π = 0 and formal dimension N <= cutoff that
+    passes the H_0 rule has H = H_0 = ΛQ/(f_j), all in even degrees
+    (module docstring): its table is read from ΛQ by ``_h0_blocks``, and
+    no degree of ΛV is enumerated.  Every other table, and every cutoff
+    below N, is eliminated in ΛV by ``_strand_blocks``, degree by degree
+    and block by block.  The blocks of a pure algebra are its strands of
+    odd word length i, which d maps to strand i - 1 of the next degree;
+    the odd word length of a packed monomial is the number of its odd
+    fields set.  Any other algebra has one block, key 0, per degree.
+    The strands' column spaces are independent, so a degree's pivots,
+    kernel vectors and classes are those of its blocks embedded with
+    zeros, and its representatives are theirs in the order of their free
+    columns.
 
-    ``_blocks`` holds each degree's representatives by block key, as
-    primitive integer vectors ``{exponent tuple: int}``, the same on
-    both routes: the ΛQ route gives block 0 the unit vectors of the
-    classes and other blocks nothing.  The Betti numbers are read from
-    it, and the elements of a degree's representatives are built when
-    asked.  Positions in the monomial basis run in lexicographic
-    exponent order, so a vector's free column is its largest key.
+    ``_blocks`` holds each degree's representatives by block key as
+    primitive ``{exponent tuple: int}`` vectors on both routes; the ΛQ
+    route gives block 0 of each even degree the unit vectors of its
+    classes.  The Betti numbers are read from it, and the elements are
+    built when asked.  The monomial basis runs in lexicographic exponent
+    order, so a vector's free column is its largest key.
     """
 
     def __init__(self, algebra: SullivanAlgebra):
