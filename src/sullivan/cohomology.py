@@ -47,11 +47,10 @@ the direct check read no table, and the two references always run to
 the cutoff.
 
 Walking ΛV, ``CohomologyTable`` eliminates each degree block by block,
-once.  For
-pure algebras the differential drops the odd word length of a monomial
-by exactly one, so the cochain complex splits into strands of odd word
-length, and these are the blocks; any other algebra has one block per
-degree.  The odd word length of a packed monomial p is
+once.  For pure algebras the differential drops the odd word length of
+a monomial by exactly one, so the cochain complex splits into strands of
+odd word length, and these are the blocks; any other algebra has one
+block per degree.  The odd word length of a packed monomial p is
 ``(p & _odd_bits).bit_count()``, the one rule by which the table and
 ``h0_dims`` read strands.  The table's strands are the lower grading,
 which ``LowerGradedTable`` reads without eliminating again; its
@@ -152,7 +151,7 @@ def _formal_dimension(a: SullivanAlgebra) -> int:
     return sum(g.degree if g.is_odd else 1 - g.degree for g in a.generators)
 
 
-def _ideal_rows(a: SullivanAlgebra, degrees: range):
+def _ideal_rows(a: SullivanAlgebra, degrees: Sequence[int]):
     """Yield, for each even degree k of ``degrees`` in order, the rows
     f_j m that span the degree-k part of the ideal (f_j) of ΛQ, for f_j
     the part of d y_j with no odd factor: m runs over the monomials of
@@ -182,9 +181,10 @@ def _ideal_rows(a: SullivanAlgebra, degrees: range):
         yield rows, products, q._monomials(k), q._unpack
 
 
-def _largest_even_degree(a: SullivanAlgebra) -> int:
-    """w_Q, the largest even generator degree (0 if there is none)."""
-    return max((g.degree for g in a.generators if not g.is_odd), default=0)
+def _window(a: SullivanAlgebra, n: int) -> range:
+    """The even degrees of n + 1..n + w_Q, for w_Q the largest even
+    generator degree (0 if there is none)."""
+    return range(n + 2 - n % 2, n + max((g.degree for g in a.generators if not g.is_odd), default=0) + 1, 2)
 
 
 def _elliptic(a: SullivanAlgebra) -> bool:
@@ -197,10 +197,9 @@ def _elliptic(a: SullivanAlgebra) -> bool:
     with the same f_j share and ``_h0_blocks`` fills too."""
     if not a._h0_answer:
         n = _formal_dimension(a)
-        window = range(n + 2 - n % 2, n + _largest_even_degree(a) + 1, 2)
         a._h0_answer.append(
             n >= 0
-            and all(linalg.rank_rows(rows) == len(monos) for rows, _, monos, _ in _ideal_rows(a, window))
+            and all(linalg.rank_rows(rows) == len(monos) for rows, _, monos, _ in _ideal_rows(a, _window(a, n)))
         )
     return a._h0_answer[0]
 
@@ -216,15 +215,16 @@ def _h0_blocks(a: SullivanAlgebra) -> list[dict[int, tuple]] | None:
     handed up to it, and no other strand has a class.  Those are the
     rows of ``_ideal_rows``, and pivots depend only on the span, so the
     classes are the monomials of ΛQ^k that no pivot names (the lex
-    standard monomials), padded with zero odd exponents.  The window
-    degrees N + 1..N + w_Q decide the rule and fill ``a._h0_answer``;
-    they are skipped when it is already known."""
+    standard monomials), padded with zero odd exponents.  The pass takes
+    the window degrees N + 1..N + w_Q first, so an algebra that fails the
+    rule eliminates nothing more; they fill ``a._h0_answer``, and are
+    skipped when it is already known."""
     n = _formal_dimension(a)
     pure_chi_zero = a.is_pure() and a.homotopy_euler_characteristic() == 0
     if not pure_chi_zero or not 0 <= n <= a.cutoff or a._h0_answer == [False]:
         return None
     known = bool(a._h0_answer)
-    degrees = range(0, n + (0 if known else _largest_even_degree(a)) + 1, 2)
+    degrees = [*([] if known else _window(a, n)), *range(0, n + 1, 2)]
     blocks: list[dict[int, tuple]] = []
     for k, (rows, _, monos, unpack) in zip(degrees, _ideal_rows(a, degrees)):
         _, pivots = linalg._echelon(rows)

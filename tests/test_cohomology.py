@@ -238,7 +238,7 @@ class TestEliminationCount:
         any d rows, and no block above degree 6, and reads degrees 7..12
         as zero.  That is its ΛV walk, with the ΛQ route patched out; on
         the route it builds no d rows and eliminates the ideal rows of
-        degrees 4, 6 and 8 once each, for the same table."""
+        degrees 8 (the window), 4 and 6 once each, for the same table."""
         from sullivan import cohomology as ch
 
         def build():
@@ -252,7 +252,7 @@ class TestEliminationCount:
         monkeypatch.setattr(ch, "_action_rows", None)
         monkeypatch.setattr(linalg, "ff_row_echelon", lambda r: rows.append(len(r)) or echelon(r))
         routed = cohomology(build())
-        assert rows == [3, 9, 18]  # f_j, then f_j times the monomials of degree 2 and 4
+        assert rows == [18, 3, 9]  # f_j times the monomials of degree 4, then f_j, then times degree 2
         monkeypatch.undo()
         monkeypatch.setattr(ch, "_h0_blocks", lambda a: None)
 

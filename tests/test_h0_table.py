@@ -15,6 +15,7 @@ import pytest
 
 from instance_generators import k_pair_model, random_pure_elliptic
 from sullivan import cohomology as ch
+from sullivan import linalg
 from sullivan.catalog import DIAGRAM_PRESETS, resolve, standard_restriction
 from sullivan.cdga import SullivanAlgebra
 from sullivan.cohomology import (
@@ -77,6 +78,11 @@ def chi_pi_zero_models():
 
 MODELS = chi_pi_zero_models()
 ABOVE_ZERO = [(name, a) for name, a in MODELS if a.cutoff > 0]
+
+
+def fresh(a, cutoff):
+    """``a`` up to ``cutoff``, with no H_0 answer shared with ``a``."""
+    return SullivanAlgebra(a.generators, cutoff, {g.name: d for g, d in zip(a.generators, a.differential)})
 
 
 def poincare_series(a, top):
@@ -146,9 +152,10 @@ def patch_route_out(monkeypatch):
 class TestRouteAgainstTheWalk:
     @pytest.mark.parametrize("name, a", MODELS, ids=[name for name, _ in MODELS])
     def test_route_matches_the_walk(self, name, a, walked, monkeypatch):
-        """At the formal dimension N, at N + 1 and past the window."""
+        """At the formal dimension N, at N + 1 and past the window, each
+        routed table deciding the H_0 rule itself."""
         cutoffs = (a.cutoff, a.cutoff + 1, a.cutoff + _w_q(a) + 1)
-        routed = [everything(cohomology(a.with_cutoff(c))) for c in cutoffs]
+        routed = [everything(cohomology(fresh(a, c))) for c in cutoffs]
         assert walked == []
         patch_route_out(monkeypatch)
         assert [everything(cohomology(a.with_cutoff(c))) for c in cutoffs] == routed
@@ -163,11 +170,16 @@ class TestRouteAgainstTheWalk:
 
     def test_failing_the_rule_walks_lv(self, walked, monkeypatch):
         """x, y / a, b with d a = x^2 and d b = xy has χ_π = 0 and N = 4
-        but classes y^n in every even degree: the route's window ranks
-        fall short, it keeps that answer, and the table walks ΛV to the
-        cutoff."""
+        but classes y^n in every even degree: the route's window rank
+        falls short before it eliminates any degree up to N, it keeps that
+        answer, and the table walks ΛV to the cutoff."""
         a = SullivanAlgebra.build([("x", 2), ("y", 2), ("a", 3), ("b", 3)], {"a": "x^2", "b": "x*y"}, cutoff=10)
         assert a.homotopy_euler_characteristic() == 0 and _formal_dimension(a) == 4
+        ranked, echelon = [], linalg.ff_row_echelon
+        monkeypatch.setattr(linalg, "ff_row_echelon", lambda rows: ranked.append(len(rows)) or echelon(rows))
+        assert ch._h0_blocks(a.with_cutoff(10)) is None
+        assert ranked == [4]  # f_a and f_b times x and y, in the window's one degree, 6
+        monkeypatch.setattr(linalg, "ff_row_echelon", echelon)
         routed = everything(cohomology(a))
         assert walked == [a] and a._h0_answer == [False]
         assert routed[0] == betti_numbers(a) == (1, 0, 2, 0, 1, 1, 1, 1, 1, 1, 1)
@@ -258,4 +270,4 @@ class TestOneAnswerPerAlgebra:
         ideal_rows = ch._ideal_rows
         monkeypatch.setattr(ch, "_ideal_rows", lambda a, d: degrees.append(d) or ideal_rows(a, d))
         cohomology(a)
-        assert degrees == [range(0, 7, 2)]
+        assert degrees == [[0, 2, 4, 6]]
