@@ -57,13 +57,19 @@ which ``LowerGradedTable`` reads without eliminating again; its
 index-0 strand H_0 is the image of the even subalgebra in cohomology.
 The formality count of ``criteria`` reads the rows f_j m of
 ``_ideal_rows``, not the strands.  Parity-wise surjectivity of a
-morphism, by rank counting, completes the module.
+morphism, by rank counting, completes the module: the direct check
+``surjectivity_by_parity``, for any morphism and any target.  No report
+calls it.  A report's verdict reads the strands of the space's table
+instead (``criteria._verdict_from_package``), since the image of the
+Borel model there is H_0; the direct check is the reference that reading
+is tested against, and it serves the callers of
+``even_degree_surjectivity`` and targets that are not pure.
 ``betti_numbers`` and ``h0_dims`` count ranks independently of the
-table.  Both ``betti_numbers`` and the direct check
-``surjectivity_by_parity`` read one chain of eliminations,
-``_echelons``, which clears: a degree's d rows are built only for the
-monomials whose positions are not pivot columns of the degree below,
-which together with the coboundaries, where d vanishes, span the degree.
+table.  Both ``betti_numbers`` and the direct check read one chain of
+eliminations, ``_echelons``, which clears: a degree's d rows are built
+only for the monomials whose positions are not pivot columns of the
+degree below, which together with the coboundaries, where d vanishes,
+span the degree.
 The direct check decides every parity it is asked in one walk of the
 target's chain, and each degree it checks with one elimination: the
 rows ``(d m | f(m))`` of the source monomials, source columns first,

@@ -2,9 +2,10 @@
 cohomological computation.
 
 Every verdict carries both the rank-formula answer and the outcome of
-the honest linear-algebra check on the Borel morphism; when the
-governing hypotheses hold the two must agree, and a disagreement raises
-CriterionDisagreement rather than being reconciled.  A disagreement that
+the direct check on the Borel morphism, read from the space's
+cohomology table; when the governing hypotheses hold the two must
+agree, and a disagreement raises CriterionDisagreement rather than
+being reconciled.  A disagreement that
 the input explains is a validation error instead: a direct check cut off
 below the model's formal dimension, or maps whose model has
 infinite-dimensional cohomology (they define no compact quotient).  Such
@@ -13,12 +14,14 @@ the space's table reaches the formal dimension and fails Poincaré
 duality there.
 
 ``pair_analysis`` and ``cohomogeneity_one_analysis`` build a space's
-Borel package once and return it with its verdict, so a report reads the
-space's cohomology table from the same model; the Euler relations of a
-diagram take the manifold's table rather than rebuilding its model.  A
-verdict decides the even and the odd direct check, the K^0 and K^1
-forgetful questions, in one call of ``surjectivity_by_parity``, which
-walks the space model's cleared chain once.
+Borel package and the space's cohomology table once, and return both
+with the verdict decided on that table, so a report prints the table the
+verdict read; the Euler relations of a diagram take the same table
+rather than rebuilding its model.  A verdict decides the even and the
+odd direct check, the K^0 and K^1 forgetful questions, by reading the
+table's strands (``_verdict_from_package``); the rank-only direct check
+``cohomology.surjectivity_by_parity`` is the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -107,15 +110,44 @@ def _reconcile(verdict: SurjectivityVerdict) -> SurjectivityVerdict:
     return verdict
 
 
+def _strand_surjectivity(table: ch.CohomologyTable) -> tuple[tuple[bool, int | None], ...]:
+    """(onto, smallest failing degree) of a Borel package's forgetful map
+    for the even and then the odd degrees of its space's table: a degree
+    fails iff a strand of index >= 1 has a class there.  The lower grading
+    raises NotPure on a space model that is not pure, whose one block per
+    degree would read as onto."""
+    strands = ch.LowerGradedTable(table)
+    failing: dict[int, int] = {}
+    for n in range(table.cutoff + 1):
+        if strands.dims(n).keys() - {0}:
+            failing.setdefault(n % 2, n)
+    return tuple((p not in failing, failing.get(p)) for p in (0, 1))
+
+
 def _verdict_from_package(
     package: BorelPackage,
     context: str,
     rank_gap: int,
     hypotheses_hold: bool,
     citation: str,
-) -> SurjectivityVerdict:
+) -> tuple[ch.CohomologyTable, SurjectivityVerdict]:
+    """The space's cohomology table and the verdict read from it.
+
+    The forgetful map f sends the Borel model into the pure space model,
+    each even generator to the space's generator of that name, and the
+    space has no other even generators.  The Borel model's cohomology is
+    generated by ΛQ, the even generators: for a pair it is H*(BH) = ΛQ,
+    with no differential; for a diagram it is ΛQ ⊗ Λ(n) with dn = e+e−,
+    where a cocycle p + r·n needs r·e+e− = 0, so r = 0 since ΛQ is a
+    domain, and H = ΛQ/(e+e−).  Either way f maps the Borel cocycles of
+    degree n onto ΛQ^n of the space, so the image of H^n(f) is H_0^n,
+    the space's strand-0 classes, and H^n(f) is onto iff no strand of
+    index >= 1 has a class in degree n (``_strand_surjectivity``).  The
+    table stops where the direct check does: at the cutoff, or at the
+    formal dimension N when the H_0 rule shows H^n = 0 above it."""
     cutoff = package.space.cutoff
-    (direct, failing), (odd_direct, odd_failing) = ch.surjectivity_by_parity(package.forgetful, (0, 1))
+    table = ch.cohomology(package.space)
+    (direct, failing), (odd_direct, odd_failing) = _strand_surjectivity(table)
     if hypotheses_hold and direct != (rank_gap <= 1):
         top = ch._formal_dimension(package.space)
         if direct and cutoff < top:
@@ -127,7 +159,7 @@ def _verdict_from_package(
         # of H, which then has a class above N and is infinite.
         if not ch._elliptic(package.space):
             raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
-    return _reconcile(
+    return table, _reconcile(
         SurjectivityVerdict(
             context=context,
             rank_gap=rank_gap,
@@ -144,16 +176,14 @@ def _verdict_from_package(
     )
 
 
-def space_table(package: BorelPackage, context: str) -> ch.CohomologyTable:
-    """The cohomology table of a package's pure space model.  Cohomology
-    that is finite-dimensional satisfies Poincaré duality at the formal
+def space_table(table: ch.CohomologyTable, context: str) -> None:
+    """Check a space's cohomology table.  Cohomology that is
+    finite-dimensional satisfies Poincaré duality at the formal
     dimension, so a table that reaches that degree and fails duality
     there raises NotElliptic; a table cut off below it is not checked."""
-    table = ch.cohomology(package.space)
-    top = ch._formal_dimension(package.space)
+    top = ch._formal_dimension(table.algebra)
     if table.cutoff >= top and not ch.poincare_duality_holds(table.betti, top):
         raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
-    return table
 
 
 def homogeneous_surjectivity(
@@ -165,7 +195,7 @@ def homogeneous_surjectivity(
     """Even-degree surjectivity of the forgetful map for G acting on G/H:
     rank formula (gap at most one) against the direct check on the
     classifying-subalgebra inclusion."""
-    return pair_analysis("homogeneous", g, h, restriction, cutoff)[1]
+    return pair_analysis("homogeneous", g, h, restriction, cutoff)[2]
 
 
 def biquotient_surjectivity(
@@ -176,18 +206,20 @@ def biquotient_surjectivity(
 ) -> SurjectivityVerdict:
     """Same question for a two-sided quotient presentation; freeness of
     the action is the caller's assertion."""
-    return pair_analysis("biquotient", g, h, restriction, cutoff)[1]
+    return pair_analysis("biquotient", g, h, restriction, cutoff)[2]
 
 
-def pair_analysis(kind: str, g, h, restriction, cutoff) -> tuple[BorelPackage, SurjectivityVerdict]:
-    """The Borel package of a ``homogeneous`` or ``biquotient`` pair,
-    built once, and the surjectivity verdict decided on it; a report
-    reads the space's cohomology from the same package."""
+def pair_analysis(
+    kind: str, g, h, restriction, cutoff
+) -> tuple[BorelPackage, ch.CohomologyTable, SurjectivityVerdict]:
+    """The Borel package of a ``homogeneous`` or ``biquotient`` pair and
+    its space's cohomology table, each built once, and the surjectivity
+    verdict read from that table; a report prints the same table."""
     if not (g.connected and h.connected):
         raise DisconnectedGroup(f"the {kind} criterion needs connected groups")
     package = borel_model_homogeneous(g, h, restriction, cutoff)
     citation = CITATION_HOMOGENEOUS if kind == "homogeneous" else CITATION_BIQUOTIENT
-    return package, _verdict_from_package(package, kind, g.rank - h.rank, True, citation)
+    return package, *_verdict_from_package(package, kind, g.rank - h.rank, True, citation)
 
 
 def cohomogeneity_one_surjectivity(
@@ -197,18 +229,19 @@ def cohomogeneity_one_surjectivity(
 ) -> SurjectivityVerdict:
     """Even-degree surjectivity of the forgetful map for the
     cohomogeneity-one manifold of the diagram."""
-    return cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)[1]
+    return cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)[2]
 
 
 def cohomogeneity_one_analysis(
     diagram: GroupDiagram, cutoff: int | None, allow_disconnected: bool
-) -> tuple[BorelPackage, SurjectivityVerdict]:
-    """The Borel package of the diagram's manifold, built once, and the
-    surjectivity verdict decided on it; a report reads the manifold's and
-    the Borel model's cohomology from the same package."""
+) -> tuple[BorelPackage, ch.CohomologyTable, SurjectivityVerdict]:
+    """The Borel package of the diagram's manifold and the manifold's
+    cohomology table, each built once, and the surjectivity verdict read
+    from that table; a report prints the same table and reads the Borel
+    model from the same package."""
     package = borel_model_cohomogeneity_one(diagram, cutoff, allow_disconnected)
     hypotheses = all(grp.connected for grp in diagram.groups())
-    return package, _verdict_from_package(
+    return package, *_verdict_from_package(
         package, "cohomogeneity_one", diagram.rank_gap, hypotheses, CITATION_COHO1
     )
 

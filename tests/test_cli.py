@@ -487,9 +487,7 @@ class TestKTheoryAndReport:
     def test_computation_error_exits_two(self, capsys, monkeypatch):
         # a direct check that contradicts the rank criterion on an elliptic
         # model is an internal inconsistency, not bad input
-        monkeypatch.setattr(
-            criteria.ch, "surjectivity_by_parity", lambda f, parities: ((False, 2), (True, None))
-        )
+        monkeypatch.setattr(criteria, "_strand_surjectivity", lambda table: ((False, 2), (True, None)))
         code, out, err = run(capsys, "report", "--preset", "cp2-sum")
         assert code == 2 and out == ""
         assert err.startswith("computation error: ") and err.count("\n") == 1

@@ -541,41 +541,57 @@ class TestDiagnostics:
             checked += 1
 
 
-def _analyses() -> dict:
-    """The verdicts the ``reports`` benchmark decides, by name: every
+def _reports() -> dict:
+    """The report documents of the ``reports`` benchmark, by name: every
     diagram preset, SU(4)/T3 and Sp(2)/T2 at their maximal tori, and the
-    README biquotient; each is a thunk returning (package, verdict)."""
+    README biquotient."""
     from sullivan.catalog import DIAGRAM_PRESETS
-    from sullivan.criteria import cohomogeneity_one_analysis, pair_analysis
-    from sullivan.documents import load_biquotient
 
-    analyses = {
-        name: lambda name=name: cohomogeneity_one_analysis(diagram(name), None, False)
-        for name in DIAGRAM_PRESETS
-    }
+    reports = dict(DIAGRAM_PRESETS)
     for g, h in (("SU(4)", "T3"), ("Sp(2)", "T2")):
-        r = standard_restriction(g, h, "maximal-torus")
-        analyses[f"{g}/{h}"] = lambda r=r: pair_analysis("homogeneous", r.source, r.target, r, None)
-    readme = {"G": "SU(2)", "H": "T1", "left": {"u1": "-u1^2"}, "right": {"u1": "-4*u1^2"}}
-    analyses["biquotient-readme"] = lambda: pair_analysis("biquotient", *load_biquotient(readme), None)
-    return analyses
+        reports[f"{g}/{h}"] = {"kind": "homogeneous", "G": g, "H": h, "embedding": "maximal-torus"}
+    reports["biquotient-readme"] = {
+        "kind": "biquotient",
+        "G": "SU(2)",
+        "H": "T1",
+        "left": {"u1": "-u1^2"},
+        "right": {"u1": "-4*u1^2"},
+    }
+    return reports
 
 
-ANALYSES = _analyses()
+REPORTS = _reports()
 
 
 class TestOneWalk:
-    @pytest.mark.parametrize("name", sorted(ANALYSES))
+    """A report's one pass over its space model is the space's table:
+    the verdict reads that table, and no cleared chain of the space is
+    walked."""
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_verdict_walks_the_space_chain_once(self, name, monkeypatch):
-        # one walk of the space model's cleared chain decides both parities
         from sullivan import cohomology as ch
+        from sullivan import criteria
+        from sullivan.documents import run_analysis
 
-        walked, echelons = [], ch._echelons
+        walked, tabled, analyses = [], [], []
+        echelons, init = ch._echelons, ch.CohomologyTable.__init__
+        monkeypatch.setattr(ch, "_echelons", lambda a, top: walked.append(a) or echelons(a, top))
 
-        def recording_echelons(a, top):
-            walked.append(a)
-            return echelons(a, top)
+        def recording_init(table, a):
+            tabled.append(a)
+            init(table, a)
 
-        monkeypatch.setattr(ch, "_echelons", recording_echelons)
-        package, _ = ANALYSES[name]()
-        assert sum(a is package.space for a in walked) == 1
+        monkeypatch.setattr(ch.CohomologyTable, "__init__", recording_init)
+        for analysis in ("pair_analysis", "cohomogeneity_one_analysis"):
+            original = getattr(criteria, analysis)
+            monkeypatch.setattr(
+                criteria, analysis, lambda *args, f=original: analyses.append(f(*args)) or analyses[-1]
+            )
+        report = run_analysis(REPORTS[name])
+        [(package, table, verdict)] = analyses
+        assert not any(a is package.space for a in walked)
+        assert [a for a in tabled if a is package.space] == [package.space]
+        assert table.algebra is package.space
+        assert report["space"]["betti"] == list(table.betti)
+        assert report["verdict"]["direct_check"] == verdict.direct_check

@@ -331,9 +331,11 @@ class TestReports:
         assert report["euler_relations"]["identity_holds"]
 
     def test_rows_reach_the_kernel_as_integer_mappings(self, monkeypatch):
-        """Kernel vectors, representatives and the surjectivity check's
-        images enter elimination as ``{position: int}`` rows, with no
-        conversion of ``Fraction`` or dense rows on a report's path."""
+        """Differential rows, the coboundaries handed up between blocks
+        and the Borel model's rows enter elimination as ``{position: int}``
+        rows, with no conversion of ``Fraction`` or dense rows on a
+        report's path.  The diagram ``gap-three-diagonal`` has χ_π = 1, so
+        its table walks ΛV."""
         seen = []
         convert = linalg._int_rows
 
@@ -351,7 +353,7 @@ class TestReports:
             "differential": {"a": "x^2", "b": "y^2", "c": "x*z"},
             "cutoff": 10,
         }
-        for doc in (pure, DIAGRAM_PRESETS["cp2-sum-times-sphere"]):
+        for doc in (pure, DIAGRAM_PRESETS["gap-three-diagonal"]):
             seen.clear()
             run_analysis(doc)
             assert len(seen) > 100

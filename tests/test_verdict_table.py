@@ -7,16 +7,19 @@ diagram, whose cocycles are ΛQ since ΛQ is a domain.  So the image of
 H^n(f) is H_0^n, the strand-0 classes of the space's table, and H^n(f)
 is onto iff no strand of index >= 1 has a class in degree n.  The
 reference is the direct check ``surjectivity_by_parity``, which walks the
-space's cleared chain and reads no table."""
+space's cleared chain and reads no table; a report's verdict reads the
+table (``criteria._strand_surjectivity``)."""
 
 import pytest
 
 from instance_generators import borel_packages
 from sullivan.catalog import DIAGRAM_PRESETS, EMBEDDING_KINDS, catalog_list, standard_restriction
-from sullivan.cohomology import LowerGradedTable, _formal_dimension, cohomology, surjectivity_by_parity
+from sullivan.cdga import CdgaMorphism, Generator, SullivanAlgebra
+from sullivan.cohomology import _formal_dimension, cohomology, surjectivity_by_parity
+from sullivan.criteria import _strand_surjectivity, _verdict_from_package
 from sullivan.documents import load_diagram
-from sullivan.errors import SullivanError
-from sullivan.models import borel_model_cohomogeneity_one, borel_model_homogeneous
+from sullivan.errors import NotPure, SullivanError
+from sullivan.models import BorelPackage, borel_model_cohomogeneity_one, borel_model_homogeneous
 
 
 def _builds() -> dict:
@@ -61,17 +64,6 @@ def _cases():
 CASES = list(_cases())
 
 
-def strand_reading(table) -> tuple[tuple[bool, int | None], ...]:
-    """(onto, smallest failing degree) for the even and the odd degrees:
-    a degree fails iff a strand of index >= 1 has a class there."""
-    strands = LowerGradedTable(table)
-    failing: dict[int, int] = {}
-    for n in range(table.cutoff + 1):
-        if strands.dims(n).keys() - {0}:
-            failing.setdefault(n % 2, n)
-    return tuple((p not in failing, failing.get(p)) for p in (0, 1))
-
-
 def test_population():
     names = {name.rsplit("@", 1)[0] for name, _ in CASES}
     assert set(DIAGRAM_PRESETS) <= names
@@ -83,4 +75,21 @@ def test_population():
 
 @pytest.mark.parametrize("name, package", CASES)
 def test_table_reading_matches_the_direct_check(name, package):
-    assert strand_reading(cohomology(package.space)) == surjectivity_by_parity(package.forgetful, (0, 1))
+    assert _strand_surjectivity(cohomology(package.space)) == surjectivity_by_parity(package.forgetful, (0, 1))
+
+
+def test_a_space_model_that_is_not_pure_raises():
+    """x in degree 2 and u, v, w in degree 1 with dw = uv, which has odd
+    factors, so the model has one block per degree, key 0, and its table
+    would read as onto.  The Borel model Q[x] maps x to x, and the
+    classes u, v of degree 1 and uw, vw of degree 2 are not hit."""
+    gens = [Generator("x", 2), Generator("u", 1), Generator("v", 1), Generator("w", 1)]
+    draft = SullivanAlgebra(gens, 4)
+    space = SullivanAlgebra(gens, 4, {"w": draft.parse("u*v")})
+    borel = SullivanAlgebra([Generator("x", 2)], 4)
+    package = BorelPackage(space, borel, CdgaMorphism(borel, space, {"x": space.gen("x")}))
+    assert surjectivity_by_parity(package.forgetful, (0, 1)) == ((False, 2), (False, 1))
+    with pytest.raises(NotPure):
+        _strand_surjectivity(cohomology(space))
+    with pytest.raises(NotPure):
+        _verdict_from_package(package, "homogeneous", 0, True, "")
