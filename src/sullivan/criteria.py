@@ -3,15 +3,16 @@ cohomological computation.
 
 Every verdict carries both the rank-formula answer and the outcome of
 the direct check on the Borel morphism, read from the space's
-cohomology table; when the governing hypotheses hold the two must
-agree, and a disagreement raises CriterionDisagreement rather than
-being reconciled.  A disagreement that
-the input explains is a validation error instead: a direct check cut off
-below the model's formal dimension, or maps whose model has
-infinite-dimensional cohomology (they define no compact quotient).  Such
-maps are also rejected by ``space_table`` when the two checks agree but
-the space's table reaches the formal dimension and fails Poincaré
-duality there.
+cohomology table, and one function decides it
+(``_verdict_from_package``).  When the governing hypotheses hold the two
+answers must agree, and a disagreement raises CriterionDisagreement
+rather than being reconciled, unless the input explains it: a direct
+check cut off below the model's formal dimension (CutoffExceeded), or
+maps whose model has infinite-dimensional cohomology (NotElliptic; they
+define no compact quotient).  Such maps are rejected too when the two
+answers agree but the space's table reaches the formal dimension and
+fails Poincaré duality there, so the verdict functions and the reports
+reject the same inputs.
 
 ``pair_analysis`` and ``cohomogeneity_one_analysis`` build a space's
 Borel package and the space's cohomology table once, and return both
@@ -19,9 +20,10 @@ with the verdict decided on that table, so a report prints the table the
 verdict read; the Euler relations of a diagram take the same table
 rather than rebuilding its model.  A verdict decides the even and the
 odd direct check, the K^0 and K^1 forgetful questions, by reading the
-table's strands (``_verdict_from_package``); the rank-only direct check
-``cohomology.surjectivity_by_parity`` is the reference it is tested
-against.
+table's strands (``_strand_surjectivity``), and the even-coverage
+criterion of a pure algebra reads its even degrees the same way; the
+rank-only direct check ``cohomology.surjectivity_by_parity`` is the
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -100,26 +102,18 @@ class FormalityVerdict(NamedTuple):
     formal: bool
 
 
-def _reconcile(verdict: SurjectivityVerdict) -> SurjectivityVerdict:
-    if verdict.hypotheses_hold and verdict.rank_criterion != verdict.direct_check:
-        raise CriterionDisagreement(
-            f"{verdict.context}: rank criterion says {verdict.rank_criterion} but the "
-            f"direct check says {verdict.direct_check} (first failing degree "
-            f"{verdict.first_failing_degree})"
-        )
-    return verdict
-
-
 def _strand_surjectivity(table: ch.CohomologyTable) -> tuple[tuple[bool, int | None], ...]:
     """(onto, smallest failing degree) of a Borel package's forgetful map
     for the even and then the odd degrees of its space's table: a degree
-    fails iff a strand of index >= 1 has a class there.  The lower grading
-    raises NotPure on a space model that is not pure, whose one block per
-    degree would read as onto."""
+    fails iff a strand of index >= 1 has a class there, that is iff
+    H_0^n != H^n, so the even pair also answers the even-coverage
+    question of a pure algebra.  The lower grading raises NotPure on a
+    space model that is not pure, whose one block per degree would read
+    as onto."""
     strands = ch.LowerGradedTable(table)
     failing: dict[int, int] = {}
     for n in range(table.cutoff + 1):
-        if strands.dims(n).keys() - {0}:
+        if any(i and reps for i, reps in strands._strands(n).items()):
             failing.setdefault(n % 2, n)
     return tuple((p not in failing, failing.get(p)) for p in (0, 1))
 
@@ -144,12 +138,21 @@ def _verdict_from_package(
     the space's strand-0 classes, and H^n(f) is onto iff no strand of
     index >= 1 has a class in degree n (``_strand_surjectivity``).  The
     table stops where the direct check does: at the cutoff, or at the
-    formal dimension N when the H_0 rule shows H^n = 0 above it."""
+    formal dimension N when the H_0 rule shows H^n = 0 above it.
+
+    Every error a verdict can raise is raised here, in this order.  When
+    the hypotheses hold and the rank criterion disagrees with the table:
+    CutoffExceeded if the table is onto but cut off below N,
+    NotElliptic if the H_0 rule shows infinite cohomology, and
+    CriterionDisagreement otherwise.  Then, whatever the hypotheses,
+    NotElliptic if the table reaches N and fails Poincaré duality there,
+    since finite-dimensional cohomology satisfies it; a table cut off
+    below N is not checked."""
     cutoff = package.space.cutoff
     table = ch.cohomology(package.space)
     (direct, failing), (odd_direct, odd_failing) = _strand_surjectivity(table)
+    top = ch._formal_dimension(package.space)
     if hypotheses_hold and direct != (rank_gap <= 1):
-        top = ch._formal_dimension(package.space)
         if direct and cutoff < top:
             raise CutoffExceeded(
                 f"{context}: cutoff {cutoff} is below the formal dimension {top}, "
@@ -159,31 +162,25 @@ def _verdict_from_package(
         # of H, which then has a class above N and is infinite.
         if not ch._elliptic(package.space):
             raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
-    return table, _reconcile(
-        SurjectivityVerdict(
-            context=context,
-            rank_gap=rank_gap,
-            chi_pi=package.space.homotopy_euler_characteristic(),
-            rank_criterion=rank_gap <= 1,
-            direct_check=direct,
-            first_failing_degree=failing,
-            odd_direct_check=odd_direct,
-            odd_first_failing_degree=odd_failing,
-            hypotheses_hold=hypotheses_hold,
-            cutoff=cutoff,
-            citation=citation,
+        raise CriterionDisagreement(
+            f"{context}: rank criterion says {rank_gap <= 1} but the direct check "
+            f"says {direct} (first failing degree {failing})"
         )
-    )
-
-
-def space_table(table: ch.CohomologyTable, context: str) -> None:
-    """Check a space's cohomology table.  Cohomology that is
-    finite-dimensional satisfies Poincaré duality at the formal
-    dimension, so a table that reaches that degree and fails duality
-    there raises NotElliptic; a table cut off below it is not checked."""
-    top = ch._formal_dimension(table.algebra)
-    if table.cutoff >= top and not ch.poincare_duality_holds(table.betti, top):
+    if cutoff >= top and not ch.poincare_duality_holds(table.betti, top):
         raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
+    return table, SurjectivityVerdict(
+        context=context,
+        rank_gap=rank_gap,
+        chi_pi=package.space.homotopy_euler_characteristic(),
+        rank_criterion=rank_gap <= 1,
+        direct_check=direct,
+        first_failing_degree=failing,
+        odd_direct_check=odd_direct,
+        odd_first_failing_degree=odd_failing,
+        hypotheses_hold=hypotheses_hold,
+        cutoff=cutoff,
+        citation=citation,
+    )
 
 
 def homogeneous_surjectivity(
@@ -256,15 +253,15 @@ class EvenCoverageReport(NamedTuple):
     h0_equals_heven: bool
     chi_pi: int
     first_uncovered_degree: int | None
-    h0_dims: dict[int, int]
-    even_betti: dict[int, int]
     citation: str = CITATION_H0
 
 
 def pure_h0_equals_heven(table: ch.CohomologyTable) -> EvenCoverageReport:
     """Compare the even-subalgebra image, the index-0 strands of the
     table's lower grading, with all of H^even, degree by degree, and
-    assert the equivalence with chi_pi <= 1."""
+    assert the equivalence with chi_pi <= 1.  H_0^n = H^n exactly when
+    no strand of index >= 1 has a class in degree n, so the comparison
+    is ``_strand_surjectivity``'s even reading."""
     a, betti = table.algebra, table.betti
     if not a.is_pure():
         raise NotPure("the even-coverage criterion needs a pure algebra")
@@ -273,22 +270,14 @@ def pure_h0_equals_heven(table: ch.CohomologyTable) -> EvenCoverageReport:
             "cohomology does not vanish in the top window below the cutoff; "
             "increase the cutoff or pass an elliptic algebra"
         )
-    strands = ch.LowerGradedTable(table)
-    h0 = {n: strands.dim(n, 0) for n in range(0, table.cutoff + 1, 2)}
-    even_betti = {n: betti[n] for n in h0}
-    first_uncovered = None
-    for n in sorted(h0):
-        if h0[n] != even_betti[n]:
-            first_uncovered = n
-            break
-    equals = first_uncovered is None
+    equals, first_uncovered = _strand_surjectivity(table)[0]
     chi = a.homotopy_euler_characteristic()
     if equals != (chi <= 1):
         raise CriterionDisagreement(
             f"even coverage is {equals} but chi_pi = {chi}; "
             "the two sides of the equivalence disagree"
         )
-    return EvenCoverageReport(equals, chi, first_uncovered, h0, even_betti)
+    return EvenCoverageReport(equals, chi, first_uncovered)
 
 
 def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:

@@ -353,7 +353,6 @@ def _analyze_model(a: SullivanAlgebra) -> dict:
 
 def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
     _, table, verdict = criteria.pair_analysis(kind, g, h, restriction, cutoff)
-    criteria.space_table(table, verdict.context)
     input_doc = _pair_input_document(kind, g, h, restriction, table.cutoff)
     flags = ktheory.StabilizationFlags.from_homogeneous(g, h)
     return _verdict_report(kind, input_doc, table, verdict, flags)
@@ -361,7 +360,6 @@ def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
 
 def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) -> dict:
     package, table, verdict = criteria.cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)
-    criteria.space_table(table, verdict.context)
     euler = criteria.euler_characteristic_relations(diagram, table)
     input_doc = diagram_document(diagram)
     input_doc["cutoff"] = table.cutoff

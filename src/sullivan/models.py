@@ -127,7 +127,9 @@ class GroupDiagram(_DiagramFields):
     """Cohomogeneity-one group diagram (G, H, K-, K+) with K±/H odd
     spheres.  The restriction maps H*(BG) -> H*(BK±) are written in the
     presentation H*(BK±) = H*(BH)[e±] with the sphere classes named
-    ``ep``/``em``; the maps H*(BK±) -> H*(BH) are then e± -> 0."""
+    ``ep``/``em``; the maps H*(BK±) -> H*(BH) are then e± -> 0.  H's
+    classifying generators are ``u1..uk`` (``GroupData.bg_names``), so
+    they never shadow ``ep``, ``em`` or ``n``."""
 
     __slots__ = ()
 
@@ -151,8 +153,6 @@ class GroupDiagram(_DiagramFields):
                 raise UnknownGenerator(
                     f"{key!r} is not a classifying-space generator of {self.g.name}"
                 )
-        if {EULER_PLUS, EULER_MINUS, RELATION_GENERATOR} & set(self.h.bg_names):
-            raise InvalidDiagram("principal isotropy generators shadow ep/em/n")
         return self
 
     @property

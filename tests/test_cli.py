@@ -372,6 +372,102 @@ class TestBooleanFlags:
         assert code == 0 and json.loads(out)["input"]["allow_disconnected"] is True
 
 
+class TestInputRejections:
+    """Each input rejection, run in this process: a validation error
+    (exit 1) with its message on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("catalog", "show", "SU(2)^" + "7" * (sys.get_int_max_str_digits() + 1)),
+                f"unknown catalog group: power has more than {sys.get_int_max_str_digits()} digits",
+            ),
+            (("catalog", "show", "SU(2)^0"), "unknown catalog group 'SU(2)^0': power below 1"),
+            (("catalog", "show", "SU(2)^1"), "unknown catalog group 'SU(2)^1'"),
+            (("catalog", "show", "SU(2)^10001"), "product group 'SU(2)^10001' has rank above 10000"),
+            (
+                ("check", "homogeneous", "--g", "SU(2)xSU(3)", "--h", "SU(2)", "--embedding", "diagonal"),
+                "diagonal embedding needs a power of a single factor",
+            ),
+            (
+                ("check", "homogeneous", "--g", "SU(3)", "--h", "SU(2)"),
+                "no default embedding of SU(2) in SU(3); pass an explicit kind from trivial, "
+                "block, coordinate, maximal-torus, diagonal, diagonal-circle",
+            ),
+            (("check", "coho1"), "pass --file or --preset"),
+            (("check", "biquotient"), "pass --file"),
+            (("model", "build"), "pass --file or --group"),
+        ],
+        ids=[
+            "over-long-power",
+            "zero-power",
+            "first-power",
+            "rank-above-limit",
+            "diagonal-of-mixed-product",
+            "no-default-embedding",
+            "coho1-without-source",
+            "biquotient-without-file",
+            "model-build-without-source",
+        ],
+    )
+    def test_arguments(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    SOLVABLE = {"name": "S", "rank": 1, "dim": 1, "degrees": [1]}
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"H": "e", "Kminus": "T3", "Kplus": "T3", "sphere_dims": [3, 3]},
+                "rank K- = 3, expected rank H + 1 = 1",
+            ),
+            (
+                {"embeddings": {"G->Kminus": {"u9": "-em^2"}, "G->Kplus": {"u1": "-ep^2"}}},
+                "'u9' is not a classifying-space generator of SU(2)",
+            ),
+            (
+                {
+                    "H": {**SOLVABLE, "flags": {"connected": False}},
+                    "Kminus": "T2",
+                    "Kplus": "T2",
+                    "allow_disconnected": True,
+                },
+                "only finite disconnected principal isotropy is supported",
+            ),
+        ],
+        ids=["sphere-rank", "unknown-restriction-key", "disconnected-positive-rank"],
+    )
+    def test_diagrams(self, capsys, tmp_path, changes, message):
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps({**DIAGRAM_PRESETS["cp2-sum"], **changes}))
+        code, out, err = run(capsys, "report", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"H": {**SOLVABLE, "flags": 1}}, "$.H.flags: expected an object"),
+            ({"embedding": 5}, "$.embedding: expected an object of generator -> polynomial"),
+            (
+                {"H": SOLVABLE, "embedding": "maximal-torus"},
+                "$.embedding: named embeddings need catalog group names",
+            ),
+        ],
+        ids=["flags-not-an-object", "embedding-not-a-name-or-object", "named-embedding-inline-group"],
+    )
+    def test_pairs(self, capsys, tmp_path, changes, message):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"kind": "homogeneous", "G": "SU(2)", "H": "T1", **changes}))
+        code, out, err = run(capsys, "report", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
 class TestKTheoryAndReport:
     def test_betti_file(self, capsys, tmp_path):
         path = tmp_path / "betti.json"

@@ -465,33 +465,43 @@ class TestDiagramReports:
 
 
 class TestDiagnostics:
-    def test_disagreement_raises(self):
-        from sullivan.criteria import SurjectivityVerdict, _reconcile
+    def test_disagreement_raises(self, monkeypatch):
+        # a table reading that contradicts the rank criterion (gap 0 says
+        # onto) on an elliptic space: the verdict is refused, unless the
+        # hypotheses are relaxed
+        from sullivan import criteria
+        from sullivan.models import borel_model_cohomogeneity_one, borel_model_homogeneous
 
-        verdict = SurjectivityVerdict(
-            context="homogeneous",
-            rank_gap=0,
-            chi_pi=0,
-            rank_criterion=True,
-            direct_check=False,
-            first_failing_degree=4,
-            odd_direct_check=True,
-            odd_first_failing_degree=None,
+        monkeypatch.setattr(criteria, "_strand_surjectivity", lambda table: ((False, 4), (True, None)))
+        package = borel_model_homogeneous(SU2, T1, standard_restriction("SU(2)", "T1", "maximal-torus"))
+        with pytest.raises(CriterionDisagreement) as info:
+            criteria._verdict_from_package(package, "homogeneous", 0, True, "")
+        assert str(info.value) == (
+            "homogeneous: rank criterion says True but the direct check says False "
+            "(first failing degree 4)"
         )
-        with pytest.raises(CriterionDisagreement):
-            _reconcile(verdict)
-        relaxed = SurjectivityVerdict(
-            context="homogeneous",
-            rank_gap=0,
-            chi_pi=0,
-            rank_criterion=True,
-            direct_check=False,
-            first_failing_degree=4,
-            odd_direct_check=True,
-            odd_first_failing_degree=None,
-            hypotheses_hold=False,
+        relaxed = GroupDiagram(SU2, lookup("Z2"), T1, T1, {"u1": "-em^2"}, {"u1": "-ep^2"}, (1, 1))
+        package = borel_model_cohomogeneity_one(relaxed, None, True)
+        _, verdict = criteria._verdict_from_package(
+            package, "cohomogeneity_one", relaxed.rank_gap, False, criteria.CITATION_COHO1
         )
-        assert _reconcile(relaxed) is relaxed
+        assert not verdict.hypotheses_hold
+        assert verdict.rank_criterion and not verdict.direct_check
+        assert verdict.first_failing_degree == 4
+
+    @pytest.mark.parametrize("check", [homogeneous_surjectivity, biquotient_surjectivity])
+    def test_non_elliptic_maps_have_no_verdict(self, check):
+        # both generators of H*(BT2) restrict to u1^2: the rank criterion
+        # and the direct check agree, but u2 is free, so a table reaching
+        # the formal dimension 4 fails Poincaré duality there
+        g, h = lookup("SU(2)^2"), lookup("T2")
+        doubled = RestrictionMap(g, h, {"u1": "u1^2", "u2": "u1^2"})
+        for cutoff in (4, 8):
+            with pytest.raises(NotElliptic, match="infinite-dimensional"):
+                check(g, h, doubled, cutoff)
+        # a table cut off below the formal dimension is not checked
+        verdict = check(g, h, doubled, 3)
+        assert verdict.rank_criterion and verdict.direct_check
 
     def test_finite_isotropy_relaxes_hypotheses(self):
         from sullivan.catalog import lookup as clookup
