@@ -60,7 +60,7 @@ The formality count of ``criteria`` reads the rows f_j m of
 morphism, by rank counting, completes the module: the direct check
 ``surjectivity_by_parity``, for any morphism and any target.  No report
 calls it.  A report's verdict reads the strands of the space's table
-instead (``criteria._verdict_from_package``), since the image of the
+instead (``criteria._space_verdict``), since the image of the
 Borel model there is H_0; the direct check is the reference that reading
 is tested against, and it serves the callers of
 ``even_degree_surjectivity`` and targets that are not pure.

@@ -3,27 +3,29 @@ cohomological computation.
 
 Every verdict carries both the rank-formula answer and the outcome of
 the direct check on the Borel morphism, read from the space's
-cohomology table, and one function decides it
-(``_verdict_from_package``).  When the governing hypotheses hold the two
-answers must agree, and a disagreement raises CriterionDisagreement
-rather than being reconciled, unless the input explains it: a direct
-check cut off below the model's formal dimension (CutoffExceeded), or
-maps whose model has infinite-dimensional cohomology (NotElliptic; they
-define no compact quotient).  Such maps are rejected too when the two
-answers agree but the space's table reaches the formal dimension and
-fails Poincaré duality there, so the verdict functions and the reports
-reject the same inputs.
+cohomology table, and one function decides it (``_space_verdict``).
+When the governing hypotheses hold the two answers must agree, and a
+disagreement raises CriterionDisagreement rather than being reconciled,
+unless the input explains it: a direct check cut off below the model's
+formal dimension (CutoffExceeded), or maps whose model has
+infinite-dimensional cohomology (NotElliptic; they define no compact
+quotient).  Such maps are rejected too when the two answers agree but
+the space's table reaches the formal dimension and fails Poincaré
+duality there, so the verdict functions and the reports reject the same
+inputs.
 
 ``pair_analysis`` and ``cohomogeneity_one_analysis`` build a space's
-Borel package and the space's cohomology table once, and return both
-with the verdict decided on that table, so a report prints the table the
-verdict read; the Euler relations of a diagram take the same table
-rather than rebuilding its model.  A verdict decides the even and the
-odd direct check, the K^0 and K^1 forgetful questions, by reading the
-table's strands (``_strand_surjectivity``), and the even-coverage
-criterion of a pure algebra reads its even degrees the same way; the
-rank-only direct check ``cohomology.surjectivity_by_parity`` is the
-reference they are tested against.
+model and its cohomology table once, and return the table with the
+verdict decided on it, so a report prints the table the verdict read;
+the Euler relations of a diagram take the same table rather than
+rebuilding its model.  A verdict decides the even and the odd direct
+check, the K^0 and K^1 forgetful questions, by reading the table's
+strands (``_strand_surjectivity``): the image of the Borel model is the
+strand-0 part, so neither the Borel model nor the morphism is built.
+The even-coverage criterion of a pure algebra reads its even degrees the
+same way; the rank-only direct check
+``cohomology.surjectivity_by_parity`` on a ``models.BorelPackage`` is
+the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -41,15 +43,14 @@ from .errors import (
     NotPure,
 )
 from .models import (
-    BorelPackage,
     GroupData,
     GroupDiagram,
     RestrictionMap,
-    biquotient_model,  # noqa: F401  (perfbench/tracer.py patches it here)
-    borel_model_cohomogeneity_one,
-    borel_model_homogeneous,
+    biquotient_model,
+    borel_model_cohomogeneity_one,  # noqa: F401  (perfbench/tracer.py patches it here)
+    borel_model_homogeneous,  # noqa: F401  (perfbench/tracer.py patches it here)
     classifying_space_model,  # noqa: F401  (perfbench/tracer.py patches it here)
-    cohomogeneity_one_model,  # noqa: F401  (perfbench/tracer.py patches it here)
+    cohomogeneity_one_model,
     orbit_models,
 )
 
@@ -103,9 +104,9 @@ class FormalityVerdict(NamedTuple):
 
 
 def _strand_surjectivity(table: ch.CohomologyTable) -> tuple[tuple[bool, int | None], ...]:
-    """(onto, smallest failing degree) of a Borel package's forgetful map
-    for the even and then the odd degrees of its space's table: a degree
-    fails iff a strand of index >= 1 has a class there, that is iff
+    """(onto, smallest failing degree) of the forgetful map from a Borel
+    model, for the even and then the odd degrees of its space's table: a
+    degree fails iff a strand of index >= 1 has a class there, that is iff
     H_0^n != H^n, so the even pair also answers the even-coverage
     question of a pure algebra.  The lower grading raises NotPure on a
     space model that is not pure, whose one block per degree would read
@@ -118,14 +119,15 @@ def _strand_surjectivity(table: ch.CohomologyTable) -> tuple[tuple[bool, int | N
     return tuple((p not in failing, failing.get(p)) for p in (0, 1))
 
 
-def _verdict_from_package(
-    package: BorelPackage,
+def _space_verdict(
+    space: SullivanAlgebra,
     context: str,
     rank_gap: int,
     hypotheses_hold: bool,
     citation: str,
 ) -> tuple[ch.CohomologyTable, SurjectivityVerdict]:
-    """The space's cohomology table and the verdict read from it.
+    """The cohomology table of the space model and the verdict read from
+    it; the Borel model is never built.
 
     The forgetful map f sends the Borel model into the pure space model,
     each even generator to the space's generator of that name, and the
@@ -148,10 +150,10 @@ def _verdict_from_package(
     NotElliptic if the table reaches N and fails Poincaré duality there,
     since finite-dimensional cohomology satisfies it; a table cut off
     below N is not checked."""
-    cutoff = package.space.cutoff
-    table = ch.cohomology(package.space)
+    cutoff = space.cutoff
+    table = ch.cohomology(space)
     (direct, failing), (odd_direct, odd_failing) = _strand_surjectivity(table)
-    top = ch._formal_dimension(package.space)
+    top = ch._formal_dimension(space)
     if hypotheses_hold and direct != (rank_gap <= 1):
         if direct and cutoff < top:
             raise CutoffExceeded(
@@ -160,7 +162,7 @@ def _verdict_from_package(
             )
         # The H_0 rule fails: the space model is pure, so H_0 is a summand
         # of H, which then has a class above N and is infinite.
-        if not ch._elliptic(package.space):
+        if not ch._elliptic(space):
             raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
         raise CriterionDisagreement(
             f"{context}: rank criterion says {rank_gap <= 1} but the direct check "
@@ -171,7 +173,7 @@ def _verdict_from_package(
     return table, SurjectivityVerdict(
         context=context,
         rank_gap=rank_gap,
-        chi_pi=package.space.homotopy_euler_characteristic(),
+        chi_pi=space.homotopy_euler_characteristic(),
         rank_criterion=rank_gap <= 1,
         direct_check=direct,
         first_failing_degree=failing,
@@ -192,7 +194,7 @@ def homogeneous_surjectivity(
     """Even-degree surjectivity of the forgetful map for G acting on G/H:
     rank formula (gap at most one) against the direct check on the
     classifying-subalgebra inclusion."""
-    return pair_analysis("homogeneous", g, h, restriction, cutoff)[2]
+    return pair_analysis("homogeneous", g, h, restriction, cutoff)[1]
 
 
 def biquotient_surjectivity(
@@ -203,20 +205,20 @@ def biquotient_surjectivity(
 ) -> SurjectivityVerdict:
     """Same question for a two-sided quotient presentation; freeness of
     the action is the caller's assertion."""
-    return pair_analysis("biquotient", g, h, restriction, cutoff)[2]
+    return pair_analysis("biquotient", g, h, restriction, cutoff)[1]
 
 
 def pair_analysis(
     kind: str, g, h, restriction, cutoff
-) -> tuple[BorelPackage, ch.CohomologyTable, SurjectivityVerdict]:
-    """The Borel package of a ``homogeneous`` or ``biquotient`` pair and
-    its space's cohomology table, each built once, and the surjectivity
-    verdict read from that table; a report prints the same table."""
+) -> tuple[ch.CohomologyTable, SurjectivityVerdict]:
+    """The cohomology table of a ``homogeneous`` or ``biquotient`` pair's
+    space model, built once, and the surjectivity verdict read from it;
+    a report prints the same table."""
     if not (g.connected and h.connected):
         raise DisconnectedGroup(f"the {kind} criterion needs connected groups")
-    package = borel_model_homogeneous(g, h, restriction, cutoff)
+    space = biquotient_model(g, h, restriction, cutoff)
     citation = CITATION_HOMOGENEOUS if kind == "homogeneous" else CITATION_BIQUOTIENT
-    return package, *_verdict_from_package(package, kind, g.rank - h.rank, True, citation)
+    return _space_verdict(space, kind, g.rank - h.rank, True, citation)
 
 
 def cohomogeneity_one_surjectivity(
@@ -226,21 +228,18 @@ def cohomogeneity_one_surjectivity(
 ) -> SurjectivityVerdict:
     """Even-degree surjectivity of the forgetful map for the
     cohomogeneity-one manifold of the diagram."""
-    return cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)[2]
+    return cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)[1]
 
 
 def cohomogeneity_one_analysis(
     diagram: GroupDiagram, cutoff: int | None, allow_disconnected: bool
-) -> tuple[BorelPackage, ch.CohomologyTable, SurjectivityVerdict]:
-    """The Borel package of the diagram's manifold and the manifold's
-    cohomology table, each built once, and the surjectivity verdict read
-    from that table; a report prints the same table and reads the Borel
-    model from the same package."""
-    package = borel_model_cohomogeneity_one(diagram, cutoff, allow_disconnected)
+) -> tuple[ch.CohomologyTable, SurjectivityVerdict]:
+    """The cohomology table of the diagram's manifold model, built once,
+    and the surjectivity verdict read from it; a report prints the same
+    table."""
+    space = cohomogeneity_one_model(diagram, cutoff, allow_disconnected)
     hypotheses = all(grp.connected for grp in diagram.groups())
-    return package, *_verdict_from_package(
-        package, "cohomogeneity_one", diagram.rank_gap, hypotheses, CITATION_COHO1
-    )
+    return _space_verdict(space, "cohomogeneity_one", diagram.rank_gap, hypotheses, CITATION_COHO1)
 
 
 # -- pure-algebra criteria ---------------------------------------------

@@ -32,6 +32,7 @@ from .models import (
     RestrictionMap,
     biquotient_model,  # noqa: F401  (perfbench/tracer.py patches it here)
     borel_model_cohomogeneity_one,  # noqa: F401  (perfbench/tracer.py patches it here)
+    cohomogeneity_one_borel_model,
     cohomogeneity_one_model,  # noqa: F401  (perfbench/tracer.py patches it here)
 )
 
@@ -352,36 +353,44 @@ def _analyze_model(a: SullivanAlgebra) -> dict:
 
 
 def _analyze_pair(kind, g, h, restriction: RestrictionMap, cutoff) -> dict:
-    _, table, verdict = criteria.pair_analysis(kind, g, h, restriction, cutoff)
+    table, verdict = criteria.pair_analysis(kind, g, h, restriction, cutoff)
     input_doc = _pair_input_document(kind, g, h, restriction, table.cutoff)
-    flags = ktheory.StabilizationFlags.from_homogeneous(g, h)
-    return _verdict_report(kind, input_doc, table, verdict, flags)
+    # pair_analysis has rejected disconnected groups
+    integral = kind == "homogeneous" and g.pi1_torsion_free and verdict.rank_gap <= 1
+    integral_citation = ktheory.CITATION_INTEGRAL_HOMOGENEOUS if integral else ""
+    return _verdict_report(kind, input_doc, table, verdict, integral_citation)
 
 
 def _analyze_diagram(diagram: GroupDiagram, cutoff, allow_disconnected: bool) -> dict:
-    package, table, verdict = criteria.cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)
+    table, verdict = criteria.cohomogeneity_one_analysis(diagram, cutoff, allow_disconnected)
     euler = criteria.euler_characteristic_relations(diagram, table)
     input_doc = diagram_document(diagram)
     input_doc["cutoff"] = table.cutoff
     if allow_disconnected:
         input_doc["allow_disconnected"] = True
-    flags = ktheory.StabilizationFlags.from_diagram(diagram)
+    app = criteria.theorem_a_applicability(diagram)
+    # the integral clause's group hypotheses, without its circle fibres
+    integral = app.all_connected and app.pi1_torsion_free and app.steinberg and app.rank_equality
+    borel = cohomogeneity_one_borel_model(diagram, table.cutoff)
     sections = {
-        "borel": {
-            "model": model_document(package.borel),
-            "betti": list(ch.betti_numbers(package.borel)),
-        },
+        "borel": {"model": model_document(borel), "betti": list(ch.betti_numbers(borel))},
         "euler_relations": euler._asdict(),
-        "theorem_applicability": criteria.theorem_a_applicability(diagram)._asdict(),
+        "theorem_applicability": app._asdict(),
     }
-    return _verdict_report("diagram", input_doc, table, verdict, flags, sections, (euler.citation,))
+    integral_citation = ktheory.CITATION_INTEGRAL_COHO1 if integral else ""
+    return _verdict_report(
+        "diagram", input_doc, table, verdict, integral_citation, sections, (euler.citation,)
+    )
 
 
-def _verdict_report(kind, input_doc, table, verdict, flags, sections=None, citations=()) -> dict:
+def _verdict_report(
+    kind, input_doc, table, verdict, integral_citation, sections=None, citations=()
+) -> dict:
     """The report of a space with a verdict: its input, space summary,
     verdict, the kind's own ``sections``, K-theory, and the citations of
-    the verdict, the K-theory and ``citations``."""
-    k_report = ktheory.stabilization_report(verdict, flags, table.betti)._asdict()
+    the verdict, the K-theory and ``citations``.  ``integral_citation``
+    names the integral clause the groups satisfy, or is empty."""
+    k_report = ktheory.stabilization_report(verdict, integral_citation, table.betti)._asdict()
     return {
         "kind": kind,
         "input": input_doc,

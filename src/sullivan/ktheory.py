@@ -6,7 +6,9 @@ four, so everything here is bookkeeping over a Betti table plus the
 verdict's even and odd direct checks, read as K^0 and K^1 forgetful
 surjectivity.  The existential stabilization integers are never
 computed: the statements are existence-only, and the report records
-which criterion fired.
+which criterion fired.  Whether an integral clause holds is the
+caller's decision, made from its groups' asserted flags; only the
+clause's citation reaches this module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .criteria import SurjectivityVerdict
-from .models import GroupData, GroupDiagram
 
 CITATION_CHERN = "rational Chern character: K0/K1 dimensions are the even/odd Betti sums"
 CITATION_KO = "rational real K-theory collects the Betti numbers in degrees divisible by four"
@@ -71,61 +72,22 @@ def stable_class_infinitude(betti: Sequence[int]) -> bool:
     return any(b for n, b in enumerate(betti) if n > 0 and n % 4 == 0)
 
 
-class StabilizationFlags(NamedTuple):
-    """User-asserted hypotheses gating the integral conclusions."""
-
-    connected: bool
-    pi1_torsion_free: bool
-    steinberg: bool
-    rank_equality: bool
-
-    @classmethod
-    def from_homogeneous(cls, g: GroupData, h: GroupData) -> "StabilizationFlags":
-        return cls(
-            connected=g.connected and h.connected,
-            pi1_torsion_free=g.pi1_torsion_free,
-            steinberg=False,
-            rank_equality=g.rank == h.rank,
-        )
-
-    @classmethod
-    def from_diagram(cls, diagram: GroupDiagram) -> "StabilizationFlags":
-        return cls(
-            connected=all(grp.connected for grp in diagram.groups()),
-            pi1_torsion_free=diagram.g.pi1_torsion_free,
-            steinberg=diagram.k_minus.steinberg and diagram.k_plus.steinberg,
-            rank_equality=diagram.rank_gap == 0,
-        )
-
-
 def stabilization_report(
     verdict: SurjectivityVerdict,
-    flags: StabilizationFlags,
+    integral_citation: str,
     betti: Sequence[int],
 ) -> RationalKReport:
     """Assemble the K-theory conclusions for one verdict.
 
-    Integral conclusions fire purely on the asserted flags (their
-    verification is out of scope); otherwise a true rational verdict
-    yields the multiple-of-the-bundle conclusion; otherwise none.
+    ``integral_citation`` is the citation of the integral clause whose
+    asserted flags hold (their verification is out of scope), or empty
+    when none does.  A clause yields the integral conclusion; otherwise
+    a true rational verdict yields the multiple-of-the-bundle
+    conclusion; otherwise none.
     """
     k0, k1, ko = rational_k_dimensions(betti)
     citations = [CITATION_CHERN, CITATION_KO, CITATION_TRANSLATION]
-    if verdict.context == "homogeneous":
-        integral = flags.connected and flags.pi1_torsion_free and verdict.rank_gap <= 1
-        integral_citation = CITATION_INTEGRAL_HOMOGENEOUS
-    elif verdict.context == "cohomogeneity_one":
-        integral = (
-            flags.connected
-            and flags.pi1_torsion_free
-            and flags.steinberg
-            and flags.rank_equality
-        )
-        integral_citation = CITATION_INTEGRAL_COHO1
-    else:
-        integral = False
-        integral_citation = ""
-    if integral:
+    if integral_citation:
         conclusion = INTEGRAL
         citations.append(integral_citation)
     elif verdict.direct_check:

@@ -9,7 +9,10 @@ classifying spaces, the two-sided model for biquotients and orbit
 spaces, the Borel-construction models, and the double-mapping-cylinder
 model for cohomogeneity-one manifolds with odd-dimensional sphere
 fibres, with the models of its three orbits read off the same
-restriction images.
+restriction images.  A report builds a space model and, for a diagram,
+the Borel model alone (``cohomogeneity_one_borel_model``); a
+``BorelPackage`` adds the forgetful morphism between the two, on which
+the tests run the direct check the report's verdict is compared with.
 
 Generator naming is uniform and predictable: a group of rank k has
 exterior generators ``q1..qk`` and classifying-space generators
@@ -361,24 +364,33 @@ def cohomogeneity_one_model(
     return SullivanAlgebra(gens, cutoff, differential)
 
 
+def cohomogeneity_one_borel_model(
+    diagram: GroupDiagram, cutoff: int | None = None
+) -> SullivanAlgebra:
+    """Model of the Borel construction of the diagram's manifold,
+    H*(BH)[e+,e-] with the single relation e+ e- realized by the
+    generator n: the manifold model's generators without the exterior
+    generators of H*(G), up to ``cutoff`` (the manifold's dimension by
+    default)."""
+    cutoff = diagram.manifold_dimension if cutoff is None else cutoff
+    gens = [gen for gen in _coho1_generators(diagram) if gen.name not in diagram.g.g_names]
+    draft = SullivanAlgebra(gens, cutoff)
+    return SullivanAlgebra(
+        gens, cutoff, {RELATION_GENERATOR: draft.gen(EULER_PLUS) * draft.gen(EULER_MINUS)}
+    )
+
+
 def borel_model_cohomogeneity_one(
     diagram: GroupDiagram,
     cutoff: int | None = None,
     allow_disconnected: bool = False,
 ) -> BorelPackage:
-    """Model of the Borel construction, H*(BH)[e+,e-] with the single
-    relation e+ e- realized by the generator n: the manifold model's
-    generators without the exterior generators of H*(G).  The morphism
-    into the manifold model sends each generator to itself."""
+    """The manifold model, its Borel model
+    (``cohomogeneity_one_borel_model``) and the morphism between them,
+    which sends each generator to itself."""
     space = cohomogeneity_one_model(diagram, cutoff, allow_disconnected)
-    gens = [gen for gen in space.generators if gen.name not in diagram.g.g_names]
-    draft = SullivanAlgebra(gens, space.cutoff)
-    borel = SullivanAlgebra(
-        gens,
-        space.cutoff,
-        {RELATION_GENERATOR: draft.gen(EULER_PLUS) * draft.gen(EULER_MINUS)},
-    )
-    assignment = {g.name: space.gen(g.name) for g in gens}
+    borel = cohomogeneity_one_borel_model(diagram, space.cutoff)
+    assignment = {g.name: space.gen(g.name) for g in borel.generators}
     return BorelPackage(space, borel, CdgaMorphism(borel, space, assignment))
 
 

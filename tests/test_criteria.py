@@ -470,20 +470,20 @@ class TestDiagnostics:
         # onto) on an elliptic space: the verdict is refused, unless the
         # hypotheses are relaxed
         from sullivan import criteria
-        from sullivan.models import borel_model_cohomogeneity_one, borel_model_homogeneous
+        from sullivan.models import biquotient_model, cohomogeneity_one_model
 
         monkeypatch.setattr(criteria, "_strand_surjectivity", lambda table: ((False, 4), (True, None)))
-        package = borel_model_homogeneous(SU2, T1, standard_restriction("SU(2)", "T1", "maximal-torus"))
+        space = biquotient_model(SU2, T1, standard_restriction("SU(2)", "T1", "maximal-torus"))
         with pytest.raises(CriterionDisagreement) as info:
-            criteria._verdict_from_package(package, "homogeneous", 0, True, "")
+            criteria._space_verdict(space, "homogeneous", 0, True, "")
         assert str(info.value) == (
             "homogeneous: rank criterion says True but the direct check says False "
             "(first failing degree 4)"
         )
         relaxed = GroupDiagram(SU2, lookup("Z2"), T1, T1, {"u1": "-em^2"}, {"u1": "-ep^2"}, (1, 1))
-        package = borel_model_cohomogeneity_one(relaxed, None, True)
-        _, verdict = criteria._verdict_from_package(
-            package, "cohomogeneity_one", relaxed.rank_gap, False, criteria.CITATION_COHO1
+        space = cohomogeneity_one_model(relaxed, None, True)
+        _, verdict = criteria._space_verdict(
+            space, "cohomogeneity_one", relaxed.rank_gap, False, criteria.CITATION_COHO1
         )
         assert not verdict.hypotheses_hold
         assert verdict.rank_criterion and not verdict.direct_check
@@ -584,7 +584,7 @@ class TestOneWalk:
         from sullivan import criteria
         from sullivan.documents import run_analysis
 
-        walked, tabled, analyses = [], [], []
+        walked, tabled, analyses, built = [], [], [], []
         echelons, init = ch._echelons, ch.CohomologyTable.__init__
         monkeypatch.setattr(ch, "_echelons", lambda a, top: walked.append(a) or echelons(a, top))
 
@@ -598,10 +598,16 @@ class TestOneWalk:
             monkeypatch.setattr(
                 criteria, analysis, lambda *args, f=original: analyses.append(f(*args)) or analyses[-1]
             )
+        for builder in ("biquotient_model", "cohomogeneity_one_model"):
+            original = getattr(criteria, builder)
+            monkeypatch.setattr(
+                criteria, builder, lambda *args, f=original: built.append(f(*args)) or built[-1]
+            )
         report = run_analysis(REPORTS[name])
-        [(package, table, verdict)] = analyses
-        assert not any(a is package.space for a in walked)
-        assert [a for a in tabled if a is package.space] == [package.space]
-        assert table.algebra is package.space
+        [(table, verdict)] = analyses
+        [space] = built
+        assert not any(a is space for a in walked)
+        assert [a for a in tabled if a is space] == [space]
+        assert table.algebra is space
         assert report["space"]["betti"] == list(table.betti)
         assert report["verdict"]["direct_check"] == verdict.direct_check

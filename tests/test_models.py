@@ -2,7 +2,7 @@
 
 import pytest
 
-from sullivan.catalog import lookup, standard_restriction
+from sullivan.catalog import DIAGRAM_PRESETS, lookup, standard_restriction
 from sullivan.cohomology import (
     betti_numbers,
     euler_characteristic,
@@ -24,6 +24,7 @@ from sullivan.models import (
     borel_model_cohomogeneity_one,
     borel_model_homogeneous,
     classifying_space_model,
+    cohomogeneity_one_borel_model,
     cohomogeneity_one_model,
     lie_group_model,
 )
@@ -373,9 +374,26 @@ class TestCohomogeneityOne:
         assert betti_numbers(model) == (1, 0, 0, 0, 0, 0, 0, 1)
 
 
+class TestSplitBorelModel:
+    """The diagram report's Borel model, built without the manifold model,
+    is the Borel package's."""
+
+    @pytest.mark.parametrize("name", sorted(DIAGRAM_PRESETS))
+    @pytest.mark.parametrize("shift", [None, -2, 3])
+    def test_equals_the_package_borel_model(self, name, shift):
+        from sullivan.documents import load_diagram, model_document
+
+        diagram = load_diagram(DIAGRAM_PRESETS[name])
+        cutoff = None if shift is None else diagram.manifold_dimension + shift
+        split = cohomogeneity_one_borel_model(diagram, cutoff)
+        borel = borel_model_cohomogeneity_one(diagram, cutoff).borel
+        assert split.signature == borel.signature
+        assert model_document(split) == model_document(borel)
+        assert split.cutoff == borel.cutoff
+
+
 class TestBuilderInvariants:
     def test_every_built_model_is_pure_with_valid_differential(self):
-        from sullivan.catalog import DIAGRAM_PRESETS
         from sullivan.documents import load_diagram
 
         models = []

@@ -10,7 +10,6 @@ import pytest
 
 from sullivan.cdga import CdgaMorphism, Generator, SullivanAlgebra
 from sullivan.criteria import SurjectivityVerdict
-from sullivan.ktheory import StabilizationFlags
 from sullivan.models import GroupData, GroupDiagram, RestrictionMap
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,12 +40,6 @@ RECORDS = {
         f"GroupDiagram(g={T1_REPR}, h={TRIVIAL_REPR}, k_minus={T1_REPR}, k_plus={T1_REPR}, "
         "restriction_minus={'u1': 'em'}, restriction_plus={'u1': 'ep'}, sphere_dims=(1, 1))",
         "sphere_dims",
-    ),
-    "StabilizationFlags": (
-        lambda: StabilizationFlags(True, True, False, True),
-        "StabilizationFlags(connected=True, pi1_torsion_free=True, steinberg=False, "
-        "rank_equality=True)",
-        "steinberg",
     ),
     "SurjectivityVerdict": (
         lambda: SurjectivityVerdict("homogeneous", 0, 2, True, True, None, True, None),

@@ -16,7 +16,7 @@ from instance_generators import borel_packages
 from sullivan.catalog import DIAGRAM_PRESETS, EMBEDDING_KINDS, catalog_list, standard_restriction
 from sullivan.cdga import CdgaMorphism, Generator, SullivanAlgebra
 from sullivan.cohomology import _formal_dimension, cohomology, surjectivity_by_parity
-from sullivan.criteria import _strand_surjectivity, _verdict_from_package
+from sullivan.criteria import _space_verdict, _strand_surjectivity
 from sullivan.documents import load_diagram
 from sullivan.errors import NotPure, SullivanError
 from sullivan.models import BorelPackage, borel_model_cohomogeneity_one, borel_model_homogeneous
@@ -92,4 +92,4 @@ def test_a_space_model_that_is_not_pure_raises():
     with pytest.raises(NotPure):
         _strand_surjectivity(cohomology(space))
     with pytest.raises(NotPure):
-        _verdict_from_package(package, "homogeneous", 0, True, "")
+        _space_verdict(space, "homogeneous", 0, True, "")
