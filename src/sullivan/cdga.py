@@ -19,8 +19,10 @@ occurs, so a term of d(x_i) times m/x_i is the packed m plus a fixed
 delta.  ``_d_rows`` writes the d of many packed monomials as sparse rows
 over one ``{packed monomial: position}`` index per degree, from a memo
 of the signed terms of each generator's image against each odd mask;
-``_d_sum`` (and ``_d_terms`` for one monomial) is its output for a
-combination of monomials, unpacked back to exponent tuples.  Algebra
+``_d_sums`` is its output for several combinations of monomials from one
+call, unpacked back to exponent tuples: the d-squared check and the
+chain-map check each pass it every generator's image at once, and
+``_d_element`` and ``_d_terms`` pass it one combination.  Algebra
 maps work on the stored terms: a ``CdgaMorphism`` stores its generator
 images so and multiplies them out per monomial with ``_product_terms``,
 and ``substitute`` does the same for an endomorphism; ``_combination``
@@ -36,6 +38,13 @@ map and builds the element once) and the model builders' differentials, the
 the cohomology table's class representatives.  The chain-map check, the
 direct surjectivity check and the formality count build none.
 
+Each algebra is constructed once: a differential that has to be parsed
+is given to the constructor as a function of the new algebra, which
+parses the images over it, and the constructor validates them before it
+returns, so no draft algebra is built and none is seen unvalidated.
+The algebra is immutable after construction; only its bases, position
+indexes and memos fill in as they are asked for.
+
 A degree cutoff is fixed at construction: basis enumeration and the
 public differential are guarded by it (internal callers may go one
 degree past it, which cohomology needs for kernels at the cutoff).
@@ -43,7 +52,10 @@ Every degree's monomial basis is one list of packed monomials, built
 from the lists of the degrees below it, in increasing degree and each
 once.  The packed basis is the key order of the degree's position
 index; exponent tuples are unpacked from it only where an element is
-read or written.
+read or written.  The copies ``with_cutoff`` and ``associated_pure``
+keep the generators, so when their fields have the source's width they
+share its lists of bases and position indexes by reference, and each
+degree is built once for both.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from operator import add, attrgetter, lshift, mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CutoffExceeded,
@@ -219,15 +231,23 @@ class AlgebraElement:
 class SullivanAlgebra:
     """Free graded-commutative algebra with a degree +1 differential.
 
-    Immutable after construction; the differential is validated to be
-    homogeneous of degree +1 on generators and to square to zero.
+    The differential is given per generator name, as elements or as a
+    function that builds them over the new algebra (how ``build``,
+    ``documents.load_model`` and the model builders parse their images
+    without a draft algebra); it is validated to be homogeneous of
+    degree +1 on generators and to square to zero before the constructor
+    returns, and the algebra is immutable after.  ``with_cutoff`` and
+    ``associated_pure`` share the source's bases and position indexes
+    when their packed fields have the same width.
     """
 
     def __init__(
         self,
         generators: Sequence[Generator],
         cutoff: int,
-        differential: Mapping[str, AlgebraElement] | None = None,
+        differential: Mapping[str, AlgebraElement]
+        | Callable[[SullivanAlgebra], Mapping[str, AlgebraElement]]
+        | None = None,
     ):
         if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
             raise CutoffExceeded("cutoff must be a non-negative integer")
@@ -242,6 +262,8 @@ class SullivanAlgebra:
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.is_odd)
         self._width = 0
         self._fit(cutoff + 1)
+        if callable(differential):
+            differential = differential(self)
         self._images = self._validate_differential(differential or {})
         # The H_0 rule's answer once asked (``cohomology._elliptic``),
         # shared with the algebras that keep the generators and the f_j.
@@ -261,23 +283,25 @@ class SullivanAlgebra:
         given per generator name, either as elements or in the polynomial
         grammar (e.g. ``"x^2+y^2"``)."""
         gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in generators)
-        draft = cls(gens, cutoff)
-        resolved = {
-            name: draft.parse(value) if isinstance(value, str) else value
+        return cls(gens, cutoff, lambda algebra: {
+            name: algebra.parse(value) if isinstance(value, str) else value
             for name, value in (differential or {}).items()
-        }
-        return cls(gens, cutoff, resolved)
+        })
 
     def with_cutoff(self, cutoff: int) -> "SullivanAlgebra":
         """The same generators and differential up to another cutoff."""
         images = {g.name: image for g, image in zip(self.generators, self.differential)}
-        return self._sharing_h0_answer(SullivanAlgebra(self.generators, cutoff, images))
+        return self._sharing(SullivanAlgebra(self.generators, cutoff, images))
 
-    def _sharing_h0_answer(self, other: "SullivanAlgebra") -> "SullivanAlgebra":
-        """``other``, with the same generators and f_j, given this
-        algebra's slot for the answer of the H_0 rule."""
-        other._h0_answer = self._h0_answer
-        return other
+    def _sharing(self, copy: "SullivanAlgebra") -> "SullivanAlgebra":
+        """``copy``, with the same generators and f_j, given this
+        algebra's slot for the answer of the H_0 rule and, when their
+        packed fields have the same width, its bases and position indexes
+        (a widening ``_fit`` gives either algebra lists of its own)."""
+        copy._h0_answer = self._h0_answer
+        if copy._width == self._width:
+            copy._bases, copy._positions_cache = self._bases, self._positions_cache
+        return copy
 
     def _validate_differential(self, diff: Mapping[str, AlgebraElement]) -> tuple[tuple[Term, ...], ...]:
         images = []
@@ -302,8 +326,8 @@ class SullivanAlgebra:
                 )
             images.append(self._image_terms(value.terms))
         self._images = tuple(images)  # used by the d-squared check below
-        for g, image in zip(self.generators, self._images):
-            if image and not self._closed(image):
+        for g, dd in zip(self.generators, self._d_sums(self._images)):
+            if dd:
                 raise InvalidDifferential(f"d(d({g.name})) != 0")
         return self._images
 
@@ -395,7 +419,8 @@ class SullivanAlgebra:
         degree), so no field carries into the next.  The constructor fits
         cutoff + 1, so only a monomial past that widens the fields, which
         drops what was packed at the old width: the bases, the position
-        indexes and the memo of signed image terms."""
+        indexes and the memo of signed image terms.  The new lists are
+        this algebra's own; a copy that shared the old ones keeps them."""
         if degree >> self._width:
             width = self._width = degree.bit_length()
             self._shifts = tuple(width * i for i in range(len(self._degrees)))
@@ -467,7 +492,7 @@ class SullivanAlgebra:
         return self._d_element(e)
 
     def _d_element(self, e: AlgebraElement) -> AlgebraElement:
-        return self._element(self._d_sum(e.terms.items()))
+        return self._element(self._d_sums([self._image_terms(e.terms)])[0])
 
     def _d_monomial(self, mono: Monomial) -> AlgebraElement:  # (perfbench/tracer.py patches it here)
         return self._element(self._d_terms(mono))
@@ -475,28 +500,30 @@ class SullivanAlgebra:
     def _element(self, terms: Mapping[Monomial, "int | Fraction"]) -> AlgebraElement:
         return AlgebraElement(self, {m: Fraction(c) for m, c in terms.items()})
 
-    def _closed(self, image: tuple[Term, ...]) -> bool:
-        return not self._d_sum((m, c) for m, _, c in image)
-
     def _d_terms(self, mono: Monomial) -> dict[Monomial, "int | Fraction"]:
         """d of a monomial as ``{monomial: coefficient}`` with nonzero
         coefficients, ``int`` where the generators' images are integral."""
-        return self._d_sum(((mono, 1),))
+        return self._d_sums([self._image_terms({mono: 1})])[0]
 
-    def _d_sum(self, terms: Iterable[tuple[Monomial, "int | Fraction"]]) -> dict:
-        """d of the sum of ``c*m`` over the pairs ``(m, c)`` of ``terms``,
-        as ``{monomial: coefficient}`` with the nonzero coefficients: the
-        ``_d_rows`` rows of the packed monomials, combined and unpacked."""
-        terms = tuple(terms)
+    def _d_sums(self, images: Sequence[Sequence[Term]]) -> list[dict]:
+        """d of each image of ``images`` (stored terms, as
+        ``_image_terms`` gives them), as ``{monomial: coefficient}`` with
+        the nonzero coefficients: the ``_d_rows`` rows of the packed
+        monomials of all of them, from one call, combined per image and
+        unpacked."""
+        terms = [term for image in images for term in image]
         if not terms:
-            return {}
-        self._fit(max(self.monomial_degree(m) for m, _ in terms) + 1)
-        rows = self._d_rows([self._pack(m) for m, _ in terms], _Identity())
-        out: dict = {}
-        for (_, c), row in zip(terms, rows):
-            for packed, x in row.items():
-                out[packed] = out.get(packed, 0) + c * x
-        return {self._unpack(p): x for p, x in out.items() if x}
+            return [{} for _ in images]
+        self._fit(max(self.monomial_degree(m) for m, _, _ in terms) + 1)
+        rows = iter(self._d_rows([self._pack(m) for m, _, _ in terms], _Identity()))
+        sums = []
+        for image in images:
+            out: dict = {}
+            for (_, _, c), row in zip(image, rows):
+                for packed, x in row.items():
+                    out[packed] = out.get(packed, 0) + c * x
+            sums.append({self._unpack(p): x for p, x in out.items() if x})
+        return sums
 
     def _d_rows(self, monos: Iterable[int], index: Mapping[int, int]) -> list[dict]:
         """d of each packed monomial of ``monos`` as a sparse row
@@ -559,7 +586,7 @@ class SullivanAlgebra:
 
     def verify_d_squared(self) -> bool:
         """True iff d(d(g)) = 0 for every generator."""
-        return all(self._closed(image) for image in self._images)
+        return not any(self._d_sums(self._images))
 
     def substitute(
         self, e: AlgebraElement, assignment: Mapping[str, AlgebraElement]
@@ -600,7 +627,7 @@ class SullivanAlgebra:
             for g, image in zip(self.generators, self._images)
             if g.is_odd
         }
-        return self._sharing_h0_answer(SullivanAlgebra(self.generators, self.cutoff, diff))
+        return self._sharing(SullivanAlgebra(self.generators, self.cutoff, diff))
 
     def homotopy_euler_characteristic(self) -> int:
         odd = len(self._odd)
@@ -793,9 +820,8 @@ class CdgaMorphism:
             terms.append(target._image_terms(img.terms))
         self._source, self._target, self._assignment = source, target, images
         self._images = tuple(terms)
-        for g, d_g, image in zip(source.generators, source._images, self._images):
-            f_of_d = _combination(((m, c) for m, _, c in d_g), self._monomial_terms)
-            if f_of_d != target._d_sum((m, c) for m, _, c in image):
+        for g, d_g, d_of_f in zip(source.generators, source._images, target._d_sums(self._images)):
+            if _combination(((m, c) for m, _, c in d_g), self._monomial_terms) != d_of_f:
                 raise NotAChainMap(f"morphism does not commute with d on {g.name!r}")
 
     def __eq__(self, other):

@@ -342,12 +342,6 @@ class CohomologyTable:
         self._blocks += [{} for _ in range(len(self._blocks), self.cutoff + 1)]
         self.betti = tuple(sum(map(len, blocks.values())) for blocks in self._blocks)
 
-    def _reps(self, degree: int) -> list[dict[int, int]]:
-        """The degree's representatives (kernel vectors) by free column,
-        over the positions of the degree's monomial basis."""
-        index, pack = self.algebra._positions(degree), self.algebra._pack
-        return [{index[pack(m)]: x for m, x in v.items()} for v in self._ordered(degree)]
-
     def _ordered(self, degree: int) -> list[dict]:
         """The degree's representatives by free column, their largest key."""
         return sorted(chain.from_iterable(self._blocks[degree].values()), key=max)

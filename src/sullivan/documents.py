@@ -25,7 +25,7 @@ import json
 from . import catalog, criteria, ktheory
 from . import cohomology as ch
 from .cdga import Generator, SullivanAlgebra
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, UnknownGenerator, ValidationError
 from .models import (
     GroupData,
     GroupDiagram,
@@ -191,13 +191,16 @@ def load_model(doc: dict, path: str = "$") -> SullivanAlgebra:
         except ValidationError as exc:
             raise SchemaError(f"{path}.generators[{i}]: {exc}") from exc
     differential = _load_polynomial_map(doc.get("differential", {}), f"{path}.differential")
-    draft = SullivanAlgebra(gens, cutoff)
-    images = {}
-    for name, text in differential.items():
-        try:
-            images[name] = draft.parse(text)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.differential.{name}: {exc}") from exc
+
+    def images(a: SullivanAlgebra) -> dict:
+        parsed = {}
+        for name, text in differential.items():
+            try:
+                parsed[name] = a.parse(text)
+            except (ValueError, UnknownGenerator) as exc:
+                raise SchemaError(f"{path}.differential.{name}: {exc}") from exc
+        return parsed
+
     return SullivanAlgebra(gens, cutoff, images)
 
 

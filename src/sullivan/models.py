@@ -238,16 +238,18 @@ def biquotient_model(
     cutoff = g.dimension - h.dimension if cutoff is None else cutoff
     gens = [Generator(n, d) for n, d in zip(h.bg_names, h.bg_degrees)]
     gens += [Generator(n, d) for n, d in zip(g.g_names, g.exterior_degrees)]
-    draft = SullivanAlgebra(gens, cutoff)
     allowed = set(h.bg_names)
-    differential: dict[str, AlgebraElement] = {}
-    for q_name, bg_name, d in zip(g.g_names, g.bg_names, g.exterior_degrees):
-        left = restriction.assignment.get(bg_name, "0")
-        right = (restriction.right_assignment or {}).get(bg_name, "0")
-        image = _parse_restricted(
-            draft, left, allowed, d + 1, f"left image of {bg_name}"
-        ) - _parse_restricted(draft, right, allowed, d + 1, f"right image of {bg_name}")
-        differential[q_name] = image
+
+    def differential(a: SullivanAlgebra) -> dict[str, AlgebraElement]:
+        images = {}
+        for q_name, bg_name, d in zip(g.g_names, g.bg_names, g.exterior_degrees):
+            left = restriction.assignment.get(bg_name, "0")
+            right = (restriction.right_assignment or {}).get(bg_name, "0")
+            images[q_name] = _parse_restricted(
+                a, left, allowed, d + 1, f"left image of {bg_name}"
+            ) - _parse_restricted(a, right, allowed, d + 1, f"right image of {bg_name}")
+        return images
+
     return SullivanAlgebra(gens, cutoff, differential)
 
 
@@ -294,31 +296,31 @@ def _coho1_generators(diagram: GroupDiagram) -> list[Generator]:
 
 
 def _restriction_images(
-    diagram: GroupDiagram, draft: SullivanAlgebra
+    diagram: GroupDiagram, algebra: SullivanAlgebra
 ) -> dict[str, tuple[AlgebraElement, AlgebraElement, AlgebraElement]]:
     """The images of u_i under the restrictions to K-, K+ and H, by the
     name of q_i: the minus and plus restrictions parsed and checked over
-    ``draft``, and their common polynomial part, on which the two sides
+    ``algebra``, and their common polynomial part, on which the two sides
     must agree once the sphere classes are killed."""
     g, bh = diagram.g, set(diagram.h.bg_names)
     images = {}
     for q_name, bg_name, d in zip(g.g_names, g.bg_names, g.exterior_degrees):
         plus = _parse_restricted(
-            draft,
+            algebra,
             diagram.restriction_plus.get(bg_name, "0"),
             bh | {EULER_PLUS},
             d + 1,
             f"restriction of {bg_name} to the plus side",
         )
         minus = _parse_restricted(
-            draft,
+            algebra,
             diagram.restriction_minus.get(bg_name, "0"),
             bh | {EULER_MINUS},
             d + 1,
             f"restriction of {bg_name} to the minus side",
         )
-        common = _kill_generator(draft, plus, EULER_PLUS)
-        common_minus = _kill_generator(draft, minus, EULER_MINUS)
+        common = _kill_generator(algebra, plus, EULER_PLUS)
+        common_minus = _kill_generator(algebra, minus, EULER_MINUS)
         if common != common_minus:
             raise InvalidDiagram(
                 f"restrictions of {bg_name} disagree after killing the sphere classes: "
@@ -326,6 +328,11 @@ def _restriction_images(
             )
         images[q_name] = (minus, plus, common)
     return images
+
+
+def _relation(a: SullivanAlgebra) -> dict[str, AlgebraElement]:
+    """The differential dn = e+ e- of the relation generator."""
+    return {RELATION_GENERATOR: a.gen(EULER_PLUS) * a.gen(EULER_MINUS)}
 
 
 def _kill_generator(
@@ -354,14 +361,15 @@ def cohomogeneity_one_model(
     """
     _check_diagram_flags(diagram, allow_disconnected)
     cutoff = diagram.manifold_dimension if cutoff is None else cutoff
-    gens = _coho1_generators(diagram)
-    draft = SullivanAlgebra(gens, cutoff)
-    differential = {
-        q_name: plus + minus - common
-        for q_name, (minus, plus, common) in _restriction_images(diagram, draft).items()
-    }
-    differential[RELATION_GENERATOR] = draft.gen(EULER_PLUS) * draft.gen(EULER_MINUS)
-    return SullivanAlgebra(gens, cutoff, differential)
+
+    def differential(a: SullivanAlgebra) -> dict[str, AlgebraElement]:
+        images = {
+            q_name: plus + minus - common
+            for q_name, (minus, plus, common) in _restriction_images(diagram, a).items()
+        }
+        return images | _relation(a)
+
+    return SullivanAlgebra(_coho1_generators(diagram), cutoff, differential)
 
 
 def cohomogeneity_one_borel_model(
@@ -374,10 +382,7 @@ def cohomogeneity_one_borel_model(
     default)."""
     cutoff = diagram.manifold_dimension if cutoff is None else cutoff
     gens = [gen for gen in _coho1_generators(diagram) if gen.name not in diagram.g.g_names]
-    draft = SullivanAlgebra(gens, cutoff)
-    return SullivanAlgebra(
-        gens, cutoff, {RELATION_GENERATOR: draft.gen(EULER_PLUS) * draft.gen(EULER_MINUS)}
-    )
+    return SullivanAlgebra(gens, cutoff, _relation)
 
 
 def borel_model_cohomogeneity_one(
@@ -402,19 +407,22 @@ def orbit_models(diagram: GroupDiagram) -> tuple[SullivanAlgebra, ...]:
     the manifold model's, parsed and checked the same way but not glued,
     so the Euler identity over the orbits stays a check of the gluing."""
     gens = _coho1_generators(diagram)[:-1]  # without the relation generator n
-    draft = SullivanAlgebra(gens, diagram.manifold_dimension)
-    images = _restriction_images(diagram, draft)
+    parsed = SullivanAlgebra(gens, diagram.manifold_dimension)
+    images = _restriction_images(diagram, parsed)
     models = []
     for side, k in enumerate((diagram.k_minus, diagram.k_plus, diagram.h)):
         killed = ({EULER_PLUS}, {EULER_MINUS}, {EULER_PLUS, EULER_MINUS})[side]
         kept = [gen for gen in gens if gen.name not in killed]
-        positions = [draft._index[gen.name] for gen in kept]
-        orbit = SullivanAlgebra(kept, diagram.g.dimension - k.dimension)
-        differential = {
-            q_name: AlgebraElement(
-                orbit, {tuple(m[p] for p in positions): c for m, c in parts[side].terms.items()}
-            )
-            for q_name, parts in images.items()
-        }
-        models.append(SullivanAlgebra(kept, orbit.cutoff, differential))
+        positions = [parsed._index[gen.name] for gen in kept]
+
+        def differential(orbit, side=side, positions=positions):
+            return {
+                q_name: AlgebraElement(
+                    orbit,
+                    {tuple(m[p] for p in positions): c for m, c in parts[side].terms.items()},
+                )
+                for q_name, parts in images.items()
+            }
+
+        models.append(SullivanAlgebra(kept, diagram.g.dimension - k.dimension, differential))
     return tuple(models)

@@ -25,11 +25,19 @@ from sullivan.errors import DegreeMismatch
 from sullivan.linalg import RationalMatrix
 
 
+def representative_vectors(table, degree):
+    """The degree's representatives (kernel vectors) of a cohomology
+    table by free column, over the positions of the degree's monomial
+    basis."""
+    index, pack = table.algebra._positions(degree), table.algebra._pack
+    return [{index[pack(m)]: x for m, x in v.items()} for v in table._ordered(degree)]
+
+
 def class_coordinates(table, e, degree):
     """Coordinates of the class of the cocycle ``e`` of the given degree
     over the table's representatives, each scaled to 1 at its free
     column."""
-    reps = table._reps(degree)
+    reps = representative_vectors(table, degree)
     boundaries = _action_rows(table.algebra, degree - 1) if degree else []
     coeffs = linalg.solve([*boundaries, *reps], table.algebra.coordinates(e, degree))
     if coeffs is None:

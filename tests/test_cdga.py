@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from instance_generators import random_degree_algebras
+from instance_generators import random_degree_algebras, sheared_pairs
+from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cdga import CdgaMorphism, Generator, SullivanAlgebra
 from sullivan.cli import main
+from sullivan.documents import load_diagram
 from sullivan.errors import (
     CutoffExceeded,
     DegreeMismatch,
@@ -21,6 +23,7 @@ from sullivan.errors import (
     UnknownGenerator,
     ValidationError,
 )
+from sullivan.models import cohomogeneity_one_model
 
 
 @pytest.fixture
@@ -57,6 +60,20 @@ def series_coefficients(degrees_even, degrees_odd, top):
             new[n + o] += coeffs[n]
         coeffs = new
     return coeffs
+
+
+def count_d_rows(monkeypatch) -> list:
+    """The algebras of the ``_d_rows`` calls made from here on, one
+    entry per call."""
+    calls = []
+    d_rows = SullivanAlgebra._d_rows
+
+    def counting(self, monos, index):
+        calls.append(self)
+        return d_rows(self, monos, index)
+
+    monkeypatch.setattr(SullivanAlgebra, "_d_rows", counting)
+    return calls
 
 
 class TestConstruction:
@@ -103,6 +120,43 @@ class TestConstruction:
                 {"x": "y^2", "q": "y*x"},
                 cutoff=8,
             )
+
+    @pytest.mark.parametrize(
+        "generators, first",
+        [
+            ([("x", 2), ("u", 2), ("q", 3)], "u"),
+            ([("x", 2), ("q", 3), ("u", 2)], "q"),
+        ],
+    )
+    def test_d_squared_names_the_first_failing_generator(self, generators, first):
+        # d(d(u)) = u^2 and d(d(q)) = 2uq: both fail, in one batched check
+        with pytest.raises(InvalidDifferential, match=rf"^d\(d\({first}\)\) != 0$"):
+            SullivanAlgebra.build(generators, {"u": "q", "q": "u^2"}, cutoff=6)
+
+    def test_d_squared_fails_on_the_last_generator_alone(self):
+        # d(d(t)) = d(a)*b = x^2*b, and every other d(d(g)) vanishes
+        with pytest.raises(InvalidDifferential, match=r"^d\(d\(t\)\) != 0$"):
+            SullivanAlgebra.build(
+                [("x", 2), ("a", 3), ("b", 3), ("t", 5)], {"a": "x^2", "t": "a*b"}, cutoff=8
+            )
+
+    @pytest.mark.parametrize(
+        "generators, differential, closed",
+        [
+            ([("x", 2), ("y", 2), ("n", 3), ("m", 3)], {"n": "x^2+y^2", "m": "x*y"}, True),
+            ([("x", 2), ("u", 2), ("q", 3)], {"u": "q", "q": "u^2"}, False),
+        ],
+        ids=["closed", "two-failing"],
+    )
+    def test_d_squared_check_is_one_d_rows_call(self, generators, differential, closed, monkeypatch):
+        calls = count_d_rows(monkeypatch)
+        try:
+            SullivanAlgebra.build(generators, differential, cutoff=8)
+        except InvalidDifferential:
+            assert not closed
+        else:
+            assert closed
+        assert len(calls) == 1
 
     def test_differential_of_an_unknown_generator_rejected(self):
         with pytest.raises(
@@ -228,6 +282,62 @@ class TestMonomialBasis:
 
     def test_deterministic_order(self, cp2sum):
         assert cp2sum.monomial_basis(5) == cp2sum.monomial_basis(5)
+
+
+def _at_cutoff(a: SullivanAlgebra, cutoff: int) -> SullivanAlgebra:
+    """A freshly built algebra with the generators and differential of
+    ``a`` up to ``cutoff``, sharing nothing with it."""
+    return SullivanAlgebra(a.generators, cutoff, dict(zip([g.name for g in a.generators], a.differential)))
+
+
+def _shared_bases_sources():
+    yield from (sheared for seed in (3, 1013) for sheared, _ in sheared_pairs(seed, 6))
+    for name in sorted(DIAGRAM_PRESETS):
+        yield cohomogeneity_one_model(load_diagram(DIAGRAM_PRESETS[name]))
+
+
+class TestSharedBases:
+    """``associated_pure`` and ``with_cutoff`` copies share their source's
+    lists of bases and position indexes exactly when their packed fields
+    have the same width.  A cutoff of 6 fits 3-bit fields and 7 or 8
+    4-bit ones, unless a generator's degree widens them.  Whichever of
+    the two is walked first, each one's bases and indexes are those of a
+    freshly built algebra, and so are the source's after the copy widens
+    its fields past the shared ones."""
+
+    COPIES = {
+        "associated_pure": SullivanAlgebra.associated_pure,
+        **{f"cutoff-{c}": lambda a, c=c: a.with_cutoff(c) for c in (6, 7, 8)},
+    }
+
+    @staticmethod
+    def _walk(algebra):
+        fresh = _at_cutoff(algebra, algebra.cutoff)
+        assert fresh._width == algebra._width
+        for n in range(algebra.cutoff + 1):
+            assert algebra._monomials(n) == fresh._monomials(n), n
+            assert list(algebra._positions(n).items()) == list(fresh._positions(n).items()), n
+
+    @pytest.mark.parametrize("copy_first", [True, False], ids=["copy-first", "source-first"])
+    def test_copies_share_bases_exactly_at_equal_width(self, copy_first):
+        shared = set()
+        for a in _shared_bases_sources():
+            for name, make in self.COPIES.items():
+                source = _at_cutoff(a, 6)
+                copy = make(source)
+                same_width = copy._width == source._width
+                shared.add((name, same_width))
+                for algebra in (copy, source) if copy_first else (source, copy):
+                    self._walk(algebra)
+                    assert (copy._bases is source._bases) is same_width, name
+                    assert (copy._positions_cache is source._positions_cache) is same_width, name
+                if same_width:
+                    copy._positions(1 << copy._width)  # widens the copy's fields
+                    assert copy._width > source._width
+                    assert copy._bases is not source._bases
+                    self._walk(source)
+        # both sides of the width change occur
+        assert {("associated_pure", True), ("cutoff-6", True), ("cutoff-7", False)} <= shared
 
 
 class TestProducts:
@@ -419,6 +529,33 @@ class TestMorphism:
                 bad_target,
                 {"v": bad_target.gen("q")},
             )
+
+    @staticmethod
+    def _twisted():
+        # a source with d = 0 and a target whose degree-2 generator e is
+        # not closed (de = b), so u -> e fails the chain condition on u
+        source = SullivanAlgebra.build([("u", 2), ("v", 2)], cutoff=6)
+        target = SullivanAlgebra.build([("e", 2), ("b", 3)], {"e": "b"}, cutoff=6)
+        return source, target
+
+    @pytest.mark.parametrize(
+        "images, first",
+        [({"u": "e", "v": "e"}, "u"), ({"u": "0", "v": "e"}, "v"), ({"u": "e", "v": "0"}, "u")],
+        ids=["both", "last-alone", "first-alone"],
+    )
+    def test_chain_condition_names_the_first_failing_generator(self, images, first, monkeypatch):
+        source, target = self._twisted()
+        assignment = {name: target.parse(text) for name, text in images.items()}
+        calls = count_d_rows(monkeypatch)
+        with pytest.raises(NotAChainMap, match=rf"^morphism does not commute with d on '{first}'$"):
+            CdgaMorphism(source, target, assignment)
+        assert calls == [target]  # every image's d from one batched call
+
+    def test_chain_condition_check_is_one_d_rows_call(self, cp2sum, monkeypatch):
+        source = SullivanAlgebra.build([("x", 2), ("y", 2), ("n", 3)], {"n": "x^2+y^2"}, cutoff=8)
+        calls = count_d_rows(monkeypatch)
+        CdgaMorphism(source, cp2sum, {g.name: cp2sum.gen(g.name) for g in source.generators})
+        assert calls == [cp2sum]
 
     def test_degree_mismatch(self, s2):
         poly = SullivanAlgebra.build([("u", 4)], cutoff=8)

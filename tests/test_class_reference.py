@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from induced_reference import representative_vectors
 from instance_generators import k_pair_model, random_pure_elliptic, random_sheared
 from sullivan import cohomology, linalg
 from sullivan.cdga import AlgebraElement, SullivanAlgebra
@@ -106,7 +107,7 @@ def assert_representatives_match_basis_route(table):
         basis = a._basis(n)
         expected = [
             AlgebraElement(a, {basis[p]: c for p, c in linalg._unit_scaled(v).items()})
-            for v in table._reps(n)
+            for v in representative_vectors(table, n)
         ]
         got = table.representatives(n)
         assert [list(e.terms.items()) for e in got] == [list(e.terms.items()) for e in expected], n

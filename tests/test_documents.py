@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from instance_generators import sheared_pairs
 from sullivan import cohomology as ch
 from sullivan import linalg
 from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cdga import CdgaMorphism, Generator, SullivanAlgebra
 from sullivan.cli import main
+from sullivan.criteria import even_subalgebra_inclusion
 from sullivan.documents import (
     diagram_document,
     load_diagram,
@@ -66,7 +68,9 @@ class TestSchema:
         with pytest.raises(SchemaError):
             load_document(doc)
 
-    @pytest.mark.parametrize("image", ["x^", "x y", "x+", "2/0*x*y", 3, "x^2*", "x*y*"])
+    @pytest.mark.parametrize(
+        "image", ["x^", "x y", "x+", "2/0*x*y", 3, "x^2*", "x*y*", "w^2", "x*w"]
+    )
     def test_malformed_model_polynomial(self, image, tmp_path, capsys):
         doc = dict(CP2_MODEL_DOC, differential={"n": "x^2+y^2", "m": image})
         with pytest.raises(SchemaError, match=r"\$\.differential\.m: "):
@@ -222,7 +226,7 @@ class TestOneBorelPackagePerReport:
     table the verdict and the Euler relations read, and for a diagram
     the Borel model of its ``borel`` section; no report builds a Borel
     package or its morphism, and a pair report no Borel model.  The
-    bounds on algebra builds leave out the polynomial rings ΛQ of
+    counts of algebra builds leave out the polynomial rings ΛQ of
     ``cohomology._ideal_rows``, counted apart as ``rings``."""
 
     @pytest.fixture
@@ -269,11 +273,11 @@ class TestOneBorelPackagePerReport:
         builds["parses"] = 0
         run_analysis(DIAGRAM_PRESETS[name])
         assert builds["morphisms"] == 0
-        # the manifold model's draft and final algebra, nothing more
-        assert builds["signatures"].count(manifold) <= 2
-        # the manifold and Borel models (two each), one draft for the
-        # orbits' restriction images and each orbit's draft and model
-        assert len(builds["signatures"]) <= 11
+        # the manifold model, built once: its images are parsed over it
+        assert builds["signatures"].count(manifold) == 1
+        # the manifold model, the Borel model, the one algebra the orbits'
+        # restriction images are parsed over, and the three orbit models
+        assert len(builds["signatures"]) == 6
         # the Borel model and the three orbit models; M is read from its table
         assert builds["betti_numbers"] == 4
         # each restriction string once for the manifold, once for the orbits
@@ -292,9 +296,53 @@ class TestOneBorelPackagePerReport:
     def test_pair_report(self, doc, builds):
         run_analysis(doc)
         assert builds["morphisms"] == 0
-        # the space model's draft and final algebra
-        assert len(builds["signatures"]) <= 2
+        # the space model, built once: its images are parsed over it
+        assert len(builds["signatures"]) == 1
         assert len(builds["rings"]) <= 1  # the space's table, as above
+
+
+class TestEachAlgebraBuiltOnce:
+    """Parsing a differential builds no draft algebra: the images are
+    parsed over the algebra being constructed, so loading a model and
+    ``SullivanAlgebra.build`` each construct exactly one algebra, and an
+    item of the benchmark's ``sheared-sweep`` workload one per algebra it
+    uses."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        algebras = []
+        init = SullivanAlgebra.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            algebras.append(self)
+
+        monkeypatch.setattr(SullivanAlgebra, "__init__", counting_init)
+        return algebras
+
+    def test_load_model(self, built):
+        a = load_model(CP2_MODEL_DOC)
+        assert built == [a]
+
+    def test_build(self, built):
+        a = SullivanAlgebra.build(
+            [("x", 2), ("y", 2), ("n", 3), ("m", 3)], CP2_MODEL_DOC["differential"], cutoff=6
+        )
+        assert built == [a]
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_sheared_sweep_item(self, index, built):
+        document = model_document(sheared_pairs(1013, 3)[index][0])
+        built.clear()
+        # the item's steps, as perfbench/workloads.py runs them
+        _, algebra = load_document(document)
+        pure = algebra.associated_pure()
+        evens = [g.name for g in algebra.generators if not g.is_odd]
+        inclusions = [even_subalgebra_inclusion(a, evens) for a in (pure, algebra)]
+        # the loaded algebra, its associated pure algebra and the
+        # polynomial source of each inclusion: four, each once
+        assert built == [algebra, pure, inclusions[0].source, inclusions[1].source]
+        assert pure._bases is algebra._bases
 
 
 class TestReports:

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from induced_reference import representative_vectors
 from instance_generators import k_pair_model, random_pure_elliptic
 from sullivan import cohomology as ch
 from sullivan import linalg
@@ -131,7 +132,7 @@ def everything(table):
     return (
         table.betti,
         [[a.format_element(e) for e in table.representatives(n)] for n in degrees],
-        [table._reps(n) for n in degrees],
+        [representative_vectors(table, n) for n in degrees],
         [LowerGradedTable(table).dims(n) for n in degrees],
     )
 
