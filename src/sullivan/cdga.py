@@ -640,41 +640,77 @@ class SullivanAlgebra:
     )
 
     def parse(self, text: str) -> AlgebraElement:
-        """Parse the polynomial grammar: terms ``coef*gen^k*gen2^k2``
-        joined by ``+``/``-``; coefficients integer or ``a/b``; whitespace
-        is allowed between and around tokens.  Each term is added straight
-        into one ``{monomial: coefficient}`` map."""
+        """Parse the polynomial grammar
+
+            polynomial := sign* term (sign+ term)*
+            term       := factor ("*" factor)*
+            factor     := number | name ("^" integer)?
+
+        where a sign is ``+`` or ``-``, a number is an integer or ``a/b``
+        and an integer is a run of digits; whitespace is allowed between
+        and around tokens.  Each pass of the loop reads one term's signs,
+        then its factors, then requires a sign or the end of the tokens.
+        The term's coefficient, the product of its signs and numbers (0
+        when an odd generator repeats, with the Koszul sign of its
+        factors' order folded in), is added straight into one
+        ``{monomial: coefficient}`` map."""
         tokens = self._tokenize(text)
         terms: dict[Monomial, int | Fraction] = {}
         pos = 0
-        sign = 1
-        expect_term = True
-        while pos < len(tokens):
-            kind, value = tokens[pos]
-            if expect_term:
-                if kind == "op" and value in "+-":
-                    if value == "-":
-                        sign = -sign
-                    pos += 1
-                    continue
-                if kind == "op":
-                    break  # '*' or '^' cannot start a term, which is empty
-                mono, coeff, pos = self._parse_term(tokens, pos)
-                if coeff:
-                    terms[mono] = terms.get(mono, 0) + sign * coeff
-                sign = 1
-                expect_term = False
-            else:
-                if kind != "op" or value not in "+-":
-                    raise ValueError(f"expected '+' or '-' in polynomial: {text!r}")
-                sign = -1 if value == "-" else 1
+        while True:
+            coeff: int | Fraction = 1
+            while tokens[pos][1] in ("+", "-"):
+                coeff = -coeff if tokens[pos][1] == "-" else coeff
                 pos += 1
-                expect_term = True
-        if expect_term:
-            raise ValueError(f"empty term in polynomial: {text!r}")
-        return self._element(terms)
+            if tokens[pos][0] not in ("num", "name"):
+                raise ValueError(f"empty term in polynomial: {text!r}")
+            exponents = [0] * len(self._degrees)
+            mask = 0  # odd generators of the term so far
+            while True:
+                kind, value = tokens[pos]
+                pos += 1
+                if kind == "num":
+                    numerator, _, denominator = value.partition("/")
+                    coeff *= _decimal(numerator, "coefficient")
+                    if denominator:
+                        divisor = _decimal(denominator, "coefficient")
+                        if not divisor:
+                            raise ValueError(f"zero denominator in coefficient {value!r}")
+                        coeff = Fraction(coeff, divisor)
+                else:
+                    index = self._index.get(value)
+                    if index is None:
+                        raise UnknownGenerator(f"no generator named {value!r}")
+                    exp = 1
+                    if tokens[pos] == ("op", "^"):
+                        kind, value = tokens[pos + 1]
+                        if kind != "num" or "/" in value:
+                            raise ValueError("exponent must be a non-negative integer")
+                        exp = _decimal(value, "exponent")
+                        pos += 2
+                    exponents[index] += exp
+                    if exp and self._degrees[index] % 2:
+                        bit = 1 << index
+                        if exp > 1 or mask & bit:
+                            coeff = 0
+                        elif (mask >> (index + 1)).bit_count() & 1:
+                            coeff = -coeff
+                        mask |= bit
+                if tokens[pos] != ("op", "*"):
+                    break
+                pos += 1
+                if tokens[pos][0] not in ("num", "name"):
+                    raise ValueError("'*' must be followed by a factor")
+            if coeff:
+                mono = tuple(exponents)
+                terms[mono] = terms.get(mono, 0) + coeff
+            if tokens[pos][0] == "end":
+                return self._element(terms)
+            if tokens[pos][1] not in ("+", "-"):
+                raise ValueError(f"expected '+' or '-' in polynomial: {text!r}")
 
     def _tokenize(self, text: str) -> list[tuple[str, str]]:
+        """The ``(kind, value)`` tokens of ``text``, ended by ``("end", "")``."""
         tokens = []
         pos = 0
         end = len(text.rstrip())
@@ -684,54 +720,8 @@ class SullivanAlgebra:
                 raise ValueError(f"cannot tokenize polynomial at {text[pos:]!r}")
             pos = match.end()
             tokens.append((match.lastgroup, match.group(match.lastgroup)))
+        tokens.append(("end", ""))
         return tokens
-
-    def _parse_term(self, tokens, pos: int) -> tuple[Monomial, "int | Fraction", int]:
-        """One term from its first factor ``tokens[pos]``, a number or a
-        name, on: its monomial, its coefficient (0 when an odd generator
-        repeats, with the Koszul sign of its factors' order folded in) and
-        the position after it."""
-        coeff: int | Fraction = 1
-        exponents = [0] * len(self._degrees)
-        mask = 0  # odd generators of the term so far
-        while pos < len(tokens):
-            kind, value = tokens[pos]
-            if kind == "num":
-                numerator, _, denominator = value.partition("/")
-                coeff *= _decimal(numerator, "coefficient")
-                if denominator:
-                    divisor = _decimal(denominator, "coefficient")
-                    if not divisor:
-                        raise ValueError(f"zero denominator in coefficient {value!r}")
-                    coeff = Fraction(coeff, divisor)
-                pos += 1
-            else:
-                index = self._index.get(value)
-                if index is None:
-                    raise UnknownGenerator(f"no generator named {value!r}")
-                pos += 1
-                exp = 1
-                if pos < len(tokens) and tokens[pos] == ("op", "^"):
-                    nk, nv = tokens[pos + 1] if pos + 1 < len(tokens) else ("", "")
-                    if nk != "num" or "/" in nv:
-                        raise ValueError("exponent must be a non-negative integer")
-                    exp = _decimal(nv, "exponent")
-                    pos += 2
-                exponents[index] += exp
-                if exp and self._degrees[index] % 2:
-                    bit = 1 << index
-                    if exp > 1 or mask & bit:
-                        coeff = 0
-                    elif (mask >> (index + 1)).bit_count() & 1:
-                        coeff = -coeff
-                    mask |= bit
-            if pos < len(tokens) and tokens[pos] == ("op", "*"):
-                pos += 1
-                if pos >= len(tokens) or tokens[pos][0] == "op":
-                    raise ValueError("'*' must be followed by a factor")
-                continue
-            break
-        return tuple(exponents), coeff, pos
 
     def format_monomial(self, mono: Monomial) -> str:
         parts = []

@@ -191,6 +191,9 @@ def load_model(doc: dict, path: str = "$") -> SullivanAlgebra:
         except ValidationError as exc:
             raise SchemaError(f"{path}.generators[{i}]: {exc}") from exc
     differential = _load_polynomial_map(doc.get("differential", {}), f"{path}.differential")
+    for name in differential:
+        if all(g.name != name for g in gens):
+            raise SchemaError(f"{path}.differential.{name}: no generator named {name!r}")
 
     def images(a: SullivanAlgebra) -> dict:
         parsed = {}

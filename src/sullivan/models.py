@@ -209,6 +209,8 @@ def _parse_restricted(
         element = algebra.parse(text)
     except ValueError as exc:
         raise InvalidDiagram(f"{context}: {exc}") from exc
+    except UnknownGenerator as exc:
+        raise UnknownGenerator(f"{context}: {exc}") from exc
     names = [g.name for g in algebra.generators]
     for mono in element.terms:
         for name, e in zip(names, mono):

@@ -430,6 +430,10 @@ class TestInputRejections:
                 "'u9' is not a classifying-space generator of SU(2)",
             ),
             (
+                {"embeddings": {"G->Kminus": {"u1": "-em^2"}, "G->Kplus": {"u1": "-zz^2"}}},
+                "restriction of u1 to the plus side: no generator named 'zz'",
+            ),
+            (
                 {
                     "H": {**SOLVABLE, "flags": {"connected": False}},
                     "Kminus": "T2",
@@ -439,7 +443,12 @@ class TestInputRejections:
                 "only finite disconnected principal isotropy is supported",
             ),
         ],
-        ids=["sphere-rank", "unknown-restriction-key", "disconnected-positive-rank"],
+        ids=[
+            "sphere-rank",
+            "unknown-restriction-key",
+            "unknown-name-in-restriction",
+            "disconnected-positive-rank",
+        ],
     )
     def test_diagrams(self, capsys, tmp_path, changes, message):
         path = tmp_path / "diagram.json"
@@ -457,8 +466,24 @@ class TestInputRejections:
                 {"H": SOLVABLE, "embedding": "maximal-torus"},
                 "$.embedding: named embeddings need catalog group names",
             ),
+            ({"embedding": {"u1": "-w^2"}}, "left image of u1: no generator named 'w'"),
+            (
+                {"kind": "biquotient", "left": {"u1": "-w^2"}, "right": {"u1": "-4*u1^2"}},
+                "left image of u1: no generator named 'w'",
+            ),
+            (
+                {"kind": "biquotient", "left": {"u1": "-u1^2"}, "right": {"u1": "-w^2"}},
+                "right image of u1: no generator named 'w'",
+            ),
         ],
-        ids=["flags-not-an-object", "embedding-not-a-name-or-object", "named-embedding-inline-group"],
+        ids=[
+            "flags-not-an-object",
+            "embedding-not-a-name-or-object",
+            "named-embedding-inline-group",
+            "unknown-name-in-embedding",
+            "unknown-name-in-left-map",
+            "unknown-name-in-right-map",
+        ],
     )
     def test_pairs(self, capsys, tmp_path, changes, message):
         path = tmp_path / "pair.json"

@@ -80,6 +80,22 @@ class TestSchema:
         assert main(["report", "--file", str(path)]) == 1
         assert "error: $.differential.m: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, image", [("w", "x"), ("w", "x^"), ("x y", "x*y"), ("", "x*y")],
+        ids=["unknown", "unknown-before-its-malformed-image", "outside-grammar", "empty"],
+    )
+    def test_differential_key_names_no_generator(self, key, image, tmp_path, capsys):
+        doc = dict(CP2_MODEL_DOC, differential={"n": "x^2+y^2", key: image})
+        message = f"$.differential.{key}: no generator named {key!r}"
+        with pytest.raises(SchemaError) as raised:
+            load_model(doc)
+        assert str(raised.value) == message
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("name", ["x-y", "2", "n m", ""])
     def test_generator_name_outside_polynomial_grammar(self, name, tmp_path, capsys):
         doc = dict(CP2_MODEL_DOC, generators=[["x", 2], ["y", 2], ["n", 3], [name, 3]])

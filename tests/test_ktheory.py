@@ -204,7 +204,7 @@ def test_report_conclusion_matches_the_flag_rule(name):
     # The flag rule leaves out the integral clause's circle fibres, and so
     # do reports: preset:sphere-s4 (sphere dims [3, 3]) concludes
     # integral-from-flags although its theorem_applicability has
-    # integral_clause false (CHANGES.md FOUND 72, ROADMAP item 1).
+    # integral_clause false (CHANGES.md FOUND 72, ROADMAP item 15).
     doc = REFERENCE_DOCUMENTS[name]
     report = run_analysis(doc)
     kind, payload = load_document(doc)

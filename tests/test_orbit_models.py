@@ -140,10 +140,11 @@ class TestSameChecksAsTheManifoldModel:
         [
             ({"u1": "ep"}, DegreeMismatch),
             ({"u1": "em^2"}, UnknownGenerator),
+            ({"u1": "zz^2"}, UnknownGenerator),
             ({"u1": "-ep^2 + u1^2"}, InvalidDiagram),
             ({"u1": "ep^2 +"}, InvalidDiagram),
         ],
-        ids=["degree", "other-sphere", "common-parts-disagree", "syntax"],
+        ids=["degree", "other-sphere", "unknown-name", "common-parts-disagree", "syntax"],
     )
     def test_bad_restriction(self, plus, error):
         assert len(orbit_models(torus_diagram({}))) == 3  # the diagram itself is valid

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from instance_generators import random_sheared
 from sullivan import documents
@@ -184,10 +185,40 @@ def build_catalog_models():
     )
 
 
-@pytest.fixture
-def small():
+def small_algebra():
     # x, y even; a, b odd: a repeated odd generator vanishes, b*a = -a*b
     return SullivanAlgebra.build([("x", 2), ("y", 2), ("a", 3), ("b", 3)], cutoff=8)
+
+
+@pytest.fixture
+def small():
+    return small_algebra()
+
+
+# Fragments of the grammar's tokens, with an unknown name, a zero
+# denominator once joined ("2" + "/0") and a character outside it.
+TOKENS = ["x", "y", "a", "b", "z", "0", "2", "1/2", "/0", "^", "^2", "^0", "*", "+", "-", " ", "\t", "("]
+FACTORS = ["x", "y^2", "a", "b", "2", "1/2", "3/6", "0", "x^0", "a^1"]
+# Token strings, most of them malformed, and well-formed polynomials
+# whose terms multiply odd generators in either order.
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=10).map("".join),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["", "-", " + ", "--"]),
+            st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(lambda terms: "".join(sign + " * ".join(factors) for sign, factors in terms)),
+).map(str.rstrip)
+
+
+def _outcome(parse, algebra, text):
+    try:
+        return parse(algebra, text)
+    except Exception as exc:
+        return exc
 
 
 class TestAgainstElementParser:
@@ -239,6 +270,33 @@ class TestAgainstElementParser:
             small.parse(text)
         assert type(got.value) is type(expected.value), text
         assert str(got.value) == str(expected.value), text
+
+
+class TestRandomText:
+    """Random strings of the grammar's tokens: ``parse`` gives the
+    reference's element, or raises its class with its message.  Only the
+    two messages ``TestMessages`` documents may differ, a term led by
+    ``*`` or ``^`` and a dangling caret; there the class must still
+    match.  Trailing whitespace is stripped, since the reference
+    tokenizer predates it (``TestWhitespace``)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(TEXTS)
+    def test_parse_matches_the_reference(self, text):
+        algebra = small_algebra()
+        got = _outcome(SullivanAlgebra.parse, algebra, text)
+        expected = _outcome(reference_parse, algebra, text)
+        if not isinstance(expected, Exception):
+            assert not isinstance(got, Exception), (text, got)
+            assert got == expected, text
+            assert all(type(c) is Fraction for c in got.terms.values()), text
+            return
+        assert type(got) is type(expected), (text, got, expected)
+        if str(got) != str(expected):
+            tokens = _reference_tokenize(algebra, text)
+            led_by_operator = str(expected) == "empty term in polynomial"
+            dangling_caret = [kind for kind, _ in tokens[-2:]] == ["name", "op"] and text.endswith("^")
+            assert led_by_operator or dangling_caret, (text, got, expected)
 
 
 class TestMessages:
