@@ -265,9 +265,11 @@ class SullivanAlgebra:
         if callable(differential):
             differential = differential(self)
         self._images = self._validate_differential(differential or {})
-        # The H_0 rule's answer once asked (``cohomology._elliptic``),
-        # shared with the algebras that keep the generators and the f_j.
-        self._h0_answer: list[bool] = []
+        # The helper of ΛQ and the ideal (f_j) once asked
+        # (``cohomology._ideal``), which the H_0 rule, the ΛQ table and
+        # the formality count read, shared with the algebras that keep
+        # the generators and the f_j.
+        self._ideal: list = []
 
     # -- construction -------------------------------------------------
 
@@ -295,10 +297,10 @@ class SullivanAlgebra:
 
     def _sharing(self, copy: "SullivanAlgebra") -> "SullivanAlgebra":
         """``copy``, with the same generators and f_j, given this
-        algebra's slot for the answer of the H_0 rule and, when their
+        algebra's slot for the helper of its ΛQ and, when their
         packed fields have the same width, its bases and position indexes
         (a widening ``_fit`` gives either algebra lists of its own)."""
-        copy._h0_answer = self._h0_answer
+        copy._ideal = self._ideal
         if copy._width == self._width:
             copy._bases, copy._positions_cache = self._bases, self._positions_cache
         return copy

@@ -28,16 +28,18 @@ graded differential.  In each degree the filtration is finite, so its
 spectral sequence has E_1 = H(ΛV, d_σ) and converges to H(ΛV, d)
 (Halperin; Félix–Halperin–Thomas §32), with no minimality needed.
 ``_elliptic`` decides the ideal question from the generator degrees
-and the f_j alone, whatever the algebra's cutoff, with one rank per
-even degree of the window over the rows f_j m of ``_ideal_rows``, and
-keeps its answer per algebra (``SullivanAlgebra._h0_answer``).
+and the f_j alone, whatever the algebra's cutoff, by reading the
+window's even degrees from ``_Ideal``, the one helper of ΛQ per algebra
+(kept in ``SullivanAlgebra._ideal`` and shared by its copies), which
+eliminates the rows f_j m of each even degree at most once and keeps
+the answer.
 
 How far a table runs.  A pure algebra with χ_π = 0 (as many odd
 generators as even) that passes the H_0 rule, cut off at N or above,
 has H = H_0 = ΛQ/(f_j), all in even degrees: its cohomology is finite,
 so the f_j are a regular sequence (Halperin; Félix–Halperin–Thomas
-§32).  Its table is read from ΛQ alone by ``_h0_blocks``, whose one
-pass of ``_ideal_rows`` through N + w_Q also decides the rule.  Any
+§32).  Its table is read from ΛQ alone by ``_h0_blocks``, which asks
+the rule and then reads degrees 0..N from the same helper.  Any
 other table walks ΛV: cut off above N it asks the rule first and, if
 the answer is yes, stops at N, with its degrees above empty; otherwise
 it runs to the cutoff.  The direct check asks the rule only once its
@@ -55,8 +57,8 @@ block per degree.  The odd word length of a packed monomial p is
 ``h0_dims`` read strands.  The table's strands are the lower grading,
 which ``LowerGradedTable`` reads without eliminating again; its
 index-0 strand H_0 is the image of the even subalgebra in cohomology.
-The formality count of ``criteria`` reads the rows f_j m of
-``_ideal_rows``, not the strands.  Parity-wise surjectivity of a
+The formality count of ``criteria`` reads the shares μ_k that the
+helper ``_Ideal`` keeps, not the strands.  Parity-wise surjectivity of a
 morphism, by rank counting, completes the module: the direct check
 ``surjectivity_by_parity``, for any morphism and any target.  No report
 calls it.  A report's verdict reads the strands of the space's table
@@ -83,6 +85,7 @@ class representatives as primitive ``{exponent tuple: int}`` vectors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain
 from typing import Sequence
 
@@ -157,34 +160,71 @@ def _formal_dimension(a: SullivanAlgebra) -> int:
     return sum(g.degree if g.is_odd else 1 - g.degree for g in a.generators)
 
 
-def _ideal_rows(a: SullivanAlgebra, degrees: Sequence[int]):
-    """Yield, for each even degree k of ``degrees`` in order, the rows
-    f_j m that span the degree-k part of the ideal (f_j) of ΛQ, for f_j
-    the part of d y_j with no odd factor: m runs over the monomials of
-    ΛQ of degree k - |y_j| - 1, and the products, m != 1, come first,
-    then the bare f_j.  Each is yielded as ``(rows, the number of
-    products, the packed monomials of ΛQ^k, ΛQ's unpack)``.  These are
-    the d_σ images of the strand-1 monomials y_j m of degree k - 1.
+class _Ideal:
+    """ΛQ, the even generators with no differential, and the ideal (f_j)
+    of ``a``, f_j the part of d y_j with no odd factor, for the H_0 rule,
+    the ΛQ route of the table and the formality count alike.  ``degree``
+    eliminates an even degree k when first asked and keeps its answer in
+    ``kept``, so each degree is eliminated at most once per algebra and
+    its copies, which share this helper (``_ideal``).
 
-    ΛQ, the even generators with no differential, is built once, cut off
-    at the last degree read; neither ``a``'s bases nor its associated
-    pure algebra are read.  Its generators run in reverse order, so a
-    degree's packed monomials sort as their exponent tuples over ``a``,
-    the order of ``a``'s strand-0 basis, and each column key is a packed
-    monomial negated: ``ff_row_echelon``, which leads with the smallest
-    key, sees the columns in reverse basis order."""
-    evens = [i for i, g in enumerate(a.generators) if not g.is_odd][::-1]
-    q = SullivanAlgebra([a.generators[i] for i in evens], max(degrees, default=0))
-    ideal = []  # (|y_j| + 1, the negated packed terms of f_j)
-    for g, image in zip(a.generators, a._images):
-        f = [(-q._pack(map(m.__getitem__, evens)), c) for m, mask, c in image if not mask]
-        if g.is_odd and f:
-            ideal.append((g.degree + 1, f))
-    for k in degrees:
-        rows = [{t - p: c for t, c in f} for d, f in ideal if d < k for p in q._monomials(k - d)]
-        products = len(rows)
-        rows += [dict(f) for d, f in ideal if d == k]
-        yield rows, products, q._monomials(k), q._unpack
+    The rows of degree k span the ideal there: f_j m for the monomials m
+    of ΛQ of degree k - |y_j| - 1, the products (m != 1) first, then the
+    bare f_j, which are the d_σ images of the strand-1 monomials y_j m of
+    degree k - 1.  Each bare f_j has a column of its own, its tag, set
+    to 1 in its row alone.  A column key is a packed monomial negated,
+    all <= 0, and the tags are positive, so ``ff_row_echelon``, whose
+    pivot columns are the first independent columns from left to right,
+    names the same monomial pivots as with no tags, and each tag pivot is
+    a bare f_j in the span of the products and the bare f_j before it.
+    The monomials that pivots name are the lex leading monomials of the
+    ideal in degree k, the others its standard monomials, and μ_k, the
+    number of bare f_j independent of the products and of each other, is
+    the number of bare f_j less the number of tag pivots.  Each degree
+    keeps its monomial pivots and μ_k.
+
+    ΛQ is cut off at the last degree any caller reads, N + w_Q for the
+    formal dimension N or the largest |y_j| + 1; its generators run in
+    reverse order, so a degree's packed monomials sort as their exponent
+    tuples over ``a``, the order of ``a``'s strand-0 basis, and its
+    negated keys give ``ff_row_echelon`` the columns in reverse basis
+    order.  Neither ``a``'s bases nor its associated pure algebra are
+    read."""
+
+    def __init__(self, a: SullivanAlgebra):
+        evens = [i for i, g in enumerate(a.generators) if not g.is_odd][::-1]
+        w_q = max((a.generators[i].degree for i in evens), default=0)
+        top = max(_formal_dimension(a) + w_q, *(g.degree + 1 for g in a.generators if g.is_odd), 0)
+        self.ring = q = SullivanAlgebra([a.generators[i] for i in evens], top)
+        self.relations = []  # (|y_j| + 1, the negated packed terms of f_j)
+        for g, image in zip(a.generators, a._images):
+            f = [(-q._pack(map(m.__getitem__, evens)), c) for m, mask, c in image if not mask]
+            if g.is_odd and f:
+                self.relations.append((g.degree + 1, f))
+        self.kept: dict[int, tuple[list[int], int]] = {}
+
+    def degree(self, k: int) -> tuple[list[int], int]:
+        """The monomial pivots of ΛQ^k, negated packed monomials in
+        increasing order, and μ_k, from the degree's one elimination."""
+        if k not in self.kept:
+            rows = [{t - p: c for t, c in f} for d, f in self.relations if d < k for p in self.ring._monomials(k - d)]
+            bare = [{**dict(f), tag: 1} for tag, (d, f) in enumerate(self.relations, 1) if d == k]
+            _, pivots = linalg._echelon(rows + bare)
+            monomial = bisect_right(pivots, 0)  # the tags follow
+            self.kept[k] = pivots[:monomial], len(bare) - len(pivots) + monomial
+        return self.kept[k]
+
+    def fills(self, k: int) -> bool:
+        """Whether the ideal is all of ΛQ^k: pivots name every monomial."""
+        return len(self.degree(k)[0]) == len(self.ring._monomials(k))
+
+
+def _ideal(a: SullivanAlgebra) -> _Ideal:
+    """The helper of ``a``'s ΛQ, built when first asked and kept in the
+    slot ``a._ideal``, which the copies with the same f_j share."""
+    if not a._ideal:
+        a._ideal.append(_Ideal(a))
+    return a._ideal[0]
 
 
 def _window(a: SullivanAlgebra, n: int) -> range:
@@ -195,19 +235,15 @@ def _window(a: SullivanAlgebra, n: int) -> range:
 
 def _elliptic(a: SullivanAlgebra) -> bool:
     """Whether the formal dimension N is >= 0 and the ideal (f_j) is all
-    of ΛQ^n for every n in N + 1..N + w_Q; then H^n(a) = 0 for every
-    n > N (module docstring).  One rank of the rows of ``_ideal_rows``
-    per even degree of the window, up to the first that falls short.  It
-    reads the generator degrees and images only, so ``a``'s cutoff plays
-    no part.  The answer is kept in ``a._h0_answer``, which the copies
-    with the same f_j share and ``_h0_blocks`` fills too."""
-    if not a._h0_answer:
-        n = _formal_dimension(a)
-        a._h0_answer.append(
-            n >= 0
-            and all(linalg.rank_rows(rows) == len(monos) for rows, _, monos, _ in _ideal_rows(a, _window(a, n)))
-        )
-    return a._h0_answer[0]
+    of ΛQ^n for every n in N + 1..N + w_Q (``_Ideal.fills``); then
+    H^n(a) = 0 for every n > N (module docstring).  The window degrees
+    are read in order up to the first that falls short, after which
+    ``_h0_blocks`` eliminates nothing, and no ΛQ is built when N < 0.  It
+    reads the generator degrees and the f_j only, so ``a``'s cutoff
+    plays no part, and the degrees are kept, so asking again eliminates
+    nothing."""
+    n = _formal_dimension(a)
+    return n >= 0 and all(_ideal(a).fills(k) for k in _window(a, n))
 
 
 def _h0_blocks(a: SullivanAlgebra) -> list[dict[int, tuple]] | None:
@@ -219,32 +255,22 @@ def _h0_blocks(a: SullivanAlgebra) -> list[dict[int, tuple]] | None:
     its classes are the unit vectors of the monomials whose reversed
     columns are not pivots of the coboundaries f_j m = d_σ(y_j m)
     handed up to it, and no other strand has a class.  Those are the
-    rows of ``_ideal_rows``, and pivots depend only on the span, so the
-    classes are the monomials of ΛQ^k that no pivot names (the lex
-    standard monomials), padded with zero odd exponents.  The pass takes
-    the window degrees N + 1..N + w_Q first, so an algebra that fails the
-    rule eliminates nothing more; they fill ``a._h0_answer``, and are
-    skipped when it is already known."""
+    rows of ``_Ideal``, and pivots depend only on the span, so the
+    classes are the standard monomials of ΛQ^k, padded with zero odd
+    exponents.  The rule is asked first, so an algebra that fails it
+    eliminates no degree up to N."""
     n = _formal_dimension(a)
-    pure_chi_zero = a.is_pure() and a.homotopy_euler_characteristic() == 0
-    if not pure_chi_zero or not 0 <= n <= a.cutoff or a._h0_answer == [False]:
+    if not (a.is_pure() and a.homotopy_euler_characteristic() == 0 and 0 <= n <= a.cutoff and _elliptic(a)):
         return None
-    known = bool(a._h0_answer)
-    degrees = [*([] if known else _window(a, n)), *range(0, n + 1, 2)]
+    ideal = _ideal(a)
     blocks: list[dict[int, tuple]] = []
-    for k, (rows, _, monos, unpack) in zip(degrees, _ideal_rows(a, degrees)):
-        _, pivots = linalg._echelon(rows)
-        if k <= n:
-            reps = []
-            for p in sorted(set(monos).difference(-c for c in pivots)):
-                exponents = reversed(unpack(p))
+    for k in range(0, n + 1, 2):
+        leading, reps = {-c for c in ideal.degree(k)[0]}, []
+        for p in ideal.ring._monomials(k):
+            if p not in leading:
+                exponents = reversed(ideal.ring._unpack(p))
                 reps.append({tuple(0 if g.is_odd else next(exponents) for g in a.generators): 1})
-            blocks += [{0: tuple(reps)}, {}]
-        elif len(pivots) < len(monos):
-            a._h0_answer.append(False)
-            return None
-    if not known:
-        a._h0_answer.append(True)
+        blocks += [{0: tuple(reps)}, {}]
     return blocks[: n + 1]
 
 

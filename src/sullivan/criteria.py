@@ -284,28 +284,23 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
 
     mu is the minimal number of generators of the ideal I = (f_j) that
     the odd differentials generate inside the even subalgebra ΛQ: the
-    dimension of I modulo its decomposable part, degree by degree.  I in
-    degree n is spanned by the rows f_j m of ``cohomology._ideal_rows``,
-    and its decomposable part by the products among them, m != 1.  One
-    echelon per even degree, with a column per row, products first and
-    the bare f_j last, has as pivots among the bare f_j those
-    independent of the products and of each other: their number is that
-    degree's share of mu.  k = dim V^odd - mu odd generators split off
-    freely, and the algebra is formal iff mu = dim V^even.  The table's
-    Betti numbers must vanish in the top window (ellipticity).
+    dimension of I modulo its decomposable part, degree by degree.  Each
+    degree's share μ_k, the bare f_j of degree k independent of the
+    products f_j m (m != 1) and of each other, comes from that degree's
+    one elimination in ``cohomology._Ideal``, the helper the H_0 rule and
+    the ΛQ table read too, so a degree they eliminated is not eliminated
+    again.  Only the degrees of some f_j can have a share.  k = dim
+    V^odd - mu odd generators split off freely, and the algebra is formal
+    iff mu = dim V^even.  The table's Betti numbers must vanish in the
+    top window (ellipticity).
     """
     a = table.algebra
     if not a.is_pure():
         raise NotPure("the formality criterion needs a pure algebra")
     if not ch.top_window_vanishes(a, table.betti):
         raise NotElliptic("cohomology does not vanish in the top window below the cutoff")
-    top = max((g.degree + 1 for g, image in zip(a.generators, a._images) if image), default=0)
-    mu = 0
-    for rows, products, _, _ in ch._ideal_rows(a, range(2, top + 1, 2)):
-        # Each row in order independent of those before it: the pivot
-        # columns of one echelon with a column per row.
-        _, pivots = linalg._echelon(linalg._transpose(rows))
-        mu += sum(c >= products for c in pivots)
+    ideal = ch._ideal(a)
+    mu = sum(ideal.degree(k)[1] for k in {d for d, _ in ideal.relations})
     odd_count = len(a._odd)
     return FormalityVerdict(odd_count - mu, mu, mu == len(a.generators) - odd_count)
 

@@ -114,15 +114,23 @@ def group_document(g: GroupData) -> dict:
     }
 
 
-def _load_polynomial_map(obj, path: str) -> dict[str, str]:
+def _load_polynomial_map(obj, path: str, names, noun: str = "generator") -> dict[str, str]:
+    """A map from the generator names ``names`` to polynomial strings;
+    a key outside ``names`` is reported at its path as no ``noun``."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object of generator -> polynomial")
-    out = {}
     for key, value in obj.items():
         if not isinstance(value, str):
             raise SchemaError(f"{path}.{key}: expected a polynomial string")
-        out[key] = value
-    return out
+        if key not in names:
+            raise SchemaError(f"{path}.{key}: no {noun} named {key!r}")
+    return dict(obj)
+
+
+def _load_restriction(obj, path: str, g: GroupData) -> dict[str, str]:
+    """A restriction map out of H*(BG), keyed by G's classifying-space
+    generators."""
+    return _load_polynomial_map(obj, path, g.bg_names, f"classifying-space generator of {g.name}")
 
 
 def _resolve_embedding(doc: dict, g_ref, h_ref, path: str) -> RestrictionMap:
@@ -135,7 +143,7 @@ def _resolve_embedding(doc: dict, g_ref, h_ref, path: str) -> RestrictionMap:
                 f"{path}.embedding: named embeddings need catalog group names"
             )
         return catalog.standard_restriction(g_ref, h_ref, embedding)
-    return RestrictionMap(g, h, _load_polynomial_map(embedding, f"{path}.embedding"))
+    return RestrictionMap(g, h, _load_restriction(embedding, f"{path}.embedding", g))
 
 
 def load_homogeneous(doc: dict, path: str = "$") -> tuple[GroupData, GroupData, RestrictionMap]:
@@ -148,8 +156,8 @@ def load_homogeneous(doc: dict, path: str = "$") -> tuple[GroupData, GroupData, 
 def load_biquotient(doc: dict, path: str = "$") -> tuple[GroupData, GroupData, RestrictionMap]:
     g = load_group(_require(doc, "G", None, path), f"{path}.G")
     h = load_group(_require(doc, "H", None, path), f"{path}.H")
-    left = _load_polynomial_map(doc.get("left", {}), f"{path}.left")
-    right = _load_polynomial_map(doc.get("right", {}), f"{path}.right")
+    left = _load_restriction(doc.get("left", {}), f"{path}.left", g)
+    right = _load_restriction(doc.get("right", {}), f"{path}.right", g)
     return g, h, RestrictionMap(g, h, left, right)
 
 
@@ -163,13 +171,9 @@ def load_diagram(doc: dict, path: str = "$") -> GroupDiagram:
         raise SchemaError(f"{path}.sphere_dims: expected two integers [l-, l+]")
     embeddings = _require(doc, "embeddings", dict, path)
     _reject_unknown(embeddings, ("G->Kminus", "G->Kplus"), f"{path}.embeddings")
-    minus = _load_polynomial_map(
-        _require(embeddings, "G->Kminus", dict, f"{path}.embeddings"),
-        f"{path}.embeddings.G->Kminus",
-    )
-    plus = _load_polynomial_map(
-        _require(embeddings, "G->Kplus", dict, f"{path}.embeddings"),
-        f"{path}.embeddings.G->Kplus",
+    minus, plus = (
+        _load_restriction(_require(embeddings, key, dict, f"{path}.embeddings"), f"{path}.embeddings.{key}", g)
+        for key in ("G->Kminus", "G->Kplus")
     )
     return GroupDiagram(g, h, k_minus, k_plus, minus, plus, tuple(sphere_dims))
 
@@ -190,10 +194,9 @@ def load_model(doc: dict, path: str = "$") -> SullivanAlgebra:
             gens.append(Generator(spec[0], spec[1]))
         except ValidationError as exc:
             raise SchemaError(f"{path}.generators[{i}]: {exc}") from exc
-    differential = _load_polynomial_map(doc.get("differential", {}), f"{path}.differential")
-    for name in differential:
-        if all(g.name != name for g in gens):
-            raise SchemaError(f"{path}.differential.{name}: no generator named {name!r}")
+    differential = _load_polynomial_map(
+        doc.get("differential", {}), f"{path}.differential", {g.name for g in gens}
+    )
 
     def images(a: SullivanAlgebra) -> dict:
         parsed = {}

@@ -427,7 +427,7 @@ class TestInputRejections:
             ),
             (
                 {"embeddings": {"G->Kminus": {"u9": "-em^2"}, "G->Kplus": {"u1": "-ep^2"}}},
-                "'u9' is not a classifying-space generator of SU(2)",
+                "$.embeddings.G->Kminus.u9: no classifying-space generator of SU(2) named 'u9'",
             ),
             (
                 {"embeddings": {"G->Kminus": {"u1": "-em^2"}, "G->Kplus": {"u1": "-zz^2"}}},
@@ -491,6 +491,39 @@ class TestInputRejections:
         code, out, err = run(capsys, "report", "--file", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, at",
+        [
+            ({"kind": "biquotient", "left": {"u9": "-u1^2"}, "right": {"u1": "-4*u1^2"}}, "$.left.u9"),
+            ({"kind": "biquotient", "left": {"u1": "-u1^2"}, "right": {"u9": "-u1^2"}}, "$.right.u9"),
+            ({"kind": "homogeneous", "embedding": {"u9": "-u1^2"}}, "$.embedding.u9"),
+            (
+                {
+                    **DIAGRAM_PRESETS["cp2-sum"],
+                    "embeddings": {"G->Kminus": {"u9": "-em^2"}, "G->Kplus": {"u1": "-ep^2"}},
+                },
+                "$.embeddings.G->Kminus.u9",
+            ),
+        ],
+        ids=["left-map", "right-map", "embedding", "diagram-embeddings"],
+    )
+    def test_restriction_key_names_no_generator(self, capsys, tmp_path, monkeypatch, doc, at):
+        """A restriction-map key that names no classifying-space generator
+        of G is a schema error at its path, raised before any map or
+        model is built."""
+        doc = {"G": "SU(2)", "H": "T1", **doc}
+        message = f"{at}: no classifying-space generator of SU(2) named 'u9'"
+        with monkeypatch.context() as m:
+            m.setattr(documents, "RestrictionMap", None)
+            m.setattr(documents, "GroupDiagram", None)
+            with pytest.raises(SchemaError) as raised:
+                documents.load_document(doc)
+        assert str(raised.value) == message
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", "--file", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestKTheoryAndReport:

@@ -790,7 +790,8 @@ class TestWindowRule:
         10..11 past N = 9, falls short and both walks run to the cutoff.
         Apart from that rank, one per walk, ``ff_row_echelon`` receives
         the same rows as with the helper patched out.  The helper keeps
-        its answer per algebra, so each walk gets an algebra of its own."""
+        each degree it eliminates per algebra, so each walk gets an
+        algebra of its own."""
         from sullivan import cohomology as ch
 
         def build():
@@ -828,9 +829,11 @@ class TestWindowRule:
 
         capped = eliminations()
         assert [len(rows) for rows in capped[2]] == [3, 3]  # d_σ of c x^2, c xy, c y^2; the rows of a, b vanish
-        with monkeypatch.context() as m:  # asked again, through a copy, the helper ranks nothing
-            m.setattr(ch, "_ideal_rows", None)
+        with monkeypatch.context() as m:  # asked again, through a copy, the helper eliminates nothing
+            m.setattr(ch, "SullivanAlgebra", None)
+            m.setattr(linalg, "ff_row_echelon", None)
             assert not ch._elliptic(a.with_cutoff(3).associated_pure())
+        assert list(ch._ideal(a).kept) == [10]  # the failing window degree, and no degree up to N
         monkeypatch.setattr(ch, "_elliptic", lambda a: False)
         uncapped = eliminations()
         assert uncapped[2] == []

@@ -2,6 +2,7 @@
 Euler identities, theorem applicability."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -290,6 +291,52 @@ def strand_formality(a):
     return len(a._odd) - mu, mu
 
 
+def ideal_formality(a):
+    """The reference formality count (k, mu) over ΛQ, one elimination of
+    its own per even degree n up to the largest |f_j|: the rows f_j m of
+    the ideal (f_j), m running over the monomials of ΛQ of degree
+    n - |f_j|, the products (m != 1) first and the bare f_j last, each
+    row a column of one echelon; mu adds the bare rows independent of
+    those before them."""
+    evens = [i for i, g in enumerate(a.generators) if not g.is_odd]
+    ideal = [(g.degree + 1, image) for g, image in zip(a.generators, a.differential) if not image.is_zero]
+    top = max((d for d, _ in ideal), default=0)
+    ring = SullivanAlgebra([a.generators[i] for i in evens], top)
+    ideal = [(d, ring._element({tuple(m[i] for i in evens): c for m, c in f.terms.items()})) for d, f in ideal]
+    mu = 0
+    for n in range(2, top + 1, 2):
+        products = [(f * ring._element({m: 1})).terms for d, f in ideal if d < n for m in ring._basis(n - d)]
+        bare = [f.terms for d, f in ideal if d == n]
+        _, pivots = linalg._echelon(linalg._transpose(products + bare))
+        mu += sum(c >= len(products) for c in pivots)
+    return len(a._odd) - mu, mu
+
+
+class TestFormalityAgainstTheIdeal:
+    """``pure_formality`` sums the shares μ_k that the ΛQ helper keeps,
+    against the reference ``ideal_formality``, on every draw of
+    ``random_pure_elliptic`` from seeds 0-399: once after the table, so
+    that μ reads the degrees the table eliminated, and once on a fresh
+    algebra that no table has read."""
+
+    def test_random_pure_elliptic(self):
+        draws = chi_zero = 0
+        for seed in range(400):
+            a = random_pure_elliptic(random.Random(seed))
+            if a is None:
+                continue
+            draws += 1
+            chi_zero += a.homotopy_euler_characteristic() == 0
+            expected = ideal_formality(a)
+            table = cohomology(a)
+            verdict = pure_formality(table)
+            assert (verdict.split_k, verdict.minimal_generators_mu) == expected
+            fresh = SullivanAlgebra(a.generators, a.cutoff, dict(zip((g.name for g in a.generators), a.differential)))
+            verdict = pure_formality(SimpleNamespace(algebra=fresh, betti=table.betti))
+            assert (verdict.split_k, verdict.minimal_generators_mu) == expected
+        assert (draws, chi_zero) == (346, 81)
+
+
 # The pure models of ``TestFormality``: generators, differential, cutoff.
 FORMALITY_MODELS = {
     "cp2sum": ([("x", 2), ("y", 2), ("n", 3), ("m", 3)], {"n": "x^2+y^2", "m": "x*y"}, 7),
@@ -406,12 +453,13 @@ class TestFormality:
     @pytest.mark.parametrize(
         "generators, differential, cutoff, calls",
         [
-            # the six-generator pure model: candidates only in degree 4
+            # the six-generator pure model: candidates only in degree 4,
+            # which its table, read from ΛQ, has eliminated already
             (
                 [("x", 2), ("y", 2), ("z", 2), ("a", 3), ("b", 3), ("c", 3)],
                 {"a": "x^2", "b": "y^2", "c": "z^2"},
                 14,
-                1,
+                0,
             ),
             # candidates in degree 4 (u^2) and 6 (u * u^2 and u^3)
             ([("u", 2), ("q1", 3), ("q2", 5)], {"q1": "u^2", "q2": "u^3"}, 12, 2),

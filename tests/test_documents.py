@@ -243,7 +243,14 @@ class TestOneBorelPackagePerReport:
     the Borel model of its ``borel`` section; no report builds a Borel
     package or its morphism, and a pair report no Borel model.  The
     counts of algebra builds leave out the polynomial rings ΛQ of
-    ``cohomology._ideal_rows``, counted apart as ``rings``."""
+    ``cohomology._Ideal``, counted apart as ``rings``: at most one per
+    report, shared by the H_0 rule, the ΛQ table and the formality
+    count."""
+
+    # Diagram presets with χ_π = 0, whose manifold table is read from ΛQ;
+    # the others have χ_π != 0 and are cut off at N by default, so their
+    # tables never ask the H_0 rule.
+    RING_PRESETS = ("cp2-sum", "cp2-sum-times-sphere", "sphere-s4")
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -298,15 +305,16 @@ class TestOneBorelPackagePerReport:
         assert builds["betti_numbers"] == 4
         # each restriction string once for the manifold, once for the orbits
         assert builds["parses"] == 4 * diagram.g.rank
-        # the manifold's table builds at most one ΛQ; at the default cutoff N
-        # the direct check never asks the H_0 rule
-        assert len(builds["rings"]) <= 1
+        # the manifold's table builds one ΛQ on the ΛQ route and none otherwise
+        assert len(builds["rings"]) == (name in self.RING_PRESETS)
 
     @pytest.mark.parametrize(
         "doc",
         [
             {"kind": "homogeneous", "G": "SU(2)", "H": "T1"},
             {"kind": "biquotient", "G": "SU(2)", "H": "T1", "left": {"u1": "-u1^2"}, "right": {"u1": "-4*u1^2"}},
+            {"kind": "homogeneous", "G": "SU(4)", "H": "T3", "embedding": "maximal-torus"},
+            {"kind": "homogeneous", "G": "Sp(2)", "H": "T2", "embedding": "maximal-torus"},
         ],
     )
     def test_pair_report(self, doc, builds):
@@ -314,7 +322,20 @@ class TestOneBorelPackagePerReport:
         assert builds["morphisms"] == 0
         # the space model, built once: its images are parsed over it
         assert len(builds["signatures"]) == 1
-        assert len(builds["rings"]) <= 1  # the space's table, as above
+        assert len(builds["rings"]) == 1  # the space's table, read from ΛQ
+
+    def test_pure_model_report(self, builds):
+        """The table, the lower grading, the even coverage and the
+        formality count of x, y, z / a, b, c read one ΛQ."""
+        run_analysis(
+            {
+                "kind": "model",
+                "generators": [["x", 2], ["y", 2], ["z", 2], ["a", 3], ["b", 3], ["c", 3]],
+                "differential": {"a": "x^2", "b": "y^2", "c": "z^2"},
+                "cutoff": 12,
+            }
+        )
+        assert builds["rings"] == [(("z", 2), ("y", 2), ("x", 2))]
 
 
 class TestEachAlgebraBuiltOnce:

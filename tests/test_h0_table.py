@@ -182,7 +182,7 @@ class TestRouteAgainstTheWalk:
         assert ranked == [4]  # f_a and f_b times x and y, in the window's one degree, 6
         monkeypatch.setattr(linalg, "ff_row_echelon", echelon)
         routed = everything(cohomology(a))
-        assert walked == [a] and a._h0_answer == [False]
+        assert walked == [a] and list(ch._ideal(a).kept) == [6]  # the window alone
         assert routed[0] == betti_numbers(a) == (1, 0, 2, 0, 1, 1, 1, 1, 1, 1, 1)
         patch_route_out(monkeypatch)
         assert everything(cohomology(a.with_cutoff(10))) == routed
@@ -232,43 +232,50 @@ class TestRouteAgainstTheWalk:
 
 
 class TestOneAnswerPerAlgebra:
-    """``_elliptic`` ranks once per algebra, and its copies through
-    ``with_cutoff`` and ``associated_pure`` share the answer."""
+    """One ΛQ helper per algebra, shared by its copies through
+    ``with_cutoff`` and ``associated_pure``, eliminates each even degree
+    at most once."""
 
     @pytest.fixture
-    def ranks(self, monkeypatch):
-        calls = []
-        ideal_rows = ch._ideal_rows
-        monkeypatch.setattr(ch, "_ideal_rows", lambda a, degrees: calls.append(a) or ideal_rows(a, degrees))
-        return calls
+    def helpers(self, monkeypatch):
+        """The algebras a ΛQ helper is built for."""
+        built = []
+        ideal = ch._Ideal
+        monkeypatch.setattr(ch, "_Ideal", lambda a: built.append(a) or ideal(a))
+        return built
 
-    def test_asked_again_ranks_nothing(self, ranks):
+    def test_asked_again_ranks_nothing(self, helpers, monkeypatch):
         a = k_pair_model(3, 4)
-        assert _elliptic(a) and _elliptic(a)
+        assert _elliptic(a)
+        monkeypatch.setattr(linalg, "ff_row_echelon", None)
+        assert _elliptic(a)
         assert _elliptic(a.with_cutoff(20)) and _elliptic(a.associated_pure().with_cutoff(0))
-        assert ranks == [a]
+        assert helpers == [a]
 
-    def test_sheared_algebra_shares_with_its_associated_pure(self, ranks):
+    def test_sheared_algebra_shares_with_its_associated_pure(self, helpers):
         a = SullivanAlgebra.build(
             [("x", 2), ("y", 2), ("a", 3), ("b", 3), ("c", 5)], {"c": "x^3+a*b"}, cutoff=14
         )
         assert not _elliptic(a.associated_pure()) and not _elliptic(a)
-        assert len(ranks) == 1
+        assert len(helpers) == 1
 
-    def test_the_route_fills_the_answer(self, ranks):
+    def test_the_route_fills_the_answer(self, helpers, monkeypatch):
         a = k_pair_model(3, 8)
         cohomology(a)
-        assert ranks == [a] and a._h0_answer == [True]
+        assert helpers == [a]
+        monkeypatch.setattr(linalg, "ff_row_echelon", None)
         assert _elliptic(a.associated_pure())
-        assert ranks == [a]
+        assert helpers == [a]
 
     def test_a_known_answer_skips_the_window(self, monkeypatch):
         """With the answer known, the route eliminates the even degrees
-        up to N only."""
+        up to N only, each once."""
         a = k_pair_model(3, 8)
         assert _elliptic(a)
-        degrees = []
-        ideal_rows = ch._ideal_rows
-        monkeypatch.setattr(ch, "_ideal_rows", lambda a, d: degrees.append(d) or ideal_rows(a, d))
+        kept = ch._ideal(a).kept
+        assert list(kept) == [8]
+        eliminated = []
+        echelon = linalg._echelon
+        monkeypatch.setattr(linalg, "_echelon", lambda rows: eliminated.append(1) or echelon(rows))
         cohomology(a)
-        assert degrees == [[0, 2, 4, 6]]
+        assert list(kept) == [8, 0, 2, 4, 6] and len(eliminated) == 4
