@@ -9,10 +9,11 @@ disagreement raises CriterionDisagreement rather than being reconciled,
 unless the input explains it: a direct check cut off below the model's
 formal dimension (CutoffExceeded), or maps whose model has
 infinite-dimensional cohomology (NotElliptic; they define no compact
-quotient).  Such maps are rejected too when the two answers agree but
-the space's table reaches the formal dimension and fails Poincaré
-duality there, so the verdict functions and the reports reject the same
-inputs.
+quotient).  Finiteness has one test, the H_0 rule
+(``cohomology._elliptic``), asked when the two answers disagree or the
+cutoff reaches the formal dimension, whether or not they agree, so the
+verdict functions and the reports reject the same inputs at every
+cutoff from the formal dimension up.
 
 ``pair_analysis`` and ``cohomogeneity_one_analysis`` build a space's
 model and its cohomology table once, and return the table with the
@@ -142,34 +143,33 @@ def _space_verdict(
     table stops where the direct check does: at the cutoff, or at the
     formal dimension N when the H_0 rule shows H^n = 0 above it.
 
-    Every error a verdict can raise is raised here, in this order.  When
-    the hypotheses hold and the rank criterion disagrees with the table:
-    CutoffExceeded if the table is onto but cut off below N,
-    NotElliptic if the H_0 rule shows infinite cohomology, and
-    CriterionDisagreement otherwise.  Then, whatever the hypotheses,
-    NotElliptic if the table reaches N and fails Poincaré duality there,
-    since finite-dimensional cohomology satisfies it; a table cut off
-    below N is not checked."""
+    Every error a verdict can raise is raised here, in this order; the
+    verdicts disagree when the hypotheses hold and the rank criterion
+    disagrees with the table.  CutoffExceeded if they disagree and the
+    table is onto but cut off below N; NotElliptic if they disagree or
+    the cutoff is at least N, and the space fails the H_0 rule, the one
+    finiteness test, which on a pure model passes iff its cohomology is
+    finite; CriterionDisagreement if they disagree.  A cutoff below N
+    with agreeing verdicts asks no rule."""
     cutoff = space.cutoff
     table = ch.cohomology(space)
     (direct, failing), (odd_direct, odd_failing) = _strand_surjectivity(table)
     top = ch._formal_dimension(space)
-    if hypotheses_hold and direct != (rank_gap <= 1):
-        if direct and cutoff < top:
-            raise CutoffExceeded(
-                f"{context}: cutoff {cutoff} is below the formal dimension {top}, "
-                "so the direct check cannot confirm surjectivity"
-            )
-        # The H_0 rule fails: the space model is pure, so H_0 is a summand
-        # of H, which then has a class above N and is infinite.
-        if not ch._elliptic(space):
-            raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
+    disagree = hypotheses_hold and direct != (rank_gap <= 1)
+    if disagree and direct and cutoff < top:
+        raise CutoffExceeded(
+            f"{context}: cutoff {cutoff} is below the formal dimension {top}, "
+            "so the direct check cannot confirm surjectivity"
+        )
+    # The space model is pure, so it fails the H_0 rule iff H is infinite:
+    # H_0, a summand of H, then has a class above N.
+    if (disagree or cutoff >= top) and not ch._elliptic(space):
+        raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
+    if disagree:
         raise CriterionDisagreement(
             f"{context}: rank criterion says {rank_gap <= 1} but the direct check "
             f"says {direct} (first failing degree {failing})"
         )
-    if cutoff >= top and not ch.poincare_duality_holds(table.betti, top):
-        raise NotElliptic(f"{context}: {_NO_QUOTIENT}")
     return table, SurjectivityVerdict(
         context=context,
         rank_gap=rank_gap,

@@ -291,3 +291,29 @@ def borel_packages():
     for g, h in (("SU(4)", "T3"), ("Sp(2)", "T2")):
         restriction = standard_restriction(g, h, "maximal-torus")
         yield f"{g}/{h}", borel_model_homogeneous(restriction.source, restriction.target, restriction)
+
+
+def random_circle_diagram(rng: random.Random) -> dict:
+    """A diagram document of G = T2 or SU(2)^2 with H trivial and K-, K+
+    circles of random slopes (a, b) in -2..2, not both 0: on T2 each u_i
+    restricts to a_i e, on SU(2)^2 to -a_i^2 e^2, for e = em or ep.  Equal
+    lines give an S^2 bundle over S^1 or its SU(2)^2 analogue."""
+    group = rng.choice(["T2", "SU(2)^2"])
+
+    def circle(euler):
+        slopes = [0, 0]
+        while not any(slopes):
+            slopes = [rng.randint(-2, 2) for _ in range(2)]
+        if group == "T2":
+            return {f"u{i}": f"{a}*{euler}" for i, a in enumerate(slopes, 1)}
+        return {f"u{i}": f"{-a * a}*{euler}^2" for i, a in enumerate(slopes, 1)}
+
+    return {
+        "kind": "diagram",
+        "G": group,
+        "H": "e",
+        "Kminus": "T1",
+        "Kplus": "T1",
+        "sphere_dims": [1, 1],
+        "embeddings": {"G->Kminus": circle("em"), "G->Kplus": circle("ep")},
+    }

@@ -13,6 +13,7 @@ from sullivan.cli import build_parser, main
 from sullivan.errors import SchemaError
 
 GOLDEN = Path(__file__).parent / "golden"
+NO_QUOTIENT = "the model's cohomology is infinite-dimensional, so the given maps define no compact quotient"
 
 
 def run(capsys, *argv):
@@ -442,12 +443,17 @@ class TestInputRejections:
                 },
                 "only finite disconnected principal isotropy is supported",
             ),
+            (
+                {"embeddings": {"G->Kminus": {"u1": "-em^2"}, "G->Kplus": {"u1": "0"}}},
+                f"cohomogeneity_one: {NO_QUOTIENT}",
+            ),
         ],
         ids=[
             "sphere-rank",
             "unknown-restriction-key",
             "unknown-name-in-restriction",
             "disconnected-positive-rank",
+            "no-compact-quotient",
         ],
     )
     def test_diagrams(self, capsys, tmp_path, changes, message):
@@ -475,6 +481,11 @@ class TestInputRejections:
                 {"kind": "biquotient", "left": {"u1": "-u1^2"}, "right": {"u1": "-w^2"}},
                 "right image of u1: no generator named 'w'",
             ),
+            ({"embedding": {"u1": "0"}}, f"homogeneous: {NO_QUOTIENT}"),
+            (
+                {"kind": "biquotient", "left": {"u1": "-u1^2"}, "right": {"u1": "-u1^2"}},
+                f"biquotient: {NO_QUOTIENT}",
+            ),
         ],
         ids=[
             "flags-not-an-object",
@@ -483,6 +494,8 @@ class TestInputRejections:
             "unknown-name-in-embedding",
             "unknown-name-in-left-map",
             "unknown-name-in-right-map",
+            "no-compact-quotient",
+            "biquotient-no-compact-quotient",
         ],
     )
     def test_pairs(self, capsys, tmp_path, changes, message):

@@ -540,8 +540,8 @@ class TestDiagnostics:
     @pytest.mark.parametrize("check", [homogeneous_surjectivity, biquotient_surjectivity])
     def test_non_elliptic_maps_have_no_verdict(self, check):
         # both generators of H*(BT2) restrict to u1^2: the rank criterion
-        # and the direct check agree, but u2 is free, so a table reaching
-        # the formal dimension 4 fails Poincaré duality there
+        # and the direct check agree, but u2 is free, so the space fails
+        # the H_0 rule, which a cutoff at the formal dimension 4 or above asks
         g, h = lookup("SU(2)^2"), lookup("T2")
         doubled = RestrictionMap(g, h, {"u1": "u1^2", "u2": "u1^2"})
         for cutoff in (4, 8):
@@ -550,6 +550,28 @@ class TestDiagnostics:
         # a table cut off below the formal dimension is not checked
         verdict = check(g, h, doubled, 3)
         assert verdict.rank_criterion and verdict.direct_check
+
+    def test_no_compact_quotient_at_the_default_cutoff(self):
+        """Maps whose model has infinite cohomology are rejected at the
+        default cutoff, the formal dimension N, where the table reads no
+        class above N and so satisfies Poincaré duality: the zero
+        embedding of T1 in SU(2), the equal two-sided biquotient of
+        SU(2) by T1, and cp2-sum with the plus restriction zero."""
+        from sullivan.catalog import DIAGRAM_PRESETS
+        from sullivan.documents import load_diagram
+
+        square = RestrictionMap(SU2, T1, {"u1": "-u1^2"}, {"u1": "-u1^2"})
+        zero_plus = {"G->Kminus": {"u1": "-em^2"}, "G->Kplus": {"u1": "0"}}
+        checks = [
+            lambda: homogeneous_surjectivity(SU2, T1, RestrictionMap(SU2, T1, {"u1": "0"})),
+            lambda: biquotient_surjectivity(SU2, T1, square),
+            lambda: cohomogeneity_one_surjectivity(
+                load_diagram({**DIAGRAM_PRESETS["cp2-sum"], "embeddings": zero_plus})
+            ),
+        ]
+        for check in checks:
+            with pytest.raises(NotElliptic, match="define no compact quotient"):
+                check()
 
     def test_finite_isotropy_relaxes_hypotheses(self):
         from sullivan.catalog import lookup as clookup

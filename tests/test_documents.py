@@ -247,11 +247,6 @@ class TestOneBorelPackagePerReport:
     report, shared by the H_0 rule, the ΛQ table and the formality
     count."""
 
-    # Diagram presets with χ_π = 0, whose manifold table is read from ΛQ;
-    # the others have χ_π != 0 and are cut off at N by default, so their
-    # tables never ask the H_0 rule.
-    RING_PRESETS = ("cp2-sum", "cp2-sum-times-sphere", "sphere-s4")
-
     @pytest.fixture
     def builds(self, monkeypatch):
         counts = {"signatures": [], "morphisms": 0, "betti_numbers": 0, "parses": 0, "rings": []}
@@ -305,8 +300,9 @@ class TestOneBorelPackagePerReport:
         assert builds["betti_numbers"] == 4
         # each restriction string once for the manifold, once for the orbits
         assert builds["parses"] == 4 * diagram.g.rank
-        # the manifold's table builds one ΛQ on the ΛQ route and none otherwise
-        assert len(builds["rings"]) == (name in self.RING_PRESETS)
+        # one ΛQ: a χ_π = 0 table is read from it, and the verdict asks the
+        # H_0 rule at the default cutoff N, which a χ_π != 0 table does not
+        assert len(builds["rings"]) == 1
 
     @pytest.mark.parametrize(
         "doc",

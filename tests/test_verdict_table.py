@@ -10,15 +10,17 @@ reference is the direct check ``surjectivity_by_parity``, which walks the
 space's cleared chain and reads no table; a report's verdict reads the
 table (``criteria._strand_surjectivity``)."""
 
+import random
+
 import pytest
 
-from instance_generators import borel_packages
+from instance_generators import borel_packages, random_pure
 from sullivan.catalog import DIAGRAM_PRESETS, EMBEDDING_KINDS, catalog_list, standard_restriction
 from sullivan.cdga import CdgaMorphism, Generator, SullivanAlgebra
-from sullivan.cohomology import _formal_dimension, cohomology, surjectivity_by_parity
+from sullivan.cohomology import _formal_dimension, betti_numbers, cohomology, surjectivity_by_parity
 from sullivan.criteria import _space_verdict, _strand_surjectivity
 from sullivan.documents import load_diagram
-from sullivan.errors import NotPure, SullivanError
+from sullivan.errors import NotElliptic, NotPure, SullivanError
 from sullivan.models import BorelPackage, borel_model_cohomogeneity_one, borel_model_homogeneous
 
 
@@ -93,3 +95,32 @@ def test_a_space_model_that_is_not_pure_raises():
         _strand_surjectivity(cohomology(space))
     with pytest.raises(NotPure):
         _space_verdict(space, "homogeneous", 0, True, "")
+
+
+def test_no_compact_quotient_iff_the_betti_oracle_has_a_class_above_n():
+    """A verdict whose cutoff reaches the formal dimension N raises
+    NotElliptic exactly when the model's cohomology is infinite.  The
+    oracle is the cleared chain through N + w_Q, for w_Q the largest even
+    generator degree, which never asks the H_0 rule: a pure model's
+    cohomology is infinite iff it has a class in N + 1..N + w_Q.  The
+    draws are ``random_pure`` of seeds 0-399 with N >= 0, each cut off at
+    N, N + 1 and N + w_Q; the hypotheses are off, so only finiteness can
+    raise."""
+    draws = [(seed, random_pure(random.Random(seed))) for seed in range(400)]
+    draws = [(seed, a) for seed, a in draws if a is not None]
+    infinite, mismatches = 0, []
+    for seed, a in draws:
+        n = _formal_dimension(a)
+        w_q = max((g.degree for g in a.generators if not g.is_odd), default=0)
+        expected = any(betti_numbers(a.with_cutoff(n + w_q))[n + 1 :])
+        infinite += expected
+        for cutoff in (n, n + 1, n + w_q):
+            try:
+                _space_verdict(a.with_cutoff(cutoff), "model", 0, False, "")
+                rejected = False
+            except NotElliptic:
+                rejected = True
+            if rejected != expected:
+                mismatches.append((seed, cutoff))
+    assert (len(draws), infinite) == (288, 121)
+    assert mismatches == []
