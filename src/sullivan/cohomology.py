@@ -31,8 +31,8 @@ spectral sequence has E_1 = H(ΛV, d_σ) and converges to H(ΛV, d)
 and the f_j alone, whatever the algebra's cutoff, by reading the
 window's even degrees from ``_Ideal``, the one helper of ΛQ per algebra
 (kept in ``SullivanAlgebra._ideal`` and shared by its copies), which
-eliminates the rows f_j m of each even degree at most once and keeps
-the answer.
+grows a Gröbner basis of (f_j) through each degree at most once, reads
+a degree's standard monomials from it, and keeps the answer.
 
 How far a table runs.  A pure algebra with χ_π = 0 (as many odd
 generators as even) that passes the H_0 rule, cut off at N or above,
@@ -85,8 +85,9 @@ class representatives as primitive ``{exponent tuple: int}`` vectors.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import chain
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -163,60 +164,136 @@ def _formal_dimension(a: SullivanAlgebra) -> int:
 class _Ideal:
     """ΛQ, the even generators with no differential, and the ideal (f_j)
     of ``a``, f_j the part of d y_j with no odd factor, for the H_0 rule,
-    the ΛQ route of the table and the formality count alike.  ``degree``
-    eliminates an even degree k when first asked and keeps its answer in
-    ``kept``, so each degree is eliminated at most once per algebra and
-    its copies, which share this helper (``_ideal``).
+    the ΛQ route of the table and the formality count alike.  It keeps a
+    Gröbner basis of (f_j), grown in increasing degree as far as a caller
+    reads, each degree's answer in ``kept`` and the H_0 rule's in
+    ``elliptic``, for ``a`` and its copies, which share it (``_ideal``).
 
-    The rows of degree k span the ideal there: f_j m for the monomials m
-    of ΛQ of degree k - |y_j| - 1, the products (m != 1) first, then the
-    bare f_j, which are the d_σ images of the strand-1 monomials y_j m of
-    degree k - 1.  Each bare f_j has a column of its own, its tag, set
-    to 1 in its row alone.  A column key is a packed monomial negated,
-    all <= 0, and the tags are positive, so ``ff_row_echelon``, whose
-    pivot columns are the first independent columns from left to right,
-    names the same monomial pivots as with no tags, and each tag pivot is
-    a bare f_j in the span of the products and the bare f_j before it.
-    The monomials that pivots name are the lex leading monomials of the
-    ideal in degree k, the others its standard monomials, and μ_k, the
-    number of bare f_j independent of the products and of each other, is
-    the number of bare f_j less the number of tag pivots.  Each degree
-    keeps its monomial pivots and μ_k.
+    The order is weighted degree, then lex over ``a``'s generator order;
+    multiplying by a monomial keeps both comparisons and the degrees are
+    positive, so it is a monomial order.  ΛQ's generators run in reverse,
+    so within a degree packed ints compare in that lex order, and adding
+    packed monomials multiplies them.  In degree k the rows f_j m span
+    the ideal, and their pivot columns, with the largest monomial first,
+    are its leading monomials: those some leading monomial of the basis
+    divides.  The others, the standard monomials, are the classes of
+    ΛQ^k/(f_j).
 
-    ΛQ is cut off at the last degree any caller reads, N + w_Q for the
-    formal dimension N or the largest |y_j| + 1; its generators run in
-    reverse order, so a degree's packed monomials sort as their exponent
-    tuples over ``a``, the order of ``a``'s strand-0 basis, and its
-    negated keys give ``ff_row_echelon`` the columns in reverse basis
-    order.  Neither ``a``'s bases nor its associated pure algebra are
-    read."""
+    The basis is homogeneous Buchberger's, integral and fraction-free.
+    Degree n reduces its S-pairs, then its f_j in order, and each
+    remainder that is not zero joins the basis.  Its S-pairs are of
+    elements of lower degree, so μ_n, the number of bare f_j independent
+    of the products f_j m (m != 1) and of each other, is the number of
+    f_j of degree n with a remainder.  An S-pair is dropped above
+    ``top``, the last degree any caller reads (N + w_Q, or the largest
+    |y_j| + 1), and when its leading monomials are coprime, as it then
+    reduces to zero (Buchberger's first criterion; his second, the chain
+    criterion, drops almost no pair here and is not applied).  Neither
+    ``a``'s bases nor its associated pure algebra are read."""
 
     def __init__(self, a: SullivanAlgebra):
         evens = [i for i, g in enumerate(a.generators) if not g.is_odd][::-1]
         w_q = max((a.generators[i].degree for i in evens), default=0)
-        top = max(_formal_dimension(a) + w_q, *(g.degree + 1 for g in a.generators if g.is_odd), 0)
-        self.ring = q = SullivanAlgebra([a.generators[i] for i in evens], top)
-        self.relations = []  # (|y_j| + 1, the negated packed terms of f_j)
+        self.top = max(_formal_dimension(a) + w_q, *(g.degree + 1 for g in a.generators if g.is_odd), 0)
+        self.ring = q = SullivanAlgebra([a.generators[i] for i in evens], self.top)
+        self.relations = []  # (|y_j| + 1, f_j as {packed monomial: int})
         for g, image in zip(a.generators, a._images):
-            f = [(-q._pack(map(m.__getitem__, evens)), c) for m, mask, c in image if not mask]
+            f = {q._pack(map(m.__getitem__, evens)): c for m, mask, c in image if not mask}
             if g.is_odd and f:
-                self.relations.append((g.degree + 1, f))
+                self.relations.append((g.degree + 1, *linalg._int_rows([f])))
+        self.basis: list[tuple[int, int, dict[int, int]]] = []  # (degree, leading monomial, element)
+        self.pairs: dict[int, list[tuple[int, int, int]]] = {}  # degree -> (lcm, i, j)
+        self.mu: dict[int, int] = {}
         self.kept: dict[int, tuple[list[int], int]] = {}
+        self._standard: list[set[int]] = [{0}]  # by degree, the basis complete through the last
+        self.elliptic: bool | None = None
+        # a field's first bit, but the lowest field's: where a borrow of
+        # a packed difference shows that a field of the minuend is smaller
+        self._borrows = sum(1 << s for s in q._shifts[1:])
 
     def degree(self, k: int) -> tuple[list[int], int]:
-        """The monomial pivots of ΛQ^k, negated packed monomials in
-        increasing order, and μ_k, from the degree's one elimination."""
+        """The leading monomials of the ideal in ΛQ^k, negated packed
+        monomials in increasing order, and μ_k."""
         if k not in self.kept:
-            rows = [{t - p: c for t, c in f} for d, f in self.relations if d < k for p in self.ring._monomials(k - d)]
-            bare = [{**dict(f), tag: 1} for tag, (d, f) in enumerate(self.relations, 1) if d == k]
-            _, pivots = linalg._echelon(rows + bare)
-            monomial = bisect_right(pivots, 0)  # the tags follow
-            self.kept[k] = pivots[:monomial], len(bare) - len(pivots) + monomial
+            standard = self.standard(k)
+            leading = sorted(-p for p in self.ring._monomials(k) if p not in standard)
+            self.kept[k] = leading, self.mu.get(k, 0)
         return self.kept[k]
 
+    def standard(self, k: int) -> set[int]:
+        """The standard monomials of ΛQ^k, packed: those that no leading
+        monomial of the basis divides, the basis grown through degree k.
+        A divisor of a standard monomial is standard, so each is a
+        generator times one of a lower degree."""
+        q, standard = self.ring, self._standard
+        while len(standard) <= k:
+            n = len(standard)
+            self._grow(n)
+            below = {s + (1 << shift) for d, shift in zip(q._degrees, q._shifts) if d <= n for s in standard[n - d]}
+            standard.append({m for m in below if not any(self._divides(lm, m) for _, lm, _ in self.basis)})
+        return standard[k]
+
     def fills(self, k: int) -> bool:
-        """Whether the ideal is all of ΛQ^k: pivots name every monomial."""
-        return len(self.degree(k)[0]) == len(self.ring._monomials(k))
+        """Whether the ideal is all of ΛQ^k: no monomial is standard."""
+        return not self.standard(k)
+
+    def _grow(self, n: int) -> None:
+        """Complete the basis in degree n, complete below n."""
+        for lcm, i, j in self.pairs.pop(n, ()):
+            _, lm_i, g_i = self.basis[i]
+            s = {m + lcm - lm_i: x for m, x in g_i.items()}
+            self._cancel(s, lcm, *self.basis[j][1:])
+            self._join(n, self._reduced(s))
+        for d, f in self.relations:
+            if d == n and self._join(n, self._reduced(dict(f))):
+                self.mu[n] = self.mu.get(n, 0) + 1
+
+    def _divides(self, lm: int, m: int) -> bool:
+        return m >= lm and not (m - lm ^ m ^ lm) & self._borrows
+
+    def _cancel(self, p: dict[int, int], t: int, lm: int, g: dict[int, int]) -> None:
+        """Cancel p's term at t, in place, by the multiple of g with
+        leading monomial t, scaling p by the least integer needed; p is
+        left primitive."""
+        a, c = g[lm], p[t]
+        h = gcd(a, c)
+        if a != h:
+            for m in p:
+                p[m] *= a // h
+        shift, c = t - lm, c // h
+        for m, y in g.items():
+            x = p.get(m + shift, 0) - c * y
+            if x:
+                p[m + shift] = x
+            else:
+                del p[m + shift]
+        linalg._divide_content(p)
+
+    def _reduced(self, p: dict[int, int]) -> dict[int, int]:
+        """p with its leading term cancelled by the basis while some
+        leading monomial of the basis divides it: zero ({}) or an element
+        whose leading monomial is new."""
+        while p:
+            t = max(p)
+            g = next((e for e in self.basis if self._divides(e[1], t)), None)
+            if g is None:
+                break
+            self._cancel(p, t, *g[1:])
+        return p
+
+    def _join(self, n: int, p: dict[int, int]) -> bool:
+        """Add p, of degree n, to the basis with its S-pairs up to
+        ``top`` whose leading monomials are not coprime, unless p is 0."""
+        if not p:
+            return False
+        lm, q = max(p), self.ring
+        for i, (_, other, _) in enumerate(self.basis):
+            exponents = tuple(map(max, q._unpack(lm), q._unpack(other)))
+            d, lcm = sum(map(mul, exponents, q._degrees)), q._pack(exponents)
+            if lcm != lm + other and d <= self.top:
+                self.pairs.setdefault(d, []).append((lcm, i, len(self.basis)))
+        self.basis.append((n, lm, p))
+        return True
 
 
 def _ideal(a: SullivanAlgebra) -> _Ideal:
@@ -238,12 +315,17 @@ def _elliptic(a: SullivanAlgebra) -> bool:
     of ΛQ^n for every n in N + 1..N + w_Q (``_Ideal.fills``); then
     H^n(a) = 0 for every n > N (module docstring).  The window degrees
     are read in order up to the first that falls short, after which
-    ``_h0_blocks`` eliminates nothing, and no ΛQ is built when N < 0.  It
+    ``_h0_blocks`` reads nothing, and no ΛQ is built when N < 0.  It
     reads the generator degrees and the f_j only, so ``a``'s cutoff
-    plays no part, and the degrees are kept, so asking again eliminates
-    nothing."""
+    plays no part, and the answer is kept on the helper, so asking again
+    reads nothing."""
     n = _formal_dimension(a)
-    return n >= 0 and all(_ideal(a).fills(k) for k in _window(a, n))
+    if n < 0:
+        return False
+    ideal = _ideal(a)
+    if ideal.elliptic is None:
+        ideal.elliptic = all(ideal.fills(k) for k in _window(a, n))
+    return ideal.elliptic
 
 
 def _h0_blocks(a: SullivanAlgebra) -> list[dict[int, tuple]] | None:
@@ -254,11 +336,11 @@ def _h0_blocks(a: SullivanAlgebra) -> list[dict[int, tuple]] | None:
     In the ΛV walk an even degree k's strand-0 block has no d rows, so
     its classes are the unit vectors of the monomials whose reversed
     columns are not pivots of the coboundaries f_j m = d_σ(y_j m)
-    handed up to it, and no other strand has a class.  Those are the
-    rows of ``_Ideal``, and pivots depend only on the span, so the
-    classes are the standard monomials of ΛQ^k, padded with zero odd
-    exponents.  The rule is asked first, so an algebra that fails it
-    eliminates no degree up to N."""
+    handed up to it, and no other strand has a class.  Those rows span
+    the ideal in degree k, and pivots depend only on the span, so the
+    classes are the standard monomials of ΛQ^k (``_Ideal``), padded with
+    zero odd exponents.  The rule is asked first, so an algebra that
+    fails it reads no degree up to N."""
     n = _formal_dimension(a)
     if not (a.is_pure() and a.homotopy_euler_characteristic() == 0 and 0 <= n <= a.cutoff and _elliptic(a)):
         return None

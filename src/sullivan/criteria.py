@@ -286,10 +286,12 @@ def pure_formality(table: ch.CohomologyTable) -> FormalityVerdict:
     the odd differentials generate inside the even subalgebra ΛQ: the
     dimension of I modulo its decomposable part, degree by degree.  Each
     degree's share μ_k, the bare f_j of degree k independent of the
-    products f_j m (m != 1) and of each other, comes from that degree's
-    one elimination in ``cohomology._Ideal``, the helper the H_0 rule and
-    the ΛQ table read too, so a degree they eliminated is not eliminated
-    again.  Only the degrees of some f_j can have a share.  k = dim
+    products f_j m (m != 1) and of each other, is counted by the Gröbner
+    basis of ``cohomology._Ideal``, the helper the H_0 rule and the ΛQ
+    table read too: the f_j of degree k with a remainder modulo the basis
+    after degree k's S-pairs and the f_j before them.  A degree the basis
+    has been grown through is not worked again.  Only the degrees of some
+    f_j can have a share.  k = dim
     V^odd - mu odd generators split off freely, and the algebra is formal
     iff mu = dim V^even.  The table's Betti numbers must vanish in the
     top window (ellipticity).

@@ -7,10 +7,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sullivan.catalog import DIAGRAM_PRESETS, standard_restriction
+from sullivan.catalog import DIAGRAM_PRESETS, EMBEDDING_KINDS, catalog_list, standard_restriction
 from sullivan.cdga import AlgebraElement, Generator, SullivanAlgebra
 from sullivan.cohomology import betti_numbers, top_window_vanishes
 from sullivan.documents import load_diagram
+from sullivan.errors import SullivanError
 from sullivan.models import borel_model_cohomogeneity_one, borel_model_homogeneous
 
 # odd degrees o with o+1 a multiple of e, keyed by even degree e <= 8
@@ -273,6 +274,19 @@ def k_pair_model(k: int, cutoff: int) -> SullivanAlgebra:
     )
 
 
+def coupled_k_pair_model(k: int, cutoff: int) -> SullivanAlgebra:
+    """The pure model of k pairs x_i (degree 2), a_i (degree 3) with
+    d a_i = x_i^2 + x_i x_{i+1}, indices mod k.  Its lex staircase is
+    not a box of pure powers.  For odd k the f_j have only the common
+    zero 0, so it is elliptic, with cohomology (1 + t^2)^k; for even k
+    the alternating x_i = (-1)^i t is a common zero, and it is not."""
+    return SullivanAlgebra.build(
+        [(f"x{i}", 2) for i in range(1, k + 1)] + [(f"a{i}", 3) for i in range(1, k + 1)],
+        {f"a{i}": f"x{i}^2+x{i}*x{i % k + 1}" for i in range(1, k + 1)},
+        cutoff=cutoff,
+    )
+
+
 def random_degree_algebras(seed, count):
     """Free algebras on one to five generators of degrees 1..6 (d = 0) at
     cutoffs 0..10, each with its list of generator degrees."""
@@ -291,6 +305,36 @@ def borel_packages():
     for g, h in (("SU(4)", "T3"), ("Sp(2)", "T2")):
         restriction = standard_restriction(g, h, "maximal-torus")
         yield f"{g}/{h}", borel_model_homogeneous(restriction.source, restriction.target, restriction)
+
+
+def package_builds() -> dict:
+    """Borel package builders by name, each taking a cutoff: every diagram
+    preset and every pair of catalog groups with a standard embedding that
+    the catalog accepts, one per distinct restriction map.  They include
+    every package of ``borel_packages``."""
+    builds = {
+        name: lambda cutoff, name=name: borel_model_cohomogeneity_one(
+            load_diagram(DIAGRAM_PRESETS[name]), cutoff
+        )
+        for name in DIAGRAM_PRESETS
+    }
+    names = [entry.group.name for entry in catalog_list()]
+    seen = set()
+    for g in names:
+        for h in names:
+            for kind in EMBEDDING_KINDS:
+                try:
+                    r = standard_restriction(g, h, kind)
+                    borel_model_homogeneous(r.source, r.target, r)
+                except SullivanError:
+                    continue
+                key = (g, h, tuple(sorted(r.assignment.items())))
+                if key not in seen:
+                    seen.add(key)
+                    builds[f"{g}/{h}:{kind}"] = lambda cutoff, r=r: borel_model_homogeneous(
+                        r.source, r.target, r, cutoff
+                    )
+    return builds
 
 
 def random_circle_diagram(rng: random.Random) -> dict:

@@ -173,7 +173,8 @@ class TestLowerGrading:
 class TestEliminationCount:
     """One elimination per degree or strand block gives its cocycles and
     the coboundaries of the next block; at most one more picks the
-    representatives."""
+    representatives.  A table read from ΛQ eliminates nothing: its
+    helper reduces each f_j and each S-pair it keeps once."""
 
     @pytest.fixture
     def eliminations(self, monkeypatch):
@@ -187,23 +188,50 @@ class TestEliminationCount:
         monkeypatch.setattr(linalg, "ff_row_echelon", counting)
         return calls
 
-    def test_table_at_most_two_per_degree(self, cp2sum, eliminations):
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """The polynomials the ΛQ helpers reduce."""
+        from sullivan import cohomology as ch
+
+        calls, reduced = [], ch._Ideal._reduced
+        monkeypatch.setattr(ch._Ideal, "_reduced", lambda self, p: calls.append(dict(p)) or reduced(self, p))
+        return calls
+
+    def test_table_at_most_two_per_degree(self, cp2sum, eliminations, reductions, monkeypatch):
+        """cp2sum is read from ΛQ: f_n = x^2 + y^2, f_m = xy and their one
+        S-pair, of degree 6, are reduced once each.  With the route
+        patched out, the ΛV walk eliminates at most twice per degree."""
+        from sullivan import cohomology as ch
+
         table = cohomology(cp2sum)
         assert table.betti == (1, 0, 2, 0, 1, 0, 0)
-        assert 0 < len(eliminations) <= 2 * (table.cutoff + 1)
+        assert eliminations == [] and len(reductions) == 3
+        monkeypatch.setattr(ch, "_h0_blocks", lambda a: None)
+        assert cohomology(cp2sum).betti == table.betti
+        assert 0 < len(eliminations) <= 2 * (table.cutoff + 1) and len(reductions) == 3
 
-    def test_lower_grading_at_most_two_per_strand(self, cp2sum, eliminations):
+    def test_lower_grading_at_most_two_per_strand(self, cp2sum, eliminations, reductions, monkeypatch):
+        from sullivan import cohomology as ch
+
         lg = lower_grading(cp2sum)
         assert lg.table.betti == (1, 0, 2, 0, 1, 0, 0)
+        assert eliminations == [] and len(reductions) == 3
+        monkeypatch.setattr(ch, "_h0_blocks", lambda a: None)
+        assert lower_grading(cp2sum).table.betti == lg.table.betti
         blocks = sum(
             len({cp2sum.odd_word_length(m) for m in cp2sum._basis(n)})
             for n in range(cp2sum.cutoff + 1)
         )
         assert 0 < len(eliminations) <= 2 * blocks
 
-    def test_pure_model_report_eliminates_each_strand_once(self, eliminations, monkeypatch):
+    def test_pure_model_report_eliminates_each_strand_once(self, eliminations, reductions, monkeypatch):
         """A pure model report reads Betti numbers, representatives, the
-        lower grading and H_0 from one table, with no rank-only pass."""
+        lower grading and H_0 from one table, with no rank-only pass.
+        Its table is read from ΛQ, so it eliminates no strand of ΛV, and
+        its one helper, which the table, the H_0 rule and the formality
+        count share, reduces each f_j once (their leading monomials are
+        coprime, so there is no S-pair); with the route patched out each
+        strand block is eliminated at most twice."""
         from sullivan import cohomology as ch
         from sullivan.documents import load_model, run_analysis
 
@@ -225,6 +253,9 @@ class TestEliminationCount:
         report = run_analysis(doc)
         assert report["even_coverage"]["h0_equals_heven"]  # chi_pi = 0
         assert rank_only == []
+        assert eliminations == [] and len(reductions) == 3
+        monkeypatch.setattr(ch, "_h0_blocks", lambda a: None)
+        assert run_analysis(doc) == report
         a = load_model(doc)
         blocks = sum(
             len({a.odd_word_length(m) for m in a._basis(n)}) for n in range(a.cutoff + 1)
@@ -235,11 +266,12 @@ class TestEliminationCount:
     def test_elliptic_table_stops_after_the_window(self, monkeypatch):
         """x, y, z / a, b, c has formal dimension 6 and even generators of
         degree 2, and its H_0 vanishes in degree 8, so at cutoff 12 its
-        table hands ``ff_row_echelon`` one H_0 rank of degree 8, before
-        any d rows, and no block above degree 6, and reads degrees 7..12
-        as zero.  That is its ΛV walk, with the ΛQ route patched out; on
-        the route it builds no d rows and eliminates the ideal rows of
-        degrees 8 (the window), 4 and 6 once each, for the same table."""
+        table hands ``ff_row_echelon`` no block above degree 6 and reads
+        degrees 7..12 as zero.  That is its ΛV walk, with the ΛQ route
+        patched out; on the route it builds no d rows and eliminates
+        nothing: its helper completes the basis through degree 8, the
+        window, reducing each f_j once, and reads the standard monomials
+        of degrees 0..6 from it, for the same table."""
         from sullivan import cohomology as ch
 
         def build():
@@ -249,11 +281,15 @@ class TestEliminationCount:
                 cutoff=12,
             )
 
-        rows, echelon = [], linalg.ff_row_echelon
+        reduced, reduce = [], ch._Ideal._reduced
         monkeypatch.setattr(ch, "_action_rows", None)
-        monkeypatch.setattr(linalg, "ff_row_echelon", lambda r: rows.append(len(r)) or echelon(r))
-        routed = cohomology(build())
-        assert rows == [18, 3, 9]  # f_j times the monomials of degree 4, then f_j, then times degree 2
+        monkeypatch.setattr(linalg, "ff_row_echelon", None)
+        monkeypatch.setattr(ch._Ideal, "_reduced", lambda self, p: reduced.append(p) or reduce(self, p))
+        a = build()
+        routed = cohomology(a)
+        helper = ch._ideal(a)
+        assert len(reduced) == 3 and len(helper._standard) - 1 == 8 and helper.elliptic  # grown through 8
+        assert list(helper.kept) == [0, 2, 4, 6]
         monkeypatch.undo()
         monkeypatch.setattr(ch, "_h0_blocks", lambda a: None)
 
@@ -273,8 +309,8 @@ class TestEliminationCount:
         table = cohomology(build())
         assert table.cutoff == 12
         assert table.betti == (1, 0, 3, 0, 3, 0, 1) + (0,) * 6
-        assert eliminated.count(None) == 1  # the H_0 rank builds no d rows of the table
-        assert max(n for n in eliminated if n is not None) == 6
+        assert None not in eliminated  # the H_0 rule eliminates nothing
+        assert max(eliminated) == 6
         assert all(table.representatives(n) == () for n in range(7, 13))
         assert routed.betti == table.betti
         assert all(routed.representatives(n) == table.representatives(n) for n in range(13))
@@ -786,12 +822,11 @@ class TestWindowRule:
     def test_non_elliptic_associated_pure_eliminates_as_uncapped(self, monkeypatch):
         """x, y / a, b / c with d c = x^3 + ab is not pure, and its
         associated pure algebra, d_σ c = x^3, has classes y^n in every
-        even degree, so the helper's one rank in degree 10, the window
-        10..11 past N = 9, falls short and both walks run to the cutoff.
-        Apart from that rank, one per walk, ``ff_row_echelon`` receives
-        the same rows as with the helper patched out.  The helper keeps
-        each degree it eliminates per algebra, so each walk gets an
-        algebra of its own."""
+        even degree, so the helper's window, 10..11 past N = 9, falls
+        short and both walks run to the cutoff.  ``ff_row_echelon``
+        receives the same rows as with the helper patched out, and none
+        from the helper, which reduces f_c = x^3 alone.  The helper keeps
+        its answer per algebra, so each walk gets an algebra of its own."""
         from sullivan import cohomology as ch
 
         def build():
@@ -804,10 +839,11 @@ class TestWindowRule:
         assert not ch._elliptic(build())
 
         def eliminations():
-            """The answers, and the rows each elimination receives,
-            outside the helper and inside it."""
-            walks, helper, inside = [], [], [False]
-            echelon, elliptic = linalg.ff_row_echelon, ch._elliptic
+            """The answers, the rows each elimination receives, outside
+            the helper and inside it, and the polynomials the helper
+            reduces."""
+            walks, helper, inside, reduced = [], [], [False], []
+            echelon, elliptic, reduce = linalg.ff_row_echelon, ch._elliptic, ch._Ideal._reduced
 
             def recording(rows):
                 (helper if inside[0] else walks).append([dict(row) for row in rows])
@@ -821,22 +857,26 @@ class TestWindowRule:
 
             monkeypatch.setattr(linalg, "ff_row_echelon", recording)
             monkeypatch.setattr(ch, "_elliptic", marked)
+            monkeypatch.setattr(ch._Ideal, "_reduced", lambda self, p: reduced.append(dict(p)) or reduce(self, p))
             f = even_subalgebra_inclusion(build(), ["x", "y"])
             answers = cohomology(a).betti, surjectivity_by_parity(f, (0, 1))
             monkeypatch.setattr(linalg, "ff_row_echelon", echelon)
             monkeypatch.setattr(ch, "_elliptic", elliptic)
-            return answers, walks, helper
+            monkeypatch.setattr(ch._Ideal, "_reduced", reduce)
+            return answers, walks, helper, reduced
 
         capped = eliminations()
-        assert [len(rows) for rows in capped[2]] == [3, 3]  # d_σ of c x^2, c xy, c y^2; the rows of a, b vanish
-        with monkeypatch.context() as m:  # asked again, through a copy, the helper eliminates nothing
+        assert capped[2] == [] and len(capped[3]) == 2  # f_c once per walk's helper; no S-pair
+        with monkeypatch.context() as m:  # asked again, through a copy, the helper does no work
             m.setattr(ch, "SullivanAlgebra", None)
-            m.setattr(linalg, "ff_row_echelon", None)
+            m.setattr(ch._Ideal, "standard", None)
             assert not ch._elliptic(a.with_cutoff(3).associated_pure())
-        assert list(ch._ideal(a).kept) == [10]  # the failing window degree, and no degree up to N
+        helper = ch._ideal(a)
+        # grown through the failing window degree, and no degree up to N read
+        assert len(helper._standard) - 1 == 10 and helper.kept == {}
         monkeypatch.setattr(ch, "_elliptic", lambda a: False)
         uncapped = eliminations()
-        assert uncapped[2] == []
+        assert uncapped[2] == uncapped[3] == []
         assert capped[:2] == uncapped[:2]
         assert capped[0][0] == betti_numbers(a)
 
@@ -844,7 +884,8 @@ class TestWindowRule:
         """x, y / a with d a = xy has formal dimension 1 but classes x^n
         in every even degree, so both walks run to the cutoff and hand
         ``ff_row_echelon`` the same rows as with the helper patched out.
-        The helper builds no rows, as strand 1 of degree 1 is empty."""
+        The helper reduces nothing, as its one f_j, xy, has degree 4,
+        past the window's one even degree, 2."""
         from sullivan import cohomology as ch
 
         a = SullivanAlgebra.build([("x", 2), ("y", 2), ("a", 3)], {"a": "x*y"}, cutoff=12)

@@ -316,7 +316,7 @@ class TestFormalityAgainstTheIdeal:
     """``pure_formality`` sums the shares μ_k that the ΛQ helper keeps,
     against the reference ``ideal_formality``, on every draw of
     ``random_pure_elliptic`` from seeds 0-399: once after the table, so
-    that μ reads the degrees the table eliminated, and once on a fresh
+    that μ reads the degrees the table read, and once on a fresh
     algebra that no table has read."""
 
     def test_random_pure_elliptic(self):
@@ -451,36 +451,37 @@ class TestFormality:
         assert verdict.split_k == 1
 
     @pytest.mark.parametrize(
-        "generators, differential, cutoff, calls",
+        "generators, differential, cutoff, degrees",
         [
             # the six-generator pure model: candidates only in degree 4,
-            # which its table, read from ΛQ, has eliminated already
+            # which its table, read from ΛQ, has read already
             (
                 [("x", 2), ("y", 2), ("z", 2), ("a", 3), ("b", 3), ("c", 3)],
                 {"a": "x^2", "b": "y^2", "c": "z^2"},
                 14,
                 0,
             ),
-            # candidates in degree 4 (u^2) and 6 (u * u^2 and u^3)
+            # candidates in degree 4 (u^2) and 6 (u * u^2 and u^3), which
+            # the H_0 rule of its ΛV table grew the basis through
             ([("u", 2), ("q1", 3), ("q2", 5)], {"q1": "u^2", "q2": "u^3"}, 12, 2),
         ],
     )
     def test_one_elimination_per_degree_with_candidates(
-        self, generators, differential, cutoff, calls, monkeypatch
+        self, generators, differential, cutoff, degrees, monkeypatch
     ):
+        """The count reads each degree of some f_j from the helper the
+        table asked, once: it eliminates nothing and reduces nothing the
+        basis has not, and reads only the degrees no one read before."""
+        from sullivan import cohomology as ch
         from sullivan import linalg
 
-        table = cohomology(SullivanAlgebra.build(generators, differential, cutoff=cutoff))
-        echelon = linalg.ff_row_echelon
-        seen = []
-
-        def counting_echelon(rows):
-            seen.append(1)
-            return echelon(rows)
-
-        monkeypatch.setattr(linalg, "ff_row_echelon", counting_echelon)
+        a = SullivanAlgebra.build(generators, differential, cutoff=cutoff)
+        table = cohomology(a)
+        kept = dict(ch._ideal(a).kept)
+        monkeypatch.setattr(linalg, "ff_row_echelon", None)
+        monkeypatch.setattr(ch._Ideal, "_reduced", None)
         pure_formality(table)
-        assert len(seen) == calls
+        assert len(ch._ideal(a).kept) - len(kept) == degrees
 
 
 class TestDiagramReports:

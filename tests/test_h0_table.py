@@ -6,15 +6,15 @@ cohomology H = H_0 = ΛQ/(f_j), all in even degrees, with Poincaré series
 
 ``CohomologyTable`` reads such a table from ΛQ alone (``_h0_blocks``);
 with that route patched out it walks ΛV, and both must give the same
-table.  The H_0 rule's answer is kept per algebra, so asking it again
-ranks nothing."""
+table.  The H_0 rule's answer is kept on the algebra's ΛQ helper, so
+asking it again does no work of the helper."""
 
 import random
 
 import pytest
 
 from induced_reference import representative_vectors
-from instance_generators import k_pair_model, random_pure_elliptic
+from instance_generators import coupled_k_pair_model, k_pair_model, random_pure_elliptic
 from sullivan import cohomology as ch
 from sullivan import linalg
 from sullivan.catalog import DIAGRAM_PRESETS, resolve, standard_restriction
@@ -46,6 +46,9 @@ WEYL_ORDERS = {
 }
 
 
+COUPLED = (3, 5, 7)
+
+
 def _w_q(a):
     return max((g.degree for g in a.generators if not g.is_odd), default=0)
 
@@ -61,8 +64,9 @@ def torus_pairs():
 def chi_pi_zero_models():
     """(name, algebra at its formal dimension) of pure models with
     χ_π = 0 that pass the H_0 rule: the maximal-torus pairs above, the
-    k-pair models for k <= 5, three diagram presets' space models and
-    50 elliptic draws of ``random_pure_elliptic`` with χ_π = 0."""
+    k-pair models for k <= 5, three diagram presets' space models, 50
+    elliptic draws of ``random_pure_elliptic`` with χ_π = 0 and the
+    coupled k-pair models for odd k <= 7 (even k fail the rule)."""
     models = [(f"{g}/T", space) for g, space in torus_pairs()]
     models += [(f"{k}-pair", k_pair_model(k, 2 * k)) for k in range(1, 6)]
     for name in ("cp2-sum", "cp2-sum-times-sphere", "sphere-s4"):
@@ -74,6 +78,7 @@ def chi_pi_zero_models():
         if a is not None and a.homotopy_euler_characteristic() == 0 and _elliptic(a):
             models.append((f"draw-{drawn}", a.with_cutoff(_formal_dimension(a))))
             drawn += 1
+    models += [(f"coupled-{k}-pair", coupled_k_pair_model(k, 2 * k)) for k in COUPLED]
     return models
 
 
@@ -103,7 +108,7 @@ def poincare_series(a, top):
 
 class TestPoincareSeries:
     def test_population(self):
-        assert len(MODELS) == len(WEYL_ORDERS) + 5 + 3 + 50
+        assert len(MODELS) == len(WEYL_ORDERS) + 5 + len(COUPLED) + 3 + 50
         for name, a in MODELS:
             assert a.is_pure() and a.homotopy_euler_characteristic() == 0, name
             assert a.cutoff == _formal_dimension(a) >= 0, name
@@ -121,6 +126,12 @@ class TestPoincareSeries:
     @pytest.mark.parametrize("g, space", list(torus_pairs()))
     def test_flag_manifold_betti_sums_are_weyl_orders(self, g, space):
         assert sum(cohomology(space).betti) == WEYL_ORDERS[g]
+
+    @pytest.mark.parametrize("k", COUPLED)
+    def test_coupled_k_pair_betti_sums_are_powers_of_two(self, k):
+        """Their lex staircase is not a box, unlike the k-pair models'."""
+        assert sum(cohomology(coupled_k_pair_model(k, 2 * k)).betti) == 2**k
+        assert not _elliptic(coupled_k_pair_model(k + 1, 0))  # x_i = (-1)^i t is a common zero
 
 
 def everything(table):
@@ -171,18 +182,21 @@ class TestRouteAgainstTheWalk:
 
     def test_failing_the_rule_walks_lv(self, walked, monkeypatch):
         """x, y / a, b with d a = x^2 and d b = xy has χ_π = 0 and N = 4
-        but classes y^n in every even degree: the route's window rank
-        falls short before it eliminates any degree up to N, it keeps that
+        but classes y^n in every even degree: the route's basis, grown
+        through the window's one degree, 6, leaves a standard monomial
+        there before any degree up to N is read, the helper keeps that
         answer, and the table walks ΛV to the cutoff."""
         a = SullivanAlgebra.build([("x", 2), ("y", 2), ("a", 3), ("b", 3)], {"a": "x^2", "b": "x*y"}, cutoff=10)
         assert a.homotopy_euler_characteristic() == 0 and _formal_dimension(a) == 4
-        ranked, echelon = [], linalg.ff_row_echelon
-        monkeypatch.setattr(linalg, "ff_row_echelon", lambda rows: ranked.append(len(rows)) or echelon(rows))
+        reduced, reduce, echelon = [], ch._Ideal._reduced, linalg.ff_row_echelon
+        monkeypatch.setattr(linalg, "ff_row_echelon", None)
+        monkeypatch.setattr(ch._Ideal, "_reduced", lambda self, p: reduced.append(dict(p)) or reduce(self, p))
         assert ch._h0_blocks(a.with_cutoff(10)) is None
-        assert ranked == [4]  # f_a and f_b times x and y, in the window's one degree, 6
+        assert len(reduced) == 3  # f_a, f_b and their S-pair of degree 6, y f_a - x f_b = 0
         monkeypatch.setattr(linalg, "ff_row_echelon", echelon)
         routed = everything(cohomology(a))
-        assert walked == [a] and list(ch._ideal(a).kept) == [6]  # the window alone
+        helper = ch._ideal(a)
+        assert walked == [a] and len(helper._standard) - 1 == 6 and helper.kept == {}  # the window alone
         assert routed[0] == betti_numbers(a) == (1, 0, 2, 0, 1, 1, 1, 1, 1, 1, 1)
         patch_route_out(monkeypatch)
         assert everything(cohomology(a.with_cutoff(10))) == routed
@@ -233,8 +247,8 @@ class TestRouteAgainstTheWalk:
 
 class TestOneAnswerPerAlgebra:
     """One ΛQ helper per algebra, shared by its copies through
-    ``with_cutoff`` and ``associated_pure``, eliminates each even degree
-    at most once."""
+    ``with_cutoff`` and ``associated_pure``, grows its basis through each
+    degree at most once and keeps the H_0 rule's answer."""
 
     @pytest.fixture
     def helpers(self, monkeypatch):
@@ -244,11 +258,9 @@ class TestOneAnswerPerAlgebra:
         monkeypatch.setattr(ch, "_Ideal", lambda a: built.append(a) or ideal(a))
         return built
 
-    def test_asked_again_ranks_nothing(self, helpers, monkeypatch):
+    def test_asked_again_ranks_nothing(self, helpers):
         a = k_pair_model(3, 4)
-        assert _elliptic(a)
-        monkeypatch.setattr(linalg, "ff_row_echelon", None)
-        assert _elliptic(a)
+        assert _elliptic(a) and _elliptic(a)
         assert _elliptic(a.with_cutoff(20)) and _elliptic(a.associated_pure().with_cutoff(0))
         assert helpers == [a]
 
@@ -263,19 +275,27 @@ class TestOneAnswerPerAlgebra:
         a = k_pair_model(3, 8)
         cohomology(a)
         assert helpers == [a]
-        monkeypatch.setattr(linalg, "ff_row_echelon", None)
+        monkeypatch.setattr(type(ch._ideal(a)), "_grow", None)
         assert _elliptic(a.associated_pure())
         assert helpers == [a]
 
+    def test_a_repeat_ask_does_no_helper_work(self, monkeypatch):
+        """The answer is kept on the helper: asked again, directly or
+        through a copy, the rule reads no degree of ΛQ."""
+        a = k_pair_model(3, 4)
+        assert _elliptic(a)
+        for name in ("fills", "standard", "degree", "_grow"):
+            monkeypatch.setattr(ch._Ideal, name, None)
+        assert _elliptic(a) and _elliptic(a.with_cutoff(20).associated_pure())
+
     def test_a_known_answer_skips_the_window(self, monkeypatch):
-        """With the answer known, the route eliminates the even degrees
-        up to N only, each once."""
+        """With the answer known, the route grows the basis no further
+        and reads the even degrees up to N, each once."""
         a = k_pair_model(3, 8)
         assert _elliptic(a)
-        kept = ch._ideal(a).kept
-        assert list(kept) == [8]
-        eliminated = []
-        echelon = linalg._echelon
-        monkeypatch.setattr(linalg, "_echelon", lambda rows: eliminated.append(1) or echelon(rows))
+        helper = ch._ideal(a)
+        assert len(helper._standard) - 1 == 8 and helper.kept == {}  # grown through the window
+        monkeypatch.setattr(ch._Ideal, "_grow", None)
+        monkeypatch.setattr(linalg, "ff_row_echelon", None)
         cohomology(a)
-        assert list(kept) == [8, 0, 2, 4, 6] and len(eliminated) == 4
+        assert list(helper.kept) == [0, 2, 4, 6]

@@ -14,50 +14,19 @@ import random
 
 import pytest
 
-from instance_generators import borel_packages, random_pure
-from sullivan.catalog import DIAGRAM_PRESETS, EMBEDDING_KINDS, catalog_list, standard_restriction
+from instance_generators import borel_packages, package_builds, random_pure
+from sullivan.catalog import DIAGRAM_PRESETS
 from sullivan.cdga import CdgaMorphism, Generator, SullivanAlgebra
 from sullivan.cohomology import _formal_dimension, betti_numbers, cohomology, surjectivity_by_parity
 from sullivan.criteria import _space_verdict, _strand_surjectivity
-from sullivan.documents import load_diagram
-from sullivan.errors import NotElliptic, NotPure, SullivanError
-from sullivan.models import BorelPackage, borel_model_cohomogeneity_one, borel_model_homogeneous
-
-
-def _builds() -> dict:
-    """Borel package builders by name, each taking a cutoff: every diagram
-    preset and every pair of catalog groups with a standard embedding that
-    the catalog accepts, one per distinct restriction map.  They include
-    every package of ``borel_packages``."""
-    builds = {
-        name: lambda cutoff, name=name: borel_model_cohomogeneity_one(
-            load_diagram(DIAGRAM_PRESETS[name]), cutoff
-        )
-        for name in DIAGRAM_PRESETS
-    }
-    names = [entry.group.name for entry in catalog_list()]
-    seen = set()
-    for g in names:
-        for h in names:
-            for kind in EMBEDDING_KINDS:
-                try:
-                    r = standard_restriction(g, h, kind)
-                    borel_model_homogeneous(r.source, r.target, r)
-                except SullivanError:
-                    continue
-                key = (g, h, tuple(sorted(r.assignment.items())))
-                if key not in seen:
-                    seen.add(key)
-                    builds[f"{g}/{h}:{kind}"] = lambda cutoff, r=r: borel_model_homogeneous(
-                        r.source, r.target, r, cutoff
-                    )
-    return builds
+from sullivan.errors import NotElliptic, NotPure
+from sullivan.models import BorelPackage
 
 
 def _cases():
     """(name, package) with the space model cut off at N − 3, N and N + 5
     for its formal dimension N (no cutoff below 0)."""
-    for name, build in sorted(_builds().items()):
+    for name, build in sorted(package_builds().items()):
         n = _formal_dimension(build(None).space)
         for cutoff in sorted({max(0, n - 3), n, n + 5}):
             yield f"{name}@{cutoff}", build(cutoff)
